@@ -1,18 +1,9 @@
-"""Command-line surface, file formats and run orchestration.
+"""Command-line surface and run orchestration.
 
-Trace file format (authoritative):
-
-    ALLOWSEQ v1
-    t=<int> lo=<int> hi=<int>
-    <initial values, space separated>
-    # <depth> begin <label>        (annotation lines, optional)
-    F <c> <d>                      (single flip)
-    S <c1> <d1> <c2> <d2> ...      (disjoint multi-flip step)
-    # <depth> end <label>
-
-Steps appear in application order; parsing then serializing reproduces a
-file byte for byte.  Exit codes: 0 success, 1 property violated or
-structured failure, 2 malformed input, 3 refusal by a resource guard.
+The trace file format is documented, written and read in `engine`; its
+reader and writer are re-exported here.  Exit codes: 0 success, 1
+property violated or structured failure, 2 malformed input, 3 refusal by
+a resource guard.
 """
 
 from __future__ import annotations
@@ -27,177 +18,19 @@ from .construction import (ConstructionFailure, full_construction,
                            recursive_step, reflect, reflect_instance,
                            reflect_mirrored, shift, shift_instance,
                            step_instance)
-from .engine import (INF, FileSink, FlipStep, Trace, TraceRecorder,
-                     verify_stream, verify_trace)
+from .engine import (INF, MAGIC, FileSink, TraceParseError, iter_trace_file,
+                     parse_trace, serialize_trace, verify_stream)
 from .errors import ConstructionBug, ContractError, RefusalError
-from .geom import (PointSet, circular_sequence, deviation_imbalance_link,
-                   format_points, line_imbalances, parse_points,
-                   render_points_svg, render_trace_svg)
+from .geom import (circular_sequence, deviation_imbalance_link,
+                   line_imbalances, parse_points, render_points_svg,
+                   render_trace_svg)
 from .oracle import SEARCH_GUARD, search_best_deviation
 from .planner import plan_sizes
-from .seqcore import CentredSequence, Flip, Window
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_MALFORMED = 2
 EXIT_REFUSED = 3
-
-MAGIC = "ALLOWSEQ v1"
-
-
-class TraceParseError(Exception):
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
-def serialize_trace(tr) -> str:
-    """Text form of a trace, annotations interleaved at their positions."""
-    if isinstance(tr, TraceRecorder):
-        tr = tr.to_trace()
-    lines = [MAGIC,
-             f"t={tr.window.t} lo={tr.initial.lo} hi={tr.initial.hi}",
-             " ".join(str(v) for v in tr.initial.values)]
-    opens = {}
-    closes = {}
-    for start, end, depth, label in tr.annotations:
-        opens.setdefault(start, []).append((depth, label))
-        closes.setdefault(end, []).append((depth, label))
-    for idx in sorted(opens):
-        opens[idx].sort()
-    for idx in sorted(closes):
-        closes[idx].sort(reverse=True)
-    for i, step in enumerate(tr.steps + (None,)):
-        for depth, label in closes.get(i, ()):
-            lines.append(f"# {depth} end {label}")
-        for depth, label in opens.get(i, ()):
-            lines.append(f"# {depth} begin {label}")
-        if step is None:
-            break
-        if len(step.flips) == 1:
-            f = step.flips[0]
-            lines.append(f"F {f.c} {f.d}")
-        else:
-            lines.append("S " + " ".join(f"{f.c} {f.d}" for f in step.flips))
-    return "\n".join(lines) + "\n"
-
-
-def _parse_step_line(lineno, line):
-    parts = line.split()
-    kind = parts[0]
-    nums = parts[1:]
-    if len(nums) < 2 or len(nums) % 2:
-        raise TraceParseError(lineno, "flip line needs c/d pairs")
-    try:
-        vals = [int(x) for x in nums]
-    except ValueError:
-        raise TraceParseError(lineno, "flip bounds must be integers")
-    if kind == "F" and len(vals) != 2:
-        raise TraceParseError(lineno, "'F' lines carry exactly one flip")
-    try:
-        return FlipStep([Flip(vals[i], vals[i + 1])
-                         for i in range(0, len(vals), 2)])
-    except ContractError as exc:
-        raise TraceParseError(lineno, str(exc))
-
-
-def iter_trace_file(fh):
-    """Stream (header, steps) from a trace file: yields the (window,
-    initial) pair first, then FlipStep objects one at a time."""
-    lineno = 0
-
-    def readline():
-        nonlocal lineno
-        line = fh.readline()
-        lineno += 1
-        return line
-
-    magic = readline().rstrip("\n")
-    if magic != MAGIC:
-        raise TraceParseError(lineno, f"bad magic {magic!r}")
-    params = readline().rstrip("\n").split()
-    try:
-        kv = dict(p.split("=", 1) for p in params)
-        t, lo, hi = int(kv["t"]), int(kv["lo"]), int(kv["hi"])
-    except (ValueError, KeyError):
-        raise TraceParseError(lineno, "expected 't=<int> lo=<int> hi=<int>'")
-    vals_line = readline().rstrip("\n")
-    try:
-        vals = [int(x) for x in vals_line.split()]
-    except ValueError:
-        raise TraceParseError(lineno, "initial values must be integers")
-    if len(vals) != hi - lo + 1:
-        raise TraceParseError(lineno, f"expected {hi - lo + 1} values, "
-                                      f"got {len(vals)}")
-    try:
-        initial = CentredSequence(lo, vals)
-        window = Window(t)
-    except ContractError as exc:
-        raise TraceParseError(lineno, str(exc))
-
-    def steps():
-        nonlocal lineno
-        while True:
-            line = fh.readline()
-            lineno += 1
-            if not line:
-                return
-            line = line.rstrip("\n")
-            if not line:
-                raise TraceParseError(lineno, "blank line inside trace")
-            if line.startswith("#"):
-                parts = line.split(maxsplit=3)
-                if len(parts) < 4 or parts[2] not in ("begin", "end"):
-                    raise TraceParseError(lineno,
-                                          "annotation must be '# <depth> "
-                                          "begin/end <label>'")
-                continue
-            if line[0] not in "FS":
-                raise TraceParseError(lineno, f"unknown line kind {line[:1]!r}")
-            yield _parse_step_line(lineno, line)
-
-    return (window, initial), steps()
-
-
-def parse_trace(text: str) -> Trace:
-    """Full in-memory parse, including annotations, for round-tripping."""
-    import io
-
-    fh = io.StringIO(text)
-    lineno = 0
-    lines = text.split("\n")
-    (window, initial), _ = iter_trace_file(io.StringIO(text))
-    steps = []
-    annotations = []
-    stack = []
-    for i, raw in enumerate(lines[3:], start=4):
-        if raw == "":
-            continue
-        if raw.startswith("#"):
-            parts = raw.split(maxsplit=3)
-            if len(parts) < 4:
-                raise TraceParseError(i, "bad annotation line")
-            depth, kind, label = int(parts[1]), parts[2], parts[3]
-            if kind == "begin":
-                stack.append((len(steps), depth, label))
-            elif kind == "end":
-                if not stack or stack[-1][1] != depth or stack[-1][2] != label:
-                    raise TraceParseError(i, "unbalanced annotation nesting")
-                start, dep, lab = stack.pop()
-                annotations.append((start, len(steps), dep, lab))
-            else:
-                raise TraceParseError(i, "annotation must begin or end")
-            continue
-        steps.append(_parse_step_line(i, raw))
-    if stack:
-        raise TraceParseError(len(lines), "unclosed annotation")
-    annotations.sort(key=lambda a: (a[1], -a[0], -a[2]))
-    return Trace(window, initial, tuple(steps), tuple(annotations))
-
-
-def write_trace(tr, path):
-    with open(path, "w") as fh:
-        fh.write(serialize_trace(tr))
 
 
 def _fmt_dev(dev):
@@ -254,7 +87,10 @@ def _max_cells(args):
     if args.max_cells is not None:
         return args.max_cells
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ContractError(f"ALLOWSEQ_MAX_CELLS={env!r} is not an integer")
     return 10**8
 
 

@@ -8,18 +8,37 @@ a*b transpositions, but the recorder checks the one precondition that
 makes them all valid (left block entirely below right block, region clear
 of the window) and then applies the move as a single splice.
 
-Sinks decide what to keep.  ListSink retains every step for replay and
-serialization, FileSink streams steps to a text file, StatsSink keeps
-only aggregates.  The recorder always tracks flip count and minimum
-deviation itself, so even a stats-only run reports both.
+Sinks decide what to keep.  ListSink retains every step and annotation
+for replay and serialization, FileSink streams them to a text file,
+StatsSink keeps only aggregates.  The recorder always tracks flip count
+and minimum deviation itself, so even a stats-only run reports both.
 
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
+
+Trace file format (authoritative).  FileSink is its only writer and
+read_trace its only reader:
+
+    ALLOWSEQ v1
+    t=<int> lo=<int> hi=<int>
+    <initial values, space separated>
+    # <depth> begin <label>        (annotation lines, optional)
+    F <c> <d>                      (single flip)
+    S <c1> <d1> <c2> <d2> ...      (disjoint multi-flip step)
+    # <depth> end <label>
+
+Steps appear in application order.  Every annotation scope, empty or
+not, is written where it opens and where it closes; depth counts the
+scopes open around it, the outermost being 1.  Files that FileSink
+writes parse and serialize back byte for byte.  Other valid files parse
+to the same steps, but need not come back byte for byte: `S 1 2` comes
+back as `F 1 2`, and the flips of an `S` line come back sorted.
 """
 
 from __future__ import annotations
 
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +49,14 @@ from .seqcore import Block, CentredSequence, Flip, Window, _strictly_increasing
 
 INF = float("inf")
 
+MAGIC = "ALLOWSEQ v1"
+
+
+class TraceParseError(Exception):
+    def __init__(self, lineno, message):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
+
 
 @dataclass(frozen=True)
 class FlipStep:
@@ -38,18 +65,25 @@ class FlipStep:
     flips: tuple
 
     def __init__(self, flips: Iterable[Flip]):
-        fs = tuple(sorted(flips, key=lambda f: f.c))
-        if not fs:
+        fs = tuple(flips)
+        if len(fs) > 1:
+            fs = tuple(sorted(fs, key=lambda f: f.c))
+            for a, b in zip(fs, fs[1:]):
+                if a.d >= b.c:
+                    raise ContractError(f"flips [{a.c},{a.d}] and [{b.c},{b.d}] overlap")
+        elif not fs:
             raise ContractError("a step needs at least one flip")
-        for a, b in zip(fs, fs[1:]):
-            if a.d >= b.c:
-                raise ContractError(f"flips [{a.c},{a.d}] and [{b.c},{b.d}] overlap")
         object.__setattr__(self, "flips", fs)
 
 
 @dataclass(frozen=True)
 class Trace:
-    """A finished, immutable flip trace."""
+    """A finished, immutable flip trace.
+
+    `annotations` holds the annotation events in the order they were
+    emitted, each as (step index, depth, "begin <label>" or "end
+    <label>"): the event came after `step index` steps.
+    """
 
     window: Window
     initial: CentredSequence
@@ -66,10 +100,12 @@ def _deviation(c: int, d: int, centre2: int) -> Fraction:
 
 
 class ListSink:
-    """Retains every step; supports conversion to a Trace."""
+    """Retains every step and annotation event; supports conversion to a
+    Trace."""
 
     def __init__(self):
         self.steps = []
+        self.annotations = []
 
     def on_step(self, flips):
         self.steps.append(FlipStep([Flip(c, d) for c, d in flips]))
@@ -77,6 +113,9 @@ class ListSink:
     def on_transpositions(self, pairs):
         for c, d in pairs:
             self.steps.append(FlipStep([Flip(c, d)]))
+
+    def on_annotation(self, depth, label):
+        self.annotations.append((len(self.steps), depth, label))
 
 
 class StatsSink:
@@ -93,9 +132,9 @@ class StatsSink:
 
 
 class FileSink:
-    """Streams a whole trace file to an open text handle: the header as
-    soon as the recorder announces its initial state, then step and
-    annotation lines as they happen."""
+    """The trace file writer.  Streams a whole trace file to an open text
+    handle: the header as soon as the recorder announces its initial
+    state, then step and annotation lines as they happen."""
 
     steps = None
 
@@ -103,12 +142,11 @@ class FileSink:
         self.fh = fh
 
     def begin(self, initial, window):
-        self.fh.write("ALLOWSEQ v1\n")
+        self.fh.write(MAGIC + "\n")
         self.fh.write(f"t={window.t} lo={initial.lo} hi={initial.hi}\n")
         self.fh.write(" ".join(str(v) for v in initial.values) + "\n")
 
     def on_step(self, flips):
-        flips = list(flips)
         if len(flips) == 1:
             c, d = flips[0]
             self.fh.write(f"F {c} {d}\n")
@@ -123,6 +161,134 @@ class FileSink:
 
     def on_annotation(self, depth, label):
         self.fh.write(f"# {depth} {label}\n")
+
+
+_LINE_SHAPES = {"F": "F <c> <d>", "S": "S <c1> <d1> <c2> <d2> ...",
+                "#": "# <depth> begin|end <label>"}
+
+
+def read_trace(fh):
+    """The trace file reader: ((window, initial), events) from an open
+    text handle.
+
+    `events` yields, in file order, a FlipStep for each step line and a
+    (depth, "begin <label>" or "end <label>") pair for each annotation
+    line.  Annotations must nest: a `begin` sits one deeper than the
+    scopes open around it, an `end` closes the innermost open scope, and
+    every scope is closed by the end of the file.  Anything else raises
+    TraceParseError naming the offending line.
+    """
+    lineno = 0
+
+    def readline():
+        nonlocal lineno
+        lineno += 1
+        return fh.readline().rstrip("\n")
+
+    magic = readline()
+    if magic != MAGIC:
+        raise TraceParseError(lineno, f"bad magic {magic!r}")
+    try:
+        kv = dict(p.split("=", 1) for p in readline().split())
+        t, lo, hi = int(kv["t"]), int(kv["lo"]), int(kv["hi"])
+    except (ValueError, KeyError):
+        raise TraceParseError(lineno, "expected 't=<int> lo=<int> hi=<int>'")
+    try:
+        vals = [int(x) for x in readline().split()]
+    except ValueError:
+        raise TraceParseError(lineno, "initial values must be integers")
+    if len(vals) != hi - lo + 1:
+        raise TraceParseError(lineno, f"expected {hi - lo + 1} values, "
+                                      f"got {len(vals)}")
+    try:
+        header = (Window(t), CentredSequence(lo, vals))
+    except ContractError as exc:
+        raise TraceParseError(lineno, str(exc))
+
+    def events():
+        scopes = []  # (depth, label, line number) of each open annotation
+        for lineno, line in enumerate(fh, 4):
+            kind, _, rest = line.rstrip("\n").partition(" ")
+            if kind not in _LINE_SHAPES:
+                raise TraceParseError(lineno, f"unknown line kind {kind!r}"
+                                      if kind else "blank line inside trace")
+            try:
+                if kind == "F":
+                    c, d = rest.split()
+                    yield FlipStep((Flip(int(c), int(d)),))
+                elif kind == "S":
+                    nums = [int(x) for x in rest.split()]
+                    if not nums or len(nums) % 2:
+                        raise ValueError
+                    yield FlipStep([Flip(nums[i], nums[i + 1])
+                                    for i in range(0, len(nums), 2)])
+                else:
+                    depth, _, label = rest.partition(" ")
+                    depth = int(depth)
+                    if label.startswith("begin "):
+                        if depth != len(scopes) + 1:
+                            raise TraceParseError(
+                                lineno, f"'begin' at depth {depth} inside "
+                                        f"{len(scopes)} open scopes")
+                        scopes.append((depth, label[6:], lineno))
+                    elif not label.startswith("end "):
+                        raise ValueError
+                    elif not scopes or scopes[-1][:2] != (depth, label[4:]):
+                        raise TraceParseError(lineno,
+                                              "unbalanced annotation nesting")
+                    else:
+                        scopes.pop()
+                    yield depth, label
+            except ContractError as exc:
+                raise TraceParseError(lineno, str(exc))
+            except ValueError:
+                raise TraceParseError(lineno,
+                                      f"expected '{_LINE_SHAPES[kind]}'")
+        if scopes:
+            depth, label, lineno = scopes[-1]
+            raise TraceParseError(lineno,
+                                  f"annotation {label!r} is never closed")
+
+    return header, events()
+
+
+def parse_trace(text: str) -> Trace:
+    """The Trace a trace file's text holds, annotations included."""
+    (window, initial), events = read_trace(io.StringIO(text))
+    steps = []
+    annotations = []
+    for event in events:
+        if event.__class__ is FlipStep:
+            steps.append(event)
+        else:
+            annotations.append((len(steps),) + event)
+    return Trace(window, initial, tuple(steps), tuple(annotations))
+
+
+def iter_trace_file(fh):
+    """Stream a trace file: returns the (window, initial) header and an
+    iterator over its FlipSteps.  Annotation lines are checked but not
+    passed on."""
+    header, events = read_trace(fh)
+    return header, (e for e in events if e.__class__ is FlipStep)
+
+
+def serialize_trace(tr) -> str:
+    """The text of a Trace, or of a ListSink-backed recorder, as FileSink
+    writes it: the trace replayed into a FileSink."""
+    if isinstance(tr, TraceRecorder):
+        tr = tr.to_trace()
+    out = io.StringIO()
+    sink = FileSink(out)
+    sink.begin(tr.initial, tr.window)
+    done = 0
+    for at, depth, label in tr.annotations + ((len(tr.steps), 0, None),):
+        for step in tr.steps[done:at]:
+            sink.on_step([(f.c, f.d) for f in step.flips])
+        done = at
+        if label is not None:
+            sink.on_annotation(depth, label)
+    return out.getvalue()
 
 
 class TraceRecorder:
@@ -144,7 +310,6 @@ class TraceRecorder:
         self.step_count = 0
         self.min_deviation: Optional[Fraction] = None
         self._ann_stack = []
-        self.annotations = []
 
     # -- state access ------------------------------------------------
 
@@ -172,13 +337,12 @@ class TraceRecorder:
         if not isinstance(self.sink, ListSink):
             raise ContractError("only ListSink recorders can produce a Trace")
         return Trace(self.window, self.initial, tuple(self.sink.steps),
-                     tuple(self.annotations))
+                     tuple(self.sink.annotations))
 
     # -- annotation stack ----------------------------------------------
 
     @contextmanager
     def annotate(self, label: str):
-        start = self.step_count
         depth = len(self._ann_stack) + 1
         self._ann_stack.append(label)
         if hasattr(self.sink, "on_annotation"):
@@ -189,10 +353,6 @@ class TraceRecorder:
             self._ann_stack.pop()
             if hasattr(self.sink, "on_annotation"):
                 self.sink.on_annotation(depth, "end " + label)
-            # Scopes that emitted nothing leave no mark; this keeps the
-            # serialized form free of same-position open/close pairs.
-            if self.step_count > start:
-                self.annotations.append((start, self.step_count, depth, label))
 
     def annotation_stack(self) -> tuple:
         return tuple(self._ann_stack)

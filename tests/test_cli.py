@@ -9,7 +9,8 @@ import pytest
 from allowseq.cli import (MAGIC, TraceParseError, iter_trace_file, main,
                           parse_trace, serialize_trace)
 from allowseq.construction import shift, shift_instance
-from allowseq.engine import FlipStep, new_trace, verify_stream, verify_trace
+from allowseq.engine import (FileSink, FlipStep, new_trace, verify_stream,
+                             verify_trace)
 from allowseq.geom import PointSet, format_points
 from allowseq.seqcore import CentredSequence, Flip, Window, identity_sequence
 from conftest import five_element_steps, random_trace_material
@@ -42,6 +43,53 @@ def test_round_trip_with_annotations():
     assert tr == rec.to_trace()
 
 
+def test_round_trip_empty_nested_scope():
+    def emit(rec):
+        with rec.annotate("outer"):
+            with rec.annotate("empty"):
+                pass
+            rec.emit_flip(1, 2)
+        return rec
+
+    fh = io.StringIO()
+    emit(new_trace(identity_sequence(-2, 2), Window(0), sink=FileSink(fh)))
+    text = fh.getvalue()
+    assert "# 2 begin empty\n# 2 end empty\nF 1 2\n" in text
+    assert serialize_trace(parse_trace(text)) == text
+    assert parse_trace(text) == emit(
+        new_trace(identity_sequence(-2, 2), Window(0))).to_trace()
+
+
+def scoped(rng, steps):
+    """The steps with randomly nested annotation scopes around and between
+    them, some of them empty: None closes the innermost open scope."""
+    plan, depth = [], 0
+    for step in steps + [None]:
+        while rng.random() < 0.4:
+            if depth and rng.random() < 0.5:
+                plan.append(None)
+                depth -= 1
+            else:
+                plan.append(f"scope {len(plan)}")
+                depth += 1
+        if step is not None:
+            plan.append(step)
+    return plan + [None] * depth
+
+
+def play(rec, plan):
+    scopes = []
+    for item in plan:
+        if item is None:
+            scopes.pop().__exit__(None, None, None)
+        elif isinstance(item, str):
+            scopes.append(rec.annotate(item))
+            scopes[-1].__enter__()
+        else:
+            rec.emit_step(item)
+    return rec
+
+
 def test_round_trip_fuzzed(rng):
     for _ in range(60):
         initial, steps = random_trace_material(rng)
@@ -53,8 +101,14 @@ def test_round_trip_fuzzed(rng):
                 ok_steps.append(step)
             except Exception:
                 break
-        text = serialize_trace(tr)
+        plan = scoped(rng, ok_steps)
+        fh = io.StringIO()
+        play(new_trace(initial, Window(0), sink=FileSink(fh)), plan)
+        listed = play(new_trace(initial, Window(0)), plan).to_trace()
+        text = fh.getvalue()
+        assert serialize_trace(listed) == text
         back = parse_trace(text)
+        assert back == listed
         assert serialize_trace(back) == text
         assert back.steps == tuple(ok_steps)
 
@@ -90,7 +144,7 @@ def test_cmd_verify_five_example(tmp_path, capsys):
     assert run_cli("verify", str(p), "--strict") == 1
 
 
-def test_cmd_verify_missing_and_malformed(tmp_path):
+def test_cmd_verify_missing_and_malformed(tmp_path, capsys):
     assert run_cli("verify", str(tmp_path / "nope.txt")) == 2
     bad = tmp_path / "bad.txt"
     bad.write_text("ALLOWSEQ v1\nt=0 lo=1 hi=3\n1 2\n")
@@ -98,6 +152,21 @@ def test_cmd_verify_missing_and_malformed(tmp_path):
     cut = tmp_path / "cut.txt"
     cut.write_text("ALLOWSEQ v1\nt=0 lo=1 hi=3\n")
     assert run_cli("verify", str(cut)) == 2
+    # verify streams the file and render parses it whole; both must refuse
+    # the same line
+    header = "ALLOWSEQ v1\nt=0 lo=1 hi=3\n1 2 3\n"
+    for body, lineno in (("F 1 2\n\nF 2 3\n", 5),
+                         ("# x begin foo\nF 1 2\n# 1 end foo\n", 4),
+                         ("F 1 2\n# 1 begin foo\nF 2 3\n", 5),
+                         ("F 1 2\n# 1 end foo\n", 5),
+                         ("# 1 middle foo\nF 1 2\n", 4)):
+        bad.write_text(header + body)
+        capsys.readouterr()
+        assert run_cli("verify", str(bad)) == 2, body
+        err = capsys.readouterr().err
+        assert f"line {lineno}:" in err, (body, err)
+        assert run_cli("render", str(bad)) == 2, body
+        assert capsys.readouterr().err == err
 
 
 def test_cmd_construct_then_verify(tmp_path, capsys):
@@ -141,6 +210,11 @@ def test_max_cells_env(tmp_path, monkeypatch, capsys):
     code = run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
                    "--k", "0")
     assert code == 3
+    monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "abc")
+    code = run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
+                   "--k", "0")
+    assert code == 2
+    assert "ALLOWSEQ_MAX_CELLS" in capsys.readouterr().err
     monkeypatch.delenv("ALLOWSEQ_MAX_CELLS")
 
 

@@ -17,7 +17,7 @@ from conftest import five_element_steps, random_trace_material
 def test_new_trace_is_empty_and_replays_to_itself():
     s = identity_sequence(-3, 3)
     tr = new_trace(s, Window(1))
-    assert tr.step_count == 0 and tr.annotations == []
+    assert tr.step_count == 0 and tr.to_trace().annotations == ()
     rep = verify_trace(tr)
     assert rep.allowable and rep.min_deviation == INF
     assert not rep.reaches_reversal
