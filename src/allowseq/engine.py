@@ -12,6 +12,8 @@ Sinks decide what to keep.  ListSink retains every step and annotation
 for replay and serialization, FileSink streams them to a text file,
 StatsSink keeps only aggregates.  The recorder always tracks flip count
 and minimum deviation itself, so even a stats-only run reports both.
+Deviations are tracked doubled, as the integer |c + d - (lo + hi)|, and
+become Fractions only where they are reported.
 
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
@@ -93,10 +95,6 @@ class Trace:
     @property
     def t(self) -> int:
         return self.window.t
-
-
-def _deviation(c: int, d: int, centre2: int) -> Fraction:
-    return Fraction(abs(c + d - centre2), 2)
 
 
 class ListSink:
@@ -308,7 +306,7 @@ class TraceRecorder:
         self.paranoid = paranoid
         self.flip_count = 0
         self.step_count = 0
-        self.min_deviation: Optional[Fraction] = None
+        self._min_dev2: Optional[int] = None  # doubled minimum deviation
         self._ann_stack = []
 
     # -- state access ------------------------------------------------
@@ -316,6 +314,11 @@ class TraceRecorder:
     @property
     def t(self) -> int:
         return self.window.t
+
+    @property
+    def min_deviation(self) -> Optional[Fraction]:
+        """Least |flip midpoint - centre| so far; None before any flip."""
+        return None if self._min_dev2 is None else Fraction(self._min_dev2, 2)
 
     def value_at(self, pos: int) -> int:
         if not self.lo <= pos <= self.hi:
@@ -362,12 +365,12 @@ class TraceRecorder:
 
     # -- primitive emission --------------------------------------------
 
-    def _track(self, c: int, d: int):
-        dev = _deviation(c, d, self._centre2)
-        if self.min_deviation is None or dev < self.min_deviation:
-            self.min_deviation = dev
-        self.flip_count += 1
-        self.step_count += 1
+    def _track(self, dev2: int, flips: int, steps: int):
+        """Count flips and steps; dev2 is their least doubled deviation."""
+        if self._min_dev2 is None or dev2 < self._min_dev2:
+            self._min_dev2 = dev2
+        self.flip_count += flips
+        self.step_count += steps
 
     def emit_flip(self, c: int, d: int):
         """Validate and apply a single flip as its own step."""
@@ -380,7 +383,7 @@ class TraceRecorder:
         if abs(c + d) <= 2 * self.window.t:
             self._bug(f"flip [{c}, {d}] has midpoint inside the window", (c, d))
         self._vals[i:j] = run[::-1]
-        self._track(c, d)
+        self._track(abs(c + d - self._centre2), 1, 1)
         self.sink.on_step([(c, d)])
 
     def emit_step(self, step: FlipStep):
@@ -397,11 +400,8 @@ class TraceRecorder:
         for f in step.flips:
             i, j = f.c - self.lo, f.d - self.lo + 1
             self._vals[i:j] = self._vals[i:j][::-1]
-            dev = _deviation(f.c, f.d, self._centre2)
-            if self.min_deviation is None or dev < self.min_deviation:
-                self.min_deviation = dev
-            self.flip_count += 1
-        self.step_count += 1
+        self._track(min(abs(f.c + f.d - self._centre2) for f in step.flips),
+                    len(step.flips), 1)
         self.sink.on_step([(f.c, f.d) for f in step.flips])
 
     # -- batched transposition runs --------------------------------------
@@ -423,15 +423,12 @@ class TraceRecorder:
         # i in [lo, hi-1]; find the one closest to the doubled centre.
         c2 = self._centre2
         if c2 <= 2 * lo + 1:
-            dev = Fraction(2 * lo + 1 - c2, 2)
+            dev2 = 2 * lo + 1 - c2
         elif c2 >= 2 * hi - 1:
-            dev = Fraction(c2 - (2 * hi - 1), 2)
+            dev2 = c2 - (2 * hi - 1)
         else:
-            dev = Fraction(0) if c2 % 2 else Fraction(1, 2)
-        if self.min_deviation is None or dev < self.min_deviation:
-            self.min_deviation = dev
-        self.flip_count += count
-        self.step_count += count
+            dev2 = 0 if c2 % 2 else 1
+        self._track(dev2, count, count)
         self.sink.on_transpositions(pairs_iter)
 
     @staticmethod
@@ -565,7 +562,7 @@ def verify_stream(initial: CentredSequence, window: Window,
     allowable = True
     all_valid = True
     first_violation = None
-    min_dev = None
+    min_dev2 = None  # doubled, as in the recorder
     steps_n = 0
     flips_n = 0
 
@@ -597,9 +594,9 @@ def verify_stream(initial: CentredSequence, window: Window,
                 all_valid = False
                 if first_violation is None:
                     first_violation = (idx, (f.c, f.d), "midpoint inside window")
-            dev = _deviation(f.c, f.d, centre2)
-            if min_dev is None or dev < min_dev:
-                min_dev = dev
+            dev2 = abs(f.c + f.d - centre2)
+            if min_dev2 is None or dev2 < min_dev2:
+                min_dev2 = dev2
             vals[i:j] = run[::-1]
 
     reaches = vals == list(reversed(initial.values))
@@ -607,7 +604,7 @@ def verify_stream(initial: CentredSequence, window: Window,
         allowable=allowable,
         all_valid=all_valid and allowable,
         reaches_reversal=reaches,
-        min_deviation=min_dev if min_dev is not None else INF,
+        min_deviation=INF if min_dev2 is None else Fraction(min_dev2, 2),
         step_count=steps_n,
         flip_count=flips_n,
         first_violation=first_violation,
@@ -630,7 +627,8 @@ def min_deviation(tr) -> Fraction:
     if not tr.steps:
         raise ContractError("trace has no flips")
     centre2 = tr.initial.lo + tr.initial.hi
-    return min(_deviation(f.c, f.d, centre2) for s in tr.steps for f in s.flips)
+    return Fraction(min(abs(f.c + f.d - centre2)
+                        for s in tr.steps for f in s.flips), 2)
 
 
 def flip_imbalance(n: int, f: Flip) -> int:

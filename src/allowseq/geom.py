@@ -1,10 +1,19 @@
-"""Planar point sets, rotating-projection sequences and line imbalances.
+"""Planar point sets, their circular sequence and line imbalances.
 
-Everything is exact: coordinates are Fractions, event ordering uses only
-cross-product sign tests, and side counts come from a 3x3 orientation
-determinant.  A half rotation of the projection direction sweeps out an
-allowable sequence of permutations; the flip generated by a line through
-two points has deviation exactly half that line's point-count imbalance.
+Everything is exact: coordinates are Fractions and the sweep orders its
+events by cross-product sign tests alone.  Rotating the projection
+direction through a half turn sweeps out an allowable sequence of
+permutations, the circular sequence of Goodman and Pollack ("On the
+combinatorial classification of nondegenerate configurations in the
+plane", JCTA 29, 1980).  Each line through two or more of the points
+fires exactly once, as a flip [c, d] that reverses its collinear group,
+and that line has c - 1 points on one side and n - d on the other.  So
+its imbalance is |n - d - c + 1|, twice the flip's deviation.
+
+`circular_sequence` is the one sweep; `line_imbalances` and
+`in_general_position` read their answers off it.  Only
+`deviation_imbalance_link` counts sides geometrically, by orientation
+tests, as an independent check of that correspondence.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .engine import FlipStep, TraceRecorder, Trace
 from .errors import ContractError
@@ -39,19 +48,12 @@ def orientation(a, b, c) -> int:
     return (det > 0) - (det < 0)
 
 
-def in_general_position(ps: PointSet) -> bool:
-    pts = ps.points
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(pts[i], pts[j], pts[k]) == 0:
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class LineRecord:
+    """A line through two or more points.  The left side is where
+    orientation(p_i, p_j, .) > 0, for p_i and p_j the line's first two
+    points in storage order."""
+
     labels: tuple        # 1-based labels of the points on the line
     left_count: int
     right_count: int
@@ -59,46 +61,6 @@ class LineRecord:
     @property
     def imbalance(self) -> int:
         return abs(self.left_count - self.right_count)
-
-
-def _line_key(p, q):
-    """Canonical integer key (A, B, C) for the line Ax + By = C."""
-    a = q[1] - p[1]
-    b = p[0] - q[0]
-    c = a * p[0] + b * p[1]
-    den = a.denominator * b.denominator * c.denominator
-    ai, bi, ci = int(a * den), int(b * den), int(c * den)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci)) or 1
-    ai, bi, ci = ai // g, bi // g, ci // g
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return (ai, bi, ci)
-
-
-def line_imbalances(ps: PointSet):
-    """All lines through at least two points with exact side counts.
-    Returns (records, minimum imbalance)."""
-    pts = ps.points
-    n = len(pts)
-    if n < 2:
-        raise ContractError("need at least two points")
-    lines = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            lines.setdefault(_line_key(pts[i], pts[j]), (i, j))
-    records = []
-    for key, (i, j) in lines.items():
-        on, left, right = [], 0, 0
-        for k in range(n):
-            s = orientation(pts[i], pts[j], pts[k])
-            if s == 0:
-                on.append(k + 1)
-            elif s > 0:
-                left += 1
-            else:
-                right += 1
-        records.append(LineRecord(tuple(on), left, right))
-    return records, min(r.imbalance for r in records)
 
 
 @dataclass(frozen=True)
@@ -218,34 +180,68 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     return HalfPeriod(n, tuple(range(1, n + 1)), tuple(result))
 
 
-def deviation_imbalance_link(ps: PointSet) -> bool:
-    """For general-position sets: every swap event's flip [a, b] satisfies
-    line imbalance = |n - b - a + 1| = twice the flip's deviation."""
-    if not in_general_position(ps):
-        raise ContractError("the link check needs general position")
+def _fired_lines(ps: PointSet):
+    """Yield (flip, storage indices of the line's points, ascending) for
+    every line of the half period, each once, in rotation order."""
+    pts = ps.points
+    order = sorted(range(len(pts)), key=lambda i: pts[i])
+    for ev in circular_sequence(ps).events:
+        for f, group in zip(ev.step.flips, ev.groups):
+            yield f, sorted(order[lab - 1] for lab in group)
+
+
+def line_imbalances(ps: PointSet):
+    """All lines through at least two points with exact side counts, read
+    off the half period: the line that fires as the flip [c, d] has c - 1
+    points before it in projection order and n - d after.  Returns
+    (records, minimum imbalance)."""
     pts = ps.points
     n = len(pts)
-    order = sorted(range(n), key=lambda i: pts[i])
-    label_to_idx = {lab: idx for lab, idx in enumerate(order, start=1)}
-    hp = circular_sequence(ps)
-    for ev in hp.events:
-        for f, group in zip(ev.step.flips, ev.groups):
-            if len(group) != 2:
+    if n < 2:
+        raise ContractError("need at least two points")
+    records = []
+    for f, on in _fired_lines(ps):
+        before, after = f.c - 1, n - f.d
+        # At this event the projection direction is p_j - p_i turned a
+        # quarter turn counterclockwise exactly when p_i < p_j in (x, y)
+        # order; the points projected after the group then lie on the left.
+        left, right = ((after, before) if pts[on[0]] < pts[on[1]]
+                       else (before, after))
+        records.append(LineRecord(tuple(k + 1 for k in on), left, right))
+    return records, min(r.imbalance for r in records)
+
+
+def in_general_position(ps: PointSet) -> bool:
+    """No three points collinear: every flip of the half period reverses
+    just two points.  Sets of fewer than three points qualify."""
+    return len(ps) < 3 or all(len(group) == 2
+                              for ev in circular_sequence(ps).events
+                              for group in ev.groups)
+
+
+def deviation_imbalance_link(ps: PointSet) -> bool:
+    """For general-position sets: every swap event's flip [a, b] satisfies
+    line imbalance = |n - b - a + 1| = twice the flip's deviation, with
+    the line's side counts taken by orientation tests."""
+    pts = ps.points
+    n = len(pts)
+    lines = list(_fired_lines(ps))
+    if any(len(on) != 2 for _, on in lines):
+        raise ContractError("the link check needs general position")
+    for f, (i, j) in lines:
+        left = right = 0
+        for k in range(n):
+            if k in (i, j):
+                continue
+            s = orientation(pts[i], pts[j], pts[k])
+            if s > 0:
+                left += 1
+            elif s < 0:
+                right += 1
+            else:
                 return False
-            i, j = (label_to_idx[g] for g in group)
-            left = right = 0
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                s = orientation(pts[i], pts[j], pts[k])
-                if s > 0:
-                    left += 1
-                elif s < 0:
-                    right += 1
-                else:
-                    return False
-            if abs(left - right) != abs(n - f.d - f.c + 1):
-                return False
+        if abs(left - right) != abs(n - f.d - f.c + 1):
+            return False
     return True
 
 
@@ -338,7 +334,9 @@ def render_points_svg(ps: PointSet, with_lines: bool = False) -> str:
     if with_lines:
         records, _ = line_imbalances(ps)
         for rec in records:
-            i, j = rec.labels[0] - 1, rec.labels[-1] - 1
+            # In (x, y) order, collinear points run from one end to the other.
+            ends = sorted(rec.labels, key=lambda k: ps.points[k - 1])
+            i, j = ends[0] - 1, ends[-1] - 1
             x1, y1 = X(pts[i][0]), Y(pts[i][1])
             x2, y2 = X(pts[j][0]), Y(pts[j][1])
             out.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '

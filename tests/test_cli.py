@@ -227,11 +227,15 @@ def test_cmd_search(capsys):
 
 
 def test_cmd_points_and_render(tmp_path, capsys):
-    pts = tmp_path / "square.pts"
-    pts.write_text(format_points(PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])))
+    pts = tmp_path / "kite.pts"
+    pts.write_text(format_points(PointSet([(0, 0), (2, 2), (1, 1), (0, 3)])))
     assert run_cli("points", str(pts), "--action", "imbalance") == 0
-    out = capsys.readouterr().out
-    assert "minimum imbalance: 0" in out
+    assert capsys.readouterr().out == (
+        "line 1,2,3: left=1 right=0 imbalance=1\n"
+        "line 1,4: left=0 right=2 imbalance=2\n"
+        "line 2,4: left=2 right=0 imbalance=2\n"
+        "line 3,4: left=1 right=1 imbalance=0\n"
+        "minimum imbalance: 0\n")
 
     gp = tmp_path / "gp.pts"
     gp.write_text("0 0\n4 0\n1 3\n3 7\n9 2\n")

@@ -1,18 +1,61 @@
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from allowseq.engine import verify_trace
 from allowseq.errors import ContractError
-from allowseq.geom import (HalfPeriod, PointSet, circular_sequence,
-                           deviation_imbalance_link, format_points,
-                           in_general_position, line_imbalances, parse_points,
-                           render_points_svg, render_trace_svg)
+from allowseq.geom import (HalfPeriod, LineRecord, PointSet,
+                           circular_sequence, deviation_imbalance_link,
+                           format_points, in_general_position, line_imbalances,
+                           orientation, parse_points, render_points_svg,
+                           render_trace_svg)
 from allowseq.seqcore import identity_sequence
 from allowseq.engine import new_trace, Window
 from conftest import five_element_steps
+
+
+def cubic_line_imbalances(ps):
+    """Oracle for line_imbalances by orientation tests alone: each line is
+    met first at its two lowest-indexed points, which fix its left side."""
+    pts = ps.points
+    records = []
+    for i, j in combinations(range(len(pts)), 2):
+        sides = [orientation(pts[i], pts[j], p) for p in pts]
+        on = tuple(k + 1 for k, s in enumerate(sides) if s == 0)
+        if on[:2] == (i + 1, j + 1):
+            records.append(LineRecord(on, sides.count(1), sides.count(-1)))
+    return records, min(r.imbalance for r in records)
+
+
+def cubic_in_general_position(ps):
+    """Oracle for in_general_position: no three points are collinear."""
+    return all(orientation(a, b, c) for a, b, c in combinations(ps.points, 3))
+
+
+def assert_matches_oracles(ps):
+    records, mn = line_imbalances(ps)
+    want, want_mn = cubic_line_imbalances(ps)
+    assert (sorted(records, key=lambda r: r.labels)
+            == sorted(want, key=lambda r: r.labels))
+    assert mn == want_mn
+    assert in_general_position(ps) == cubic_in_general_position(ps)
+
+
+@st.composite
+def point_sets(draw):
+    """2..12 distinct points in storage order as drawn, from a small box
+    (collinear groups and parallel lines firing together are common) or a
+    large one, around the origin, with integer or third coordinates."""
+    side = draw(st.sampled_from([4, 5, 6, 10**6]))
+    den = draw(st.sampled_from([1, 3]))
+    coord = st.integers(-(side // 2), side - side // 2 - 1)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=12,
+                        unique=True))
+    return PointSet([(Fraction(x, den), Fraction(y, den)) for x, y in pts])
 
 
 def random_general_position(rng, n, span=60):
@@ -148,3 +191,44 @@ def test_render_points_svg_wellformed(rng):
     ps = random_general_position(rng, 7)
     for with_lines in (False, True):
         ET.fromstring(render_points_svg(ps, with_lines=with_lines))
+    # Each line is drawn between its two end points: the one through
+    # points 1, 2 and 3 runs from (0, 0) to (2, 2).
+    ps = PointSet([(0, 0), (2, 2), (1, 1), (0, 3)])
+    root = ET.fromstring(render_points_svg(ps, with_lines=True))
+    centres = [(el.get("cx"), el.get("cy")) for el in root.iter()
+               if el.tag.endswith("circle")]
+
+    def label(el, end):
+        return centres.index((el.get("x" + end), el.get("y" + end))) + 1
+
+    drawn = {frozenset((label(el, "1"), label(el, "2")))
+             for el in root.iter() if el.tag.endswith("line")}
+    assert drawn == {frozenset(p) for p in ((1, 2), (1, 4), (2, 4), (3, 4))}
+
+
+@given(point_sets())
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_cubic_oracles(ps):
+    assert_matches_oracles(ps)
+
+
+def test_sweep_matches_cubic_oracles_on_shuffled_lattices():
+    rng = random.Random(44)
+    for side in (3, 4, 5):
+        cells = [(x - 2, y - 1) for x in range(side) for y in range(side)]
+        rng.shuffle(cells)
+        ps = PointSet(cells)
+        events = circular_sequence(ps).events
+        assert any(len(ev.step.flips) > 1 for ev in events)
+        assert not in_general_position(ps)
+        assert_matches_oracles(ps)
+
+
+def test_geometry_edge_cases():
+    for pts in ([], [(0, 0)], [(0, 0), (1, 1)]):
+        assert in_general_position(PointSet(pts))
+    for pts in ([], [(0, 0)]):
+        with pytest.raises(ContractError):
+            line_imbalances(PointSet(pts))
+    records, mn = line_imbalances(PointSet([(1, 1), (0, 0)]))
+    assert records == [LineRecord((1, 2), 0, 0)] and mn == 0
