@@ -8,7 +8,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from allowseq.construction import shift, shift_instance        # noqa: E402
-from allowseq.engine import FlipStep, new_trace                # noqa: E402
+from allowseq.engine import FlipStep, TraceRecorder            # noqa: E402
 from allowseq.geom import PointSet, render_points_svg, render_trace_svg  # noqa: E402
 from allowseq.seqcore import Flip, Window, identity_sequence   # noqa: E402
 
@@ -17,7 +17,7 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "demo_out"
 
 def main():
     OUT.mkdir(exist_ok=True)
-    tr = new_trace(identity_sequence(1, 5), Window(0))
+    tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for flips in ([(1, 2), (4, 5)], [(2, 4)], [(1, 2), (4, 5)], [(2, 4)]):
         tr.emit_step(FlipStep([Flip(c, d) for c, d in flips]))
     (OUT / "five.svg").write_text(render_trace_svg(tr))

@@ -6,7 +6,7 @@ point-set bridge between flips and bisecting-line imbalance.
 """
 
 from .engine import (FlipStep, Trace, TraceRecorder, VerificationReport,
-                     flip_imbalance, min_deviation, new_trace, verify_stream,
+                     flip_imbalance, min_deviation, verify_stream,
                      verify_trace)
 from .errors import ConstructionBug, ContractError, RangeError, RefusalError
 from .seqcore import (BalanceReport, Block, CentredSequence, Flip, Window,

@@ -48,6 +48,11 @@ def _check(cond, message):
 # Mirrored view.
 
 
+def _mir(iv):
+    """An interval as seen through a MirrorView, and back."""
+    return (-iv[1], -iv[0])
+
+
 class MirrorView:
     """Position- and value-negated view of a recorder.
 
@@ -65,10 +70,6 @@ class MirrorView:
     def t(self):
         return self.rec.t
 
-    @staticmethod
-    def _m(iv):
-        return (-iv[1], -iv[0])
-
     def values(self, lo, hi):
         return tuple(-v for v in reversed(self.rec.values(-hi, -lo)))
 
@@ -79,17 +80,13 @@ class MirrorView:
         self.rec.emit_flip(-d, -c)
 
     def swap_adjacent_blocks(self, left, right):
-        self.rec.swap_adjacent_blocks(self._m(right), self._m(left))
+        self.rec.swap_adjacent_blocks(_mir(right), _mir(left))
 
     def sort_region_decreasing(self, region):
-        self.rec.sort_region_decreasing(self._m(region))
+        self.rec.sort_region_decreasing(_mir(region))
 
     def annotate(self, label):
         return self.rec.annotate(label + " [mirrored]")
-
-
-def _mir(iv):
-    return (-iv[1], -iv[0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,37 +156,37 @@ def _require_layout(ops, x_iv, a_iv, b_iv, c_iv, min_b, name):
         _check(_ivlen(x_iv) == _ivlen(c_iv), f"{name}: need |X| = |C|")
 
 
-def shift(tr, a_iv, b_iv, c_iv):
+def shift(ops, a_iv, b_iv, c_iv):
     """Go from A^B^C to C-on-the-window, then a decreasing block.
 
     A occupies [-t, t]; B is increasing with |B| >= 3^(2t); |C| = 2t+1;
-    A < B < C on values.  Returns (window interval, D interval)."""
-    t = tr.t
+    A < B < C on values.  `ops` is a recorder or a MirrorView of one.
+    Returns (window interval, D interval)."""
+    t = ops.t
     _check(_ivlen(c_iv) == 2 * t + 1, "shift: need |C| = 2t+1")
-    _require_layout(tr, None, a_iv, b_iv, c_iv, 3 ** (2 * t), "shift")
-    with tr.annotate(f"shift n={_ivlen(b_iv)}"):
-        d_iv = _shift_rec(tr, t, -t, a_iv, b_iv, c_iv, shift_thresholds(t))
+    _require_layout(ops, None, a_iv, b_iv, c_iv, 3 ** (2 * t), "shift")
+    with ops.annotate(f"shift n={_ivlen(b_iv)}"):
+        d_iv = _shift_rec(ops, t, -t, a_iv, b_iv, c_iv, shift_thresholds(t))
     return a_iv, d_iv
 
 
 def shift_mirrored(tr, a_iv, b_iv, c_iv):
     """Mirrored shifting for the layout C^B^A with A > B > C."""
-    view = MirrorView(tr)
-    t = tr.t
-    _check(_ivlen(c_iv) == 2 * t + 1, "shift: need |C| = 2t+1")
-    _require_layout(view, None, _mir(a_iv), _mir(b_iv), _mir(c_iv),
-                    3 ** (2 * t), "shift")
-    with view.annotate(f"shift n={_ivlen(b_iv)}"):
-        d_v = _shift_rec(view, t, -t, _mir(a_iv), _mir(b_iv), _mir(c_iv),
-                         shift_thresholds(t))
-    return a_iv, _mir(d_v)
+    w_v, d_v = shift(MirrorView(tr), _mir(a_iv), _mir(b_iv), _mir(c_iv))
+    return _mir(w_v), _mir(d_v)
 
 
 # ---------------------------------------------------------------------------
 # Reflection.
 
 
-def _reflect_impl(ops, x_iv, a_iv, b_iv, c_iv):
+def reflect(ops, x_iv, a_iv, b_iv, c_iv):
+    """Go from X^A^B^C to reversed-C ^ D-on-the-window ^ E.
+
+    The window ends up holding the last 2t+1 values of B in reverse, E is
+    decreasing below it.  Needs |X| = |C|, X/B/C increasing, X < A < B < C
+    and |B| >= 3^(2t) + 4t + 2.  `ops` is a recorder or a MirrorView of
+    one.  Returns (reversed-C, window, E) intervals."""
     t = ops.t
     T = 3 ** (2 * t)
     _require_layout(ops, x_iv, a_iv, b_iv, c_iv, T + 4 * t + 2, "reflect")
@@ -208,21 +205,11 @@ def _reflect_impl(ops, x_iv, a_iv, b_iv, c_iv):
     return (-t - xs, -t - 1), a_iv, (t + 1, c_iv[1])
 
 
-def reflect(tr, x_iv, a_iv, b_iv, c_iv):
-    """Go from X^A^B^C to reversed-C ^ D-on-the-window ^ E.
-
-    The window ends up holding the last 2t+1 values of B in reverse, E is
-    decreasing below it.  Needs |X| = |C|, X/B/C increasing, X < A < B < C
-    and |B| >= 3^(2t) + 4t + 2.  Returns (reversed-C, window, E) intervals."""
-    return _reflect_impl(tr, x_iv, a_iv, b_iv, c_iv)
-
-
 def reflect_mirrored(tr, x_iv, a_iv, b_iv, c_iv):
     """Mirrored reflection for the real layout C^B^A^X with C < B < A < X."""
-    view = MirrorView(tr)
-    cb_v, _, e_v = _reflect_impl(view, _mir(x_iv), _mir(a_iv), _mir(b_iv),
-                                 _mir(c_iv))
-    return _mir(cb_v), a_iv, _mir(e_v)
+    cb_v, w_v, e_v = reflect(MirrorView(tr), _mir(x_iv), _mir(a_iv),
+                             _mir(b_iv), _mir(c_iv))
+    return _mir(cb_v), _mir(w_v), _mir(e_v)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +425,12 @@ class StepOutcome:
 
 
 class _StepEnv:
-    def __init__(self, rec, d, deep_certify=False, strict=True):
+    def __init__(self, rec, d):
         self.rec = rec
         self.t = rec.t
         self.T = 3 ** (2 * self.t)
         self.d = d
         self.plan = SizePlan(self.t, d)
-        self.deep_certify = deep_certify
-        self.strict = strict
         self._counter = 0
 
     def fresh(self, tag):
@@ -487,7 +472,6 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
     t, T, d = env.t, env.T, env.d
     _entry_checks(env, k, n, x_iv, y_iv, depth)
     win = (-t, t)
-    y_set = set(rec.values(*y_iv)) if (depth == 0 or env.deep_certify) else None
 
     if k == 0:
         c1 = (t + 1, t + T + 2 * t + 1)
@@ -500,12 +484,9 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
             raise ConstructionBug("zero value entered a sign-split zone",
                                   rec.annotation_stack())
         pos_count = sum(1 for v in vals if v > 0)
-        layout = StepLayout(L=(x_iv[0], x_iv[0] - 1), W=w_iv, A=win,
-                            B=(t + 1, t + pos_count),
-                            R=(t + pos_count + 1, y_iv[1]))
-        if env.deep_certify and depth > 0:
-            _certify(env, layout, 0, n, y_set, strict=env.strict)
-        return layout
+        return StepLayout(L=(x_iv[0], x_iv[0] - 1), W=w_iv, A=win,
+                          B=(t + 1, t + pos_count),
+                          R=(t + pos_count + 1, y_iv[1]))
 
     m = d ** (k - 1)
     p = env.plan.p(k)
@@ -708,16 +689,13 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
         raise ConstructionBug("final segment order is off: "
                               f"{sm.order} vs {expect}",
                               rec.annotation_stack())
-    layout = StepLayout(
+    return StepLayout(
         L=sm.span(l_names[0], l_names[-1]),
         W=sm.span(w_names[0], w_names[-1]),
         A=win,
         B=sm.span(b_names[0], b_names[-1]),
         R=sm.span(r_names[0], r_names[-1]),
     )
-    if env.deep_certify and depth > 0:
-        _certify(env, layout, k, n, y_set, strict=env.strict)
-    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +781,6 @@ def _certify(env, layout, k, n, y_set, strict=False):
 
 
 def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
-                   deep_certify: bool = False,
                    strict_certificates: bool = True) -> StepOutcome:
     """Run the growth step on a trace whose state is X ^ centre ^ Y with
     the planner's sizes for (t, d, k, n).  All eight result conditions are
@@ -825,8 +802,7 @@ def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
         raise ContractError(f"need d >= 9T = {9 * T}, got {d}")
     if k < 0 or n < 1:
         raise ContractError("need k >= 0 and n >= 1")
-    env = _StepEnv(tr, d, deep_certify=deep_certify,
-                   strict=strict_certificates)
+    env = _StepEnv(tr, d)
     x = env.plan.x(n, k)
     y = env.plan.y(n, k)
     x_iv = (-t - x, -t - 1)
@@ -850,8 +826,7 @@ def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
 # Ready-made instances (symmetric domains so deviation is measured from 0).
 
 
-def step_instance(t: int, d: int, k: int, n: int, sink=None,
-                  paranoid: bool = False) -> TraceRecorder:
+def step_instance(t: int, d: int, k: int, n: int, sink=None) -> TraceRecorder:
     """A trace holding X ^ centre ^ Y for the growth step, embedded in a
     symmetric domain.  The centre carries values t+1 .. 3t+1 (zero stays
     out of every sign-split zone), X and Y are identity-like runs."""
@@ -861,9 +836,7 @@ def step_instance(t: int, d: int, k: int, n: int, sink=None,
     vals = []
     for pos in range(-M, M + 1):
         vals.append(pos if pos < -t else pos + 2 * t + 1)
-    rec = TraceRecorder(CentredSequence(-M, vals), Window(t), sink=sink,
-                        paranoid=paranoid)
-    return rec
+    return TraceRecorder(CentredSequence(-M, vals), Window(t), sink=sink)
 
 
 def shift_instance(t: int, n: int, sink=None, decreasing_c: bool = False):

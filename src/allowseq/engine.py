@@ -1,12 +1,13 @@
 """Flip-trace recording and independent verification.
 
-A TraceRecorder holds the evolving sequence and emits flips, either one at
-a time (each validated against the current state and the window) or as
-pre-validated batches produced by composite moves such as adjacent block
-swaps.  Batches keep big runs cheap: a swap of blocks of sizes a and b is
-a*b transpositions, but the recorder checks the one precondition that
-makes them all valid (left block entirely below right block, region clear
-of the window) and then applies the move as a single splice.
+A TraceRecorder holds the evolving sequence and emits flips, either one
+step at a time (every flip of the step validated against the current
+state and the window before any is applied) or as pre-validated batches
+produced by composite moves such as adjacent block swaps.  Batches keep
+big runs cheap: a swap of blocks of sizes a and b is a*b transpositions,
+but the recorder checks the one precondition that makes them all valid
+(left block entirely below right block, region clear of the window) and
+then applies the move as a single splice.
 
 Sinks decide what to keep.  ListSink retains every step and annotation
 for replay and serialization, FileSink streams them to a text file,
@@ -42,12 +43,12 @@ from __future__ import annotations
 
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConstructionBug, ContractError, RangeError
-from .seqcore import Block, CentredSequence, Flip, Window, _strictly_increasing
+from .seqcore import CentredSequence, Flip, Window, _strictly_increasing
 
 INF = float("inf")
 
@@ -292,8 +293,7 @@ def serialize_trace(tr) -> str:
 class TraceRecorder:
     """Single-writer trace builder over a mutable current state."""
 
-    def __init__(self, initial: CentredSequence, window: Window, sink=None,
-                 paranoid: bool = False):
+    def __init__(self, initial: CentredSequence, window: Window, sink=None):
         self.initial = initial
         self.window = window
         self.lo = initial.lo
@@ -303,7 +303,6 @@ class TraceRecorder:
         self.sink = ListSink() if sink is None else sink
         if hasattr(self.sink, "begin"):
             self.sink.begin(initial, window)
-        self.paranoid = paranoid
         self.flip_count = 0
         self.step_count = 0
         self._min_dev2: Optional[int] = None  # doubled minimum deviation
@@ -374,35 +373,31 @@ class TraceRecorder:
 
     def emit_flip(self, c: int, d: int):
         """Validate and apply a single flip as its own step."""
-        if not (self.lo <= c <= d <= self.hi):
-            self._bug(f"flip [{c}, {d}] out of bounds", (c, d))
-        i, j = c - self.lo, d - self.lo + 1
-        run = self._vals[i:j]
-        if not _strictly_increasing(run):
-            self._bug(f"flip [{c}, {d}] is not an increasing run", (c, d))
-        if abs(c + d) <= 2 * self.window.t:
-            self._bug(f"flip [{c}, {d}] has midpoint inside the window", (c, d))
-        self._vals[i:j] = run[::-1]
-        self._track(abs(c + d - self._centre2), 1, 1)
-        self.sink.on_step([(c, d)])
+        self._emit([(c, d)])
 
     def emit_step(self, step: FlipStep):
         """Apply several disjoint flips as one step (all validated first)."""
-        for f in step.flips:
-            if not (self.lo <= f.c and f.d <= self.hi):
-                self._bug(f"flip [{f.c}, {f.d}] out of bounds", (f.c, f.d))
-            run = self._vals[f.c - self.lo : f.d - self.lo + 1]
-            if not _strictly_increasing(run):
-                self._bug(f"flip [{f.c}, {f.d}] is not an increasing run", (f.c, f.d))
-            if not self.window.clears(f):
-                self._bug(f"flip [{f.c}, {f.d}] has midpoint inside the window",
-                          (f.c, f.d))
-        for f in step.flips:
-            i, j = f.c - self.lo, f.d - self.lo + 1
-            self._vals[i:j] = self._vals[i:j][::-1]
-        self._track(min(abs(f.c + f.d - self._centre2) for f in step.flips),
-                    len(step.flips), 1)
-        self.sink.on_step([(f.c, f.d) for f in step.flips])
+        self._emit([(f.c, f.d) for f in step.flips])
+
+    def _emit(self, flips: list):
+        """Validate every (c, d) of one step against the current state,
+        then apply them all.  The flips must be pairwise disjoint; a step
+        that fails validation leaves the recorder untouched."""
+        lo, vals, t2 = self.lo, self._vals, 2 * self.window.t
+        for c, d in flips:
+            if not (lo <= c <= d <= self.hi):
+                self._bug(f"flip [{c}, {d}] out of bounds", (c, d))
+            if not _strictly_increasing(vals[c - lo : d - lo + 1]):
+                self._bug(f"flip [{c}, {d}] is not an increasing run", (c, d))
+            if abs(c + d) <= t2:
+                self._bug(f"flip [{c}, {d}] has midpoint inside the window",
+                          (c, d))
+        for c, d in flips:
+            i, j = c - lo, d - lo + 1
+            vals[i:j] = vals[i:j][::-1]
+        centre2 = self._centre2
+        self._track(min(abs(c + d - centre2) for c, d in flips), len(flips), 1)
+        self.sink.on_step(flips)
 
     # -- batched transposition runs --------------------------------------
 
@@ -459,10 +454,6 @@ class TraceRecorder:
             self._bug(f"cannot swap: [{llo},{lhi}] does not precede [{rlo},{rhi}]")
         if not self._window_clear_region(llo, rhi):
             self._bug(f"swap over [{llo},{rhi}] would cross the window")
-        if self.paranoid:
-            for c, d in self._swap_pairs(llo, a, b):
-                self.emit_flip(c, d)
-            return
         i, j, k = llo - self.lo, rlo - self.lo, rhi - self.lo + 1
         self._vals[i:k] = self._vals[j:k] + self._vals[i:j]
         self._batch(self._swap_pairs(llo, a, b), a * b, llo, rhi)
@@ -549,11 +540,14 @@ class VerificationReport:
 
 
 def verify_stream(initial: CentredSequence, window: Window,
-                  steps: Iterable) -> VerificationReport:
-    """Replay steps from scratch and report what actually holds.
+                  steps: Iterable[FlipStep]) -> VerificationReport:
+    """Replay FlipSteps from scratch and report what actually holds.
 
-    Violations are reported, never raised.  Memory stays O(sequence
-    length): one pass, one working copy of the state.
+    A step's flips are checked in the order it holds them, which FlipStep
+    keeps sorted by c; flips that overlap or come out of that order are
+    reported as a violation.  Violations are reported, never raised.
+    Memory stays O(sequence length): one pass, one working copy of the
+    state.
     """
     lo, hi = initial.lo, initial.hi
     vals = list(initial.values)
@@ -574,11 +568,9 @@ def verify_stream(initial: CentredSequence, window: Window,
             first_violation = (idx, flip, reason)
 
     for idx, step in enumerate(steps):
-        flips = sorted(step.flips, key=lambda f: f.c) if isinstance(step, FlipStep) \
-            else sorted(step, key=lambda f: f.c)
         steps_n += 1
         prev_d = None
-        for f in flips:
+        for f in step.flips:
             flips_n += 1
             if not (lo <= f.c <= f.d <= hi):
                 violate(idx, (f.c, f.d), "out of bounds")
@@ -638,7 +630,3 @@ def flip_imbalance(n: int, f: Flip) -> int:
         raise RangeError(f"flip [{f.c}, {f.d}] outside [1, {n}]")
     return abs(n - f.d - f.c + 1)
 
-
-def new_trace(initial: CentredSequence, window: Window, sink=None,
-              paranoid: bool = False) -> TraceRecorder:
-    return TraceRecorder(initial, window, sink=sink, paranoid=paranoid)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .engine import FlipStep, TraceRecorder, Trace
@@ -90,12 +90,10 @@ class HalfPeriod:
 
 def _event_vector(p, q):
     """Primitive integer direction, at angle in (0, pi], at which the
-    projections of p and q coincide (the normal of q - p)."""
-    vx, vy = q[0] - p[0], q[1] - p[1]
-    ex, ey = -vy, vx
-    den = ex.denominator * ey.denominator
-    xi, yi = int(ex * den), int(ey * den)
-    g = gcd(abs(xi), abs(yi))
+    projections of the integer points p and q coincide (the normal of
+    q - p)."""
+    xi, yi = p[1] - q[1], q[0] - p[0]
+    g = gcd(xi, yi)
     xi, yi = xi // g, yi // g
     # Upper half plane; the half-turn boundary is represented by (-1, 0).
     if yi < 0 or (yi == 0 and xi > 0):
@@ -113,11 +111,16 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
         raise ContractError("need at least one point")
     order = sorted(range(n), key=lambda i: pts[i])
     label = {idx: lab for lab, idx in enumerate(order, start=1)}
+    # Scaling every coordinate by the lcm of their denominators keeps every
+    # direction, so the event directions come from integer points.
+    scale = lcm(*(c.denominator for p in pts for c in p))
+    ipts = [(int(x * scale), int(y * scale)) for x, y in pts]
     # Group unordered pairs by their event direction.
     events = {}
     for i in range(n):
         for j in range(i + 1, n):
-            events.setdefault(_event_vector(pts[i], pts[j]), []).append((i, j))
+            vec = _event_vector(ipts[i], ipts[j])
+            events.setdefault(vec, []).append((i, j))
 
     evs = list(events.items())
     # Sort by angle in (0, pi] using exact cross products.  The starting

@@ -9,13 +9,15 @@ threshold-indexed reachability.
 
 from __future__ import annotations
 
+import io
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .engine import INF, FlipStep
+from .engine import INF, FileSink, FlipStep
 from .errors import ContractError, RefusalError
 from .seqcore import Block, CentredSequence, Flip
 
@@ -101,11 +103,12 @@ class SearchResult:
             head = f"{self.n} inf {self.states_explored}"
         else:
             head = f"{self.n} {bd.numerator}/{bd.denominator} {self.states_explored}"
-        lines = [head]
+        out = io.StringIO()
+        out.write(head + "\n")
+        sink = FileSink(out)
         for step in self.witness:
-            parts = " ".join(f"{f.c} {f.d}" for f in step.flips)
-            lines.append(("F " if len(step.flips) == 1 else "S ") + parts)
-        return "\n".join(lines) + "\n"
+            sink.on_step([(f.c, f.d) for f in step.flips])
+        return out.getvalue()
 
 
 def _valid_flips(perm):
@@ -125,6 +128,32 @@ def _apply(perm, c, d):
     return perm[: c - 1] + tuple(reversed(perm[c - 1 : d])) + perm[d:]
 
 
+def _search(n: int, q2: int, goal=None) -> dict:
+    """Breadth-first search from the identity on [1, n] over valid flips
+    whose doubled deviation |c + d - (n + 1)| is at least q2.  Returns the
+    parent map ({state: (previous state, (c, d)) or None}) of every state
+    reached, stopping as soon as `goal` is."""
+    identity = tuple(range(1, n + 1))
+    centre2 = n + 1
+    parent = {identity: None}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for perm in frontier:
+            for c, d in _valid_flips(perm):
+                if abs(c + d - centre2) < q2:
+                    continue
+                child = _apply(perm, c, d)
+                if child in parent:
+                    continue
+                parent[child] = (perm, (c, d))
+                if child == goal:
+                    return parent
+                nxt.append(child)
+        frontier = nxt
+    return parent
+
+
 def search_best_deviation(n: int, mode: str = "single",
                           force: bool = False) -> SearchResult:
     """Exhaustively maximize, over allowable sequences on [1, n], the
@@ -135,7 +164,8 @@ def search_best_deviation(n: int, mode: str = "single",
     reversal is reachable.  A compound step applies its disjoint flips one
     at a time without changing any of their deviations, so single-flip
     reachability decides both modes; multi mode merely merges compatible
-    consecutive flips in the reported witness.
+    consecutive flips in the reported witness.  Thresholds are kept
+    doubled, as integers.
     """
     if mode not in ("single", "multi"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -149,31 +179,11 @@ def search_best_deviation(n: int, mode: str = "single",
     if identity == goal:
         return SearchResult(n, INF, (), 1)
     centre2 = n + 1
-    thresholds = sorted({Fraction(abs(c + d - centre2), 2)
-                         for c in range(1, n + 1)
+    thresholds = sorted({abs(c + d - centre2) for c in range(1, n + 1)
                          for d in range(c + 1, n + 1)}, reverse=True)
-    for q in thresholds:
-        parent = {identity: None}
-        frontier = [identity]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for perm in frontier:
-                for c, d in _valid_flips(perm):
-                    if Fraction(abs(c + d - centre2), 2) < q:
-                        continue
-                    child = _apply(perm, c, d)
-                    if child in parent:
-                        continue
-                    parent[child] = (perm, (c, d))
-                    if child == goal:
-                        found = True
-                        break
-                    nxt.append(child)
-                if found:
-                    break
-            frontier = nxt
-        if found:
+    for q2 in thresholds:
+        parent = _search(n, q2, goal)
+        if goal in parent:
             flips = []
             cur = goal
             while parent[cur] is not None:
@@ -182,7 +192,8 @@ def search_best_deviation(n: int, mode: str = "single",
                 cur = prev
             flips.reverse()
             steps = _witness_steps(identity, flips, mode)
-            return SearchResult(n, q, tuple(steps), len(parent))
+            return SearchResult(n, Fraction(q2, 2), tuple(steps), len(parent))
+        del parent  # free it before the next search builds its own
     raise ContractError("no threshold admits the reversal; impossible")
 
 
@@ -216,25 +227,10 @@ def _witness_steps(identity, flips, mode):
     return steps
 
 
-def reachable_states(n: int, min_deviation=Fraction(0)) -> int:
-    """Count permutations reachable from the identity using valid flips of
+def reachable_states(n: int, min_deviation=Fraction(0)) -> set:
+    """The permutations reachable from the identity using valid flips of
     at least the given deviation; the direct reachability baseline."""
-    identity = tuple(range(1, n + 1))
-    centre2 = n + 1
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for c, d in _valid_flips(perm):
-                if Fraction(abs(c + d - centre2), 2) < min_deviation:
-                    continue
-                child = _apply(perm, c, d)
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return len(seen)
+    return set(_search(n, math.ceil(2 * min_deviation)))
 
 
 def sample_balanced_block(size: int, r, seed: int = DEFAULT_SEED) -> Block:

@@ -24,7 +24,7 @@ from allowseq.construction import (ConstructionFailure, decompose_balanced,
                                    full_construction, recursive_step, reflect,
                                    reflect_instance, reflect_mirrored, shift,
                                    shift_instance, step_instance)
-from allowseq.engine import (INF, FlipStep, StatsSink, new_trace,
+from allowseq.engine import (INF, FlipStep, StatsSink, TraceRecorder,
                              verify_stream, verify_trace)
 from allowseq.errors import ContractError
 from allowseq.geom import (PointSet, circular_sequence,
@@ -379,7 +379,7 @@ def test_c11_format_stability(tmp_path, capsys):
     rng = random.Random(1111)
     for _ in range(40):
         initial, steps = random_trace_material(rng)
-        tr = new_trace(initial, Window(0))
+        tr = TraceRecorder(initial, Window(0))
         for step in steps:
             try:
                 tr.emit_step(step)
@@ -398,7 +398,7 @@ def test_c11_format_stability(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert cli_main(["verify", str(out)]) == 0                       # exit 0
     five = tmp_path / "five.txt"
-    tr = new_trace(identity_sequence(1, 5), Window(0))
+    tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
     five.write_text(serialize_trace(tr))

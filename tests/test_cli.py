@@ -9,8 +9,8 @@ import pytest
 from allowseq.cli import (MAGIC, TraceParseError, iter_trace_file, main,
                           parse_trace, serialize_trace)
 from allowseq.construction import shift, shift_instance
-from allowseq.engine import (FileSink, FlipStep, new_trace, verify_stream,
-                             verify_trace)
+from allowseq.engine import (FileSink, FlipStep, TraceRecorder,
+                             verify_stream, verify_trace)
 from allowseq.geom import PointSet, format_points
 from allowseq.seqcore import CentredSequence, Flip, Window, identity_sequence
 from conftest import five_element_steps, random_trace_material
@@ -21,7 +21,7 @@ def run_cli(*argv):
 
 
 def five_example_text():
-    tr = new_trace(identity_sequence(1, 5), Window(0))
+    tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
     return serialize_trace(tr)
@@ -52,12 +52,12 @@ def test_round_trip_empty_nested_scope():
         return rec
 
     fh = io.StringIO()
-    emit(new_trace(identity_sequence(-2, 2), Window(0), sink=FileSink(fh)))
+    emit(TraceRecorder(identity_sequence(-2, 2), Window(0), sink=FileSink(fh)))
     text = fh.getvalue()
     assert "# 2 begin empty\n# 2 end empty\nF 1 2\n" in text
     assert serialize_trace(parse_trace(text)) == text
     assert parse_trace(text) == emit(
-        new_trace(identity_sequence(-2, 2), Window(0))).to_trace()
+        TraceRecorder(identity_sequence(-2, 2), Window(0))).to_trace()
 
 
 def scoped(rng, steps):
@@ -93,7 +93,7 @@ def play(rec, plan):
 def test_round_trip_fuzzed(rng):
     for _ in range(60):
         initial, steps = random_trace_material(rng)
-        tr = new_trace(initial, Window(0))
+        tr = TraceRecorder(initial, Window(0))
         ok_steps = []
         for step in steps:
             try:
@@ -103,8 +103,8 @@ def test_round_trip_fuzzed(rng):
                 break
         plan = scoped(rng, ok_steps)
         fh = io.StringIO()
-        play(new_trace(initial, Window(0), sink=FileSink(fh)), plan)
-        listed = play(new_trace(initial, Window(0)), plan).to_trace()
+        play(TraceRecorder(initial, Window(0), sink=FileSink(fh)), plan)
+        listed = play(TraceRecorder(initial, Window(0)), plan).to_trace()
         text = fh.getvalue()
         assert serialize_trace(listed) == text
         back = parse_trace(text)

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allowseq.engine import (INF, FlipStep, ListSink, StatsSink, TraceRecorder,
-                             flip_imbalance, min_deviation, new_trace,
-                             verify_stream, verify_trace)
+                             flip_imbalance, min_deviation, verify_stream,
+                             verify_trace)
 from allowseq.errors import ConstructionBug, ContractError, RangeError
 from allowseq.seqcore import (CentredSequence, Flip, Window,
                               identity_sequence)
 from conftest import five_element_steps, random_trace_material
 
 
-def test_new_trace_is_empty_and_replays_to_itself():
+def test_fresh_recorder_is_empty_and_replays_to_itself():
     s = identity_sequence(-3, 3)
-    tr = new_trace(s, Window(1))
+    tr = TraceRecorder(s, Window(1))
     assert tr.step_count == 0 and tr.to_trace().annotations == ()
     rep = verify_trace(tr)
     assert rep.allowable and rep.min_deviation == INF
@@ -24,18 +24,18 @@ def test_new_trace_is_empty_and_replays_to_itself():
 
 
 def test_emit_step_window_rules():
-    tr = new_trace(identity_sequence(-2, 2), Window(0))
+    tr = TraceRecorder(identity_sequence(-2, 2), Window(0))
     tr.emit_step(FlipStep([Flip(1, 2)]))
     tr.emit_step(FlipStep([Flip(-2, -1)]))
-    tr2 = new_trace(identity_sequence(-2, 2), Window(0))
+    tr2 = TraceRecorder(identity_sequence(-2, 2), Window(0))
     tr2.emit_step(FlipStep([Flip(-1, 0)]))  # midpoint -1/2 clears [0, 0]
-    tr3 = new_trace(identity_sequence(-2, 2), Window(1))
+    tr3 = TraceRecorder(identity_sequence(-2, 2), Window(1))
     with pytest.raises(ConstructionBug):
         tr3.emit_step(FlipStep([Flip(0, 1)]))  # midpoint 1/2 inside [-1, 1]
 
 
 def test_emit_step_two_disjoint_at_once():
-    tr = new_trace(identity_sequence(-2, 2), Window(0))
+    tr = TraceRecorder(identity_sequence(-2, 2), Window(0))
     tr.emit_step(FlipStep([Flip(1, 2), Flip(-2, -1)]))
     assert tr.values(-2, 2) == (-1, -2, 0, 2, 1)
     assert tr.step_count == 1 and tr.flip_count == 2
@@ -47,7 +47,7 @@ def test_flipstep_rejects_overlap():
 
 
 def test_five_element_example_verifies():
-    tr = new_trace(identity_sequence(1, 5), Window(0))
+    tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
     rep = verify_trace(tr)
@@ -58,7 +58,7 @@ def test_five_element_example_verifies():
 
 def test_swap_adjacent_blocks_canonical_schedule():
     # left = (1, 2) at [3, 4], right = (5) at [5, 5]
-    tr = new_trace(CentredSequence(3, (1, 2, 5)), Window(0))
+    tr = TraceRecorder(CentredSequence(3, (1, 2, 5)), Window(0))
     tr.swap_adjacent_blocks((3, 4), (5, 5))
     assert tr.values(3, 5) == (5, 1, 2)
     steps = [s.flips[0] for s in tr.sink.steps]
@@ -66,44 +66,84 @@ def test_swap_adjacent_blocks_canonical_schedule():
 
 
 def test_swap_empty_side_is_noop():
-    tr = new_trace(identity_sequence(0, 4), Window(0))
+    tr = TraceRecorder(identity_sequence(0, 4), Window(0))
     tr.swap_adjacent_blocks((1, 0), (1, 4))
     tr.swap_adjacent_blocks((1, 4), (5, 4))
     assert tr.flip_count == 0
 
 
 def test_swap_inside_window_fails():
-    tr = new_trace(identity_sequence(-2, 2), Window(1))
+    tr = TraceRecorder(identity_sequence(-2, 2), Window(1))
     with pytest.raises(ConstructionBug):
         tr.swap_adjacent_blocks((0, 0), (1, 2))
 
 
 def test_swap_requires_precedence():
-    tr = new_trace(CentredSequence(1, (5, 1)), Window(0))
+    tr = TraceRecorder(CentredSequence(1, (5, 1)), Window(0))
     with pytest.raises(ConstructionBug):
         tr.swap_adjacent_blocks((1, 1), (2, 2))
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.booleans())
 @settings(max_examples=40)
-def test_swap_batch_equals_paranoid(a, b, right_side):
+def test_swap_batch_equals_its_transpositions_one_by_one(a, b, right_side):
     lo = 2 if right_side else -a - b - 2
     vals = list(range(50, 50 + a)) + list(range(100, 100 + b))
-    rec1 = TraceRecorder(CentredSequence(lo, vals), Window(1))
-    rec2 = TraceRecorder(CentredSequence(lo, vals), Window(1), paranoid=True)
+    rec = TraceRecorder(CentredSequence(lo, vals), Window(1))
     left, right = (lo, lo + a - 1), (lo + a, lo + a + b - 1)
-    rec1.swap_adjacent_blocks(left, right)
-    rec2.swap_adjacent_blocks(left, right)
-    assert rec1.values(lo, lo + a + b - 1) == rec2.values(lo, lo + a + b - 1)
-    assert rec1.flip_count == rec2.flip_count == a * b
-    assert rec1.min_deviation == rec2.min_deviation
-    s1 = [tuple((f.c, f.d) for f in s.flips) for s in rec1.sink.steps]
-    s2 = [tuple((f.c, f.d) for f in s.flips) for s in rec2.sink.steps]
-    assert s1 == s2
+    rec.swap_adjacent_blocks(left, right)
+    # The reference replays every transposition the batch recorded, each
+    # validated on its own by emit_flip.
+    ref = TraceRecorder(CentredSequence(lo, vals), Window(1))
+    for step in rec.sink.steps:
+        (f,) = step.flips
+        ref.emit_flip(f.c, f.d)
+    span = (lo, lo + a + b - 1)
+    assert rec.values(*span) == ref.values(*span) == tuple(vals[a:] + vals[:a])
+    assert rec.flip_count == ref.flip_count == a * b
+    assert rec.step_count == ref.step_count == a * b
+    assert rec.min_deviation == ref.min_deviation
+    assert rec.sink.steps == ref.sink.steps
+
+
+# One case per check of the emit path: (initial, window, bad flip, message).
+BAD_FLIPS = [
+    (identity_sequence(-2, 2), Window(0), (2, 3), "out of bounds"),
+    (CentredSequence(-2, (-2, -1, 0, 2, 1)), Window(0), (1, 2),
+     "is not an increasing run"),
+    (identity_sequence(-2, 2), Window(1), (0, 1),
+     "has midpoint inside the window"),
+]
+
+
+@pytest.mark.parametrize("initial, window, flip, reason", BAD_FLIPS,
+                         ids=["bounds", "run", "window"])
+def test_emit_flip_and_emit_step_reject_alike(initial, window, flip, reason):
+    raised = []
+    for emit in (lambda tr: tr.emit_flip(*flip),
+                 lambda tr: tr.emit_step(FlipStep([Flip(*flip)]))):
+        with pytest.raises(ConstructionBug) as exc:
+            emit(TraceRecorder(initial, window))
+        raised.append((str(exc.value), exc.value.flip))
+    assert raised[0] == raised[1] == (f"flip [{flip[0]}, {flip[1]}] {reason}",
+                                      flip)
+
+
+@pytest.mark.parametrize("initial, window, flip, reason", BAD_FLIPS,
+                         ids=["bounds", "run", "window"])
+def test_step_with_one_bad_flip_changes_nothing(initial, window, flip, reason):
+    tr = TraceRecorder(initial, window)
+    before = (tr.current(), tr.flip_count, tr.step_count, tr.min_deviation,
+              list(tr.sink.steps))
+    # [-2, -1] is valid in every case and comes first in the step.
+    with pytest.raises(ConstructionBug, match=reason):
+        tr.emit_step(FlipStep([Flip(-2, -1), Flip(*flip)]))
+    assert (tr.current(), tr.flip_count, tr.step_count, tr.min_deviation,
+            tr.sink.steps) == before
 
 
 def test_sort_region_decreasing():
-    tr = new_trace(CentredSequence(2, (4, 9, 1, 7, 3)), Window(1))
+    tr = TraceRecorder(CentredSequence(2, (4, 9, 1, 7, 3)), Window(1))
     tr.sort_region_decreasing((2, 6))
     assert tr.values(2, 6) == (9, 7, 4, 3, 1)
     rep = verify_trace(tr)
@@ -115,7 +155,7 @@ def test_sort_region_decreasing():
 
 
 def test_sort_region_increasing_right_of_window_is_single_flip():
-    tr = new_trace(identity_sequence(-5, 5), Window(1))
+    tr = TraceRecorder(identity_sequence(-5, 5), Window(1))
     tr.sort_region_decreasing((2, 5))
     assert tr.flip_count == 1
 
@@ -126,14 +166,14 @@ def test_sort_region_flip_budget(data):
     size = data.draw(st.integers(2, 20))
     vals = data.draw(st.lists(st.integers(0, 400), min_size=size,
                               max_size=size, unique=True))
-    tr = new_trace(CentredSequence(2, vals), Window(1))
+    tr = TraceRecorder(CentredSequence(2, vals), Window(1))
     tr.sort_region_decreasing((2, size + 1))
     assert tr.values(2, size + 1) == tuple(sorted(vals, reverse=True))
     assert tr.flip_count <= size * size
 
 
 def test_rearrange_region():
-    tr = new_trace(CentredSequence(3, (2, 9, 4, 7)), Window(0))
+    tr = TraceRecorder(CentredSequence(3, (2, 9, 4, 7)), Window(0))
     tr.rearrange_region((3, 6), (9, 2, 7, 4))
     assert tr.values(3, 6) == (9, 2, 7, 4)
     rep = verify_trace(tr)
@@ -141,13 +181,13 @@ def test_rearrange_region():
 
 
 def test_min_deviation_values():
-    tr = new_trace(identity_sequence(1, 5), Window(0))
+    tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     tr.emit_step(FlipStep([Flip(1, 2)]))
     assert min_deviation(tr) == Fraction(3, 2)
     tr.emit_step(FlipStep([Flip(2, 4)]))
     assert min_deviation(tr) == 0
     with pytest.raises(ContractError):
-        min_deviation(new_trace(identity_sequence(1, 3), Window(0)))
+        min_deviation(TraceRecorder(identity_sequence(1, 3), Window(0)))
 
 
 def test_flip_imbalance():

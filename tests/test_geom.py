@@ -14,7 +14,7 @@ from allowseq.geom import (HalfPeriod, LineRecord, PointSet,
                            orientation, parse_points, render_points_svg,
                            render_trace_svg)
 from allowseq.seqcore import identity_sequence
-from allowseq.engine import new_trace, Window
+from allowseq.engine import TraceRecorder, Window
 from conftest import five_element_steps
 
 
@@ -49,13 +49,16 @@ def assert_matches_oracles(ps):
 def point_sets(draw):
     """2..12 distinct points in storage order as drawn, from a small box
     (collinear groups and parallel lines firing together are common) or a
-    large one, around the origin, with integer or third coordinates."""
+    large one, around the origin, with integer or third coordinates, or
+    with a denominator of its own for every coordinate."""
     side = draw(st.sampled_from([4, 5, 6, 10**6]))
-    den = draw(st.sampled_from([1, 3]))
-    coord = st.integers(-(side // 2), side - side // 2 - 1)
+    den = draw(st.sampled_from([1, 3, None]))
+    dens = st.sampled_from([1, 2, 3, 5, 7]) if den is None else st.just(den)
+    lo, hi = -(side // 2), side - side // 2 - 1
+    coord = st.builds(Fraction, st.integers(lo, hi), dens)
     pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=12,
                         unique=True))
-    return PointSet([(Fraction(x, den), Fraction(y, den)) for x, y in pts])
+    return PointSet(pts)
 
 
 def random_general_position(rng, n, span=60):
@@ -164,7 +167,7 @@ def test_point_file_round_trip():
 
 
 def test_render_trace_svg_structure():
-    tr = new_trace(identity_sequence(1, 5), Window(0))
+    tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
     svg = render_trace_svg(tr)
@@ -172,7 +175,7 @@ def test_render_trace_svg_structure():
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 5
     # every pair of labels crosses exactly once over the half period
-    tr2 = new_trace(identity_sequence(1, 5), Window(0))
+    tr2 = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr2.emit_step(step)
     assert sum(f.size * (f.size - 1) // 2 for s in tr2.to_trace().steps
@@ -180,7 +183,7 @@ def test_render_trace_svg_structure():
 
 
 def test_render_empty_trace():
-    tr = new_trace(identity_sequence(-2, 2), Window(1))
+    tr = TraceRecorder(identity_sequence(-2, 2), Window(1))
     svg = render_trace_svg(tr)
     root = ET.fromstring(svg)
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]

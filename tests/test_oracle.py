@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -88,16 +89,28 @@ def test_search_guard():
 def test_search_exhaustive_against_direct_bfs():
     for n in range(2, 7):
         res = search_best_deviation(n)
+        goal = tuple(range(n, 0, -1))
         full = reachable_states(n, res.best_min_deviation)
+        assert goal in full
         # the winning search stops early at the goal, so it can only have
         # seen at most the full reachable set
-        assert res.states_explored <= full
-        # re-running reachability at a strictly higher threshold must fail
-        # to cover the reversal
-        higher = [q for q in (Fraction(1, 2), Fraction(1), Fraction(3, 2))
-                  if q > res.best_min_deviation]
+        assert res.states_explored <= len(full)
+        # at the next deviation above the optimum the reversal is out of
+        # reach
+        higher = [Fraction(abs(c + d - n - 1), 2)
+                  for c in range(1, n + 1) for d in range(c + 1, n + 1)]
+        higher = [q for q in higher if q > res.best_min_deviation]
         if higher:
-            assert reachable_states(n, higher[0]) < full or True
+            assert goal not in reachable_states(n, min(higher))
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_search_matches_golden_byte_for_byte(n):
+    text = (GOLDEN / f"search_n{n}.txt").read_text()
+    assert search_best_deviation(n).to_text() == text
 
 
 def test_sampler_reproducible_and_balanced():
