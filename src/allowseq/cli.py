@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .construction import (ConstructionFailure, full_construction,
@@ -96,23 +97,32 @@ def _max_cells(args):
 
 def cmd_construct(args) -> int:
     t = args.t
-    started = time.perf_counter()
+    n = args.n
+    if n is None:
+        T = 3 ** (2 * t)
+        n = {"shift": T, "reflect": T + 4 * t + 2,
+             "reflect-mirrored": T + 4 * t + 2}.get(args.stage, 1)
     if args.stage in ("step", "full") and args.plan:
-        table = plan_sizes(t, args.d, args.k, args.n)
-        sys.stdout.write(table.to_text())
+        sys.stdout.write(plan_sizes(t, args.d, args.k, n).to_text())
         return EXIT_OK
-
-    out_fh = open(args.out, "w") if args.out else None
-    sink = FileSink(out_fh) if out_fh else None
+    code = EXIT_VIOLATION
     try:
+        code = _construct(args, n)
+    finally:
+        # A run that does not succeed leaves no trace file behind.
+        if code != EXIT_OK and args.out and os.path.exists(args.out):
+            os.unlink(args.out)
+    return code
+
+
+def _construct(args, n) -> int:
+    t = args.t
+    started = time.perf_counter()
+    with (open(args.out, "w") if args.out else nullcontext()) as out_fh:
+        sink = FileSink(out_fh) if out_fh else None
         if args.stage == "full":
-            try:
-                result = full_construction(t, args.d, args.k,
-                                           max_cells=_max_cells(args),
-                                           sink=sink)
-            except RefusalError as exc:
-                print(f"refused: {exc}", file=sys.stderr)
-                return EXIT_REFUSED
+            result = full_construction(t, args.d, args.k,
+                                       max_cells=_max_cells(args), sink=sink)
             if isinstance(result, ConstructionFailure):
                 if args.machine:
                     print(f"failure_stage={result.stage.replace(' ', '-')}")
@@ -124,35 +134,22 @@ def cmd_construct(args) -> int:
                 return EXIT_VIOLATION
             rec = result
         elif args.stage == "step":
-            table = plan_sizes(t, args.d, args.k, args.n)
-            if table.cells is None or table.cells > _max_cells(args):
-                size = table.cells if table.cells is not None else "astronomical"
-                print(f"refused: projected size {size} cells exceeds the "
-                      f"limit", file=sys.stderr)
-                return EXIT_REFUSED
-            rec = step_instance(t, args.d, args.k, args.n, sink=sink)
-            recursive_step(rec, args.d, args.k, args.n,
+            plan_sizes(t, args.d, args.k, n).require_cells(_max_cells(args))
+            rec = step_instance(t, args.d, args.k, n, sink=sink)
+            recursive_step(rec, args.d, args.k, n,
                            strict_certificates=not args.lenient)
         elif args.stage == "shift":
-            n = args.n if args.n_given else 3 ** (2 * t)
             rec, a, b, c = shift_instance(t, n, sink=sink)
             shift(rec, a, b, c)
         elif args.stage == "reflect":
-            n = args.n if args.n_given else 3 ** (2 * t) + 4 * t + 2
             rec, x, a, b, c = reflect_instance(t, n, args.c_size, sink=sink)
             reflect(rec, x, a, b, c)
         elif args.stage == "reflect-mirrored":
-            n = args.n if args.n_given else 3 ** (2 * t) + 4 * t + 2
             rec, x, a, b, c = reflect_instance(t, n, args.c_size, sink=sink,
                                                mirrored=True)
             reflect_mirrored(rec, x, a, b, c)
         else:
             raise ContractError(f"unknown stage {args.stage}")
-    finally:
-        if out_fh:
-            out_fh.close()
-            if not os.path.getsize(args.out):
-                os.unlink(args.out)
 
     elapsed = time.perf_counter() - started
     if args.out:
@@ -176,11 +173,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        res = search_best_deviation(args.n, mode=args.mode, force=args.force)
-    except RefusalError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    res = search_best_deviation(args.n, mode=args.mode, force=args.force)
     sys.stdout.write(res.to_text())
     return EXIT_OK
 
@@ -265,7 +258,9 @@ def build_parser():
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--d", type=int, default=None)
     c.add_argument("--k", type=int, default=0)
-    c.add_argument("--n", type=int, default=1)
+    c.add_argument("--n", type=int, default=None,
+                   help="middle block size (default: 1 for step and full, "
+                        "the stage's bound otherwise)")
     c.add_argument("--c-size", type=int, default=1,
                    help="size of the carried block for reflect stages")
     c.add_argument("--plan", action="store_true",
@@ -312,7 +307,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if getattr(args, "command", None) == "construct":
-        args.n_given = "--n" in (argv if argv is not None else sys.argv)
         if args.stage in ("step", "full") and args.d is None:
             ap.error("--d is required for step and full stages")
     try:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import TraceRecorder
-from .errors import ConstructionBug, ContractError, RefusalError
+from .errors import ConstructionBug, ContractError
 from .planner import (RecurrenceTable, SizePlan, alpha_closed, beta_closed,
                       plan_sizes, shift_thresholds)
 from .seqcore import (Block, CentredSequence, PrefixWidth, Window,
@@ -488,7 +488,7 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
                           B=(t + 1, t + pos_count),
                           R=(t + pos_count + 1, y_iv[1]))
 
-    m = d ** (k - 1)
+    m = env.plan.m(k)
     p = env.plan.p(k)
     x1 = env.plan.x(n + 1, k - 1)
     y1 = env.plan.y(n + 1, k - 1)
@@ -971,7 +971,7 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
     if d < 9 * T:
         raise ContractError(f"need d >= 9T = {9 * T}, got {d}")
     table = plan_sizes(t, d, k, 1)
-    required = Fraction(3 * T + 1)
+    required = Fraction(table.gate_threshold)
     if not table.gate_ok:
         achieved = table.ratio if table.ratio is not None else table.ratio_bounds
         return ConstructionFailure(
@@ -982,10 +982,7 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
                      f"ratio {required}; pick larger d and k"),
             table=table,
         )
-    if table.cells is None or table.cells > max_cells:
-        size = table.cells if table.cells is not None else "astronomical"
-        raise RefusalError(f"materialization needs {size} cells "
-                           f"(limit {max_cells})")
+    table.require_cells(max_cells)
 
     y = table.y_exact
     x = table.x_exact
@@ -1001,10 +998,9 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
         y_set = set(rec.values(*y_iv))
         layout = _rstep(env, k, 1, x_iv, y_iv, depth=0)
         _certify(env, layout, k, 1, y_set, strict=True)
-        r = Fraction(beta_closed(T, d, k), alpha_closed(t, T, d, k))
         xprime_iv = (-b, -t - x - 1)
         j_iv = (b - 2 * t, b)
-        _finish_pipeline(rec, t, T, layout, xprime_iv, j_iv, r)
+        _finish_pipeline(rec, t, T, layout, xprime_iv, j_iv, table.ratio)
     final = rec.values(rec.lo, rec.hi)
     if list(final) != list(range(b, -b - 1, -1)):
         raise ConstructionBug("pipeline did not reach the reversal",

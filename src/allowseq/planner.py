@@ -36,26 +36,35 @@ falls short of beta_k for every d and k >= 1 (by (d^k - 1)/(d - 1) when
 therefore certifies a ratio beta_k/alpha_k that the t = 0 step itself
 does not reach.
 
-For parameter points where d^k would have millions of digits the planner
+For parameter points where d^k would have thousands of digits the planner
 still certifies the balance-ratio gate beta_k/alpha_k >= 3T + 1 through
 rigorous two-sided bounds obtained by dropping the vanishing d^(1-k) term
 of the closed form.
+
+`SizePlan` alone evaluates x, y and p; `_alpha_beta` alone loops over the
+alpha/beta recurrence; `RecurrenceTable.balance_ratio_at_least` alone
+decides the gate; and `RecurrenceTable.require_cells` is the one refusal
+of a materialization above the cell budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import count, islice
 from typing import Optional
 
-from .errors import ContractError
+from .errors import ContractError, RefusalError
 
-# Beyond these decimal-digit budgets the closed forms switch to rigorous
-# bounding, so no astronomic integer is ever built and no gcd ever runs
-# on one.  Materializable parameter points sit far below both limits.
-_RATIO_DIGIT_LIMIT = 50_000
-_SIZE_DIGIT_LIMIT = 10_000
+# Exact ratios and sizes are kept only while the powers of d behind them
+# stay within this many decimal digits, so no astronomic integer is built;
+# it sits below Python's 4300-digit limit on int-to-str conversion, with
+# room for the factors around the powers, so `to_text` can print them.
+_DIGIT_LIMIT = 4000
 _ENTRY_CAP = 512
+_SHOWN_ENTRIES = 12
 
 
 def power_of_nine_exponent(T: int) -> int:
@@ -114,6 +123,16 @@ def balance_ratio_bounds(t: int, T: int, d: int, k: int) -> tuple:
     return lower, upper
 
 
+def _alpha_beta(t: int, T: int, d: int):
+    """Yield (alpha_i, beta_i) for i = 0, 1, 2, ... by the recurrence."""
+    a = T + 4 * t + 2
+    b = Fraction(0)
+    for i in count():
+        yield a, b
+        a = d * a + 2 * T * d**i + d
+        b = d * b + Fraction(d ** (i + 1), 3 * T)
+
+
 def ratio_at_least(t: int, d: int, k: int, bound) -> bool:
     """Decide beta_k/alpha_k >= bound by cross-multiplying unreduced
     integers, so no gcd ever runs on the big powers."""
@@ -132,8 +151,8 @@ class RecurrenceTable:
     `alpha`, `beta`, `alpha_p`, `beta_p` hold entries for i = 0..min(k, cap);
     `ratio` is beta_k/alpha_k when exactly representable, else None with
     `ratio_bounds` carrying rigorous enclosures.  `x_exact`/`y_exact` are the
-    materialization sizes when computable, and `cells` their total including
-    the window.
+    materialization sizes and `cells` their total including the window,
+    each None when not computable.
     """
 
     t: int
@@ -148,19 +167,28 @@ class RecurrenceTable:
     shift_min: tuple                 # N at levels t, t-1, ..., -t
     ratio: Optional[Fraction]
     ratio_bounds: tuple              # (lower, upper) Fractions
-    gate_threshold: int              # 3T + 1
-    gate_ok: bool
     x_exact: Optional[int]
     y_exact: Optional[int]
     x_bound: Optional[int]
     y_bound: Optional[int]
+    cells: Optional[int]
     p_values: tuple                  # p_1..p_k when sizes are exact
 
     @property
-    def cells(self) -> Optional[int]:
-        if self.x_exact is None:
-            return None
-        return self.x_exact + self.y_exact + 2 * self.t + 1
+    def gate_threshold(self) -> int:
+        return 3 * self.T + 1
+
+    @cached_property
+    def gate_ok(self) -> bool:
+        """The balance gate beta_k/alpha_k >= 3T + 1."""
+        return self.balance_ratio_at_least(self.gate_threshold)
+
+    def require_cells(self, limit: int) -> None:
+        """Raise RefusalError unless the cell count is known and <= limit."""
+        if self.cells is None or self.cells > limit:
+            raise RefusalError(f"materialization needs "
+                               f"{self.cells or 'astronomical'} cells "
+                               f"(limit {limit})")
 
     def balance_ratio_at_least(self, bound) -> bool:
         """Decide beta_k/alpha_k >= bound, by enclosure when decisive and
@@ -175,11 +203,11 @@ class RecurrenceTable:
             return self.ratio >= bound
         return ratio_at_least(self.t, self.d, self.k, bound)
 
-    def to_text(self, max_entries: int = 12) -> str:
+    def to_text(self) -> str:
         lines = [f"plan t={self.t} T={self.T} d={self.d} k={self.k} n={self.n}"]
         for j, nv in enumerate(self.shift_min):
             lines.append(f"N level={self.t - j} value={nv}")
-        shown = min(len(self.alpha), max_entries + 1)
+        shown = min(len(self.alpha), _SHOWN_ENTRIES + 1)
         for i in range(shown):
             lines.append(
                 f"i={i} alpha={self.alpha[i]} beta={self.beta[i]} "
@@ -200,38 +228,27 @@ class RecurrenceTable:
         return "\n".join(lines) + "\n"
 
 
-def _digits_of_power(d: int, k: int) -> float:
-    import math
-
-    return (k + 1) * math.log10(d) if d > 1 else 1.0
+def _fits(d: int, e: int, n: int = 1) -> bool:
+    """Whether n*d^e, never built, has at most _DIGIT_LIMIT digits."""
+    return e * math.log10(d) + math.log10(n) <= _DIGIT_LIMIT
 
 
 def plan_sizes(t: int, d: int, k: int, n: int) -> RecurrenceTable:
     """Evaluate every recurrence for the given parameters, exactly where
     feasible and through rigorous bounds otherwise."""
-    if t < 0 or d < 1 or k < 0 or n < 1:
-        raise ContractError("need t >= 0, d >= 1, k >= 0, n >= 1")
+    if t < 0 or d < 2 or k < 0 or n < 1:
+        raise ContractError("need t >= 0, d >= 2, k >= 0, n >= 1")
     T = 3 ** (2 * t)
     ns = shift_thresholds(t)
     if ns[-1] > T:
         raise ContractError("shifting threshold exceeded 3^(2t)")
 
-    exact = _digits_of_power(d, k) <= _RATIO_DIGIT_LIMIT
     cap = min(k, _ENTRY_CAP)
-    alphas, betas, aps, bps = [], [], [], []
-    a = T + 4 * t + 2
-    b = Fraction(0)
-    for i in range(cap + 1):
-        alphas.append(a)
-        betas.append(b)
-        aps.append(alpha_prime(T, d, i))
-        bps.append(beta_prime(T, d, i))
-        a = d * a + 2 * T * d**i + d
-        b = d * b + Fraction(d ** (i + 1), 3 * T)
+    alphas, betas = zip(*islice(_alpha_beta(t, T, d), cap + 1))
 
     ratio = None
     bounds = balance_ratio_bounds(t, T, d, k)
-    if exact:
+    if _fits(d, k + 1):
         ak = alpha_closed(t, T, d, k)
         bk = beta_closed(T, d, k)
         if k <= cap:
@@ -241,57 +258,42 @@ def plan_sizes(t: int, d: int, k: int, n: int) -> RecurrenceTable:
         if k >= 1 and not (bounds[0] <= ratio <= bounds[1]):
             raise ContractError("ratio bounds do not enclose the exact ratio")
 
-    gate_threshold = 3 * T + 1
-    lo, hi = bounds
-    if lo >= gate_threshold:
-        gate_ok = True
-    elif hi < gate_threshold:
-        gate_ok = False
-    elif ratio is not None:
-        gate_ok = ratio >= gate_threshold
-    else:
-        gate_ok = ratio_at_least(t, d, k, gate_threshold)
-
-    x_exact = y_exact = x_bound = y_bound = None
+    x_exact = y_exact = x_bound = y_bound = cells = None
     p_values = ()
-    if _digits_of_power(d, 2 * k + 1) <= _SIZE_DIGIT_LIMIT:
-        unit = T + 4 * t + 2
-        ps = [( d**j - T) // unit for j in range(1, k + 1)]
-        x = n + k + 1
-        y = T + 4 * t + 3 + (n + k)
-        # Unwind from the innermost call (parameter n + k) outward.
-        for j in range(1, k + 1):
-            m = d ** (j - 1)
-            x = d * x + ps[j - 1] + 2 * t + 1
-            y = d * y + m * (T + d + 4 * t + 2) + ps[j - 1]
-        x_exact, y_exact = x, y
+    if _fits(d, 2 * k + 1, 10 * n):
+        plan = SizePlan(t, d)
+        x_exact, y_exact = plan.x(n, k), plan.y(n, k)
+        cells = plan.cells(n, k)
         x_bound = y_bound = 10 * d ** (2 * k + 1) * n
         if x_exact > x_bound or y_exact > y_bound:
             raise ContractError("materialization sizes exceed 10*d^(2k+1)*n")
-        p_values = tuple(ps)
+        p_values = tuple(plan.p(j) for j in range(1, k + 1))
 
     return RecurrenceTable(
         t=t, T=T, d=d, k=k, n=n,
-        alpha=tuple(alphas), beta=tuple(betas),
-        alpha_p=tuple(aps), beta_p=tuple(bps),
+        alpha=alphas, beta=betas,
+        alpha_p=tuple(alpha_prime(T, d, i) for i in range(cap + 1)),
+        beta_p=tuple(beta_prime(T, d, i) for i in range(cap + 1)),
         shift_min=tuple(ns),
         ratio=ratio, ratio_bounds=bounds,
-        gate_threshold=gate_threshold, gate_ok=gate_ok,
         x_exact=x_exact, y_exact=y_exact,
         x_bound=x_bound, y_bound=y_bound,
-        p_values=p_values,
+        cells=cells, p_values=p_values,
     )
 
 
 class SizePlan:
-    """Memoized x/y sizes for one (t, d) pair, used while materializing."""
+    """The materialization sizes x(n, k), y(n, k) and the counts p_k for
+    one (t, d) pair: the only implementation of the size recurrences.
+
+    Each (n, k) pair is unwound once, from the innermost call (parameter
+    n + k) outward, and memoized."""
 
     def __init__(self, t: int, d: int):
         self.t = t
         self.T = 3 ** (2 * t)
         self.d = d
-        self._x = {}
-        self._y = {}
+        self._sizes = {}
 
     def p(self, k: int) -> int:
         return (self.d**k - self.T) // (self.T + 4 * self.t + 2)
@@ -299,26 +301,23 @@ class SizePlan:
     def m(self, k: int) -> int:
         return self.d ** (k - 1)
 
+    def _xy(self, n: int, k: int) -> tuple:
+        if (n, k) not in self._sizes:
+            t, T, d = self.t, self.T, self.d
+            x = n + k + 1
+            y = T + 4 * t + 3 + (n + k)
+            for j in range(1, k + 1):
+                p = self.p(j)
+                x = d * x + p + 2 * t + 1
+                y = d * y + self.m(j) * (T + d + 4 * t + 2) + p
+            self._sizes[n, k] = (x, y)
+        return self._sizes[n, k]
+
     def x(self, n: int, k: int) -> int:
-        key = (n, k)
-        if key not in self._x:
-            if k == 0:
-                self._x[key] = n + 1
-            else:
-                self._x[key] = (self.d * self.x(n + 1, k - 1)
-                                + self.p(k) + 2 * self.t + 1)
-        return self._x[key]
+        return self._xy(n, k)[0]
 
     def y(self, n: int, k: int) -> int:
-        key = (n, k)
-        if key not in self._y:
-            if k == 0:
-                self._y[key] = self.T + 4 * self.t + 3 + n
-            else:
-                self._y[key] = (self.d * self.y(n + 1, k - 1)
-                                + self.m(k) * (self.T + self.d + 4 * self.t + 2)
-                                + self.p(k))
-        return self._y[key]
+        return self._xy(n, k)[1]
 
     def cells(self, n: int, k: int) -> int:
         return self.x(n, k) + self.y(n, k) + 2 * self.t + 1
@@ -330,14 +329,12 @@ def check_claim_monotonicity(T: int, d: int, l_max: int):
     t = power_of_nine_exponent(T)
     if d < 9 * T:
         raise ContractError("claim check requires d >= 9T")
-    a = T + 4 * t + 2
-    b = Fraction(0)
-    for l in range(l_max + 1):
-        a_next = d * a + 2 * T * d**l + d
-        b_next = d * b + Fraction(d ** (l + 1), 3 * T)
+    pairs = _alpha_beta(t, T, d)
+    a, b = next(pairs)
+    for l, (a_next, b_next) in zip(range(l_max + 1), pairs):
         lhs = Fraction(beta_prime(T, d, l)) / alpha_prime(T, d, l)
         mid = b_next / a_next
-        rhs = b / a if a else Fraction(0)
+        rhs = b / a
         if not (lhs > mid > rhs):
             return False, (l, lhs, mid, rhs)
         a, b = a_next, b_next

@@ -199,10 +199,55 @@ def test_cmd_construct_plan(capsys):
     assert "gate_ok=True" in out
 
 
+def test_cmd_construct_plan_beyond_int_str_limit(capsys):
+    # exact sizes and ratios past 4300 digits cannot be printed; the plan
+    # bounds them instead of crashing
+    for k in ("3000", "5000"):
+        code = run_cli("construct", "--stage", "full", "--t", "0", "--d",
+                       "9", "--k", k, "--plan")
+        assert code == 0, k
+        out = capsys.readouterr().out
+        assert out.startswith(f"plan t=0 T=1 d=9 k={k} n=1\n")
+        assert "gate_ok=False" in out
+
+
 def test_cmd_construct_refusal(capsys):
     code = run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
                    "--k", "9")
     assert code == 3
+    # the step stage and the full pipeline refuse through the same guard
+    assert capsys.readouterr().err.startswith(
+        "refused: materialization needs 16610653467 cells (limit ")
+    code = run_cli("construct", "--stage", "full", "--t", "0", "--d", "100",
+                   "--k", "100")
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "refused: materialization needs ")
+
+
+def test_cmd_construct_n_forms_agree(capsys):
+    cells = []
+    for argv in (["--n=20"], ["--n", "20"]):
+        assert run_cli("construct", "--stage", "shift", "--t", "1", *argv,
+                       "--machine") == 0
+        cells.append(capsys.readouterr().out.splitlines()[0])
+    assert cells == ["cells=49", "cells=49"]
+    # an n below the stage's bound is rejected, not replaced by the default
+    assert run_cli("construct", "--stage", "reflect", "--t", "0",
+                   "--n=1") == 2
+
+
+def test_failed_construct_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "r.trace"
+    assert run_cli("construct", "--stage", "reflect", "--t", "1", "--n", "3",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    # strict certificate (7) fails at t = 0 after the whole trace is written
+    out = tmp_path / "s.trace"
+    assert run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
+                   "--k", "1", "--out", str(out)) == 1
+    assert not out.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_max_cells_env(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -42,6 +43,8 @@ def test_plan_rejects_bad_domains():
         plan_sizes(-1, 9, 1, 1)
     with pytest.raises(ContractError):
         plan_sizes(0, 0, 1, 1)
+    with pytest.raises(ContractError):     # the closed forms divide by d - 1
+        plan_sizes(0, 1, 1, 1)
     with pytest.raises(ContractError):
         plan_sizes(0, 9, 1, 0)
 
@@ -56,6 +59,42 @@ def test_size_recurrences_match_table():
     assert (tb3.x_exact, tb3.y_exact) == (plan.x(1, 3), plan.y(1, 3))
     assert tb3.x_exact <= tb3.x_bound == 10 * 9**7
     assert tb3.p_values == tuple((9**j - 1) // 3 for j in (1, 2, 3))
+
+
+def test_size_plan_matches_recursive_definition():
+    for (t, d) in ((0, 9), (0, 10), (1, 81)):
+        T = 3 ** (2 * t)
+        unit = T + 4 * t + 2
+
+        def p(k):
+            return (d**k - T) // unit
+
+        @lru_cache(maxsize=None)
+        def x(n, k):
+            if k == 0:
+                return n + 1
+            return d * x(n + 1, k - 1) + p(k) + 2 * t + 1
+
+        @lru_cache(maxsize=None)
+        def y(n, k):
+            if k == 0:
+                return T + 4 * t + 3 + n
+            m = d ** (k - 1)
+            return d * y(n + 1, k - 1) + m * (T + d + 4 * t + 2) + p(k)
+
+        plan = SizePlan(t, d)
+        for k in range(5):
+            for n in (1, 2, 3, 7):
+                assert (plan.x(n, k), plan.y(n, k)) == (x(n, k), y(n, k))
+                assert plan.cells(n, k) == x(n, k) + y(n, k) + 2 * t + 1
+            assert plan.p(k) == p(k)
+
+
+def test_size_plan_deep_k_without_recursion():
+    plan = SizePlan(0, 9)
+    tb = plan_sizes(0, 9, 2000, 1)
+    assert (plan.x(1, 2000), plan.y(1, 2000)) == (tb.x_exact, tb.y_exact)
+    assert tb.p_values[-1] == plan.p(2000)
 
 
 def test_bounds_enclose_ratio():
