@@ -16,6 +16,13 @@ and minimum deviation itself, so even a stats-only run reports both.
 Deviations are tracked doubled, as the integer |c + d - (lo + hi)|, and
 become Fractions only where they are reported.
 
+One-flip steps are shared immutable objects.  A block swap reaches the
+sinks as many transpositions over few positions, so single_step hands
+out one FlipStep per distinct flip from a module cache, and ListSink and
+read_trace keep a reference to it for each repeat instead of a new
+object.  The cache holds at most _SINGLE_STEP_CAP steps and is cleared
+when full, which bounds its memory whatever the trace.
+
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
@@ -79,6 +86,21 @@ class FlipStep:
         object.__setattr__(self, "flips", fs)
 
 
+_SINGLE_STEP_CAP = 1 << 14
+_single_steps = {}  # (c, d) -> the shared FlipStep of that one flip
+
+
+def single_step(c: int, d: int) -> FlipStep:
+    """The one-flip step [c, d].  Equal calls return the same object while
+    it stays in the cache; FlipStep is frozen, so sharing it is safe."""
+    step = _single_steps.get((c, d))
+    if step is None:
+        if len(_single_steps) >= _SINGLE_STEP_CAP:
+            _single_steps.clear()
+        step = _single_steps[c, d] = FlipStep((Flip(c, d),))
+    return step
+
+
 @dataclass(frozen=True)
 class Trace:
     """A finished, immutable flip trace.
@@ -100,18 +122,23 @@ class Trace:
 
 class ListSink:
     """Retains every step and annotation event; supports conversion to a
-    Trace."""
+    Trace.  One-flip steps come from single_step, so a transposition costs
+    one list reference to a shared step."""
 
     def __init__(self):
         self.steps = []
         self.annotations = []
 
     def on_step(self, flips):
-        self.steps.append(FlipStep([Flip(c, d) for c, d in flips]))
+        if len(flips) == 1:
+            self.steps.append(single_step(*flips[0]))
+        else:
+            self.steps.append(FlipStep([Flip(c, d) for c, d in flips]))
 
     def on_transpositions(self, pairs):
+        append = self.steps.append
         for c, d in pairs:
-            self.steps.append(FlipStep([Flip(c, d)]))
+            append(single_step(c, d))
 
     def on_annotation(self, depth, label):
         self.annotations.append((len(self.steps), depth, label))
@@ -175,7 +202,8 @@ def read_trace(fh):
     line.  Annotations must nest: a `begin` sits one deeper than the
     scopes open around it, an `end` closes the innermost open scope, and
     every scope is closed by the end of the file.  Anything else raises
-    TraceParseError naming the offending line.
+    TraceParseError naming the offending line.  An `F` line whose text
+    parsed before yields the step parsed then, found by one lookup.
     """
     lineno = 0
 
@@ -206,7 +234,12 @@ def read_trace(fh):
 
     def events():
         scopes = []  # (depth, label, line number) of each open annotation
+        parsed = {}  # text of an F line that parsed -> its step
         for lineno, line in enumerate(fh, 4):
+            step = parsed.get(line)
+            if step is not None:
+                yield step
+                continue
             kind, _, rest = line.rstrip("\n").partition(" ")
             if kind not in _LINE_SHAPES:
                 raise TraceParseError(lineno, f"unknown line kind {kind!r}"
@@ -214,7 +247,11 @@ def read_trace(fh):
             try:
                 if kind == "F":
                     c, d = rest.split()
-                    yield FlipStep((Flip(int(c), int(d)),))
+                    step = single_step(int(c), int(d))
+                    if len(parsed) >= _SINGLE_STEP_CAP:
+                        parsed.clear()
+                    parsed[line] = step
+                    yield step
                 elif kind == "S":
                     nums = [int(x) for x in rest.split()]
                     if not nums or len(nums) % 2:
@@ -547,12 +584,17 @@ def verify_stream(initial: CentredSequence, window: Window,
     keeps sorted by c; flips that overlap or come out of that order are
     reported as a violation.  Violations are reported, never raised.
     Memory stays O(sequence length): one pass, one working copy of the
-    state.
+    state.  Nothing is cached per step object, so a shared step is checked
+    afresh against the state at each place it occurs.
+
+    A run is strictly increasing exactly when it equals its sorted copy:
+    CentredSequence is injective and each flip only reverses a slice, so
+    the working copy never holds two equal values.
     """
     lo, hi = initial.lo, initial.hi
     vals = list(initial.values)
     centre2 = lo + hi
-    t = window.t
+    t2 = 2 * window.t
     allowable = True
     all_valid = True
     first_violation = None
@@ -568,28 +610,31 @@ def verify_stream(initial: CentredSequence, window: Window,
             first_violation = (idx, flip, reason)
 
     for idx, step in enumerate(steps):
+        flips = step.flips
         steps_n += 1
+        flips_n += len(flips)
         prev_d = None
-        for f in step.flips:
-            flips_n += 1
-            if not (lo <= f.c <= f.d <= hi):
-                violate(idx, (f.c, f.d), "out of bounds")
+        for f in flips:
+            c, d = f.c, f.d
+            if not (lo <= c <= d <= hi):
+                violate(idx, (c, d), "out of bounds")
                 continue
-            if prev_d is not None and f.c <= prev_d:
-                violate(idx, (f.c, f.d), "overlapping flips in one step")
-            prev_d = f.d
-            i, j = f.c - lo, f.d - lo + 1
+            if prev_d is not None and c <= prev_d:
+                violate(idx, (c, d), "overlapping flips in one step")
+            prev_d = d
+            i, j = c - lo, d - lo + 1
             run = vals[i:j]
-            if any(a >= b for a, b in zip(run, run[1:])):
-                violate(idx, (f.c, f.d), "run not strictly increasing")
-            if abs(f.c + f.d) <= 2 * t and all_valid:
+            if run != sorted(run):
+                violate(idx, (c, d), "run not strictly increasing")
+            if abs(c + d) <= t2 and all_valid:
                 all_valid = False
                 if first_violation is None:
-                    first_violation = (idx, (f.c, f.d), "midpoint inside window")
-            dev2 = abs(f.c + f.d - centre2)
+                    first_violation = (idx, (c, d), "midpoint inside window")
+            dev2 = abs(c + d - centre2)
             if min_dev2 is None or dev2 < min_dev2:
                 min_dev2 = dev2
-            vals[i:j] = run[::-1]
+            run.reverse()
+            vals[i:j] = run
 
     reaches = vals == list(reversed(initial.values))
     return VerificationReport(

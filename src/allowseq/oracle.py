@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .engine import INF, FileSink, FlipStep
+from .engine import INF, FileSink, FlipStep, single_step
 from .errors import ContractError, RefusalError
 from .seqcore import Block, CentredSequence, Flip
 
@@ -199,7 +199,7 @@ def search_best_deviation(n: int, mode: str = "single",
 
 def _witness_steps(identity, flips, mode):
     if mode == "single":
-        return [FlipStep([Flip(c, d)]) for c, d in flips]
+        return [single_step(c, d) for c, d in flips]
     # Merge consecutive flips into one step while they are pairwise
     # disjoint and each run was increasing in the state before the step.
     steps = []

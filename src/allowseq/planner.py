@@ -210,22 +210,37 @@ class RecurrenceTable:
         shown = min(len(self.alpha), _SHOWN_ENTRIES + 1)
         for i in range(shown):
             lines.append(
-                f"i={i} alpha={self.alpha[i]} beta={self.beta[i]} "
-                f"alpha'={self.alpha_p[i]} beta'={self.beta_p[i]}"
+                f"i={i} alpha={_shown(self.alpha[i])} "
+                f"beta={_shown(self.beta[i])} "
+                f"alpha'={_shown(self.alpha_p[i])} "
+                f"beta'={_shown(self.beta_p[i])}"
             )
         if shown < len(self.alpha):
             lines.append(f"... ({len(self.alpha) - shown} more entries held)")
         if self.ratio is not None:
-            lines.append(f"ratio={self.ratio}")
+            lines.append(f"ratio={_shown(self.ratio)}")
         else:
             lo, hi = self.ratio_bounds
-            lines.append(f"ratio_lower={lo} ratio_upper={hi}")
+            lines.append(f"ratio_lower={_shown(lo)} ratio_upper={_shown(hi)}")
         lines.append(f"gate_threshold={self.gate_threshold} gate_ok={self.gate_ok}")
         if self.x_exact is not None:
             lines.append(f"x={self.x_exact} y={self.y_exact} cells={self.cells}")
         if self.x_bound is not None:
             lines.append(f"x_bound={self.x_bound} y_bound={self.y_bound}")
         return "\n".join(lines) + "\n"
+
+
+def _shown(v) -> str:
+    """An int or Fraction as text, with each integer of more than
+    _DIGIT_LIMIT digits shown as its digit count."""
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return _shown(v.numerator)
+        return f"{_shown(v.numerator)}/{_shown(v.denominator)}"
+    digits = max(1, int(v.bit_length() * math.log10(2)))
+    while 10 ** digits <= abs(v):
+        digits += 1
+    return str(v) if digits <= _DIGIT_LIMIT else f"<{digits} digits>"
 
 
 def _fits(d: int, e: int, n: int = 1) -> bool:

@@ -131,6 +131,12 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(TraceParseError) as exc:
         parse_trace(text)
     assert "line 4" in str(exc.value)
+    # after thousands of repeated F lines, each found by lookup
+    header = "ALLOWSEQ v1\nt=0 lo=1 hi=3\n1 2 3\n"
+    for bad in ("F 1\n", "F 1 2 3\n", "F 2 1\n", "G 1 2\n"):
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(header + "F 1 2\nF 2 3\n" * 2500 + bad)
+        assert exc.value.lineno == 5004, bad
 
 
 def test_cmd_verify_five_example(tmp_path, capsys):
@@ -201,14 +207,18 @@ def test_cmd_construct_plan(capsys):
 
 def test_cmd_construct_plan_beyond_int_str_limit(capsys):
     # exact sizes and ratios past 4300 digits cannot be printed; the plan
-    # bounds them instead of crashing
-    for k in ("3000", "5000"):
-        code = run_cli("construct", "--stage", "full", "--t", "0", "--d",
-                       "9", "--k", k, "--plan")
+    # bounds them, and shows longer recurrence entries by their digit count,
+    # instead of crashing
+    huge_d = "1" + "0" * 400
+    for stage, d, k in (("full", "9", "3000"), ("full", "9", "5000"),
+                        ("step", huge_d, "20")):
+        code = run_cli("construct", "--stage", stage, "--t", "0", "--d",
+                       d, "--k", k, "--plan")
         assert code == 0, k
         out = capsys.readouterr().out
-        assert out.startswith(f"plan t=0 T=1 d=9 k={k} n=1\n")
+        assert out.startswith(f"plan t=0 T=1 d={d} k={k} n=1\n")
         assert "gate_ok=False" in out
+    assert "i=12 alpha=<4801 digits> " in out
 
 
 def test_cmd_construct_refusal(capsys):

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allowseq.engine import (INF, FlipStep, ListSink, StatsSink, TraceRecorder,
-                             flip_imbalance, min_deviation, verify_stream,
-                             verify_trace)
+from allowseq import engine
+from allowseq.construction import recursive_step, step_instance
+from allowseq.engine import (INF, FileSink, FlipStep, ListSink, StatsSink,
+                             TraceRecorder, flip_imbalance, iter_trace_file,
+                             min_deviation, parse_trace, single_step,
+                             verify_stream, verify_trace)
 from allowseq.errors import ConstructionBug, ContractError, RangeError
 from allowseq.seqcore import (CentredSequence, Flip, Window,
                               identity_sequence)
@@ -254,3 +258,63 @@ def test_stats_sink_counts_match_list_sink():
     assert rec1.flip_count == rec2.flip_count
     assert rec1.min_deviation == rec2.min_deviation
     assert rec1.values(rec1.lo, rec1.hi) == rec2.values(rec2.lo, rec2.hi)
+
+
+def step_trace(sink=None):
+    """The growth step at (t, d, k) = (0, 9, 1) recorded into sink."""
+    rec = step_instance(0, 9, 1, 1, sink=sink)
+    recursive_step(rec, 9, 1, 1, strict_certificates=False)
+    return rec
+
+
+def test_one_flip_steps_are_shared():
+    fh = io.StringIO()
+    step_trace(FileSink(fh))
+    text = fh.getvalue()
+    lines = [line for line in text.splitlines()[3:] if line[0] in "FS"]
+    fresh = []
+    for line in lines:
+        nums = [int(x) for x in line.split()[1:]]
+        fresh.append(FlipStep([Flip(c, d)
+                               for c, d in zip(nums[::2], nums[1::2])]))
+    parsed = parse_trace(text)
+    listed = step_trace().to_trace()
+    assert list(parsed.steps) == fresh and listed == parsed
+    by_line, by_flips = {}, {}
+    for line, step, kept in zip(lines, parsed.steps, listed.steps):
+        assert by_line.setdefault(line, step) is step
+        if len(kept.flips) == 1:
+            assert by_flips.setdefault(kept.flips, kept) is kept
+    assert len(by_line) < len(lines) // 10  # the trace repeats its lines
+
+
+def test_shared_steps_are_verified_afresh():
+    # the second `F 1 2` meets the values 2, 1 its first occurrence left
+    text = "ALLOWSEQ v1\nt=0 lo=1 hi=4\n1 2 3 4\nF 3 4\nF 1 2\nF 1 2\n"
+    (window, initial), steps = iter_trace_file(io.StringIO(text))
+    rep = verify_stream(initial, window, steps)
+    assert rep.first_violation == (2, (1, 2), "run not strictly increasing")
+    # the same step object clears the window t=0 and falls inside t=1
+    for t, violation in ((0, None), (1, (1, (0, 1), "midpoint inside window"))):
+        text = f"ALLOWSEQ v1\nt={t} lo=-2 hi=2\n-2 -1 0 1 2\nF -2 -1\nF 0 1\n"
+        (window, initial), steps = iter_trace_file(io.StringIO(text))
+        steps = list(steps)
+        assert steps[1] is single_step(0, 1)
+        assert verify_stream(initial, window, steps).first_violation == violation
+
+
+def test_single_step_cap_changes_nothing(monkeypatch):
+    def build():
+        fh = io.StringIO()
+        step_trace(FileSink(fh))
+        text = fh.getvalue()
+        tr = step_trace().to_trace()
+        (window, initial), steps = iter_trace_file(io.StringIO(text))
+        return (text, tr, parse_trace(text), verify_trace(tr),
+                verify_stream(initial, window, steps))
+
+    default = build()
+    monkeypatch.setattr(engine, "_SINGLE_STEP_CAP", 4)
+    monkeypatch.setattr(engine, "_single_steps", {})
+    assert build() == default
+    assert 0 < len(engine._single_steps) <= 4
