@@ -69,9 +69,6 @@ def cmd_verify(args) -> int:
         with open(args.trace) as fh:
             (window, initial), steps = iter_trace_file(fh)
             rep = verify_stream(initial, window, steps)
-    except FileNotFoundError:
-        print(f"no such file: {args.trace}", file=sys.stderr)
-        return EXIT_MALFORMED
     except TraceParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -182,9 +179,6 @@ def cmd_points(args) -> int:
     try:
         with open(args.points) as fh:
             ps = parse_points(fh.read())
-    except FileNotFoundError:
-        print(f"no such file: {args.points}", file=sys.stderr)
-        return EXIT_MALFORMED
     except ContractError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -221,7 +215,7 @@ def cmd_render(args) -> int:
         try:
             with open(args.input) as fh:
                 ps = parse_points(fh.read())
-        except (FileNotFoundError, ContractError) as exc:
+        except ContractError as exc:
             print(f"cannot read points: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
         svg = render_points_svg(ps, with_lines=args.lines)
@@ -229,9 +223,6 @@ def cmd_render(args) -> int:
         try:
             with open(args.input) as fh:
                 tr = parse_trace(fh.read())
-        except FileNotFoundError:
-            print(f"no such file: {args.input}", file=sys.stderr)
-            return EXIT_MALFORMED
         except TraceParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
@@ -313,6 +304,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ContractError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot use file: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ConstructionBug as exc:
         print(f"construction bug: {exc}", file=sys.stderr)

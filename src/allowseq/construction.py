@@ -136,6 +136,9 @@ def _shift_rec(ops, t, k, a_iv, b_iv, c_iv, thresholds):
 
 def _require_layout(ops, x_iv, a_iv, b_iv, c_iv, min_b, name):
     t = ops.t
+    for part, iv in (("X", x_iv), ("C", c_iv)):
+        _check(iv is None or not _empty(iv),
+               f"{name}: {part} must not be empty")
     _check(a_iv == (-t, t), f"{name}: the centred part must sit on [-t, t]")
     _check(b_iv[0] == t + 1, f"{name}: B must start at t+1")
     _check(b_iv[1] + 1 == c_iv[0], f"{name}: C must follow B")
@@ -842,13 +845,14 @@ def step_instance(t: int, d: int, k: int, n: int, sink=None) -> TraceRecorder:
 def shift_instance(t: int, n: int, sink=None, decreasing_c: bool = False):
     """A trace laid out as A ^ B ^ C for shifting, symmetric domain.
     Returns (recorder, a_iv, b_iv, c_iv)."""
+    window = Window(t)
     c = 2 * t + 1
     M = t + n + c
     vals = list(range(-M, M + 1))
     if decreasing_c:
         i = M + t + n + 1
         vals[i : i + c] = reversed(vals[i : i + c])
-    rec = TraceRecorder(CentredSequence(-M, vals), Window(t), sink=sink)
+    rec = TraceRecorder(CentredSequence(-M, vals), window, sink=sink)
     return rec, (-t, t), (t + 1, t + n), (t + n + 1, t + n + c)
 
 
@@ -856,9 +860,10 @@ def reflect_instance(t: int, n: int, xsize: int, sink=None,
                      mirrored: bool = False):
     """A trace laid out as X ^ A ^ B ^ C (or its mirror image) for
     reflection.  Returns (recorder, x_iv, a_iv, b_iv, c_iv)."""
+    window = Window(t)
     M = t + max(xsize, n + xsize) + 1
     vals = list(range(-M, M + 1))
-    rec = TraceRecorder(CentredSequence(-M, vals), Window(t), sink=sink)
+    rec = TraceRecorder(CentredSequence(-M, vals), window, sink=sink)
     if not mirrored:
         return rec, (-t - xsize, -t - 1), (-t, t), (t + 1, t + n), \
             (t + n + 1, t + n + xsize)

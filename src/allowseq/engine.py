@@ -19,7 +19,7 @@ become Fractions only where they are reported.
 One-flip steps are shared immutable objects.  A block swap reaches the
 sinks as many transpositions over few positions, so single_step hands
 out one FlipStep per distinct flip from a module cache, and ListSink and
-read_trace keep a reference to it for each repeat instead of a new
+iter_trace_file keep a reference to it for each repeat instead of a new
 object.  The cache holds at most _SINGLE_STEP_CAP steps and is cleared
 when full, which bounds its memory whatever the trace.
 
@@ -28,7 +28,7 @@ steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
 
 Trace file format (authoritative).  FileSink is its only writer and
-read_trace its only reader:
+iter_trace_file its only reader:
 
     ALLOWSEQ v1
     t=<int> lo=<int> hi=<int>
@@ -193,17 +193,19 @@ _LINE_SHAPES = {"F": "F <c> <d>", "S": "S <c1> <d1> <c2> <d2> ...",
                 "#": "# <depth> begin|end <label>"}
 
 
-def read_trace(fh):
-    """The trace file reader: ((window, initial), events) from an open
-    text handle.
+def iter_trace_file(fh, on_annotation=None):
+    """The trace file reader: ((window, initial), steps) from an open text
+    handle.
 
-    `events` yields, in file order, a FlipStep for each step line and a
-    (depth, "begin <label>" or "end <label>") pair for each annotation
-    line.  Annotations must nest: a `begin` sits one deeper than the
-    scopes open around it, an `end` closes the innermost open scope, and
-    every scope is closed by the end of the file.  Anything else raises
-    TraceParseError naming the offending line.  An `F` line whose text
-    parsed before yields the step parsed then, found by one lookup.
+    The header is parsed at once; `steps` yields a FlipStep for each step
+    line in file order.  Annotations must nest: a `begin` sits one deeper
+    than the scopes open around it, an `end` closes the innermost open
+    scope, and every scope is closed by the end of the file.  Each one is
+    checked and, if `on_annotation` is given, passed to it as (depth,
+    "begin <label>" or "end <label>") before the next step is yielded.
+    Anything else raises TraceParseError naming the offending line.  An
+    `F` line whose text parsed before yields the step parsed then, found
+    by one lookup.
     """
     lineno = 0
 
@@ -232,7 +234,7 @@ def read_trace(fh):
     except ContractError as exc:
         raise TraceParseError(lineno, str(exc))
 
-    def events():
+    def steps():
         scopes = []  # (depth, label, line number) of each open annotation
         parsed = {}  # text of an F line that parsed -> its step
         for lineno, line in enumerate(fh, 4):
@@ -274,7 +276,8 @@ def read_trace(fh):
                                               "unbalanced annotation nesting")
                     else:
                         scopes.pop()
-                    yield depth, label
+                    if on_annotation is not None:
+                        on_annotation(depth, label)
             except ContractError as exc:
                 raise TraceParseError(lineno, str(exc))
             except ValueError:
@@ -285,28 +288,17 @@ def read_trace(fh):
             raise TraceParseError(lineno,
                                   f"annotation {label!r} is never closed")
 
-    return header, events()
+    return header, steps()
 
 
 def parse_trace(text: str) -> Trace:
     """The Trace a trace file's text holds, annotations included."""
-    (window, initial), events = read_trace(io.StringIO(text))
-    steps = []
-    annotations = []
-    for event in events:
-        if event.__class__ is FlipStep:
-            steps.append(event)
-        else:
-            annotations.append((len(steps),) + event)
-    return Trace(window, initial, tuple(steps), tuple(annotations))
-
-
-def iter_trace_file(fh):
-    """Stream a trace file: returns the (window, initial) header and an
-    iterator over its FlipSteps.  Annotation lines are checked but not
-    passed on."""
-    header, events = read_trace(fh)
-    return header, (e for e in events if e.__class__ is FlipStep)
+    sink = ListSink()
+    (window, initial), steps = iter_trace_file(io.StringIO(text),
+                                               sink.on_annotation)
+    for step in steps:
+        sink.steps.append(step)
+    return Trace(window, initial, tuple(sink.steps), tuple(sink.annotations))
 
 
 def serialize_trace(tr) -> str:

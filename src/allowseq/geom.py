@@ -1,14 +1,14 @@
 """Planar point sets, their circular sequence and line imbalances.
 
-Everything is exact: coordinates are Fractions and the sweep orders its
-events by cross-product sign tests alone.  Rotating the projection
-direction through a half turn sweeps out an allowable sequence of
-permutations, the circular sequence of Goodman and Pollack ("On the
-combinatorial classification of nondegenerate configurations in the
-plane", JCTA 29, 1980).  Each line through two or more of the points
-fires exactly once, as a flip [c, d] that reverses its collinear group,
-and that line has c - 1 points on one side and n - d on the other.  So
-its imbalance is |n - d - c + 1|, twice the flip's deviation.
+Everything is exact: coordinates are Fractions, and the sweep orders its
+events by integer keys.  Rotating the projection direction through a
+half turn sweeps out an allowable sequence of permutations, the circular
+sequence of Goodman and Pollack ("On the combinatorial classification of
+nondegenerate configurations in the plane", JCTA 29, 1980).  Each line
+through two or more of the points fires exactly once, as a flip [c, d]
+that reverses its collinear group, and that line has c - 1 points on one
+side and n - d on the other.  So its imbalance is |n - d - c + 1|, twice
+the flip's deviation.
 
 `circular_sequence` is the one sweep; `line_imbalances` and
 `in_general_position` read their answers off it.  Only
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Iterable
 
 from .engine import FlipStep, TraceRecorder, Trace
@@ -104,80 +104,64 @@ def _event_vector(p, q):
 def circular_sequence(ps: PointSet) -> HalfPeriod:
     """Rotate the projection direction through a half turn and record the
     swap events.  Labels 1..n follow the starting order, which breaks
-    projection ties by the lexicographic (x, y) perturbation."""
+    projection ties by the lexicographic (x, y) perturbation.
+
+    Each pair of points fires at the direction of its primitive integer
+    normal (x, y), with 0 < y <= ymax or (x, y) = (-1, 0).  Directions with
+    y > 0 come in the order of the slope -x/y, and two distinct slopes
+    differ by at least 1/ymax^2, so the integer floor(-x * ymax^2 / y)
+    orders them exactly; (-1, 0) fires last.  All points on one line have
+    the same offset x*px + y*py, so the pairs of one direction group into
+    its parallel lines by offset."""
     pts = ps.points
     n = len(pts)
     if n < 1:
         raise ContractError("need at least one point")
-    order = sorted(range(n), key=lambda i: pts[i])
-    label = {idx: lab for lab, idx in enumerate(order, start=1)}
     # Scaling every coordinate by the lcm of their denominators keeps every
     # direction, so the event directions come from integer points.
     scale = lcm(*(c.denominator for p in pts for c in p))
-    ipts = [(int(x * scale), int(y * scale)) for x, y in pts]
-    # Group unordered pairs by their event direction.
-    events = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = _event_vector(ipts[i], ipts[j])
-            events.setdefault(vec, []).append((i, j))
+    ipts = sorted((int(x * scale), int(y * scale)) for x, y in pts)
+    events = {}  # direction -> [(offset, label, label)] of its pairs
+    for a in range(1, n):
+        p = ipts[a - 1]
+        for b in range(a + 1, n + 1):
+            vec = _event_vector(p, ipts[b - 1])
+            events.setdefault(vec, []).append(
+                (vec[0] * p[0] + vec[1] * p[1], a, b))
+    last = events.pop((-1, 0), None)
+    ymax2 = max((y for _, y in events), default=1) ** 2
+    order = sorted(events, key=lambda v: -v[0] * ymax2 // v[1])
+    sweep = [events[v] for v in order] + ([last] if last else [])
 
-    evs = list(events.items())
-    # Sort by angle in (0, pi] using exact cross products.  The starting
-    # direction is (1, eps); an event u1 precedes u2 when u1 x u2 > 0.
-    import functools
-
-    def cmp(a, b):
-        (ax, ay), (bx, by) = a[0], b[0]
-        cross = ax * by - ay * bx
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    evs.sort(key=functools.cmp_to_key(cmp))
-
-    perm = [label[i] for i in order]          # identity 1..n
-    position = {lab: k + 1 for k, lab in enumerate(perm)}
+    perm = list(range(1, n + 1))
+    position = [0] + perm                     # label -> position
     result = []
-    for vec, pairs in evs:
-        # One simultaneous event: several parallel lines may fire at once,
-        # each contributing the reversal of its own collinear group.  Find
-        # the groups as connected components of the pair graph.
-        comp = {}
-        for i, j in pairs:
-            ri = comp.setdefault(i, i)
-            while comp[ri] != ri:
-                ri = comp[ri]
-            rj = comp.setdefault(j, j)
-            while comp[rj] != rj:
-                rj = comp[rj]
-            comp[ri] = rj
-        groups_by_root = {}
-        for i in comp:
-            r = i
-            while comp[r] != r:
-                r = comp[r]
-            groups_by_root.setdefault(r, []).append(i)
-        step_flips = []
-        groups = []
-        for members in groups_by_root.values():
-            labs = sorted((label[i] for i in members),
-                          key=lambda lab: position[lab])
-            c, d = position[labs[0]], position[labs[-1]]
-            if d - c + 1 != len(labs):
+    for pairs in sweep:
+        # Several parallel lines may fire at once, each reversing its own
+        # collinear group.
+        lines = {}
+        for offset, a, b in pairs:
+            lines.setdefault(offset, set()).update((a, b))
+        runs = []
+        for labs in lines.values():
+            c = min(position[lab] for lab in labs)
+            run = perm[c - 1:c - 1 + len(labs)]
+            if labs.difference(run):
                 raise ContractError("collinear group is not contiguous; "
                                     "geometry violated")
-            if labs != sorted(labs):
+            if run != sorted(run):
                 raise ContractError("swap group is not label-increasing; "
                                     "geometry violated")
-            step_flips.append(Flip(c, d))
-            groups.append(tuple(labs))
-        pack = sorted(zip(step_flips, groups), key=lambda fg: fg[0].c)
-        step = FlipStep([f for f, _ in pack])
-        result.append(SwapEvent(step, tuple(g for _, g in pack)))
-        for f in step.flips:
-            seg = [perm[p - 1] for p in range(f.c, f.d + 1)]
-            for offset, lab in enumerate(reversed(seg)):
-                perm[f.c - 1 + offset] = lab
-                position[lab] = f.c + offset
+            runs.append((c, run))
+        runs.sort()
+        result.append(SwapEvent(
+            FlipStep([Flip(c, c + len(run) - 1) for c, run in runs]),
+            tuple(tuple(run) for _, run in runs)))
+        for c, run in runs:
+            run.reverse()
+            perm[c - 1:c - 1 + len(run)] = run
+            for pos, lab in enumerate(run, c):
+                position[lab] = pos
     if perm != list(range(n, 0, -1)):
         raise ContractError("half period did not reach the reversal")
     return HalfPeriod(n, tuple(range(1, n + 1)), tuple(result))
@@ -260,12 +244,11 @@ def _svg_header(width, height):
 
 def _xscale(steps: int):
     """Step index to x offset; linear up to 10^4 steps, then compressed."""
-    import math
 
     def f(i):
         if i <= 10_000:
             return float(i)
-        return 10_000.0 + 2_000.0 * math.log10(i / 10_000.0)
+        return 10_000.0 + 2_000.0 * log10(i / 10_000.0)
 
     return f
 

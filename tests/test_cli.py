@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import allowseq
 from allowseq.cli import (MAGIC, TraceParseError, iter_trace_file, main,
                           parse_trace, serialize_trace)
 from allowseq.construction import shift, shift_instance
@@ -175,6 +176,28 @@ def test_cmd_verify_missing_and_malformed(tmp_path, capsys):
         assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("command", [["verify"],
+                                     ["points", "--action", "sequence"],
+                                     ["render"], ["render", "--points"]])
+def test_unreadable_inputs_exit_malformed(command, tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"ALLOWSEQ v1\n\xff\xfe 1\n")
+    for path in (tmp_path, binary):
+        assert run_cli(command[0], str(path), *command[1:]) == 2, path
+        assert "cannot use file" in capsys.readouterr().err, path
+
+
+@pytest.mark.parametrize("argv", [
+    ["--stage", "shift", "--t", "-1"],
+    ["--stage", "reflect", "--t", "0", "--c-size", "0"],
+    ["--stage", "reflect-mirrored", "--t", "0", "--c-size", "0"],
+    ["--stage", "reflect", "--t", "0", "--c-size", "-1"],
+    ["--stage", "reflect-mirrored", "--t", "0", "--c-size", "-1"]])
+def test_cmd_construct_refuses_bad_arguments(argv, capsys):
+    assert run_cli("construct", *argv) == 2
+    assert "invalid request" in capsys.readouterr().err
+
+
 def test_cmd_construct_then_verify(tmp_path, capsys):
     out = tmp_path / "tr.txt"
     for stage, extra in (("shift", []), ("reflect", []),
@@ -316,7 +339,11 @@ def test_cmd_points_and_render(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    package_root = os.path.dirname(os.path.dirname(allowseq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "allowseq.cli", "search",
-                           "--n", "2"], capture_output=True, text=True)
+                           "--n", "2"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("2 0/1")

@@ -1,7 +1,7 @@
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +225,42 @@ def test_sweep_matches_cubic_oracles_on_shuffled_lattices():
         assert any(len(ev.step.flips) > 1 for ev in events)
         assert not in_general_position(ps)
         assert_matches_oracles(ps)
+
+
+@pytest.mark.parametrize("extra", [[], [(1, 0)]])
+def test_sweep_orders_nearly_equal_slopes_exactly(extra):
+    # Two of the event slopes differ by about 10^-18, far below what a
+    # float key resolves; every storage order must still sweep exactly.
+    base = [(0, 0), (10**9, 10**9 + 1), (10**9 - 1, 10**9)] + extra
+    for pts in permutations(base):
+        ps = PointSet(pts)
+        rep = verify_trace(circular_sequence(ps).to_trace())
+        assert rep.allowable and rep.reaches_reversal
+        assert_matches_oracles(ps)
+
+
+def test_sweep_events_of_a_degenerate_set():
+    # A 3x3 lattice and one point on its anti-diagonal's parallel: lines
+    # of two, three and four points, parallel lines firing together, and
+    # the vertical lines firing last.
+    ps = PointSet([(x, y) for y in range(3) for x in range(3)]
+                  + [(Fraction(1, 2), Fraction(3, 2))])
+    events = [(tuple((f.c, f.d) for f in ev.step.flips), ev.groups)
+              for ev in circular_sequence(ps).events]
+    assert events == [
+        (((4, 5),), ((4, 5),)),
+        (((3, 4), (7, 8)), ((3, 5), (7, 8))),
+        (((2, 3), (4, 7), (8, 9)), ((2, 5), (3, 4, 6, 8), (7, 9))),
+        (((3, 4), (7, 8)), ((2, 8), (3, 9))),
+        (((6, 7),), ((4, 9),)),
+        (((1, 3), (4, 6), (8, 10)), ((1, 5, 8), (2, 6, 9), (3, 7, 10))),
+        (((7, 8),), ((4, 10),)),
+        (((3, 4), (6, 7)), ((1, 9), (2, 10))),
+        (((2, 3), (4, 6), (7, 9)), ((5, 9), (1, 6, 10), (2, 4, 7))),
+        (((3, 4), (6, 7)), ((5, 10), (1, 7))),
+        (((7, 8),), ((1, 4),)),
+        (((1, 3), (4, 6), (8, 10)), ((8, 9, 10), (5, 6, 7), (1, 2, 3))),
+    ]
 
 
 def test_geometry_edge_cases():
