@@ -3,7 +3,8 @@
 The trace file format is documented, written and read in `engine`; its
 reader and writer are re-exported here.  Exit codes: 0 success, 1
 property violated or structured failure, 2 malformed input, 3 refusal by
-a resource guard.
+a resource guard, 141 (128 + SIGPIPE, as a shell reports a writer killed
+by SIGPIPE) when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_MALFORMED = 2
 EXIT_REFUSED = 3
+EXIT_PIPE = 141
 
 
 def _fmt_dev(dev):
@@ -305,6 +307,13 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except BrokenPipeError:
+        # Output still buffered would fail again at the interpreter's
+        # final flush; send it to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot use file: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

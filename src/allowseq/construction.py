@@ -26,7 +26,7 @@ from .engine import TraceRecorder
 from .errors import ConstructionBug, ContractError
 from .planner import (RecurrenceTable, SizePlan, alpha_closed, beta_closed,
                       plan_sizes, shift_thresholds)
-from .seqcore import (Block, CentredSequence, PrefixWidth, Window,
+from .seqcore import (Block, CentredSequence, Window,
                       _strictly_increasing, identity_sequence, is_r_balanced,
                       width, width_greedy)
 
@@ -37,6 +37,10 @@ def _ivlen(iv) -> int:
 
 def _empty(iv) -> bool:
     return iv[0] > iv[1]
+
+
+def _last(names):
+    return names[-1] if names else None
 
 
 def _check(cond, message):
@@ -346,16 +350,11 @@ class SegmentMap:
         self.order[idxs[0] : idxs[0] + len(idxs)] = [n for n, _ in keep]
         self._starts = None
 
-    def split(self, name, pieces):
-        self.replace([name], pieces)
-
-    def rename(self, old, new):
-        self.replace([old], [(new, self.sizes[old])])
-
-    def move_run(self, names, *, after=None, to_front=False):
+    def move_run(self, names, after=None):
+        """Reorder names to sit right after `after`, or first when None."""
         taken = set(names)
         rest = [n for n in self.order if n not in taken]
-        pos = 0 if to_front else rest.index(after) + 1
+        pos = 0 if after is None else rest.index(after) + 1
         self.order = rest[:pos] + list(names) + rest[pos:]
         self._starts = None
 
@@ -364,15 +363,15 @@ class SegmentMap:
         return (self.lo, self._end)
 
 
-def _move_segments(rec, sm, names, *, after=None, to_front=False):
+def _move_segments(rec, sm, names, after=None):
     """Physically move a contiguous segment run so it lands immediately
-    after `after` (or at the front), then update the map."""
+    after `after` (at the front when None), then update the map."""
     first, last = names[0], names[-1]
     idxs = [sm.order.index(n) for n in names]
     if idxs != list(range(idxs[0], idxs[0] + len(idxs))):
         raise ContractError("_move_segments needs a contiguous run")
     run_iv = sm.span(first, last)
-    dest_idx = 0 if to_front else sm.order.index(after) + 1
+    dest_idx = 0 if after is None else sm.order.index(after) + 1
     cur_idx = idxs[0]
     if dest_idx == cur_idx:
         return
@@ -382,7 +381,7 @@ def _move_segments(rec, sm, names, *, after=None, to_front=False):
     else:
         crossed_iv = sm.span(sm.order[idxs[-1] + 1], sm.order[dest_idx - 1])
         rec.swap_adjacent_blocks(run_iv, crossed_iv)
-    sm.move_run(names, after=after, to_front=to_front)
+    sm.move_run(names, after)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +419,6 @@ class StepOutcome:
     x_size: int
     y_size: int
     flip_count: int
-    recorder: TraceRecorder
 
     @property
     def all_passed(self) -> bool:
@@ -524,10 +522,7 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
             sm.replace([P[i]], [(Li, sizes["L"]), (Wi, sizes["W"])])
             sm.replace([Q[i]], [(Bi, sizes["B"]), (Ri, sizes["R"])])
             if sizes["L"]:
-                if Ls:
-                    _move_segments(rec, sm, [Li], after=Ls[-1])
-                else:
-                    _move_segments(rec, sm, [Li], to_front=True)
+                _move_segments(rec, sm, [Li], after=_last(Ls))
                 Ls.append(Li)
             _move_segments(rec, sm, [Wi], after=(Ws[-1] if Ws else xp))
             Ws.append(Wi)
@@ -583,7 +578,7 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
             nneg = sum(1 for v in ccv if v < 0)
             if nneg:
                 CCn = F("CCneg")
-                sm.split(CCi, [(CCi, len(ccv) - nneg), (CCn, nneg)])
+                sm.replace([CCi], [(CCi, len(ccv) - nneg), (CCn, nneg)])
                 _move_segments(rec, sm, [CCn], after=ypp)
                 rfront = CCn
             _move_segments(rec, sm, [CCi], after=Ub)
@@ -596,12 +591,7 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
             sm.replace([row], [(UbR, d)])
             sm.replace([Ut, Ub], [(JR, 2 * t + 1), (Ni, d)])
             stack = [JR, Ni, CCi] + stack
-            if ubrs:
-                _move_segments(rec, sm, [UbR], after=ubrs[-1])
-            elif Ls:
-                _move_segments(rec, sm, [UbR], after=Ls[-1])
-            else:
-                _move_segments(rec, sm, [UbR], to_front=True)
+            _move_segments(rec, sm, [UbR], after=_last(Ls + ubrs))
             ubrs.append(UbR)
 
     # Step 3: split the leading cell off every gathered K block, regroup
@@ -658,13 +648,9 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
                 mid = F("GR")
             sm.replace([Ps[i], G[i], H[i]],
                        [(Qm, 1), (mid, 2 * t + 1), (HRi, T + 2 * t + 1)])
-            sm.rename(Qs[i], PsRi)
+            sm.replace([Qs[i]], [(PsRi, 1)])
             if i == 1:
-                anchor = ubrs[-1] if ubrs else (Ls[-1] if Ls else None)
-                if anchor is None:
-                    _move_segments(rec, sm, [Qm, UT], to_front=True)
-                else:
-                    _move_segments(rec, sm, [Qm, UT], after=anchor)
+                _move_segments(rec, sm, [Qm, UT], after=_last(Ls + ubrs))
                 _move_segments(rec, sm, [HRi], after=WKp)
                 hrgr.append(HRi)
             else:
@@ -822,7 +808,7 @@ def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
         raise ConstructionBug("result regions do not tile X and Y",
                               tr.annotation_stack())
     return StepOutcome(layout=layout, certificates=certs, x_size=x, y_size=y,
-                       flip_count=tr.flip_count - flips_before, recorder=tr)
+                       flip_count=tr.flip_count - flips_before)
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +875,12 @@ class ConstructionFailure:
         return False
 
 
-def _finish_pipeline(rec, t, T, layout, xprime_iv, j_iv, r):
+def _finish_pipeline(rec, layout, xprime_iv, j_iv, r):
     """From X' ^ L ^ W ^ A ^ B ^ R (J parked at the far right) to the full
     reversal: decompose B, reflect each positive piece across the window,
     bring J back to the centre, and sort both sides decreasing."""
+    t = rec.t
+    T = 3 ** (2 * t)
     b_iv = layout.B
     block = Block(rec.values(*b_iv))
     dec = decompose_balanced(block, r)
@@ -910,8 +898,8 @@ def _finish_pipeline(rec, t, T, layout, xprime_iv, j_iv, r):
         raise ConstructionBug("last piece too negative-poor to carve Z",
                               rec.annotation_stack())
     zname = "Z"
-    sm.split(last, [(last + "a", nneg - T), (zname, T),
-                    (last + "b", len(lastv) - nneg)])
+    sm.replace([last], [(last + "a", nneg - T), (zname, T),
+                        (last + "b", len(lastv) - nneg)])
     _move_segments(rec, sm, [zname], after=last + "b")
     sm.replace([last + "a", last + "b"], [(last, len(lastv) - T)])
 
@@ -934,7 +922,7 @@ def _finish_pipeline(rec, t, T, layout, xprime_iv, j_iv, r):
         with rec.annotate(f"carry piece {i} across"):
             x_i = (cursor - fsize + 1, cursor)
             cursor -= fsize
-            rec.move_block_right(x_i, -t - 1)
+            rec.swap_adjacent_blocks(x_i, (x_i[1] + 1, -t - 1))
             x_i = (-t - fsize, -t - 1)
             clo = sm.iv(ci)[0]
             reflect(rec, x_i, (-t, t), (clo, clo + neg - 1),
@@ -953,7 +941,8 @@ def _finish_pipeline(rec, t, T, layout, xprime_iv, j_iv, r):
     with rec.annotate("recentre the parked piece"):
         # State right of the window: P_m .. P_1 ^ Z ^ R ^ J.
         jlen = _ivlen(j_iv)
-        rec.move_block_left(sm.iv(zname), t + 1)
+        z_iv = sm.iv(zname)
+        rec.swap_adjacent_blocks((t + 1, z_iv[0] - 1), z_iv)
         # J leftward over R and the P pieces, landing right of Z.
         rec.swap_adjacent_blocks((t + 1 + T, j_iv[0] - 1), j_iv)
         shift(rec, (-t, t), (t + 1, t + T), (t + T + 1, t + T + jlen))
@@ -989,23 +978,15 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
         )
     table.require_cells(max_cells)
 
-    y = table.y_exact
-    x = table.x_exact
-    b = 3 * t + 1 + y
+    b = 3 * t + 1 + table.y_exact
     rec = TraceRecorder(identity_sequence(-b, b), Window(t), sink=sink)
     with rec.annotate(f"full construction t={t} d={d} k={k}"):
         rec.emit_flip(-t, 3 * t + 1)
         # Park the piece now on [t+1, 3t+1] beyond Y.
         rec.swap_adjacent_blocks((t + 1, 3 * t + 1), (3 * t + 2, b))
-        env = _StepEnv(rec, d)
-        x_iv = (-t - x, -t - 1)
-        y_iv = (t + 1, t + y)
-        y_set = set(rec.values(*y_iv))
-        layout = _rstep(env, k, 1, x_iv, y_iv, depth=0)
-        _certify(env, layout, k, 1, y_set, strict=True)
-        xprime_iv = (-b, -t - x - 1)
-        j_iv = (b - 2 * t, b)
-        _finish_pipeline(rec, t, T, layout, xprime_iv, j_iv, table.ratio)
+        layout = recursive_step(rec, d, k, 1).layout
+        _finish_pipeline(rec, layout, xprime_iv=(-b, -t - table.x_exact - 1),
+                         j_iv=(b - 2 * t, b), r=table.ratio)
     final = rec.values(rec.lo, rec.hi)
     if list(final) != list(range(b, -b - 1, -1)):
         raise ConstructionBug("pipeline did not reach the reversal",

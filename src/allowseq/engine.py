@@ -2,8 +2,8 @@
 
 A TraceRecorder holds the evolving sequence and emits flips, either one
 step at a time (every flip of the step validated against the current
-state and the window before any is applied) or as pre-validated batches
-produced by composite moves such as adjacent block swaps.  Batches keep
+state and the window before any is applied) or as the pre-validated
+batch of an adjacent block swap, its one composite move.  Batches keep
 big runs cheap: a swap of blocks of sizes a and b is a*b transpositions,
 but the recorder checks the one precondition that makes them all valid
 (left block entirely below right block, region clear of the window) and
@@ -430,31 +430,6 @@ class TraceRecorder:
 
     # -- batched transposition runs --------------------------------------
 
-    def _window_clear_region(self, lo: int, hi: int) -> bool:
-        """True iff every adjacent transposition inside [lo, hi] clears the
-        window: no i in [lo, hi-1] has its midpoint i + 1/2 inside [-t, t],
-        which happens exactly for i in [-t, t-1]."""
-        t = self.window.t
-        if lo >= hi:
-            return True
-        return hi - 1 < -t or lo > t - 1
-
-    def _batch(self, pairs_iter, count: int, lo: int, hi: int):
-        """Record `count` transpositions spanning positions [lo, hi]."""
-        if count == 0:
-            return
-        # Transposition midpoints (doubled) are the odd values 2i+1 for
-        # i in [lo, hi-1]; find the one closest to the doubled centre.
-        c2 = self._centre2
-        if c2 <= 2 * lo + 1:
-            dev2 = 2 * lo + 1 - c2
-        elif c2 >= 2 * hi - 1:
-            dev2 = c2 - (2 * hi - 1)
-        else:
-            dev2 = 0 if c2 % 2 else 1
-        self._track(dev2, count, count)
-        self.sink.on_transpositions(pairs_iter)
-
     @staticmethod
     def _swap_pairs(lo: int, a: int, b: int) -> Iterator[tuple]:
         """Canonical schedule for swapping adjacent blocks of sizes a, b at
@@ -465,7 +440,8 @@ class TraceRecorder:
                 yield (i - 1, i)
 
     def swap_adjacent_blocks(self, left: tuple, right: tuple):
-        """Exchange two adjacent blocks, left values all below right values.
+        """Exchange two adjacent blocks, left values all below right values,
+        as a*b transpositions recorded in one batch.
 
         Intervals are inclusive (lo, hi); an empty side is a no-op.
         """
@@ -481,35 +457,25 @@ class TraceRecorder:
         rv = self.values(rlo, rhi)
         if max(lv) >= min(rv):
             self._bug(f"cannot swap: [{llo},{lhi}] does not precede [{rlo},{rhi}]")
-        if not self._window_clear_region(llo, rhi):
+        # Every transposition (i, i+1) in [llo, rhi] clears the window iff
+        # its midpoint i + 1/2 lies outside [-t, t], which fails exactly
+        # for i in [-t, t-1].
+        t = self.window.t
+        if not (rhi - 1 < -t or llo > t - 1):
             self._bug(f"swap over [{llo},{rhi}] would cross the window")
         i, j, k = llo - self.lo, rlo - self.lo, rhi - self.lo + 1
         self._vals[i:k] = self._vals[j:k] + self._vals[i:j]
-        self._batch(self._swap_pairs(llo, a, b), a * b, llo, rhi)
-
-    def move_value_right(self, pos: int, dest: int):
-        """Bubble the single element at pos rightward to dest."""
-        if dest == pos:
-            return
-        self.swap_adjacent_blocks((pos, pos), (pos + 1, dest))
-
-    def move_block_left(self, block: tuple, dest_lo: int):
-        """Move block leftward so it starts at dest_lo (crossed cells must
-        all be below the block's values)."""
-        blo, bhi = block
-        if dest_lo == blo:
-            return
-        if dest_lo > blo:
-            raise ContractError("move_block_left must move left")
-        self.swap_adjacent_blocks((dest_lo, blo - 1), (blo, bhi))
-
-    def move_block_right(self, block: tuple, dest_hi: int):
-        blo, bhi = block
-        if dest_hi == bhi:
-            return
-        if dest_hi < bhi:
-            raise ContractError("move_block_right must move right")
-        self.swap_adjacent_blocks((blo, bhi), (bhi + 1, dest_hi))
+        # Transposition midpoints (doubled) are the odd values 2i+1 for
+        # i in [llo, rhi-1]; find the one closest to the doubled centre.
+        c2 = self._centre2
+        if c2 <= 2 * llo + 1:
+            dev2 = 2 * llo + 1 - c2
+        elif c2 >= 2 * rhi - 1:
+            dev2 = c2 - (2 * rhi - 1)
+        else:
+            dev2 = 0 if c2 % 2 else 1
+        self._track(dev2, a * b, a * b)
+        self.sink.on_transpositions(self._swap_pairs(llo, a, b))
 
     def sort_region_decreasing(self, region: tuple):
         """Sort region into strictly decreasing order by repeatedly flipping
@@ -548,7 +514,7 @@ class TraceRecorder:
             if idx == placed - 1:
                 placed -= 1
                 continue
-            self.move_value_right(idx, placed - 1)
+            self.swap_adjacent_blocks((idx, idx), (idx + 1, placed - 1))
             cur.pop(idx - rlo)
             cur.insert(placed - 1 - rlo, v)
             placed -= 1

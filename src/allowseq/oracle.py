@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .engine import INF, FileSink, FlipStep, single_step
 from .errors import ContractError, RefusalError

@@ -199,8 +199,6 @@ class RecurrenceTable:
             return True
         if upper < bound:
             return False
-        if self.ratio is not None:
-            return self.ratio >= bound
         return ratio_at_least(self.t, self.d, self.k, bound)
 
     def to_text(self) -> str:

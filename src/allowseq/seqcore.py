@@ -12,7 +12,7 @@ midpoint (c+d)/2, a half-integer), so there is no floating point anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -105,9 +105,6 @@ class CentredSequence:
         if not self.lo <= pos <= self.hi:
             raise RangeError(f"position {pos} outside [{self.lo}, {self.hi}]")
         return self.values[pos - self.lo]
-
-    def centre_doubled(self) -> int:
-        return self.lo + self.hi
 
 
 def identity_sequence(lo: int, hi: int) -> CentredSequence:

@@ -293,6 +293,16 @@ def test_max_cells_env(tmp_path, monkeypatch, capsys):
                    "--k", "0")
     assert code == 2
     assert "ALLOWSEQ_MAX_CELLS" in capsys.readouterr().err
+    # --max-cells wins over the environment, in both directions; this
+    # step needs 8 cells.
+    monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", str(10**9))
+    code = run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
+                   "--k", "0", "--max-cells", "5")
+    assert code == 3
+    monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "5")
+    code = run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
+                   "--k", "0", "--max-cells", str(10**9))
+    assert code == 0
     monkeypatch.delenv("ALLOWSEQ_MAX_CELLS")
 
 
@@ -336,6 +346,27 @@ def test_cmd_points_and_render(tmp_path, capsys):
     collinear = tmp_path / "col.pts"
     collinear.write_text("0 0\n1 1\n2 2\n")
     assert run_cli("points", str(collinear), "--action", "link") == 2
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # About 200 KB of trace text, far more than a pipe buffers, so the
+    # writer meets the closed pipe mid-write.
+    rng = random.Random(7)
+    pts = tmp_path / "rand200.pts"
+    pts.write_text(format_points(PointSet(
+        [(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(200)])))
+    package_root = os.path.dirname(os.path.dirname(allowseq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "allowseq.cli", "points",
+                             str(pts), "--action", "sequence"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_console_entry_point():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allowseq.construction import (ConstructionFailure, Decomposition,
-                                   MirrorView, SegmentMap, StepLayout,
+                                   MirrorView, SegmentMap,
                                    _finish_pipeline, decompose_balanced,
                                    full_construction, rearrangement_transpositions,
                                    recursive_step, reflect, reflect_instance,
@@ -19,6 +19,7 @@ from allowseq.planner import SizePlan
 from allowseq.seqcore import (Block, CentredSequence, Flip, Window,
                               apply_block_flip, is_r_balanced,
                               is_valid_flip_block, width)
+from conftest import SYNTHETIC_MIDDLES, synthetic_finishing_state
 
 
 # -- shifting ---------------------------------------------------------------
@@ -248,9 +249,9 @@ def test_segment_map_operations():
     sm = SegmentMap(0, [("a", 2), ("b", 3), ("c", 1)])
     assert sm.iv("b") == (2, 4)
     assert sm.span("a", "b") == (0, 4)
-    sm.move_run(["c"], to_front=True)
+    sm.move_run(["c"])
     assert sm.order == ["c", "a", "b"]
-    sm.split("b", [("b1", 1), ("b2", 2)])
+    sm.replace(["b"], [("b1", 1), ("b2", 2)])
     assert sm.iv("b2") == (4, 5)
     with pytest.raises(ContractError):
         sm.replace(["c", "b1"], [("x", 2)])   # not contiguous
@@ -274,43 +275,33 @@ def test_full_construction_refuses_oversize():
         full_construction(0, 100, 100)
 
 
-def _synthetic_finishing_state():
-    """A hand-built X' ^ L ^ W ^ A ^ B ^ R ^ J state at t = 1 whose middle
-    block is (3T+1)-balanced, with values tiling [-76, 76]."""
-    t, T, b = 1, 9, 76
-    vals = {}
-    for i, pos in enumerate(range(-76, -70)):
-        vals[pos] = -76 + i
-    for i, pos in enumerate(range(-70, -40)):
-        vals[pos] = 2 + i
-    for i, pos in enumerate(range(-40, -1)):
-        vals[pos] = 32 + i
-    for i, pos in enumerate(range(-1, 2)):
-        vals[pos] = -70 + i
-    middle = (list(range(-67, -39)) + [74, 75, 76]
-              + list(range(-39, -11)) + [71, 72, 73])
-    for i, pos in enumerate(range(2, 64)):
-        vals[pos] = middle[i]
-    for i, pos in enumerate(range(64, 74)):
-        vals[pos] = -11 + i
-    for i, pos in enumerate(range(74, 77)):
-        vals[pos] = 1 - i
-    seq = CentredSequence(-b, [vals[p] for p in range(-b, b + 1)])
-    layout = StepLayout(L=(-70, -41), W=(-40, -2), A=(-1, 1), B=(2, 63),
-                        R=(64, 73))
-    return seq, layout, (t, T, b)
+def _finish_synthetic(middle):
+    seq, layout, t = synthetic_finishing_state(middle)
+    assert is_r_balanced(Block(seq.values[78:140]), 28).balanced
+    rec = TraceRecorder(seq, Window(t))
+    _finish_pipeline(rec, layout, xprime_iv=(-76, -71), j_iv=(74, 76),
+                     r=Fraction(28))
+    assert rec.values(rec.lo, rec.hi) == tuple(range(76, -77, -1))
+    rep = verify_trace(rec)
+    assert rep.allowable and rep.all_valid
+    assert rec.min_deviation == Fraction(2 * t + 1, 2)
+    return rec
 
 
 def test_finishing_pipeline_on_synthetic_state():
-    seq, layout, (t, T, b) = _synthetic_finishing_state()
-    assert is_r_balanced(Block(seq.values[78:140]), 28).balanced
-    rec = TraceRecorder(seq, Window(t))
-    _finish_pipeline(rec, t, T, layout, xprime_iv=(-76, -71), j_iv=(74, 76),
-                     r=Fraction(28))
-    assert rec.values(rec.lo, rec.hi) == tuple(range(b, -b - 1, -1))
-    rep = verify_trace(rec)
-    assert rep.allowable and rep.all_valid
-    assert rec.min_deviation >= Fraction(2 * t + 1, 2)
+    # An already decomposed middle block: the decomposition emits nothing.
+    assert decompose_balanced(Block(SYNTHETIC_MIDDLES["decomposed"]),
+                              28).schedule == ()
+    assert _finish_synthetic(SYNTHETIC_MIDDLES["decomposed"]).flip_count == 3669
+
+
+def test_finishing_pipeline_applies_decomposition():
+    middle = SYNTHETIC_MIDDLES["scheduled"]
+    assert len(decompose_balanced(Block(middle), 28).schedule) == 29
+    rec = _finish_synthetic(middle)
+    assert rec.flip_count == 3698
+    assert rec.to_trace().annotations[:2] == (
+        (0, 1, "begin apply decomposition"), (29, 1, "end apply decomposition"))
 
 
 def test_mirror_view_round_trip():

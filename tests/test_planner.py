@@ -120,6 +120,18 @@ def test_gate_failure_small_parameters():
     assert tb.ratio == Fraction(3, 38)
 
 
+def test_gate_comparison_past_the_enclosure():
+    # At (0, 9, 2) the enclosure brackets beta/alpha = 6/41 on both sides,
+    # so both bounds below are decided by the exact comparison alone.
+    tb = plan_sizes(0, 9, 2, 1)
+    exact = Fraction(beta_closed(1, 9, 2), alpha_closed(0, 1, 9, 2))
+    lower, upper = tb.ratio_bounds
+    for bound, expected in ((exact, True), ((exact + upper) / 2, False)):
+        assert lower < bound < upper
+        assert (exact >= bound) is expected
+        assert tb.balance_ratio_at_least(bound) is expected
+
+
 def test_claim_monotonicity():
     for (T, d) in ((1, 9), (9, 81), (9, 100 * 9**3)):
         ok, counterexample = check_claim_monotonicity(T, d, 200)
