@@ -1,10 +1,13 @@
 """Brute-force oracles and exhaustive search over small state spaces.
 
-Everything here is deliberately independent of the engine and the
-constructive procedures: widths by dynamic programming and by full
-subsequence enumeration, allowability by diffing consecutive
-permutations, and the best achievable minimum deviation by exhaustive
-threshold-indexed reachability.
+None of them reuses the code it is checked against: widths by dynamic
+programming and by full subsequence enumeration (not `seqcore`'s greedy
+width), allowability by diffing consecutive permutations (not
+`verify_stream`), and the best achievable minimum deviation by
+exhaustive threshold-indexed reachability (no constructive procedure).
+From the engine they take only its value types and its writer: witness
+steps are `FlipStep`s (one-flip ones from `single_step`), and
+`SearchResult.to_text` prints them through `FileSink`.
 """
 
 from __future__ import annotations
@@ -111,45 +114,57 @@ class SearchResult:
         return out.getvalue()
 
 
-def _valid_flips(perm):
-    """All intervals [c, d], c < d, whose run is strictly increasing
-    (1-based positions)."""
-    n = len(perm)
-    res = []
-    for c in range(n):
-        for d in range(c + 1, n):
-            if perm[d] <= perm[d - 1]:
-                break
-            res.append((c + 1, d + 1))
-    return res
-
-
 def _apply(perm, c, d):
-    return perm[: c - 1] + tuple(reversed(perm[c - 1 : d])) + perm[d:]
+    return perm[: c - 1] + perm[c - 1 : d][::-1] + perm[d:]
 
 
 def _search(n: int, q2: int, goal=None) -> dict:
     """Breadth-first search from the identity on [1, n] over valid flips
     whose doubled deviation |c + d - (n + 1)| is at least q2.  Returns the
-    parent map ({state: (previous state, (c, d)) or None}) of every state
-    reached, stopping as soon as `goal` is."""
-    identity = tuple(range(1, n + 1))
+    parent map ({state: (c, d), or None for the identity}) of every state
+    reached, stopping as soon as `goal` is.
+
+    A state is the permutation's values as `bytes` (so n <= 255) and a
+    trailing 0 sentinel that ends its last increasing run.  One pass
+    over a state finds its maximal increasing runs; the valid flips are
+    exactly the intervals inside one run, and a table built once per call
+    holds, for each possible run, its admissible (c, d) with the slices
+    that cut a child out of the state, one shared entry per flip.  Runs
+    are taken left to right and each run's flips by c, then d, so
+    children are discovered in order of c, then d, and every state keeps
+    the parent the plain enumeration of intervals would give it.  Only
+    the flip is stored: a flip reverses an increasing run into a
+    decreasing one, and the same flip on the child reverses it back, so
+    re-applying the stored flips walks from any state back to the
+    identity.
+    """
+    identity = bytes(range(1, n + 1)) + b"\0"
     centre2 = n + 1
+    cuts = {(c, d): ((c, d), slice(c - 1),
+                     slice(d - 1, c - 2 if c > 1 else None, -1), slice(d, None))
+            for c in range(1, n + 1) for d in range(c + 1, n + 1)
+            if abs(c + d - centre2) >= q2}
+    runs = [[()] * n for _ in range(n)]
+    for s in range(n):
+        for e in range(s + 1, n):
+            runs[s][e] = tuple(cuts[c, d] for c in range(s + 1, e + 1)
+                               for d in range(c + 1, e + 2) if (c, d) in cuts)
     parent = {identity: None}
     frontier = [identity]
     while frontier:
         nxt = []
         for perm in frontier:
-            for c, d in _valid_flips(perm):
-                if abs(c + d - centre2) < q2:
-                    continue
-                child = _apply(perm, c, d)
-                if child in parent:
-                    continue
-                parent[child] = (perm, (c, d))
-                if child == goal:
-                    return parent
-                nxt.append(child)
+            s = 0
+            for i in range(n):
+                if perm[i] > perm[i + 1]:
+                    for cd, a, r, b in runs[s][i]:
+                        child = perm[a] + perm[r] + perm[b]
+                        if child not in parent:
+                            parent[child] = cd
+                            if child == goal:
+                                return parent
+                            nxt.append(child)
+                    s = i + 1
         frontier = nxt
     return parent
 
@@ -165,7 +180,9 @@ def search_best_deviation(n: int, mode: str = "single",
     at a time without changing any of their deviations, so single-flip
     reachability decides both modes; multi mode merely merges compatible
     consecutive flips in the reported witness.  Thresholds are kept
-    doubled, as integers.
+    doubled, as integers; c + d - (n + 1) takes every value from 2 - n to
+    n - 2.  `states_explored` is the size of the winning threshold's
+    parent map, the identity included.
     """
     if mode not in ("single", "multi"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -173,25 +190,25 @@ def search_best_deviation(n: int, mode: str = "single",
         raise ContractError("need n >= 1")
     if n > SEARCH_GUARD and not force:
         raise RefusalError(
-            f"n = {n} exceeds the guard {SEARCH_GUARD}; pass force to override")
-    identity = tuple(range(1, n + 1))
-    goal = tuple(range(n, 0, -1))
-    if identity == goal:
+            f"n = {n} exceeds the guard {SEARCH_GUARD}; pass force=True "
+            f"(--force on the command line) to override")
+    if n > 255:
+        raise RefusalError(f"n = {n} exceeds 255, the most values a search "
+                           f"state holds as bytes")
+    if n == 1:
         return SearchResult(n, INF, (), 1)
-    centre2 = n + 1
-    thresholds = sorted({abs(c + d - centre2) for c in range(1, n + 1)
-                         for d in range(c + 1, n + 1)}, reverse=True)
-    for q2 in thresholds:
+    goal = bytes(range(n, -1, -1))
+    for q2 in range(n - 2, -1, -1):
         parent = _search(n, q2, goal)
         if goal in parent:
             flips = []
-            cur = goal
-            while parent[cur] is not None:
-                prev, cd = parent[cur]
-                flips.append(cd)
-                cur = prev
+            state = goal
+            while parent[state] is not None:
+                c, d = parent[state]
+                flips.append((c, d))
+                state = _apply(state, c, d)
             flips.reverse()
-            steps = _witness_steps(identity, flips, mode)
+            steps = _witness_steps(tuple(range(1, n + 1)), flips, mode)
             return SearchResult(n, Fraction(q2, 2), tuple(steps), len(parent))
         del parent  # free it before the next search builds its own
     raise ContractError("no threshold admits the reversal; impossible")
@@ -230,7 +247,8 @@ def _witness_steps(identity, flips, mode):
 def reachable_states(n: int, min_deviation=Fraction(0)) -> set:
     """The permutations reachable from the identity using valid flips of
     at least the given deviation; the direct reachability baseline."""
-    return set(_search(n, math.ceil(2 * min_deviation)))
+    return {tuple(state[:-1])
+            for state in _search(n, math.ceil(2 * min_deviation))}
 
 
 def sample_balanced_block(size: int, r, seed: int = DEFAULT_SEED) -> Block:

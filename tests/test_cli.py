@@ -311,6 +311,7 @@ def test_cmd_search(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("3 1/2")
     assert run_cli("search", "--n", "9") == 3
+    assert "--force" in capsys.readouterr().err
     assert run_cli("search", "--n", "9", "--force") == 0
 
 
@@ -369,12 +370,23 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert err == b""
 
 
-def test_console_entry_point():
+def _run_module(*argv):
     package_root = os.path.dirname(os.path.dirname(allowseq.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "allowseq.cli", "search",
-                           "--n", "2"], capture_output=True, text=True,
-                          env=env)
+    return subprocess.run([sys.executable, "-m", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    proc = _run_module("allowseq.cli", "search", "--n", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("2 0/1")
+
+
+def test_package_runs_as_module():
+    proc = _run_module("allowseq", "search", "--n", "3")
+    assert proc.returncode == 0
+    golden = os.path.join(os.path.dirname(__file__), "golden", "search_n3.txt")
+    with open(golden) as fh:
+        assert proc.stdout == fh.read()

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 from fractions import Fraction
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from allowseq.engine import INF, FlipStep, verify_stream
 from allowseq.errors import ContractError, RefusalError
-from allowseq.oracle import (allowability_bruteforce, reachable_states,
-                             sample_balanced_block, search_best_deviation,
-                             width_dp, width_enumerate)
+from allowseq.oracle import (_search, allowability_bruteforce,
+                             reachable_states, sample_balanced_block,
+                             search_best_deviation, width_dp,
+                             width_enumerate)
 from allowseq.seqcore import (Block, Flip, Window, identity_sequence,
                               is_r_balanced, width, width_greedy)
 from conftest import five_element_steps, random_trace_material
@@ -80,8 +82,11 @@ def test_search_multi_mode_matches_single():
 
 
 def test_search_guard():
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match="force"):
         search_best_deviation(9)
+    # a search state holds its values as bytes, so force cannot lift this
+    with pytest.raises(RefusalError, match="255"):
+        search_best_deviation(256, force=True)
     with pytest.raises(ContractError):
         search_best_deviation(3, mode="parallel")
 
@@ -104,6 +109,49 @@ def test_search_exhaustive_against_direct_bfs():
             assert goal not in reachable_states(n, min(higher))
 
 
+def _valid_flips(perm):
+    """All intervals [c, d], c < d, whose run is strictly increasing
+    (1-based positions)."""
+    n = len(perm)
+    res = []
+    for c in range(n):
+        for d in range(c + 1, n):
+            if perm[d] <= perm[d - 1]:
+                break
+            res.append((c + 1, d + 1))
+    return res
+
+
+def reference_search(n, q2):
+    """The search by plain enumeration of intervals over tuple states,
+    kept as the independent oracle for `_search`: {state: (previous
+    state, (c, d)) or None} for every state reached."""
+    identity = tuple(range(1, n + 1))
+    parent = {identity: None}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for perm in frontier:
+            for c, d in _valid_flips(perm):
+                if abs(c + d - (n + 1)) < q2:
+                    continue
+                child = perm[: c - 1] + perm[c - 1 : d][::-1] + perm[d:]
+                if child in parent:
+                    continue
+                parent[child] = (perm, (c, d))
+                nxt.append(child)
+        frontier = nxt
+    return parent
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_search_matches_reference(n):
+    for q2 in range(2 if n == 9 else 0, n):
+        expected = {bytes(state) + b"\0": link and link[1]
+                    for state, link in reference_search(n, q2).items()}
+        assert _search(n, q2) == expected
+
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -111,6 +159,17 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 def test_search_matches_golden_byte_for_byte(n):
     text = (GOLDEN / f"search_n{n}.txt").read_text()
     assert search_best_deviation(n).to_text() == text
+
+
+@pytest.mark.parametrize("n, mode, force, digest", [
+    (8, "single", False, "b77bf2167dbdacf0"),
+    (8, "multi", False, "bffd65a1b260fac3"),
+    (9, "single", True, "b6bb603c10d7ed2c"),
+])
+def test_search_text_pinned(n, mode, force, digest):
+    # the cases perfbench's search workload times
+    text = search_best_deviation(n, mode=mode, force=force).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_sampler_reproducible_and_balanced():
