@@ -20,8 +20,9 @@ from .construction import (ConstructionFailure, full_construction,
                            recursive_step, reflect, reflect_instance,
                            reflect_mirrored, shift, shift_instance,
                            step_instance)
-from .engine import (INF, MAGIC, FileSink, TraceParseError, iter_trace_file,
-                     parse_trace, serialize_trace, verify_stream)
+from .engine import (INF, MAGIC, FileSink, StatsSink, TraceParseError,
+                     iter_trace_file, parse_trace, serialize_trace,
+                     verify_stream)
 from .errors import ConstructionBug, ContractError, RefusalError
 from .geom import (circular_sequence, deviation_imbalance_link,
                    line_imbalances, parse_points, render_points_svg,
@@ -118,7 +119,7 @@ def _construct(args, n) -> int:
     t = args.t
     started = time.perf_counter()
     with (open(args.out, "w") if args.out else nullcontext()) as out_fh:
-        sink = FileSink(out_fh) if out_fh else None
+        sink = FileSink(out_fh) if out_fh else StatsSink()
         if args.stage == "full":
             result = full_construction(t, args.d, args.k,
                                        max_cells=_max_cells(args), sink=sink)

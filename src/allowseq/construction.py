@@ -8,12 +8,13 @@ decomposition, the recursive growth step, and the full pipeline from an
 identity sequence to its reversal.
 
 Positions are absolute throughout; the window is always [-t, t].  Region
-bookkeeping inside the recursive step uses a SegmentMap: an ordered list
-of named, sized segments tiling the working span, mirroring the block
-concatenation expressions the procedures reason in.  Every physical move
-derives its intervals from the map immediately before emitting, so the
-map stays the single source of truth for where things are, and every
-move is re-validated on concrete values by the recorder.
+bookkeeping inside the recursive step, and right of the window in the
+finish phase, uses a SegmentMap: an ordered list of named, sized segments
+tiling the working span, mirroring the block concatenation expressions
+the procedures reason in.  Every physical move there derives its
+intervals from the map immediately before emitting, so the map stays the
+single source of truth for where things are, and every move is
+re-validated on concrete values by the recorder.
 """
 
 from __future__ import annotations
@@ -875,36 +876,46 @@ class ConstructionFailure:
         return False
 
 
-def _finish_pipeline(rec, layout, xprime_iv, j_iv, r):
-    """From X' ^ L ^ W ^ A ^ B ^ R (J parked at the far right) to the full
-    reversal: decompose B, reflect each positive piece across the window,
-    bring J back to the centre, and sort both sides decreasing."""
+def finish_pipeline(rec, layout, r):
+    """From X' ^ L ^ W ^ A ^ B ^ R ^ J to the decreasing arrangement:
+    decompose B, carry each positive piece across the window, bring the
+    parked piece J back to the centre, and sort both sides decreasing.
+
+    X' is [rec.lo, L[0] - 1] and J is [R[1] + 1, rec.hi]; A is the window
+    and B starts at t+1.  The phase needs B r-balanced with every
+    decomposed piece holding at least T+4t+2 negatives and the last one
+    2T+4t+2 (r >= 3T+1 gives both), X' increasing with |X'| = |B+|,
+    |J| = 2t+1, and the values ordered
+    X' < A < B- < R < J < L < W < B+.  When the values tile [-b, b], J is
+    (t, ..., -t) and the decreasing end state is the reversal of the
+    identity; the phase checks that it ends strictly decreasing."""
     t = rec.t
     T = 3 ** (2 * t)
     b_iv = layout.B
     block = Block(rec.values(*b_iv))
+    if not any(v > 0 for v in block):
+        raise ConstructionBug("B has no positive values",
+                              rec.annotation_stack())
     dec = decompose_balanced(block, r)
     with rec.annotate("apply decomposition"):
-        for c in dec.schedule:
-            rec.emit_flip(b_iv[0] + c - 1, b_iv[0] + c)
-    sm = SegmentMap(b_iv[0], [(f"C{i}", len(blk))
-                              for i, blk in enumerate(dec.blocks, start=1)])
+        rec.rearrange_region(b_iv, dec.result.values)
     mcount = dec.k
-    # Carve Z (the top 3^(2t) negatives) out of the last piece.
     last = f"C{mcount}"
+    sm = SegmentMap(t + 1, [(f"C{i}", len(blk))
+                            for i, blk in enumerate(dec.blocks, start=1)]
+                    + [("R", _ivlen(layout.R)), ("J", rec.hi - layout.R[1])])
+    # Carve Z (the top 3^(2t) negatives) out of the last piece.
     lastv = rec.values(*sm.iv(last))
     nneg = sum(1 for v in lastv if v < 0)
     if nneg < 2 * T + 4 * t + 2:
         raise ConstructionBug("last piece too negative-poor to carve Z",
                               rec.annotation_stack())
-    zname = "Z"
-    sm.replace([last], [(last + "a", nneg - T), (zname, T),
-                        (last + "b", len(lastv) - nneg)])
-    _move_segments(rec, sm, [zname], after=last + "b")
-    sm.replace([last + "a", last + "b"], [(last, len(lastv) - T)])
+    sm.replace([last], [(last, nneg - T), ("Z", T),
+                        ("F", len(lastv) - nneg)])
+    _move_segments(rec, sm, ["F"], after=last)
+    sm.replace([last, "F"], [(last, len(lastv) - T)])
 
-    pnames = []
-    cursor = xprime_iv[1]
+    cursor = layout.L[0] - 1
     for i in range(1, mcount + 1):
         ci = f"C{i}"
         civ = rec.values(*sm.iv(ci))
@@ -913,10 +924,7 @@ def _finish_pipeline(rec, layout, xprime_iv, j_iv, r):
         if neg < T + 4 * t + 2:
             raise ConstructionBug(f"piece {i} has too few negatives ({neg})",
                                   rec.annotation_stack())
-        if fsize == 0:
-            raise ConstructionBug(f"piece {i} has no positive values",
-                                  rec.annotation_stack())
-        if cursor - fsize + 1 < xprime_iv[0]:
+        if cursor - fsize + 1 < rec.lo:
             raise ConstructionBug("X' exhausted before the last piece",
                                   rec.annotation_stack())
         with rec.annotate(f"carry piece {i} across"):
@@ -928,28 +936,26 @@ def _finish_pipeline(rec, layout, xprime_iv, j_iv, r):
             reflect(rec, x_i, (-t, t), (clo, clo + neg - 1),
                     (clo + neg, clo + neg + fsize - 1))
             # The window now holds the top 2t+1 negatives of the piece
-            # reversed; F-bar landed on the X_i span; P_i fills the piece.
-            pname = f"P{i}"
-            sm.replace([ci], [(pname, len(civ))])
+            # reversed; F-bar landed on the X_i span; the rest stays in
+            # the piece's segment, which parks behind the last piece.
             if i < mcount:
-                _move_segments(rec, sm, [pname], after=f"C{mcount}")
-            pnames.insert(0, pname)
-    if cursor != xprime_iv[0] - 1:
+                _move_segments(rec, sm, [ci], after=last)
+    if cursor != rec.lo - 1:
         raise ConstructionBug("X' size does not match the positive total",
                               rec.annotation_stack())
 
     with rec.annotate("recentre the parked piece"):
-        # State right of the window: P_m .. P_1 ^ Z ^ R ^ J.
-        jlen = _ivlen(j_iv)
-        z_iv = sm.iv(zname)
-        rec.swap_adjacent_blocks((t + 1, z_iv[0] - 1), z_iv)
-        # J leftward over R and the P pieces, landing right of Z.
-        rec.swap_adjacent_blocks((t + 1 + T, j_iv[0] - 1), j_iv)
-        shift(rec, (-t, t), (t + 1, t + T), (t + T + 1, t + T + jlen))
+        # Right of the window: C_m .. C_1 ^ Z ^ R ^ J.
+        _move_segments(rec, sm, ["Z"])
+        _move_segments(rec, sm, ["J"], after="Z")
+        shift(rec, (-t, t), sm.iv("Z"), sm.iv("J"))
 
     with rec.annotate("final sorts"):
         rec.sort_region_decreasing((rec.lo, -t - 1))
         rec.sort_region_decreasing((t + 1, rec.hi))
+    if not _strictly_increasing(rec.values(rec.lo, rec.hi)[::-1]):
+        raise ConstructionBug("the finish phase did not end decreasing",
+                              rec.annotation_stack())
 
 
 def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
@@ -985,10 +991,5 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
         # Park the piece now on [t+1, 3t+1] beyond Y.
         rec.swap_adjacent_blocks((t + 1, 3 * t + 1), (3 * t + 2, b))
         layout = recursive_step(rec, d, k, 1).layout
-        _finish_pipeline(rec, layout, xprime_iv=(-b, -t - table.x_exact - 1),
-                         j_iv=(b - 2 * t, b), r=table.ratio)
-    final = rec.values(rec.lo, rec.hi)
-    if list(final) != list(range(b, -b - 1, -1)):
-        raise ConstructionBug("pipeline did not reach the reversal",
-                              rec.annotation_stack())
+        finish_pipeline(rec, layout, table.ratio)
     return rec

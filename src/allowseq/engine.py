@@ -115,10 +115,6 @@ class Trace:
     steps: tuple
     annotations: tuple = ()
 
-    @property
-    def t(self) -> int:
-        return self.window.t
-
 
 class ListSink:
     """Retains every step and annotation event; supports conversion to a
@@ -147,8 +143,6 @@ class ListSink:
 class StatsSink:
     """Keeps nothing; the recorder's own aggregates are the record."""
 
-    steps = None
-
     def on_step(self, flips):
         pass
 
@@ -161,8 +155,6 @@ class FileSink:
     """The trace file writer.  Streams a whole trace file to an open text
     handle: the header as soon as the recorder announces its initial
     state, then step and annotation lines as they happen."""
-
-    steps = None
 
     def __init__(self, fh):
         self.fh = fh

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm, log10
 from typing import Iterable
 
-from .engine import FlipStep, TraceRecorder, Trace
+from .engine import FlipStep, Trace, TraceRecorder, flip_imbalance
 from .errors import ContractError
 from .seqcore import CentredSequence, Flip, Window
 
@@ -227,7 +227,7 @@ def deviation_imbalance_link(ps: PointSet) -> bool:
                 right += 1
             else:
                 return False
-        if abs(left - right) != abs(n - f.d - f.c + 1):
+        if abs(left - right) != flip_imbalance(n, f):
             return False
     return True
 

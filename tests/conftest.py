@@ -53,29 +53,43 @@ SYNTHETIC_MIDDLES = {
 }
 
 
+def finishing_state(middle, t, r_size, l_size=None, x_size=None):
+    """X' ^ L ^ W ^ A ^ B ^ R ^ J around the middle block B, A on the
+    window [-t, t] and B from t+1, with the values relabelled by rank so
+    that X' < A < B- < R < J < L < W < B+ and J = (t, ..., -t).
+
+    |X'| defaults to |B+| and |L| to half of |L| + |W|, which is fixed by
+    the middle so that the values tile [-b, b]; another |X'| keeps every
+    class in place but shifts the left end of the domain.  Returns the
+    initial sequence and the layout the finish phase reads."""
+    neg = sorted(v for v in middle if v < 0)
+    pos = sorted(v for v in middle if v > 0)
+    x = len(pos) if x_size is None else x_size
+    lw = len(neg) + r_size + 2 * t + 1
+    l_size = lw // 2 if l_size is None else l_size
+    sizes = [x, 2 * t + 1, len(neg), r_size, 2 * t + 1, l_size,
+             lw - l_size, len(pos)]
+    classes = []
+    v = -(x + 3 * t + 1 + len(neg) + r_size)
+    for size in sizes:
+        classes.append(list(range(v, v + size)))
+        v += size
+    xs, a, bneg, r, j, left, w, bpos = classes
+    rank = dict(zip(neg, bneg)) | dict(zip(pos, bpos))
+    vals = xs + left + w + a + [rank[v] for v in middle] + r + j[::-1]
+    lo = -t - x - lw
+    b_end = t + len(middle)
+    layout = StepLayout(L=(lo + x, lo + x + l_size - 1),
+                        W=(lo + x + l_size, -t - 1), A=(-t, t),
+                        B=(t + 1, b_end), R=(b_end + 1, b_end + r_size))
+    return CentredSequence(lo, vals), layout
+
+
 def synthetic_finishing_state(middle):
-    """A hand-built X' ^ L ^ W ^ A ^ B ^ R ^ J state at t = 1 around the
-    given middle block B, with values tiling [-76, 76]."""
-    t, b = 1, 76
-    vals = {}
-    for i, pos in enumerate(range(-76, -70)):
-        vals[pos] = -76 + i
-    for i, pos in enumerate(range(-70, -40)):
-        vals[pos] = 2 + i
-    for i, pos in enumerate(range(-40, -1)):
-        vals[pos] = 32 + i
-    for i, pos in enumerate(range(-1, 2)):
-        vals[pos] = -70 + i
-    for i, pos in enumerate(range(2, 64)):
-        vals[pos] = middle[i]
-    for i, pos in enumerate(range(64, 74)):
-        vals[pos] = -11 + i
-    for i, pos in enumerate(range(74, 77)):
-        vals[pos] = 1 - i
-    seq = CentredSequence(-b, [vals[p] for p in range(-b, b + 1)])
-    layout = StepLayout(L=(-70, -41), W=(-40, -2), A=(-1, 1), B=(2, 63),
-                        R=(64, 73))
-    return seq, layout, t
+    """The hand-built state at t = 1 around one of SYNTHETIC_MIDDLES:
+    |R| = 10 and |L| = 30, values tiling [-76, 76], the middle's values
+    kept as they are."""
+    return (*finishing_state(middle, 1, r_size=10, l_size=30), 1)
 
 
 @pytest.fixture

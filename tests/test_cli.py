@@ -211,6 +211,21 @@ def test_cmd_construct_then_verify(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_cmd_construct_without_out_keeps_no_trace(monkeypatch, capsys):
+    def no_list_sink():
+        raise AssertionError("construct without --out built a ListSink")
+
+    monkeypatch.setattr(allowseq.engine, "ListSink", no_list_sink)
+    for stage, extra, code in (
+            ("shift", [], 0), ("reflect", [], 0), ("reflect-mirrored", [], 0),
+            ("step", ["--d", "9", "--k", "1", "--lenient"], 0),
+            ("full", ["--d", "9", "--k", "1"], 1)):
+        assert run_cli("construct", "--stage", stage, "--t", "0",
+                       *extra) == code, stage
+        out = capsys.readouterr().out
+        assert ("flips=" if code == 0 else "structured failure") in out
+
+
 def test_cmd_construct_full_failure(capsys):
     code = run_cli("construct", "--stage", "full", "--t", "0", "--d", "9",
                    "--k", "1", "--machine")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from allowseq.construction import (ConstructionFailure, Decomposition,
                                    MirrorView, SegmentMap,
-                                   _finish_pipeline, decompose_balanced,
+                                   decompose_balanced, finish_pipeline,
                                    full_construction, rearrangement_transpositions,
                                    recursive_step, reflect, reflect_instance,
                                    reflect_mirrored, shift, shift_instance,
@@ -19,7 +19,8 @@ from allowseq.planner import SizePlan
 from allowseq.seqcore import (Block, CentredSequence, Flip, Window,
                               apply_block_flip, is_r_balanced,
                               is_valid_flip_block, width)
-from conftest import SYNTHETIC_MIDDLES, synthetic_finishing_state
+from conftest import (SYNTHETIC_MIDDLES, finishing_state,
+                      synthetic_finishing_state)
 
 
 # -- shifting ---------------------------------------------------------------
@@ -279,8 +280,7 @@ def _finish_synthetic(middle):
     seq, layout, t = synthetic_finishing_state(middle)
     assert is_r_balanced(Block(seq.values[78:140]), 28).balanced
     rec = TraceRecorder(seq, Window(t))
-    _finish_pipeline(rec, layout, xprime_iv=(-76, -71), j_iv=(74, 76),
-                     r=Fraction(28))
+    finish_pipeline(rec, layout, Fraction(28))
     assert rec.values(rec.lo, rec.hi) == tuple(range(76, -77, -1))
     rep = verify_trace(rec)
     assert rep.allowable and rep.all_valid
@@ -302,6 +302,49 @@ def test_finishing_pipeline_applies_decomposition():
     assert rec.flip_count == 3698
     assert rec.to_trace().annotations[:2] == (
         (0, 1, "begin apply decomposition"), (29, 1, "end apply decomposition"))
+
+
+def _finish_generated(middle, t, r, **sizes):
+    seq, layout = finishing_state(middle, t, **sizes)
+    rec = TraceRecorder(seq, Window(t))
+    finish_pipeline(rec, layout, r)
+    return rec
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("t", [0, 1])
+def test_finishing_pipeline_on_generated_states(t, seed):
+    r = 3 * 3 ** (2 * t) + 1
+    middle = sample_balanced_block(6 * (r + 1) + seed, r, seed)
+    rec = _finish_generated(middle.values, t, r, r_size=seed % 4)
+    assert rec.values(rec.lo, rec.hi) == tuple(range(rec.hi, rec.lo - 1, -1))
+    rep = verify_trace(rec)
+    assert rep.allowable and rep.all_valid
+    assert rep.flip_count == rec.flip_count
+    assert rep.min_deviation == rec.min_deviation == Fraction(2 * t + 1, 2)
+
+
+def _negatives_per_piece(middle, r):
+    return [sum(1 for v in blk if v < 0)
+            for blk in decompose_balanced(middle, r).blocks]
+
+
+def test_finishing_pipeline_refuses_broken_states():
+    def refused(middle, r, message, **sizes):
+        with pytest.raises(ConstructionBug, match=message):
+            _finish_generated(middle.values, 1, r, r_size=3, **sizes)
+
+    refused(Block(range(-30, 0)), 28, "B has no positive values")
+    poor = sample_balanced_block(102, 16, 0)
+    assert _negatives_per_piece(poor, 16)[-1] < 24
+    refused(poor, 16, "last piece too negative-poor")
+    thin = sample_balanced_block(90, 14, 4)
+    assert _negatives_per_piece(thin, 14) == [14, 49]
+    refused(thin, 14, r"piece 1 has too few negatives \(14\)")
+    middle = sample_balanced_block(174, 28, 3)
+    bplus = sum(1 for v in middle if v > 0)
+    refused(middle, 28, "X' exhausted", x_size=bplus - 1)
+    refused(middle, 28, "X' size does not match", x_size=bplus + 1)
 
 
 def test_mirror_view_round_trip():

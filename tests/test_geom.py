@@ -1,3 +1,4 @@
+import pathlib
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -261,6 +262,21 @@ def test_sweep_events_of_a_degenerate_set():
         (((7, 8),), ((1, 4),)),
         (((1, 3), (4, 6), (8, 10)), ((8, 9, 10), (5, 6, 7), (1, 2, 3))),
     ]
+
+
+def test_points_n12_reach_line_imbalance_two():
+    # Twelve points whose every line has imbalance >= 2; no smaller set
+    # can, since its half period would be such an allowable sequence.
+    text = (pathlib.Path(__file__).parent / "golden"
+            / "points_n12_m2.pts").read_text()
+    ps = parse_points(text)
+    records, mn = line_imbalances(ps)
+    assert (len(ps), mn, len(records)) == (12, 2, 36)
+    assert sum(len(r.labels) == 4 for r in records) == 6
+    assert_matches_oracles(ps)
+    rep = verify_trace(circular_sequence(ps).to_trace())
+    assert rep.all_valid and rep.reaches_reversal
+    assert rep.min_deviation == 1
 
 
 def test_geometry_edge_cases():

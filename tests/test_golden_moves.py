@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from allowseq.construction import (_finish_pipeline, recursive_step, reflect,
+from allowseq.construction import (finish_pipeline, recursive_step, reflect,
                                    reflect_instance, reflect_mirrored, shift,
                                    shift_instance, step_instance)
 from allowseq.engine import FileSink, TraceRecorder
@@ -75,6 +75,5 @@ def test_finishing_pipeline_move_order(name):
     seq, layout, t = synthetic_finishing_state(SYNTHETIC_MIDDLES[name])
     out = io.StringIO()
     rec = TraceRecorder(seq, Window(t), sink=FileSink(out))
-    _finish_pipeline(rec, layout, xprime_iv=(-76, -71), j_iv=(74, 76),
-                     r=Fraction(28))
+    finish_pipeline(rec, layout, Fraction(28))
     assert _digest(out.getvalue()) == FINISH_PINS[name]

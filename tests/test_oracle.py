@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allowseq.engine import INF, FlipStep, verify_stream
+from allowseq.engine import INF, FlipStep, iter_trace_file, verify_stream
 from allowseq.errors import ContractError, RefusalError
 from allowseq.oracle import (_search, allowability_bruteforce,
                              reachable_states, sample_balanced_block,
@@ -170,6 +170,19 @@ def test_search_text_pinned(n, mode, force, digest):
     # the cases perfbench's search workload times
     text = search_best_deviation(n, mode=mode, force=force).to_text()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_pseudoline_witness_n12_reaches_imbalance_two():
+    # The least n with an allowable sequence whose every flip has
+    # imbalance |c + d - (n + 1)| >= 2, found by the exhaustive search.
+    with open(GOLDEN / "witness_n12_m2.trace") as fh:
+        (window, initial), steps = iter_trace_file(fh)
+        steps = list(steps)
+    rep = verify_stream(initial, window, steps)
+    assert rep.allowable and rep.all_valid and rep.reaches_reversal
+    assert (initial.lo, initial.hi, rep.flip_count) == (1, 12, 36)
+    assert rep.min_deviation == 1
+    assert allowability_bruteforce(steps, initial)
 
 
 def test_sampler_reproducible_and_balanced():
