@@ -28,7 +28,7 @@ from .geom import (circular_sequence, deviation_imbalance_link,
                    line_imbalances, parse_points, render_points_svg,
                    render_trace_svg)
 from .oracle import SEARCH_GUARD, search_best_deviation
-from .planner import plan_sizes
+from .planner import MAX_CELLS, plan_sizes
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,7 +92,7 @@ def _max_cells(args):
             return int(env)
         except ValueError:
             raise ContractError(f"ALLOWSEQ_MAX_CELLS={env!r} is not an integer")
-    return 10**8
+    return MAX_CELLS
 
 
 def cmd_construct(args) -> int:

@@ -10,10 +10,11 @@ identity sequence to its reversal.
 Positions are absolute throughout; the window is always [-t, t].  Region
 bookkeeping inside the recursive step, and right of the window in the
 finish phase, uses a SegmentMap: an ordered list of named, sized segments
-tiling the working span, mirroring the block concatenation expressions
-the procedures reason in.  Every physical move there derives its
-intervals from the map immediately before emitting, so the map stays the
-single source of truth for where things are, and every move is
+tiling the working span of one recorder, mirroring the block
+concatenation expressions the procedures reason in.  `SegmentMap.move` is
+the only segment move: it derives the swapped intervals from the map,
+emits the block swap and reorders the map in one call, so the map stays
+the single source of truth for where things are, and every move is
 re-validated on concrete values by the recorder.
 """
 
@@ -25,8 +26,8 @@ from typing import Optional
 
 from .engine import TraceRecorder
 from .errors import ConstructionBug, ContractError
-from .planner import (RecurrenceTable, SizePlan, alpha_closed, beta_closed,
-                      plan_sizes, shift_thresholds)
+from .planner import (MAX_CELLS, RecurrenceTable, SizePlan, alpha_closed,
+                      beta_closed, plan_sizes, shift_thresholds)
 from .seqcore import (Block, CentredSequence, Window,
                       _strictly_increasing, identity_sequence, is_r_balanced,
                       width, width_greedy)
@@ -77,9 +78,6 @@ class MirrorView:
 
     def values(self, lo, hi):
         return tuple(-v for v in reversed(self.rec.values(-hi, -lo)))
-
-    def value_at(self, pos):
-        return -self.rec.value_at(-pos)
 
     def emit_flip(self, c, d):
         self.rec.emit_flip(-d, -c)
@@ -224,29 +222,9 @@ def reflect_mirrored(tr, x_iv, a_iv, b_iv, c_iv):
 # Balanced decomposition (block level; no window involved).
 
 
-def rearrangement_transpositions(current, target):
-    """Adjacent transpositions (0-based left index, in order) realizing
-    target from current, each swapping an ascending pair.  Raises when the
-    reordering would need a descending swap."""
-    cur = list(current)
-    out = []
-    placed = len(cur)
-    for v in reversed(list(target)):
-        idx = cur.index(v)
-        while idx < placed - 1:
-            if cur[idx] >= cur[idx + 1]:
-                raise ContractError("rearrangement needs a non-ascending swap")
-            cur[idx], cur[idx + 1] = cur[idx + 1], cur[idx]
-            out.append(idx)
-            idx += 1
-        placed -= 1
-    return out
-
-
 @dataclass(frozen=True)
 class Decomposition:
     blocks: tuple      # resulting increasing blocks, left to right
-    schedule: tuple    # 1-based size-2 block flips, as Flip start positions
     result: Block      # concatenation of blocks
 
     @property
@@ -259,7 +237,10 @@ def decompose_balanced(b: Block, r) -> Decomposition:
     block flips: every C_i increasing, |C_i^-| >= floor(r), the negative
     parts ordered left to right, and k = width of the positive part.
 
-    A block with no positive values is returned whole (k = 1)."""
+    The target is reached by TraceRecorder.rearrange_region, which
+    realizes it by ascending transpositions (size-2 block flips) and
+    rejects any reordering that would need a descending one.  A block with
+    no positive values is returned whole (k = 1)."""
     r = Fraction(r)
     report = is_r_balanced(b, r)
     if not report.balanced:
@@ -269,7 +250,7 @@ def decompose_balanced(b: Block, r) -> Decomposition:
     pos_vals = [v for v in b if v > 0]
     neg_vals = [v for v in b if v < 0]
     if not pos_vals:
-        return Decomposition((b,), (), b)
+        return Decomposition((b,), b)
     r_int = int(r)
     k, chains = width_greedy(Block(pos_vals))
     chain_vals = [[pos_vals[i] for i in chain] for chain in chains]
@@ -280,10 +261,8 @@ def decompose_balanced(b: Block, r) -> Decomposition:
         else:
             negs = neg_vals[(k - 1) * r_int :]
         parts.append(negs + chain_vals[j])
-    target = [v for part in parts for v in part]
-    starts = rearrangement_transpositions(b.values, target)
     return Decomposition(tuple(Block(part) for part in parts),
-                         tuple(c + 1 for c in starts), Block(target))
+                         Block(v for part in parts for v in part))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +270,11 @@ def decompose_balanced(b: Block, r) -> Decomposition:
 
 
 class SegmentMap:
-    """Named, sized segments tiling [lo, lo + total - 1], in order."""
+    """Named, sized segments tiling [lo, lo + total - 1] of a recorder, in
+    order.  Names are any hashable values, unique within one map."""
 
-    def __init__(self, lo, segs):
+    def __init__(self, rec, lo, segs):
+        self.rec = rec
         self.lo = lo
         self.order = []
         self.sizes = {}
@@ -321,6 +302,13 @@ class SegmentMap:
             self._starts = starts
             self._end = pos - 1
 
+    def _run(self, names, what):
+        """Index of names[0], after checking that names sit contiguously."""
+        i = self.order.index(names[0])
+        if self.order[i : i + len(names)] != list(names):
+            raise ContractError(f"{what} needs a contiguous run")
+        return i
+
     def iv(self, name):
         self._ensure()
         s = self._starts[name]
@@ -335,9 +323,7 @@ class SegmentMap:
 
     def replace(self, names, pieces):
         """Replace a contiguous run of segments by new ones, same total."""
-        idxs = [self.order.index(n) for n in names]
-        if idxs != list(range(idxs[0], idxs[0] + len(idxs))):
-            raise ContractError("replace needs a contiguous run")
+        i = self._run(names, "replace")
         total = sum(self.sizes[n] for n in names)
         if total != sum(s for _, s in pieces):
             raise ContractError("replace must preserve total size")
@@ -348,41 +334,33 @@ class SegmentMap:
             if n in self.sizes:
                 raise ContractError(f"duplicate segment {n}")
             self.sizes[n] = s
-        self.order[idxs[0] : idxs[0] + len(idxs)] = [n for n, _ in keep]
+        self.order[i : i + len(names)] = [n for n, _ in keep]
         self._starts = None
 
-    def move_run(self, names, after=None):
-        """Reorder names to sit right after `after`, or first when None."""
-        taken = set(names)
-        rest = [n for n in self.order if n not in taken]
-        pos = 0 if after is None else rest.index(after) + 1
-        self.order = rest[:pos] + list(names) + rest[pos:]
+    def move(self, names, after=None):
+        """Move a contiguous run of segments to sit right after `after`
+        (first when None): one block swap on the recorder with the
+        segments it crosses, then the same reorder of the map."""
+        i = self._run(names, "move")
+        j = i + len(names)
+        if after in names:
+            raise ContractError(f"move cannot land after {after}, "
+                                "a segment of its own run")
+        dest = 0 if after is None else self.order.index(after) + 1
+        run = self.span(names[0], names[-1])
+        if dest < i:
+            self.rec.swap_adjacent_blocks(
+                self.span(self.order[dest], self.order[i - 1]), run)
+            self.order[dest:j] = self.order[i:j] + self.order[dest:i]
+        elif dest > j:
+            self.rec.swap_adjacent_blocks(
+                run, self.span(self.order[j], self.order[dest - 1]))
+            self.order[i:dest] = self.order[j:dest] + self.order[i:j]
         self._starts = None
 
     def total_span(self):
         self._ensure()
         return (self.lo, self._end)
-
-
-def _move_segments(rec, sm, names, after=None):
-    """Physically move a contiguous segment run so it lands immediately
-    after `after` (at the front when None), then update the map."""
-    first, last = names[0], names[-1]
-    idxs = [sm.order.index(n) for n in names]
-    if idxs != list(range(idxs[0], idxs[0] + len(idxs))):
-        raise ContractError("_move_segments needs a contiguous run")
-    run_iv = sm.span(first, last)
-    dest_idx = 0 if after is None else sm.order.index(after) + 1
-    cur_idx = idxs[0]
-    if dest_idx == cur_idx:
-        return
-    if dest_idx < cur_idx:
-        crossed_iv = sm.span(sm.order[dest_idx], sm.order[cur_idx - 1])
-        rec.swap_adjacent_blocks(crossed_iv, run_iv)
-    else:
-        crossed_iv = sm.span(sm.order[idxs[-1] + 1], sm.order[dest_idx - 1])
-        rec.swap_adjacent_blocks(run_iv, crossed_iv)
-    sm.move_run(names, after)
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +404,13 @@ class StepOutcome:
         return all(c.passed for c in self.certificates)
 
 
-class _StepEnv:
-    def __init__(self, rec, d):
-        self.rec = rec
-        self.t = rec.t
-        self.T = 3 ** (2 * self.t)
-        self.d = d
-        self.plan = SizePlan(self.t, d)
-        self._counter = 0
-
-    def fresh(self, tag):
-        self._counter += 1
-        return f"{tag}.{self._counter}"
-
-
-def _entry_checks(env, k, n, x_iv, y_iv, depth):
-    rec = env.rec
-    t = env.t
+def _entry_checks(rec, plan, k, n, x_iv, y_iv, depth):
+    t = plan.t
     problem = None
-    if _ivlen(x_iv) != env.plan.x(n, k):
-        problem = f"|X| = {_ivlen(x_iv)} but the planner wants {env.plan.x(n, k)}"
-    elif _ivlen(y_iv) != env.plan.y(n, k):
-        problem = f"|Y| = {_ivlen(y_iv)} but the planner wants {env.plan.y(n, k)}"
+    if _ivlen(x_iv) != plan.x(n, k):
+        problem = f"|X| = {_ivlen(x_iv)} but the planner wants {plan.x(n, k)}"
+    elif _ivlen(y_iv) != plan.y(n, k):
+        problem = f"|Y| = {_ivlen(y_iv)} but the planner wants {plan.y(n, k)}"
     elif x_iv[1] != -t - 1 or y_iv[0] != t + 1:
         problem = "X and Y must be adjacent to the window"
     else:
@@ -469,10 +432,11 @@ def _entry_checks(env, k, n, x_iv, y_iv, depth):
                               rec.annotation_stack())
 
 
-def _rstep(env, k, n, x_iv, y_iv, depth):
-    rec = env.rec
-    t, T, d = env.t, env.T, env.d
-    _entry_checks(env, k, n, x_iv, y_iv, depth)
+def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
+    """One level of the growth step.  Segments are named by fixed strings
+    or (tag, i) pairs; each call keeps its own map, so they stay unique."""
+    t, T, d = plan.t, plan.T, plan.d
+    _entry_checks(rec, plan, k, n, x_iv, y_iv, depth)
     win = (-t, t)
 
     if k == 0:
@@ -490,24 +454,18 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
                           B=(t + 1, t + pos_count),
                           R=(t + pos_count + 1, y_iv[1]))
 
-    m = env.plan.m(k)
-    p = env.plan.p(k)
-    x1 = env.plan.x(n + 1, k - 1)
-    y1 = env.plan.y(n + 1, k - 1)
+    m = plan.m(k)
+    p = plan.p(k)
+    x1 = plan.x(n + 1, k - 1)
+    y1 = plan.y(n + 1, k - 1)
     u = T + 4 * t + 2
-    F = env.fresh
 
-    xp = F("Xp")
-    P = {i: F(f"P{i}") for i in range(1, d + 1)}
-    Q = {i: F(f"Q{i}") for i in range(1, d + 1)}
-    win_seg = F("WIN")
-    yp = F("Yp")
-    segs = [(xp, p + 2 * t + 1)]
-    segs += [(P[i], x1) for i in range(d, 0, -1)]
-    segs += [(win_seg, 2 * t + 1)]
-    segs += [(Q[i], y1) for i in range(1, d + 1)]
-    segs += [(yp, _ivlen(y_iv) - d * y1)]
-    sm = SegmentMap(x_iv[0], segs)
+    segs = [("Xp", p + 2 * t + 1)]
+    segs += [(("P", i), x1) for i in range(d, 0, -1)]
+    segs += [("WIN", 2 * t + 1)]
+    segs += [(("Q", i), y1) for i in range(1, d + 1)]
+    segs += [("Yp", _ivlen(y_iv) - d * y1)]
+    sm = SegmentMap(rec, x_iv[0], segs)
     if sm.total_span() != (x_iv[0], y_iv[1]):
         raise ConstructionBug("segment map does not tile the working span",
                               rec.annotation_stack())
@@ -516,29 +474,27 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
     Ls, Ws, Bs, Rs = [], [], [], []
     with rec.annotate(f"step k={k}: repeat level {k-1} x{d}"):
         for i in range(1, d + 1):
-            sub = _rstep(env, k - 1, n + 1, sm.iv(P[i]), sm.iv(Q[i]), depth + 1)
+            sub = _rstep(rec, plan, k - 1, n + 1, sm.iv(("P", i)),
+                         sm.iv(("Q", i)), depth + 1)
             sizes = sub.region_sizes()
-            Li, Wi = F(f"L{i}"), F(f"W{i}")
-            Bi, Ri = F(f"B{i}"), F(f"R{i}")
-            sm.replace([P[i]], [(Li, sizes["L"]), (Wi, sizes["W"])])
-            sm.replace([Q[i]], [(Bi, sizes["B"]), (Ri, sizes["R"])])
+            Li, Wi, Bi, Ri = ("L", i), ("W", i), ("B", i), ("R", i)
+            sm.replace([("P", i)], [(Li, sizes["L"]), (Wi, sizes["W"])])
+            sm.replace([("Q", i)], [(Bi, sizes["B"]), (Ri, sizes["R"])])
             if sizes["L"]:
-                _move_segments(rec, sm, [Li], after=_last(Ls))
+                sm.move([Li], after=_last(Ls))
                 Ls.append(Li)
-            _move_segments(rec, sm, [Wi], after=(Ws[-1] if Ws else xp))
+            sm.move([Wi], after=(Ws[-1] if Ws else "Xp"))
             Ws.append(Wi)
             if i < d:
-                _move_segments(rec, sm, [Bi, Ri], after=Q[d])
-            _move_segments(rec, sm, [Ri], after=yp)
+                sm.move([Bi, Ri], after=("Q", d))
+            sm.move([Ri], after="Yp")
             Bs.insert(0, Bi)
             Rs.insert(0, Ri)
 
     # Step 2: gather the singleton tails of the W pieces next to the
     # window, then recycle them to the right side one row at a time.
-    S = {i: F(f"S{i}") for i in range(1, m + 1)}
-    ypp = F("Ypp")
-    sm.replace([yp], [(S[i], T + d + 4 * t + 2) for i in range(1, m + 1)]
-               + [(ypp, p)])
+    sm.replace(["Yp"], [(("S", i), T + d + 4 * t + 2) for i in range(1, m + 1)]
+               + [("Ypp", p)])
 
     w_span = sm.span(Ws[0], Ws[-1])
     kcells = []
@@ -557,54 +513,49 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
         target.extend(mrows[j - 1])
     with rec.annotate("gather tails"):
         rec.rearrange_region(w_span, target)
-    WK = F("WK")
-    MROW = {j: F(f"MR{j}") for j in range(1, m + 1)}
-    sm.replace(Ws, [(WK, d * m * (n + 1))]
-               + [(MROW[j], d) for j in range(m, 0, -1)])
+    sm.replace(Ws, [("WK", d * m * (n + 1))]
+               + [(("MR", j), d) for j in range(m, 0, -1)])
 
     stack = []   # C-stack names, window side first
     ubrs = []
     rfront = Rs[0]  # leftmost segment of the R zone
     with rec.annotate("tail cycles"):
         for i in range(1, m + 1):
-            Tt, Ji = F("Tt"), F("J")
-            Ut, Ub = F("Ut"), F("Ub")
-            sm.replace([S[i]], [(Tt, T), (Ji, 2 * t + 1),
-                                (Ut, 2 * t + 1), (Ub, d)])
-            _move_segments(rec, sm, [Tt, Ji, Ut, Ub], after=win_seg)
-            shift(rec, win, sm.iv(Tt), sm.iv(Ji))
-            CCi = F("CC")
-            sm.replace([Tt, Ji], [(CCi, T + 2 * t + 1)])
+            sm.replace([("S", i)], [("Tt", T), ("J", 2 * t + 1),
+                                    ("Ut", 2 * t + 1), ("Ub", d)])
+            sm.move(["Tt", "J", "Ut", "Ub"], after="WIN")
+            shift(rec, win, sm.iv("Tt"), sm.iv("J"))
+            CCi = ("CC", i)
+            sm.replace(["Tt", "J"], [(CCi, T + 2 * t + 1)])
             ccv = rec.values(*sm.iv(CCi))
             nneg = sum(1 for v in ccv if v < 0)
             if nneg:
-                CCn = F("CCneg")
+                CCn = ("CCneg", i)
                 sm.replace([CCi], [(CCi, len(ccv) - nneg), (CCn, nneg)])
-                _move_segments(rec, sm, [CCn], after=ypp)
+                sm.move([CCn], after="Ypp")
                 rfront = CCn
-            _move_segments(rec, sm, [CCi], after=Ub)
-            row = MROW[i]
+            sm.move([CCi], after="Ub")
+            row = ("MR", i)
             if sm.iv(row) != (-d - t, -t - 1):
                 raise ConstructionBug("tail row out of position",
                                       rec.annotation_stack())
             rec.emit_flip(-d - t, d + 3 * t + 1)
-            UbR, JR, Ni = F("UbR"), F("JR"), F("N")
+            UbR, JR, Ni = ("UbR", i), ("JR", i), ("N", i)
             sm.replace([row], [(UbR, d)])
-            sm.replace([Ut, Ub], [(JR, 2 * t + 1), (Ni, d)])
+            sm.replace(["Ut", "Ub"], [(JR, 2 * t + 1), (Ni, d)])
             stack = [JR, Ni, CCi] + stack
-            _move_segments(rec, sm, [UbR], after=_last(Ls + ubrs))
+            sm.move([UbR], after=_last(Ls + ubrs))
             ubrs.append(UbR)
 
     # Step 3: split the leading cell off every gathered K block, regroup
     # those singles around the window with the X' singletons, and reflect
     # them across one by one to become the new tail.
     with rec.annotate("form the new tail"):
-        _move_segments(rec, sm, [ypp], after=win_seg)
-        Qs = {i: F(f"Qs{i}") for i in range(1, p + 1)}
-        sm.replace([ypp], [(Qs[i], 1) for i in range(1, p + 1)])
+        sm.move(["Ypp"], after="WIN")
+        sm.replace(["Ypp"], [(("Qs", i), 1) for i in range(1, p + 1)])
 
-        xpv = rec.values(*sm.iv(xp))
-        wkv = rec.values(*sm.iv(WK))
+        xpv = rec.values(*sm.iv("Xp"))
+        wkv = rec.values(*sm.iv("WK"))
         md = m * d
         kprime = []
         osingles = []
@@ -627,54 +578,47 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
             target.append(xpv[2 * t + 1 + (p - j)])
             target.extend(Gparts[j])
             target.extend(Hparts[j])
-        rec.rearrange_region(sm.span(xp, WK), target)
-        WKp, XW, Fseg = F("WKp"), F("XW"), F("Fs")
-        pieces = [(WKp, md * n), (XW, 2 * t + 1), (Fseg, f_len)]
-        Ps, G, H = {}, {}, {}
+        rec.rearrange_region(sm.span("Xp", "WK"), target)
+        pieces = [("WKp", md * n), ("XW", 2 * t + 1), ("F", f_len)]
         for j in range(p, 0, -1):
-            Ps[j], G[j], H[j] = F(f"Ps{j}"), F(f"G{j}"), F(f"H{j}")
-            pieces += [(Ps[j], 1), (G[j], 2 * t + 1), (H[j], T + 2 * t + 1)]
-        sm.replace([xp, WK], pieces)
+            pieces += [(("Ps", j), 1), (("G", j), 2 * t + 1),
+                       (("H", j), T + 2 * t + 1)]
+        sm.replace(["Xp", "WK"], pieces)
 
         qms, psrs, hrgr = [], [], []
-        UT = None
         for i in range(1, p + 1):
-            reflect_mirrored(rec, x_iv=sm.iv(Qs[i]), a_iv=win,
-                             b_iv=sm.span(G[i], H[i]), c_iv=sm.iv(Ps[i]))
-            Qm, HRi, PsRi = F("Qm"), F("HR"), F("PsR")
-            if i == 1:
-                UT = F("UT")
-                mid = UT
-            else:
-                mid = F("GR")
-            sm.replace([Ps[i], G[i], H[i]],
+            reflect_mirrored(rec, x_iv=sm.iv(("Qs", i)), a_iv=win,
+                             b_iv=sm.span(("G", i), ("H", i)),
+                             c_iv=sm.iv(("Ps", i)))
+            Qm, HRi, PsRi = ("Qm", i), ("HR", i), ("PsR", i)
+            mid = "UT" if i == 1 else ("GR", i)
+            sm.replace([("Ps", i), ("G", i), ("H", i)],
                        [(Qm, 1), (mid, 2 * t + 1), (HRi, T + 2 * t + 1)])
-            sm.replace([Qs[i]], [(PsRi, 1)])
+            sm.replace([("Qs", i)], [(PsRi, 1)])
             if i == 1:
-                _move_segments(rec, sm, [Qm, UT], after=_last(Ls + ubrs))
-                _move_segments(rec, sm, [HRi], after=WKp)
+                sm.move([Qm, mid], after=_last(Ls + ubrs))
+                sm.move([HRi], after="WKp")
                 hrgr.append(HRi)
             else:
-                _move_segments(rec, sm, [Qm], after=qms[-1])
-                _move_segments(rec, sm, [mid], after=hrgr[-1])
+                sm.move([Qm], after=qms[-1])
+                sm.move([mid], after=hrgr[-1])
                 hrgr.append(mid)
-                _move_segments(rec, sm, [HRi], after=mid)
+                sm.move([HRi], after=mid)
                 hrgr.append(HRi)
             qms.append(Qm)
             if i < p:
-                _move_segments(rec, sm, [PsRi], after=Qs[p])
+                sm.move([PsRi], after=("Qs", p))
             psrs.append(PsRi)
 
-        shift_mirrored(rec, a_iv=win, b_iv=sm.iv(Fseg), c_iv=sm.iv(XW))
-        GRp, FR = F("GRp"), F("FR")
-        sm.replace([XW, Fseg], [(GRp, 2 * t + 1), (FR, f_len)])
-        hrgr += [GRp, FR]
+        shift_mirrored(rec, a_iv=win, b_iv=sm.iv("F"), c_iv=sm.iv("XW"))
+        sm.replace(["XW", "F"], [("GRp", 2 * t + 1), ("FR", f_len)])
+        hrgr += ["GRp", "FR"]
 
-    l_names = Ls + ubrs + qms + [UT]
-    w_names = [WKp] + hrgr
+    l_names = Ls + ubrs + qms + ["UT"]
+    w_names = ["WKp"] + hrgr
     b_names = list(reversed(psrs)) + stack + Bs
     r_names = ([rfront] if rfront not in Rs else []) + Rs
-    expect = l_names + w_names + [win_seg] + b_names + r_names
+    expect = l_names + w_names + ["WIN"] + b_names + r_names
     if sm.order != expect:
         raise ConstructionBug("final segment order is off: "
                               f"{sm.order} vs {expect}",
@@ -692,9 +636,8 @@ def _rstep(env, k, n, x_iv, y_iv, depth):
 # Certificates.
 
 
-def _certify(env, layout, k, n, y_set, strict=False):
-    rec = env.rec
-    t, T, d = env.t, env.T, env.d
+def _certify(rec, plan, layout, k, n, y_set, strict=False):
+    t, T, d = plan.t, plan.T, plan.d
     a_k = alpha_closed(t, T, d, k)
     b_k = beta_closed(T, d, k)
     certs = []
@@ -778,23 +721,22 @@ def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
     unless strict_certificates is off, in which case the outcome carries
     the failure list for inspection.
 
-    The step lays down exactly laid_k negatives in B: laid_0 = 0 and
-    laid_k = d*laid_{k-1} + p_k, one for each of the p_k mirrored
-    reflections of "form the new tail" and the rest from the d sub-steps.
-    laid_k reaches the budget beta_k of certificate (7) whenever
-    p_j >= d^j/(3T) at every level j <= k; that holds for every t >= 1
-    with d >= 9T.  At t = 0 it never holds (p_j = floor((d^j - 1)/3) <
-    d^j/3), so laid_k < beta_k and (7) fails at every t = 0 point with
-    k >= 1; see the planner module."""
+    The step lays down exactly SizePlan.laid(k) negatives in B, one for
+    each of the p_k mirrored reflections of "form the new tail" and the
+    rest from the d sub-steps.  laid_k reaches the budget beta_k of
+    certificate (7) whenever p_j >= d^j/(3T) at every level j <= k; that
+    holds for every t >= 1 with d >= 9T.  At t = 0 it never holds
+    (p_j = floor((d^j - 1)/3) < d^j/3), so laid_k < beta_k and (7) fails
+    at every t = 0 point with k >= 1; see the planner module."""
     t = tr.t
     T = 3 ** (2 * t)
     if d < 9 * T:
         raise ContractError(f"need d >= 9T = {9 * T}, got {d}")
     if k < 0 or n < 1:
         raise ContractError("need k >= 0 and n >= 1")
-    env = _StepEnv(tr, d)
-    x = env.plan.x(n, k)
-    y = env.plan.y(n, k)
+    plan = SizePlan(t, d)
+    x = plan.x(n, k)
+    y = plan.y(n, k)
     x_iv = (-t - x, -t - 1)
     y_iv = (t + 1, t + y)
     if not (tr.lo <= x_iv[0] and y_iv[1] <= tr.hi):
@@ -802,8 +744,9 @@ def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
     flips_before = tr.flip_count
     y_set = set(tr.values(*y_iv))
     with tr.annotate(f"recursive step t={t} d={d} k={k} n={n}"):
-        layout = _rstep(env, k, n, x_iv, y_iv, depth=0)
-    certs = _certify(env, layout, k, n, y_set, strict=strict_certificates)
+        layout = _rstep(tr, plan, k, n, x_iv, y_iv, depth=0)
+    certs = _certify(tr, plan, layout, k, n, y_set,
+                     strict=strict_certificates)
     sizes = layout.region_sizes()
     if sizes["L"] + sizes["W"] != x or sizes["B"] + sizes["R"] != y:
         raise ConstructionBug("result regions do not tile X and Y",
@@ -901,8 +844,8 @@ def finish_pipeline(rec, layout, r):
         rec.rearrange_region(b_iv, dec.result.values)
     mcount = dec.k
     last = f"C{mcount}"
-    sm = SegmentMap(t + 1, [(f"C{i}", len(blk))
-                            for i, blk in enumerate(dec.blocks, start=1)]
+    sm = SegmentMap(rec, t + 1, [(f"C{i}", len(blk))
+                                 for i, blk in enumerate(dec.blocks, start=1)]
                     + [("R", _ivlen(layout.R)), ("J", rec.hi - layout.R[1])])
     # Carve Z (the top 3^(2t) negatives) out of the last piece.
     lastv = rec.values(*sm.iv(last))
@@ -912,7 +855,7 @@ def finish_pipeline(rec, layout, r):
                               rec.annotation_stack())
     sm.replace([last], [(last, nneg - T), ("Z", T),
                         ("F", len(lastv) - nneg)])
-    _move_segments(rec, sm, ["F"], after=last)
+    sm.move(["F"], after=last)
     sm.replace([last, "F"], [(last, len(lastv) - T)])
 
     cursor = layout.L[0] - 1
@@ -939,15 +882,15 @@ def finish_pipeline(rec, layout, r):
             # reversed; F-bar landed on the X_i span; the rest stays in
             # the piece's segment, which parks behind the last piece.
             if i < mcount:
-                _move_segments(rec, sm, [ci], after=last)
+                sm.move([ci], after=last)
     if cursor != rec.lo - 1:
         raise ConstructionBug("X' size does not match the positive total",
                               rec.annotation_stack())
 
     with rec.annotate("recentre the parked piece"):
         # Right of the window: C_m .. C_1 ^ Z ^ R ^ J.
-        _move_segments(rec, sm, ["Z"])
-        _move_segments(rec, sm, ["J"], after="Z")
+        sm.move(["Z"])
+        sm.move(["J"], after="Z")
         shift(rec, (-t, t), sm.iv("Z"), sm.iv("J"))
 
     with rec.annotate("final sorts"):
@@ -958,7 +901,7 @@ def finish_pipeline(rec, layout, r):
                               rec.annotation_stack())
 
 
-def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
+def full_construction(t: int, d: int, k: int, *, max_cells: int = MAX_CELLS,
                       sink=None):
     """Build a complete trace from the identity on [-b, b] to its reversal
     with every flip midpoint outside [-t, t], for b = 3t + 1 + |Y|.
@@ -966,7 +909,10 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
     The planned balance ratio beta_k/alpha_k must reach 3T + 1 before any
     materialization starts; otherwise the structured failure names the
     stage and the exact achieved ratio.  A feasible ratio with an
-    infeasible cell count raises RefusalError."""
+    infeasible cell count raises RefusalError.  Within the budget, the
+    negatives the step lays down (SizePlan.laid) must reach beta_k, the
+    bound its certificate (7) checks; otherwise the failure names the
+    "negative count" stage."""
     T = 3 ** (2 * t)
     if d < 9 * T:
         raise ContractError(f"need d >= 9T = {9 * T}, got {d}")
@@ -983,6 +929,16 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = 10**8,
             table=table,
         )
     table.require_cells(max_cells)
+    laid, beta = SizePlan(t, d).laid(k), beta_closed(T, d, k)
+    if laid < beta:
+        return ConstructionFailure(
+            stage="negative count",
+            achieved=laid,
+            required=beta,
+            message=(f"the step lays down laid_{k} = {laid} negatives, below "
+                     f"beta_{k} = {beta}"),
+            table=table,
+        )
 
     b = 3 * t + 1 + table.y_exact
     rec = TraceRecorder(identity_sequence(-b, b), Window(t), sink=sink)

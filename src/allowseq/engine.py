@@ -424,9 +424,9 @@ class TraceRecorder:
 
     @staticmethod
     def _swap_pairs(lo: int, a: int, b: int) -> Iterator[tuple]:
-        """Canonical schedule for swapping adjacent blocks of sizes a, b at
-        position lo: each right element bubbles leftward, flips emitted at
-        the rightmost position first."""
+        """Canonical transposition order for swapping adjacent blocks of
+        sizes a, b at position lo: each right element bubbles leftward,
+        flips emitted at the rightmost position first."""
         for j in range(b):
             for i in range(lo + a + j, lo + j, -1):
                 yield (i - 1, i)

@@ -32,19 +32,20 @@ condition is m*d*(2T - 4t - 2) >= 3T*(2T + 4t + 2) with m*d = d^j; it holds
 for every t >= 1 with d >= 9T, because 9^t >= 4t + 2.  At t = 0 the unit u
 equals 3T, so p_j = floor((d^j - 1)/3) < d^j/3 at every level and laid_k
 falls short of beta_k for every d and k >= 1 (by (d^k - 1)/(d - 1) when
-3 divides d).  The t = 0 balance gate of plan_sizes and full_construction
-therefore certifies a ratio beta_k/alpha_k that the t = 0 step itself
-does not reach.
+3 divides d).  The t = 0 balance gate of plan_sizes therefore certifies a
+ratio beta_k/alpha_k that the t = 0 step itself does not reach, and
+full_construction checks laid_k against beta_k before it builds anything.
 
 For parameter points where d^k would have thousands of digits the planner
 still certifies the balance-ratio gate beta_k/alpha_k >= 3T + 1 through
 rigorous two-sided bounds obtained by dropping the vanishing d^(1-k) term
 of the closed form.
 
-`SizePlan` alone evaluates x, y and p; `_alpha_beta` alone loops over the
-alpha/beta recurrence; `RecurrenceTable.balance_ratio_at_least` alone
-decides the gate; and `RecurrenceTable.require_cells` is the one refusal
-of a materialization above the cell budget.
+`SizePlan` alone evaluates x, y, p and laid; `_alpha_beta` alone loops
+over the alpha/beta recurrence; `RecurrenceTable.balance_ratio_at_least`
+alone decides the gate; and `RecurrenceTable.require_cells` is the one
+refusal of a materialization above the cell budget, MAX_CELLS unless the
+caller names another.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ from .errors import ContractError, RefusalError
 # it sits below Python's 4300-digit limit on int-to-str conversion, with
 # room for the factors around the powers, so `to_text` can print them.
 _DIGIT_LIMIT = 4000
+# The default cell budget of a materialization.
+MAX_CELLS = 10**8
 _ENTRY_CAP = 512
 _SHOWN_ENTRIES = 12
 
@@ -296,8 +299,9 @@ def plan_sizes(t: int, d: int, k: int, n: int) -> RecurrenceTable:
 
 
 class SizePlan:
-    """The materialization sizes x(n, k), y(n, k) and the counts p_k for
-    one (t, d) pair: the only implementation of the size recurrences.
+    """The materialization sizes x(n, k), y(n, k) and the counts p_k and
+    laid_k for one (t, d) pair: the only implementation of the size
+    recurrences.
 
     Each (n, k) pair is unwound once, from the innermost call (parameter
     n + k) outward, and memoized."""
@@ -310,6 +314,14 @@ class SizePlan:
 
     def p(self, k: int) -> int:
         return (self.d**k - self.T) // (self.T + 4 * self.t + 2)
+
+    def laid(self, k: int) -> int:
+        """The negatives the recursive step lays down in B:
+        laid_0 = 0, laid_k = d*laid_{k-1} + p_k."""
+        laid = 0
+        for j in range(1, k + 1):
+            laid = self.d * laid + self.p(j)
+        return laid
 
     def m(self, k: int) -> int:
         return self.d ** (k - 1)

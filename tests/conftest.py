@@ -3,8 +3,8 @@ import random
 import pytest
 
 from allowseq.construction import StepLayout
-from allowseq.engine import FlipStep
-from allowseq.seqcore import CentredSequence, Flip, identity_sequence
+from allowseq.engine import FlipStep, TraceRecorder
+from allowseq.seqcore import CentredSequence, Flip, Window, identity_sequence
 
 
 def five_element_steps():
@@ -42,8 +42,18 @@ def random_trace_material(rng: random.Random, max_n: int = 7):
     return initial, steps
 
 
+def block_moves(block, target):
+    """The size-2 block flips, in order, by which rearrange_region turns
+    block into target: it runs on a Window(0) recorder holding the block
+    on positions 1..|B|, so each transposition (c, c+1) is the Flip of the
+    block at 1-based position c."""
+    rec = TraceRecorder(CentredSequence(1, tuple(block)), Window(0))
+    rec.rearrange_region((1, len(block)), target)
+    return [step.flips[0] for step in rec.sink.steps]
+
+
 # Middle blocks of the synthetic finishing state, both 28-balanced over the
-# same values.  The first is already decomposed (empty schedule); the
+# same values.  The first is already decomposed (no block moves); the
 # second needs 29 size-2 block flips before its pieces can be carried.
 SYNTHETIC_MIDDLES = {
     "decomposed": (list(range(-67, -39)) + [74, 75, 76]

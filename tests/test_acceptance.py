@@ -26,7 +26,7 @@ from allowseq.construction import (ConstructionFailure, decompose_balanced,
                                    shift_instance, step_instance)
 from allowseq.engine import (INF, FlipStep, StatsSink, TraceRecorder,
                              verify_stream, verify_trace)
-from allowseq.errors import ContractError
+from allowseq.errors import ConstructionBug, ContractError
 from allowseq.geom import (PointSet, circular_sequence,
                            deviation_imbalance_link, in_general_position,
                            line_imbalances)
@@ -39,7 +39,7 @@ from allowseq.seqcore import (Block, Flip, Window, apply_block_flip,
                               identity_sequence, is_r_balanced,
                               is_valid_flip_block, width, width_greedy)
 from allowseq.cli import parse_trace, serialize_trace
-from conftest import five_element_steps, random_trace_material
+from conftest import block_moves, five_element_steps, random_trace_material
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -133,14 +133,6 @@ STEP_POINTS = [(0, 9, 0), (0, 9, 1), (0, 9, 2), (0, 9, 3), (1, 81, 0),
                (1, 81, 1)]
 
 
-def _negatives_laid(plan, k):
-    """laid_k: the number of negatives the step at level k lays down in B."""
-    laid = 0
-    for j in range(1, k + 1):
-        laid = plan.d * laid + plan.p(j)
-    return laid
-
-
 @pytest.mark.parametrize("t,d,k", STEP_POINTS)
 def test_c04_recursive_step_certificates(t, d, k):
     """Sizes and budget as planned; certificates (1)-(6) pass; |B-| is
@@ -157,7 +149,7 @@ def test_c04_recursive_step_certificates(t, d, k):
                 and out.y_size <= 10 * d ** (2 * k + 1))
     budget_ok = elapsed < 60.0 if (t, k) == (1, 1) else True
     passed = {c.index: c.passed for c in out.certificates}
-    laid = _negatives_laid(plan, k)
+    laid = plan.laid(k)
     beta = beta_closed(plan.T, d, k)
     alpha = alpha_closed(t, plan.T, d, k)
     reaches = laid >= beta
@@ -248,8 +240,11 @@ def test_c07_balanced_decomposition():
             r_int = int(Fraction(r))
             cur = b
             ok = True
-            for cpos in dec.schedule:
-                f = Flip(cpos, cpos + 1)
+            try:
+                moves = block_moves(b, dec.result)
+            except ConstructionBug:
+                moves, ok = [], False
+            for f in moves:
                 if not is_valid_flip_block(cur, f):
                     ok = False
                     break

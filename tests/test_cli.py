@@ -13,6 +13,7 @@ from allowseq.construction import shift, shift_instance
 from allowseq.engine import (FileSink, FlipStep, TraceRecorder,
                              verify_stream, verify_trace)
 from allowseq.geom import PointSet, format_points
+from allowseq.planner import SizePlan, plan_sizes
 from allowseq.seqcore import CentredSequence, Flip, Window, identity_sequence
 from conftest import five_element_steps, random_trace_material
 
@@ -233,6 +234,16 @@ def test_cmd_construct_full_failure(capsys):
     out = capsys.readouterr().out
     assert "failure_stage=balance-gate" in out
     assert "achieved=3/38" in out
+
+
+def test_cmd_construct_full_negative_count(capsys):
+    cells = plan_sizes(0, 141, 58, 1).cells
+    code = run_cli("construct", "--stage", "full", "--t", "0", "--d", "141",
+                   "--k", "58", "--max-cells", str(cells), "--machine")
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "failure_stage=negative-count" in out
+    assert f"achieved={SizePlan(0, 141).laid(58)}" in out
 
 
 def test_cmd_construct_plan(capsys):

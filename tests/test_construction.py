@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from allowseq.construction import (ConstructionFailure, Decomposition,
                                    MirrorView, SegmentMap,
                                    decompose_balanced, finish_pipeline,
-                                   full_construction, rearrangement_transpositions,
-                                   recursive_step, reflect, reflect_instance,
-                                   reflect_mirrored, shift, shift_instance,
-                                   shift_mirrored, step_instance)
+                                   full_construction, recursive_step, reflect,
+                                   reflect_instance, reflect_mirrored, shift,
+                                   shift_instance, shift_mirrored,
+                                   step_instance)
 from allowseq.engine import StatsSink, TraceRecorder, verify_trace
 from allowseq.errors import ConstructionBug, ContractError, RefusalError
 from allowseq.oracle import sample_balanced_block
-from allowseq.planner import SizePlan
-from allowseq.seqcore import (Block, CentredSequence, Flip, Window,
-                              apply_block_flip, is_r_balanced,
-                              is_valid_flip_block, width)
-from conftest import (SYNTHETIC_MIDDLES, finishing_state,
+from allowseq.planner import SizePlan, beta_closed, plan_sizes
+from allowseq.seqcore import (Block, CentredSequence, Window,
+                              apply_block_flip, identity_sequence,
+                              is_r_balanced, is_valid_flip_block, width)
+from conftest import (SYNTHETIC_MIDDLES, block_moves, finishing_state,
                       synthetic_finishing_state)
 
 
@@ -119,20 +119,11 @@ def test_reflect_mirrored(t):
 # -- decomposition ------------------------------------------------------------
 
 
-def test_rearrangement_transpositions_examples():
-    starts = rearrangement_transpositions((1, 3, 2), (3, 1, 2))
-    cur = [1, 3, 2]
-    for i in starts:
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    assert cur == [3, 1, 2]
-    with pytest.raises(ContractError):
-        rearrangement_transpositions((2, 1), (1, 2))
-
-
 def test_decompose_all_negative_single_piece():
     b = Block((-5, -3, -1))
     dec = decompose_balanced(b, 2)
-    assert dec.k == 1 and dec.blocks[0] == b and dec.schedule == ()
+    assert dec.k == 1 and dec.blocks[0] == b
+    assert block_moves(b, dec.result) == []
 
 
 def test_decompose_simple():
@@ -149,10 +140,9 @@ def test_decompose_rejects_unbalanced():
 
 def _check_decomposition(b, r, dec):
     r_int = int(Fraction(r))
-    # replay the schedule with per-flip validity
+    # replay the block moves with per-flip validity
     cur = b
-    for cpos in dec.schedule:
-        f = Flip(cpos, cpos + 1)
+    for f in block_moves(b, dec.result):
         assert is_valid_flip_block(cur, f)
         cur = apply_block_flip(cur, f)
     assert cur == dec.result
@@ -247,15 +237,30 @@ def test_step_rejects_wrong_layout():
 
 
 def test_segment_map_operations():
-    sm = SegmentMap(0, [("a", 2), ("b", 3), ("c", 1)])
+    rec = TraceRecorder(identity_sequence(0, 5), Window(0))
+    sm = SegmentMap(rec, 0, [("a", 2), ("b", 3), ("c", 1)])
     assert sm.iv("b") == (2, 4)
     assert sm.span("a", "b") == (0, 4)
-    sm.move_run(["c"])
+    sm.move(["c"])
     assert sm.order == ["c", "a", "b"]
+    # the values move on the recorder together with the map
+    assert rec.values(0, 5) == (5, 0, 1, 2, 3, 4)
+    assert rec.values(*sm.iv("b")) == (2, 3, 4)
+    flips = rec.flip_count
+    sm.move(["a"], after="c")   # already there
+    sm.move(["c"])
+    assert rec.flip_count == flips and sm.order == ["c", "a", "b"]
+    with pytest.raises(ContractError):
+        sm.move(["c", "b"])   # not contiguous
+    with pytest.raises(ContractError):
+        sm.move(["a", "b"], after="a")   # lands inside its own run
     sm.replace(["b"], [("b1", 1), ("b2", 2)])
     assert sm.iv("b2") == (4, 5)
     with pytest.raises(ContractError):
         sm.replace(["c", "b1"], [("x", 2)])   # not contiguous
+    sm.move(["b1", "b2"], after="c")
+    assert sm.order == ["c", "b1", "b2", "a"]
+    assert rec.values(0, 5) == (5, 2, 3, 4, 0, 1)
 
 
 # -- the full pipeline ------------------------------------------------------------
@@ -268,6 +273,19 @@ def test_full_construction_gate_failure():
     assert res.stage == "balance gate"
     assert res.achieved == Fraction(3, 38)
     assert res.required == 4
+
+
+def test_full_construction_negative_count_failure():
+    # The balance gate passes here, but the t = 0 step lays down fewer
+    # negatives than certificate (7) asks; nothing is materialized.
+    cells = plan_sizes(0, 141, 58, 1).cells
+    res = full_construction(0, 141, 58, max_cells=cells)
+    assert isinstance(res, ConstructionFailure) and not res
+    assert res.stage == "negative count"
+    assert res.table.gate_ok
+    assert res.achieved == SizePlan(0, 141).laid(58)
+    assert res.required == beta_closed(1, 141, 58)
+    assert res.required - res.achieved == (141**58 - 1) // 140
 
 
 def test_full_construction_refuses_oversize():
@@ -290,14 +308,15 @@ def _finish_synthetic(middle):
 
 def test_finishing_pipeline_on_synthetic_state():
     # An already decomposed middle block: the decomposition emits nothing.
-    assert decompose_balanced(Block(SYNTHETIC_MIDDLES["decomposed"]),
-                              28).schedule == ()
+    middle = Block(SYNTHETIC_MIDDLES["decomposed"])
+    assert block_moves(middle, decompose_balanced(middle, 28).result) == []
     assert _finish_synthetic(SYNTHETIC_MIDDLES["decomposed"]).flip_count == 3669
 
 
 def test_finishing_pipeline_applies_decomposition():
     middle = SYNTHETIC_MIDDLES["scheduled"]
-    assert len(decompose_balanced(Block(middle), 28).schedule) == 29
+    dec = decompose_balanced(Block(middle), 28)
+    assert len(block_moves(middle, dec.result)) == 29
     rec = _finish_synthetic(middle)
     assert rec.flip_count == 3698
     assert rec.to_trace().annotations[:2] == (
@@ -352,6 +371,5 @@ def test_mirror_view_round_trip():
     rec = TraceRecorder(CentredSequence(-4, vals), Window(0))
     view = MirrorView(rec)
     assert view.values(-4, 4) == tuple(-v for v in reversed(vals))
-    assert view.value_at(2) == -rec.value_at(-2)
     view.emit_flip(2, 3)
     assert rec.values(-3, -2) == (-2, -3)

@@ -182,6 +182,13 @@ def test_rearrange_region():
     assert tr.values(3, 6) == (9, 2, 7, 4)
     rep = verify_trace(tr)
     assert rep.allowable and rep.all_valid
+    # a descending pair cannot be swapped by an ascending transposition
+    tr = TraceRecorder(CentredSequence(1, (2, 1)), Window(0))
+    with pytest.raises(ConstructionBug, match="cannot swap"):
+        tr.rearrange_region((1, 2), (1, 2))
+    with pytest.raises(ConstructionBug, match="not a permutation"):
+        tr.rearrange_region((1, 2), (2, 3))
+    assert tr.values(1, 2) == (2, 1) and tr.flip_count == 0
 
 
 def test_min_deviation_values():

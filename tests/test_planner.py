@@ -97,6 +97,12 @@ def test_size_plan_deep_k_without_recursion():
     assert tb.p_values[-1] == plan.p(2000)
 
 
+def test_size_plan_negatives_laid():
+    plan = SizePlan(0, 9)
+    assert [plan.p(j) for j in (1, 2)] == [2, 26]
+    assert [plan.laid(k) for k in range(3)] == [0, 2, 9 * 2 + 26]
+
+
 def test_bounds_enclose_ratio():
     for (t, d, k) in ((0, 9, 1), (0, 9, 5), (1, 81, 3), (1, 100, 7)):
         T = 3 ** (2 * t)
