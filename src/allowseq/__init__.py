@@ -5,9 +5,9 @@ verification, brute-force oracles, recurrence planning, and the planar
 point-set bridge between flips and bisecting-line imbalance.
 """
 
-from .engine import (FlipStep, Trace, TraceRecorder, VerificationReport,
-                     flip_imbalance, min_deviation, verify_stream,
-                     verify_trace)
+from .engine import (BlockSwap, FlipStep, Trace, TraceRecorder,
+                     VerificationReport, flip_imbalance, min_deviation,
+                     verify_stream, verify_trace)
 from .errors import ConstructionBug, ContractError, RangeError, RefusalError
 from .seqcore import (BalanceReport, Block, CentredSequence, Flip, Window,
                       apply_block_flip, apply_flip, as_block, as_centred,

@@ -2,12 +2,12 @@
 
 A TraceRecorder holds the evolving sequence and emits flips, either one
 step at a time (every flip of the step validated against the current
-state and the window before any is applied) or as the pre-validated
-batch of an adjacent block swap, its one composite move.  Batches keep
-big runs cheap: a swap of blocks of sizes a and b is a*b transpositions,
-but the recorder checks the one precondition that makes them all valid
-(left block entirely below right block, region clear of the window) and
-then applies the move as a single splice.
+state and the window before any is applied) or as an adjacent block
+swap, its one composite move.  A swap of blocks of sizes a and b is a*b
+transpositions, but the recorder checks the one precondition that makes
+them all valid (left block entirely below right block, region clear of
+the window), applies the move as a single splice, and hands the sinks a
+single BlockSwap step that stands for all of them.
 
 Sinks decide what to keep.  ListSink retains every step and annotation
 for replay and serialization, FileSink streams them to a text file,
@@ -16,9 +16,8 @@ and minimum deviation itself, so even a stats-only run reports both.
 Deviations are tracked doubled, as the integer |c + d - (lo + hi)|, and
 become Fractions only where they are reported.
 
-One-flip steps are shared immutable objects.  A block swap reaches the
-sinks as many transpositions over few positions, so single_step hands
-out one FlipStep per distinct flip from a module cache, and ListSink and
+One-flip steps are shared immutable objects.  single_step hands out one
+FlipStep per distinct flip from a module cache, and ListSink and
 iter_trace_file keep a reference to it for each repeat instead of a new
 object.  The cache holds at most _SINGLE_STEP_CAP steps and is cleared
 when full, which bounds its memory whatever the trace.
@@ -30,20 +29,33 @@ the reversal check from scratch, holding only the current sequence.
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
 
-    ALLOWSEQ v1
+    ALLOWSEQ v2
     t=<int> lo=<int> hi=<int>
     <initial values, space separated>
     # <depth> begin <label>        (annotation lines, optional)
     F <c> <d>                      (single flip)
     S <c1> <d1> <c2> <d2> ...      (disjoint multi-flip step)
+    B <lo> <a> <b>                 (block swap, a*b one-flip steps)
     # <depth> end <label>
 
-Steps appear in application order.  Every annotation scope, empty or
-not, is written where it opens and where it closes; depth counts the
-scopes open around it, the outermost being 1.  Files that FileSink
-writes parse and serialize back byte for byte.  Other valid files parse
-to the same steps, but need not come back byte for byte: `S 1 2` comes
-back as `F 1 2`, and the flips of an `S` line come back sorted.
+Steps appear in application order.  A `B` line swaps the adjacent
+blocks [lo, lo+a-1] and [lo+a, lo+a+b-1], a, b >= 1, and inside the
+domain.  It stands for a*b one-flip steps in canonical order: each
+element of the right block in turn, leftmost first, bubbles leftward
+past the whole left block, the rightmost transposition first, so
+`B 3 2 1` is `F 4 5`, `F 3 4`.  Verification counts those steps and
+flips and reports a violation by its index among them, exactly as for
+the `F` lines they stand for.  Files with the magic `ALLOWSEQ v1` hold
+no `B` lines and still parse.
+
+Every annotation scope, empty or not, is written where it opens and
+where it closes; depth counts the scopes open around it, the outermost
+being 1.  An annotation's index in Trace.annotations counts trace
+entries, a BlockSwap being one entry.  Files that FileSink writes parse
+and serialize back byte for byte.  Other valid files parse to the same
+steps, but need not come back byte for byte: a v1 file comes back as
+v2, `S 1 2` comes back as `F 1 2`, and the flips of an `S` line come
+back sorted.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConstructionBug, ContractError, RangeError
@@ -59,7 +72,8 @@ from .seqcore import CentredSequence, Flip, Window, _strictly_increasing
 
 INF = float("inf")
 
-MAGIC = "ALLOWSEQ v1"
+MAGIC = "ALLOWSEQ v2"
+MAGIC_V1 = "ALLOWSEQ v1"  # read, never written: the format before `B` lines
 
 
 class TraceParseError(Exception):
@@ -85,6 +99,60 @@ class FlipStep:
             raise ContractError("a step needs at least one flip")
         object.__setattr__(self, "flips", fs)
 
+    def min_dev2(self, centre2: int) -> int:
+        """Least doubled |midpoint - centre| over the step's flips."""
+        return min(abs(f.c + f.d - centre2) for f in self.flips)
+
+
+@dataclass(frozen=True)
+class BlockSwap:
+    """The a*b adjacent transpositions that exchange the blocks
+    [lo, lo+a-1] and [lo+a, lo+a+b-1], one trace step standing for a*b
+    one-flip steps.
+
+    Iterating yields them as (c, c+1) in canonical order: each element of
+    the right block in turn, leftmost first, bubbles leftward past the
+    whole left block, the rightmost transposition first.
+    """
+
+    lo: int
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if self.a < 1 or self.b < 1:
+            raise ContractError(f"block swap sizes {self.a}, {self.b} "
+                                f"must both be >= 1")
+
+    def __iter__(self) -> Iterator[tuple]:
+        lo, a = self.lo, self.a
+        for j in range(self.b):
+            for i in range(lo + a + j, lo + j, -1):
+                yield (i - 1, i)
+
+    def min_dev2(self, centre2: int) -> int:
+        """Least doubled |midpoint - centre| over the transpositions.
+
+        Their doubled midpoints are the odd 2i+1 for i in [lo, lo+a+b-2].
+        """
+        first, last = 2 * self.lo + 1, 2 * (self.lo + self.a + self.b) - 3
+        if centre2 <= first:
+            return first - centre2
+        if centre2 >= last:
+            return centre2 - last
+        return 0 if centre2 % 2 else 1
+
+
+def expand_steps(steps: Iterable) -> Iterator[FlipStep]:
+    """The steps as trace format v1 holds them: every BlockSwap replaced
+    by its transpositions, each a one-flip step, in canonical order."""
+    for step in steps:
+        if isinstance(step, BlockSwap):
+            for c, d in step:
+                yield single_step(c, d)
+        else:
+            yield step
+
 
 _SINGLE_STEP_CAP = 1 << 14
 _single_steps = {}  # (c, d) -> the shared FlipStep of that one flip
@@ -105,9 +173,10 @@ def single_step(c: int, d: int) -> FlipStep:
 class Trace:
     """A finished, immutable flip trace.
 
+    `steps` holds FlipSteps and BlockSwaps in application order.
     `annotations` holds the annotation events in the order they were
-    emitted, each as (step index, depth, "begin <label>" or "end
-    <label>"): the event came after `step index` steps.
+    emitted, each as (index, depth, "begin <label>" or "end <label>"):
+    the event came after the first `index` entries of `steps`.
     """
 
     window: Window
@@ -118,8 +187,9 @@ class Trace:
 
 class ListSink:
     """Retains every step and annotation event; supports conversion to a
-    Trace.  One-flip steps come from single_step, so a transposition costs
-    one list reference to a shared step."""
+    Trace.  A BlockSwap is kept as one entry.  One-flip steps come from
+    single_step, so a transposition passed on its own costs one list
+    reference to a shared step."""
 
     def __init__(self):
         self.steps = []
@@ -132,6 +202,11 @@ class ListSink:
             self.steps.append(FlipStep([Flip(c, d) for c, d in flips]))
 
     def on_transpositions(self, pairs):
+        """Keep a BlockSwap as one step, any other iterable of (c, c+1)
+        as one-flip steps."""
+        if isinstance(pairs, BlockSwap):
+            self.steps.append(pairs)
+            return
         append = self.steps.append
         for c, d in pairs:
             append(single_step(c, d))
@@ -147,7 +222,6 @@ class StatsSink:
         pass
 
     def on_transpositions(self, pairs):
-        # The batch generators are lazy; aggregates come from the recorder.
         pass
 
 
@@ -173,6 +247,11 @@ class FileSink:
             self.fh.write(f"S {parts}\n")
 
     def on_transpositions(self, pairs):
+        """Write a BlockSwap as one `B` line, any other iterable of
+        (c, c+1) as `F` lines."""
+        if isinstance(pairs, BlockSwap):
+            self.fh.write(f"B {pairs.lo} {pairs.a} {pairs.b}\n")
+            return
         write = self.fh.write
         for c, d in pairs:
             write(f"F {c} {d}\n")
@@ -182,15 +261,18 @@ class FileSink:
 
 
 _LINE_SHAPES = {"F": "F <c> <d>", "S": "S <c1> <d1> <c2> <d2> ...",
-                "#": "# <depth> begin|end <label>"}
+                "B": "B <lo> <a> <b>", "#": "# <depth> begin|end <label>"}
+_LINE_KINDS = {MAGIC: set(_LINE_SHAPES), MAGIC_V1: {"F", "S", "#"}}
 
 
 def iter_trace_file(fh, on_annotation=None):
     """The trace file reader: ((window, initial), steps) from an open text
     handle.
 
-    The header is parsed at once; `steps` yields a FlipStep for each step
-    line in file order.  Annotations must nest: a `begin` sits one deeper
+    The header is parsed at once; `steps` yields a FlipStep for each `F`
+    or `S` line and a BlockSwap for each `B` line, in file order.  A `B`
+    line must lie inside the domain [lo, hi], and only v2 files hold
+    them.  Annotations must nest: a `begin` sits one deeper
     than the scopes open around it, an `end` closes the innermost open
     scope, and every scope is closed by the end of the file.  Each one is
     checked and, if `on_annotation` is given, passed to it as (depth,
@@ -207,7 +289,8 @@ def iter_trace_file(fh, on_annotation=None):
         return fh.readline().rstrip("\n")
 
     magic = readline()
-    if magic != MAGIC:
+    kinds = _LINE_KINDS.get(magic)
+    if kinds is None:
         raise TraceParseError(lineno, f"bad magic {magic!r}")
     try:
         kv = dict(p.split("=", 1) for p in readline().split())
@@ -235,8 +318,9 @@ def iter_trace_file(fh, on_annotation=None):
                 yield step
                 continue
             kind, _, rest = line.rstrip("\n").partition(" ")
-            if kind not in _LINE_SHAPES:
-                raise TraceParseError(lineno, f"unknown line kind {kind!r}"
+            if kind not in kinds:
+                raise TraceParseError(lineno, f"unknown line kind {kind!r} "
+                                              f"in {magic}"
                                       if kind else "blank line inside trace")
             try:
                 if kind == "F":
@@ -252,6 +336,14 @@ def iter_trace_file(fh, on_annotation=None):
                         raise ValueError
                     yield FlipStep([Flip(nums[i], nums[i + 1])
                                     for i in range(0, len(nums), 2)])
+                elif kind == "B":
+                    at, a, b = (int(x) for x in rest.split())
+                    swap = BlockSwap(at, a, b)
+                    if at < lo or at + a + b - 1 > hi:
+                        raise TraceParseError(
+                            lineno, f"block swap over [{at}, {at + a + b - 1}]"
+                                    f" outside [{lo}, {hi}]")
+                    yield swap
                 else:
                     depth, _, label = rest.partition(" ")
                     depth = int(depth)
@@ -304,7 +396,10 @@ def serialize_trace(tr) -> str:
     done = 0
     for at, depth, label in tr.annotations + ((len(tr.steps), 0, None),):
         for step in tr.steps[done:at]:
-            sink.on_step([(f.c, f.d) for f in step.flips])
+            if isinstance(step, BlockSwap):
+                sink.on_transpositions(step)
+            else:
+                sink.on_step([(f.c, f.d) for f in step.flips])
         done = at
         if label is not None:
             sink.on_annotation(depth, label)
@@ -420,20 +515,11 @@ class TraceRecorder:
         self._track(min(abs(c + d - centre2) for c, d in flips), len(flips), 1)
         self.sink.on_step(flips)
 
-    # -- batched transposition runs --------------------------------------
-
-    @staticmethod
-    def _swap_pairs(lo: int, a: int, b: int) -> Iterator[tuple]:
-        """Canonical transposition order for swapping adjacent blocks of
-        sizes a, b at position lo: each right element bubbles leftward,
-        flips emitted at the rightmost position first."""
-        for j in range(b):
-            for i in range(lo + a + j, lo + j, -1):
-                yield (i - 1, i)
+    # -- block swaps -------------------------------------------------------
 
     def swap_adjacent_blocks(self, left: tuple, right: tuple):
         """Exchange two adjacent blocks, left values all below right values,
-        as a*b transpositions recorded in one batch.
+        as a*b transpositions recorded as one BlockSwap.
 
         Intervals are inclusive (lo, hi); an empty side is a no-op.
         """
@@ -457,17 +543,9 @@ class TraceRecorder:
             self._bug(f"swap over [{llo},{rhi}] would cross the window")
         i, j, k = llo - self.lo, rlo - self.lo, rhi - self.lo + 1
         self._vals[i:k] = self._vals[j:k] + self._vals[i:j]
-        # Transposition midpoints (doubled) are the odd values 2i+1 for
-        # i in [llo, rhi-1]; find the one closest to the doubled centre.
-        c2 = self._centre2
-        if c2 <= 2 * llo + 1:
-            dev2 = 2 * llo + 1 - c2
-        elif c2 >= 2 * rhi - 1:
-            dev2 = c2 - (2 * rhi - 1)
-        else:
-            dev2 = 0 if c2 % 2 else 1
-        self._track(dev2, a * b, a * b)
-        self.sink.on_transpositions(self._swap_pairs(llo, a, b))
+        swap = BlockSwap(llo, a, b)
+        self._track(swap.min_dev2(self._centre2), a * b, a * b)
+        self.sink.on_transpositions(swap)
 
     def sort_region_decreasing(self, region: tuple):
         """Sort region into strictly decreasing order by repeatedly flipping
@@ -527,8 +605,9 @@ class VerificationReport:
 
 
 def verify_stream(initial: CentredSequence, window: Window,
-                  steps: Iterable[FlipStep]) -> VerificationReport:
-    """Replay FlipSteps from scratch and report what actually holds.
+                  steps: Iterable) -> VerificationReport:
+    """Replay FlipSteps and BlockSwaps from scratch and report what
+    actually holds.
 
     A step's flips are checked in the order it holds them, which FlipStep
     keeps sorted by c; flips that overlap or come out of that order are
@@ -537,6 +616,14 @@ def verify_stream(initial: CentredSequence, window: Window,
     state.  Nothing is cached per step object, so a shared step is checked
     afresh against the state at each place it occurs.
 
+    A BlockSwap counts as the a*b one-flip steps it stands for.  It is
+    checked in O(a + b): inside the domain, every left value below every
+    right value, no transposition midpoint in the window; then applied as
+    one splice, its closest midpoint found in closed form.  A swap that
+    fails any of these checks is replayed one transposition at a time by
+    the per-flip code, so the report, first violation included, is the
+    one its one-flip steps give.
+
     A run is strictly increasing exactly when it equals its sorted copy:
     CentredSequence is injective and each flip only reverses a slice, so
     the working copy never holds two equal values.
@@ -544,12 +631,13 @@ def verify_stream(initial: CentredSequence, window: Window,
     lo, hi = initial.lo, initial.hi
     vals = list(initial.values)
     centre2 = lo + hi
-    t2 = 2 * window.t
+    t = window.t
+    t2 = 2 * t
     allowable = True
     all_valid = True
     first_violation = None
     min_dev2 = None  # doubled, as in the recorder
-    steps_n = 0
+    steps_n = 0  # one-flip steps counted; steps_n - 1 indexes the current one
     flips_n = 0
 
     def violate(idx, flip, reason):
@@ -559,32 +647,57 @@ def verify_stream(initial: CentredSequence, window: Window,
         if first_violation is None:
             first_violation = (idx, flip, reason)
 
-    for idx, step in enumerate(steps):
-        flips = step.flips
-        steps_n += 1
-        flips_n += len(flips)
-        prev_d = None
-        for f in flips:
-            c, d = f.c, f.d
-            if not (lo <= c <= d <= hi):
-                violate(idx, (c, d), "out of bounds")
-                continue
-            if prev_d is not None and c <= prev_d:
-                violate(idx, (c, d), "overlapping flips in one step")
-            prev_d = d
-            i, j = c - lo, d - lo + 1
-            run = vals[i:j]
-            if run != sorted(run):
-                violate(idx, (c, d), "run not strictly increasing")
-            if abs(c + d) <= t2 and all_valid:
-                all_valid = False
-                if first_violation is None:
-                    first_violation = (idx, (c, d), "midpoint inside window")
-            dev2 = abs(c + d - centre2)
-            if min_dev2 is None or dev2 < min_dev2:
-                min_dev2 = dev2
-            run.reverse()
-            vals[i:j] = run
+    pending = iter(steps)
+    while pending is not None:
+        steps, pending = pending, None
+        for step in steps:
+            if step.__class__ is BlockSwap:
+                at, a, b = step.lo, step.a, step.b
+                last = at + a + b - 2  # the last transposition's c
+                i, j, k = at - lo, at - lo + a, at - lo + a + b
+                # A transposition (p, p+1) has its midpoint in [-t, t]
+                # exactly when -t <= p <= t-1.
+                if (lo <= at and last < hi
+                        and max(vals[i:j]) < min(vals[j:k])
+                        and max(at, -t) > min(last, t - 1)):
+                    vals[i:k] = vals[j:k] + vals[i:j]
+                    # the doubled midpoint 2p+1 nearest the doubled centre
+                    p = min(max((centre2 - 1) // 2, at), last)
+                    dev2 = abs(2 * p + 1 - centre2)
+                    if min_dev2 is None or dev2 < min_dev2:
+                        min_dev2 = dev2
+                    steps_n += a * b
+                    flips_n += a * b
+                    continue
+                pending = chain(expand_steps((step,)), steps)
+                break
+            flips = step.flips
+            steps_n += 1
+            flips_n += len(flips)
+            prev_d = None
+            for f in flips:
+                c, d = f.c, f.d
+                if not (lo <= c <= d <= hi):
+                    violate(steps_n - 1, (c, d), "out of bounds")
+                    continue
+                if prev_d is not None and c <= prev_d:
+                    violate(steps_n - 1, (c, d),
+                            "overlapping flips in one step")
+                prev_d = d
+                i, j = c - lo, d - lo + 1
+                run = vals[i:j]
+                if run != sorted(run):
+                    violate(steps_n - 1, (c, d), "run not strictly increasing")
+                if abs(c + d) <= t2 and all_valid:
+                    all_valid = False
+                    if first_violation is None:
+                        first_violation = (steps_n - 1, (c, d),
+                                           "midpoint inside window")
+                dev2 = abs(c + d - centre2)
+                if min_dev2 is None or dev2 < min_dev2:
+                    min_dev2 = dev2
+                run.reverse()
+                vals[i:j] = run
 
     reaches = vals == list(reversed(initial.values))
     return VerificationReport(
@@ -614,8 +727,7 @@ def min_deviation(tr) -> Fraction:
     if not tr.steps:
         raise ContractError("trace has no flips")
     centre2 = tr.initial.lo + tr.initial.hi
-    return Fraction(min(abs(f.c + f.d - centre2)
-                        for s in tr.steps for f in s.flips), 2)
+    return Fraction(min(s.min_dev2(centre2) for s in tr.steps), 2)
 
 
 def flip_imbalance(n: int, f: Flip) -> int:

@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm, log10
 from typing import Iterable
 
-from .engine import FlipStep, Trace, TraceRecorder, flip_imbalance
+from .engine import (FlipStep, Trace, TraceRecorder, expand_steps,
+                     flip_imbalance)
 from .errors import ContractError
 from .seqcore import CentredSequence, Flip, Window
 
@@ -255,15 +256,17 @@ def _xscale(steps: int):
 
 def render_trace_svg(tr) -> str:
     """Wiring-diagram rendering: one polyline per element, x = step index,
-    y = position; the window band is shaded."""
+    y = position; the window band is shaded.  A block swap takes one x
+    step per transposition, as in trace format v1."""
     if isinstance(tr, TraceRecorder):
         tr = tr.to_trace()
     lo, hi = tr.initial.lo, tr.initial.hi
     n = hi - lo + 1
     t = tr.window.t
-    xs = _xscale(len(tr.steps))
+    steps = list(expand_steps(tr.steps))
+    xs = _xscale(len(steps))
     unit_x, unit_y, pad = 24.0, 14.0, 20.0
-    width = pad * 2 + unit_x * max(1.0, xs(len(tr.steps)))
+    width = pad * 2 + unit_x * max(1.0, xs(len(steps)))
     height = pad * 2 + unit_y * (n - 1 if n > 1 else 1)
 
     def X(i):
@@ -274,7 +277,7 @@ def render_trace_svg(tr) -> str:
 
     paths = {v: [(X(0), Y(lo + i))] for i, v in enumerate(tr.initial.values)}
     state = list(tr.initial.values)
-    for si, step in enumerate(tr.steps, start=1):
+    for si, step in enumerate(steps, start=1):
         for f in step.flips:
             i, j = f.c - lo, f.d - lo + 1
             state[i:j] = state[i:j][::-1]

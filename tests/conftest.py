@@ -3,7 +3,7 @@ import random
 import pytest
 
 from allowseq.construction import StepLayout
-from allowseq.engine import FlipStep, TraceRecorder
+from allowseq.engine import FlipStep, TraceRecorder, expand_steps
 from allowseq.seqcore import CentredSequence, Flip, Window, identity_sequence
 
 
@@ -42,6 +42,30 @@ def random_trace_material(rng: random.Random, max_n: int = 7):
     return initial, steps
 
 
+def bubble_pairs(lo, a, b):
+    """The transpositions (p, p+1) a block swap `B <lo> <a> <b>` stands
+    for, written apart from the engine's BlockSwap: right element j moves
+    from lo+a+j to lo+j, crossing p+1 -> p from p = lo+a+j-1 down to
+    p = lo+j."""
+    return [(p, p + 1) for j in range(b)
+            for p in range(lo + a + j - 1, lo + j - 1, -1)]
+
+
+def as_v1(text):
+    """A trace file's text as format v1 holds it: the magic line says
+    v1 and each `B` line becomes its a*b `F` lines."""
+    lines = text.splitlines(keepends=True)
+    assert lines[0] == "ALLOWSEQ v2\n"
+    out = ["ALLOWSEQ v1\n"] + lines[1:3]
+    for line in lines[3:]:
+        if line.startswith("B "):
+            lo, a, b = (int(x) for x in line.split()[1:])
+            out += [f"F {c} {d}\n" for c, d in bubble_pairs(lo, a, b)]
+        else:
+            out.append(line)
+    return "".join(out)
+
+
 def block_moves(block, target):
     """The size-2 block flips, in order, by which rearrange_region turns
     block into target: it runs on a Window(0) recorder holding the block
@@ -49,7 +73,7 @@ def block_moves(block, target):
     block at 1-based position c."""
     rec = TraceRecorder(CentredSequence(1, tuple(block)), Window(0))
     rec.rearrange_region((1, len(block)), target)
-    return [step.flips[0] for step in rec.sink.steps]
+    return [step.flips[0] for step in expand_steps(rec.sink.steps)]
 
 
 # Middle blocks of the synthetic finishing state, both 28-balanced over the

@@ -137,12 +137,18 @@ STEP_POINTS = [(0, 9, 0), (0, 9, 1), (0, 9, 2), (0, 9, 3), (1, 81, 0),
 def test_c04_recursive_step_certificates(t, d, k):
     """Sizes and budget as planned; certificates (1)-(6) pass; |B-| is
     exactly laid_k; (7) passes exactly when laid_k >= beta_k, and (8) passes
-    wherever it does; B is (min(laid_k, beta_k)/alpha_k)-balanced."""
+    wherever it does; B is (min(laid_k, beta_k)/alpha_k)-balanced.  The
+    whole trace is kept in memory and verifies: allowable, every flip
+    valid, the recorder's counts, minimum deviation at least t + 1/2."""
     started = time.perf_counter()
-    sink = StatsSink() if (t, k) in ((0, 2), (0, 3)) else None
-    rec = step_instance(t, d, k, 1, sink=sink)
+    rec = step_instance(t, d, k, 1)
     out = recursive_step(rec, d, k, 1, strict_certificates=False)
     elapsed = time.perf_counter() - started
+    rep = verify_trace(rec)
+    trace_ok = (rep.allowable and rep.all_valid
+                and rep.flip_count == rec.flip_count
+                and rep.step_count == rec.step_count
+                and rep.min_deviation >= Fraction(2 * t + 1, 2))
     plan = SizePlan(t, d)
     sizes_ok = (out.x_size == plan.x(1, k) and out.y_size == plan.y(1, k)
                 and out.x_size <= 10 * d ** (2 * k + 1)
@@ -156,7 +162,7 @@ def test_c04_recursive_step_certificates(t, d, k):
     bv = rec.values(*out.layout.B)
     nneg = sum(1 for v in bv if v < 0)
     balanced = is_r_balanced(Block(bv), Fraction(min(laid, beta), alpha))
-    ok = (sizes_ok and budget_ok
+    ok = (sizes_ok and budget_ok and trace_ok
           and all(passed[i] for i in range(1, 7))
           and nneg == laid
           and passed[7] == reaches
@@ -167,6 +173,8 @@ def test_c04_recursive_step_certificates(t, d, k):
               f"|B-| = {nneg}, laid_{k} = {laid}, beta_{k} = {beta}")
     if not balanced.balanced:
         detail += f" | not min(laid, beta)/alpha-balanced: {balanced.detail}"
+    if not trace_ok:
+        detail += f" | trace does not verify: {rep}"
     failed = [c for c in out.certificates if not c.passed]
     if failed:
         detail += " | failed: " + "; ".join(

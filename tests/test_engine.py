@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from allowseq import engine
 from allowseq.construction import recursive_step, step_instance
-from allowseq.engine import (INF, FileSink, FlipStep, ListSink, StatsSink,
-                             TraceRecorder, flip_imbalance, iter_trace_file,
-                             min_deviation, parse_trace, single_step,
-                             verify_stream, verify_trace)
+from allowseq.engine import (INF, BlockSwap, FileSink, FlipStep, ListSink,
+                             StatsSink, TraceRecorder, expand_steps,
+                             flip_imbalance, iter_trace_file, min_deviation,
+                             parse_trace, single_step, verify_stream,
+                             verify_trace)
 from allowseq.errors import ConstructionBug, ContractError, RangeError
 from allowseq.seqcore import (CentredSequence, Flip, Window,
                               identity_sequence)
-from conftest import five_element_steps, random_trace_material
+from conftest import as_v1, five_element_steps, random_trace_material
 
 
 def test_fresh_recorder_is_empty_and_replays_to_itself():
@@ -65,7 +66,8 @@ def test_swap_adjacent_blocks_canonical_schedule():
     tr = TraceRecorder(CentredSequence(3, (1, 2, 5)), Window(0))
     tr.swap_adjacent_blocks((3, 4), (5, 5))
     assert tr.values(3, 5) == (5, 1, 2)
-    steps = [s.flips[0] for s in tr.sink.steps]
+    assert tr.sink.steps == [BlockSwap(3, 2, 1)]
+    steps = [s.flips[0] for s in expand_steps(tr.sink.steps)]
     assert [(f.c, f.d) for f in steps] == [(4, 5), (3, 4)]
 
 
@@ -99,7 +101,7 @@ def test_swap_batch_equals_its_transpositions_one_by_one(a, b, right_side):
     # The reference replays every transposition the batch recorded, each
     # validated on its own by emit_flip.
     ref = TraceRecorder(CentredSequence(lo, vals), Window(1))
-    for step in rec.sink.steps:
+    for step in expand_steps(rec.sink.steps):
         (f,) = step.flips
         ref.emit_flip(f.c, f.d)
     span = (lo, lo + a + b - 1)
@@ -107,7 +109,7 @@ def test_swap_batch_equals_its_transpositions_one_by_one(a, b, right_side):
     assert rec.flip_count == ref.flip_count == a * b
     assert rec.step_count == ref.step_count == a * b
     assert rec.min_deviation == ref.min_deviation
-    assert rec.sink.steps == ref.sink.steps
+    assert list(expand_steps(rec.sink.steps)) == ref.sink.steps
 
 
 # One case per check of the emit path: (initial, window, bad flip, message).
@@ -277,7 +279,7 @@ def step_trace(sink=None):
 def test_one_flip_steps_are_shared():
     fh = io.StringIO()
     step_trace(FileSink(fh))
-    text = fh.getvalue()
+    text = as_v1(fh.getvalue())
     lines = [line for line in text.splitlines()[3:] if line[0] in "FS"]
     fresh = []
     for line in lines:
@@ -286,9 +288,11 @@ def test_one_flip_steps_are_shared():
                                for c, d in zip(nums[::2], nums[1::2])]))
     parsed = parse_trace(text)
     listed = step_trace().to_trace()
-    assert list(parsed.steps) == fresh and listed == parsed
+    expanded = list(expand_steps(listed.steps))
+    assert list(parsed.steps) == fresh == expanded
+    assert parse_trace(fh.getvalue()) == listed
     by_line, by_flips = {}, {}
-    for line, step, kept in zip(lines, parsed.steps, listed.steps):
+    for line, step, kept in zip(lines, parsed.steps, expanded):
         assert by_line.setdefault(line, step) is step
         if len(kept.flips) == 1:
             assert by_flips.setdefault(kept.flips, kept) is kept

@@ -1,9 +1,12 @@
 """Golden move order: the exact trace text of the construction's moves.
 
 Each case runs one procedure into a FileSink and pins the first 16 hex
-digits of the sha256 of the text written.  A refactor of the moves must
-keep every flip, its order and every annotation; a deliberate change of
-the trace format updates these pins in the same change.
+digits of two sha256 digests: of the text written, and of that text
+expanded back to format v1 (`conftest.as_v1`), in which every block swap
+is its one-flip steps.  A refactor of the moves must keep every flip,
+its order and every annotation, so the v1 pins hold across format
+changes; a deliberate change of the trace format updates only the v2
+pins, in the same change.
 """
 
 import hashlib
@@ -17,11 +20,16 @@ from allowseq.construction import (finish_pipeline, recursive_step, reflect,
                                    shift_instance, step_instance)
 from allowseq.engine import FileSink, TraceRecorder
 from allowseq.seqcore import Window
-from conftest import SYNTHETIC_MIDDLES, synthetic_finishing_state
+from conftest import SYNTHETIC_MIDDLES, as_v1, synthetic_finishing_state
 
 
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _digests(text):
+    """(digest of the v1 expansion, digest of the v2 text)."""
+    return _digest(as_v1(text)), _digest(text)
 
 
 STEP_PINS = {
@@ -29,6 +37,12 @@ STEP_PINS = {
     (0, 9, 2): "adf6ba2ed6f13898",
     (1, 81, 0): "a91ddd72a1792216",
     (1, 81, 1): "de82cebcafe9e462",
+}
+STEP_PINS_V2 = {
+    (0, 9, 1): "cd586917e7cea0ed",
+    (0, 9, 2): "422a5e991d80da2d",
+    (1, 81, 0): "5aac35ee05ca942f",
+    (1, 81, 1): "b9a70b2d659bea69",
 }
 
 
@@ -38,13 +52,19 @@ def test_recursive_step_move_order(t, d, k):
     out = io.StringIO()
     rec = step_instance(t, d, k, 1, sink=FileSink(out))
     recursive_step(rec, d, k, 1, strict_certificates=False)
-    assert _digest(out.getvalue()) == STEP_PINS[t, d, k]
+    assert _digests(out.getvalue()) == (STEP_PINS[t, d, k],
+                                        STEP_PINS_V2[t, d, k])
 
 
 PRIMITIVE_PINS = {  # t: (shift, reflect, reflect_mirrored)
     0: ("ab15ddf63f0a1fce", "aeb41df2b3e76fe7", "52fe67b8cd11063f"),
     1: ("398bd49b3fbdf2b8", "2956e61eb4fa3535", "a2aa8a3c689a923c"),
     2: ("29a5ecfd1dec8e66", "9de1c8867dc53d8d", "88300fca4b4b1a98"),
+}
+PRIMITIVE_PINS_V2 = {
+    0: ("ce82a3b82de915fb", "f316df8155779b18", "16ae22b7937afc50"),
+    1: ("bf7691b74acab803", "cbb7e86eeca5419d", "dacd6db6d611969b"),
+    2: ("2bae401f29db09af", "932425f36553ed02", "91b44ddd00b146ad"),
 }
 
 
@@ -55,19 +75,21 @@ def test_shift_and_reflect_move_order(t):
     out = io.StringIO()
     rec, a, b, c = shift_instance(t, T + 3, sink=FileSink(out))
     shift(rec, a, b, c)
-    digests.append(_digest(out.getvalue()))
+    digests.append(_digests(out.getvalue()))
     for move, mirrored in ((reflect, False), (reflect_mirrored, True)):
         out = io.StringIO()
         rec, x, a, b, c = reflect_instance(t, T + 4 * t + 2, 2,
                                            sink=FileSink(out),
                                            mirrored=mirrored)
         move(rec, x, a, b, c)
-        digests.append(_digest(out.getvalue()))
-    assert tuple(digests) == PRIMITIVE_PINS[t]
+        digests.append(_digests(out.getvalue()))
+    assert tuple(zip(*digests)) == (PRIMITIVE_PINS[t], PRIMITIVE_PINS_V2[t])
 
 
 FINISH_PINS = {"decomposed": "bbebfde3add890a6",
                "scheduled": "f9167dc64f4b9630"}
+FINISH_PINS_V2 = {"decomposed": "805563ac7c74fb84",
+                  "scheduled": "b4d0d0a33acb69e4"}
 
 
 @pytest.mark.parametrize("name", list(FINISH_PINS))
@@ -76,4 +98,5 @@ def test_finishing_pipeline_move_order(name):
     out = io.StringIO()
     rec = TraceRecorder(seq, Window(t), sink=FileSink(out))
     finish_pipeline(rec, layout, Fraction(28))
-    assert _digest(out.getvalue()) == FINISH_PINS[name]
+    assert _digests(out.getvalue()) == (FINISH_PINS[name],
+                                        FINISH_PINS_V2[name])
