@@ -28,7 +28,7 @@ from .geom import (circular_sequence, deviation_imbalance_link,
                    line_imbalances, parse_points, render_points_svg,
                    render_trace_svg)
 from .oracle import SEARCH_GUARD, search_best_deviation
-from .planner import MAX_CELLS, plan_sizes
+from .planner import MAX_CELLS, plan_sizes, require_cells
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -134,7 +134,8 @@ def _construct(args, n) -> int:
                 return EXIT_VIOLATION
             rec = result
         elif args.stage == "step":
-            plan_sizes(t, args.d, args.k, n).require_cells(_max_cells(args))
+            require_cells(plan_sizes(t, args.d, args.k, n).cells,
+                          _max_cells(args))
             rec = step_instance(t, args.d, args.k, n, sink=sink)
             recursive_step(rec, args.d, args.k, n,
                            strict_certificates=not args.lenient)

@@ -27,7 +27,8 @@ from typing import Optional
 from .engine import TraceRecorder
 from .errors import ConstructionBug, ContractError
 from .planner import (MAX_CELLS, RecurrenceTable, SizePlan, alpha_closed,
-                      beta_closed, plan_sizes, shift_thresholds)
+                      beta_closed, plan_sizes, require_cells,
+                      shift_thresholds)
 from .seqcore import (Block, CentredSequence, Window,
                       _strictly_increasing, identity_sequence, is_r_balanced,
                       width, width_greedy)
@@ -763,9 +764,7 @@ def step_instance(t: int, d: int, k: int, n: int, sink=None) -> TraceRecorder:
     """A trace holding X ^ centre ^ Y for the growth step, embedded in a
     symmetric domain.  The centre carries values t+1 .. 3t+1 (zero stays
     out of every sign-split zone), X and Y are identity-like runs."""
-    plan = SizePlan(t, d)
-    x, y = plan.x(n, k), plan.y(n, k)
-    M = t + max(x, y) + 1
+    M = SizePlan(t, d).half_width(n, k)
     vals = []
     for pos in range(-M, M + 1):
         vals.append(pos if pos < -t else pos + 2 * t + 1)
@@ -928,7 +927,10 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = MAX_CELLS,
                      f"ratio {required}; pick larger d and k"),
             table=table,
         )
-    table.require_cells(max_cells)
+    # The domain [-b, b] parks the centre beyond Y, 4t cells more than the
+    # step instance at n = 1 holds.
+    b = None if table.y_exact is None else 3 * t + 1 + table.y_exact
+    require_cells(None if b is None else 2 * b + 1, max_cells)
     laid, beta = SizePlan(t, d).laid(k), beta_closed(T, d, k)
     if laid < beta:
         return ConstructionFailure(
@@ -940,7 +942,6 @@ def full_construction(t: int, d: int, k: int, *, max_cells: int = MAX_CELLS,
             table=table,
         )
 
-    b = 3 * t + 1 + table.y_exact
     rec = TraceRecorder(identity_sequence(-b, b), Window(t), sink=sink)
     with rec.annotate(f"full construction t={t} d={d} k={k}"):
         rec.emit_flip(-t, 3 * t + 1)

@@ -537,9 +537,9 @@ class TraceRecorder:
             self._bug(f"cannot swap: [{llo},{lhi}] does not precede [{rlo},{rhi}]")
         # Every transposition (i, i+1) in [llo, rhi] clears the window iff
         # its midpoint i + 1/2 lies outside [-t, t], which fails exactly
-        # for i in [-t, t-1].
+        # for i in [-t, t-1]; at t = 0 that range is empty.
         t = self.window.t
-        if not (rhi - 1 < -t or llo > t - 1):
+        if t > 0 and not (rhi - 1 < -t or llo > t - 1):
             self._bug(f"swap over [{llo},{rhi}] would cross the window")
         i, j, k = llo - self.lo, rlo - self.lo, rhi - self.lo + 1
         self._vals[i:k] = self._vals[j:k] + self._vals[i:j]

@@ -1,10 +1,15 @@
 """Planar point sets, their circular sequence and line imbalances.
 
-Everything is exact: coordinates are Fractions, and the sweep orders its
-events by integer keys.  Rotating the projection direction through a
-half turn sweeps out an allowable sequence of permutations, the circular
-sequence of Goodman and Pollack ("On the combinatorial classification of
-nondegenerate configurations in the plane", JCTA 29, 1980).  Each line
+Everything is exact.  A `PointSet` holds Fractions; the sweep and the
+link check work on the points scaled by the lcm of all coordinate
+denominators.  A uniform positive scale keeps every direction, every
+coordinate order and every orientation sign, so both compute on integers
+and the sweep orders its events by integer keys.
+
+Rotating the projection direction through a half turn sweeps out an
+allowable sequence of permutations, the circular sequence of Goodman and
+Pollack ("On the combinatorial classification of nondegenerate
+configurations in the plane", JCTA 29, 1980).  Each line
 through two or more of the points fires exactly once, as a flip [c, d]
 that reverses its collinear group, and that line has c - 1 points on one
 side and n - d on the other.  So its imbalance is |n - d - c + 1|, twice
@@ -12,8 +17,9 @@ the flip's deviation.
 
 `circular_sequence` is the one sweep; `line_imbalances` and
 `in_general_position` read their answers off it.  Only
-`deviation_imbalance_link` counts sides geometrically, by orientation
-tests, as an independent check of that correspondence.
+`deviation_imbalance_link` counts sides geometrically, by integer
+orientation determinants, as an independent check of that
+correspondence.
 """
 
 from __future__ import annotations
@@ -102,6 +108,14 @@ def _event_vector(p, q):
     return (xi, yi)
 
 
+def _integer_points(ps: PointSet) -> list:
+    """The points as integer pairs in storage order, every coordinate
+    scaled by the lcm of all their denominators.  The scale is uniform and
+    positive, so directions, (x, y) order and orientation signs survive."""
+    scale = lcm(*(c.denominator for p in ps.points for c in p))
+    return [(int(x * scale), int(y * scale)) for x, y in ps.points]
+
+
 def circular_sequence(ps: PointSet) -> HalfPeriod:
     """Rotate the projection direction through a half turn and record the
     swap events.  Labels 1..n follow the starting order, which breaks
@@ -114,14 +128,10 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     orders them exactly; (-1, 0) fires last.  All points on one line have
     the same offset x*px + y*py, so the pairs of one direction group into
     its parallel lines by offset."""
-    pts = ps.points
-    n = len(pts)
+    n = len(ps)
     if n < 1:
         raise ContractError("need at least one point")
-    # Scaling every coordinate by the lcm of their denominators keeps every
-    # direction, so the event directions come from integer points.
-    scale = lcm(*(c.denominator for p in pts for c in p))
-    ipts = sorted((int(x * scale), int(y * scale)) for x, y in pts)
+    ipts = sorted(_integer_points(ps))
     events = {}  # direction -> [(offset, label, label)] of its pairs
     for a in range(1, n):
         p = ipts[a - 1]
@@ -210,25 +220,27 @@ def in_general_position(ps: PointSet) -> bool:
 def deviation_imbalance_link(ps: PointSet) -> bool:
     """For general-position sets: every swap event's flip [a, b] satisfies
     line imbalance = |n - b - a + 1| = twice the flip's deviation, with
-    the line's side counts taken by orientation tests."""
-    pts = ps.points
-    n = len(pts)
+    the line's side counts taken by orientation tests.  The tests are
+    integer determinants on the integer-scaled points, whose signs are
+    those of the points themselves, since the scale is uniform and
+    positive."""
+    n = len(ps)
     lines = list(_fired_lines(ps))
     if any(len(on) != 2 for _, on in lines):
         raise ContractError("the link check needs general position")
+    ipts = _integer_points(ps)
     for f, (i, j) in lines:
+        ax, ay = ipts[i]
+        dx, dy = ipts[j][0] - ax, ipts[j][1] - ay
         left = right = 0
-        for k in range(n):
-            if k in (i, j):
-                continue
-            s = orientation(pts[i], pts[j], pts[k])
-            if s > 0:
+        for x, y in ipts:
+            det = dx * (y - ay) - dy * (x - ax)
+            if det > 0:
                 left += 1
-            elif s < 0:
+            elif det < 0:
                 right += 1
-            else:
-                return False
-        if abs(left - right) != flip_imbalance(n, f):
+        # p_i and p_j give zero; any other zero is a third point on the line.
+        if left + right != n - 2 or abs(left - right) != flip_imbalance(n, f):
             return False
     return True
 

@@ -43,9 +43,9 @@ of the closed form.
 
 `SizePlan` alone evaluates x, y, p and laid; `_alpha_beta` alone loops
 over the alpha/beta recurrence; `RecurrenceTable.balance_ratio_at_least`
-alone decides the gate; and `RecurrenceTable.require_cells` is the one
-refusal of a materialization above the cell budget, MAX_CELLS unless the
-caller names another.
+alone decides the gate; and `require_cells` is the one refusal of a
+materialization above the cell budget, MAX_CELLS unless the caller names
+another.
 """
 
 from __future__ import annotations
@@ -154,8 +154,8 @@ class RecurrenceTable:
     `alpha`, `beta`, `alpha_p`, `beta_p` hold entries for i = 0..min(k, cap);
     `ratio` is beta_k/alpha_k when exactly representable, else None with
     `ratio_bounds` carrying rigorous enclosures.  `x_exact`/`y_exact` are the
-    materialization sizes and `cells` their total including the window,
-    each None when not computable.
+    materialization sizes and `cells` the size of the step instance's
+    domain that holds them, each None when not computable.
     """
 
     t: int
@@ -185,13 +185,6 @@ class RecurrenceTable:
     def gate_ok(self) -> bool:
         """The balance gate beta_k/alpha_k >= 3T + 1."""
         return self.balance_ratio_at_least(self.gate_threshold)
-
-    def require_cells(self, limit: int) -> None:
-        """Raise RefusalError unless the cell count is known and <= limit."""
-        if self.cells is None or self.cells > limit:
-            raise RefusalError(f"materialization needs "
-                               f"{self.cells or 'astronomical'} cells "
-                               f"(limit {limit})")
 
     def balance_ratio_at_least(self, bound) -> bool:
         """Decide beta_k/alpha_k >= bound, by enclosure when decisive and
@@ -229,6 +222,13 @@ class RecurrenceTable:
         if self.x_bound is not None:
             lines.append(f"x_bound={self.x_bound} y_bound={self.y_bound}")
         return "\n".join(lines) + "\n"
+
+
+def require_cells(cells: Optional[int], limit: int) -> None:
+    """Raise RefusalError unless the cell count is known and <= limit."""
+    if cells is None or cells > limit:
+        raise RefusalError(f"materialization needs "
+                           f"{cells or 'astronomical'} cells (limit {limit})")
 
 
 def _shown(v) -> str:
@@ -344,8 +344,14 @@ class SizePlan:
     def y(self, n: int, k: int) -> int:
         return self._xy(n, k)[1]
 
+    def half_width(self, n: int, k: int) -> int:
+        """M of the step instance's symmetric domain [-M, M]: the window,
+        then room for the larger of X and Y, and one cell more, on each
+        side of 0."""
+        return self.t + max(self.x(n, k), self.y(n, k)) + 1
+
     def cells(self, n: int, k: int) -> int:
-        return self.x(n, k) + self.y(n, k) + 2 * self.t + 1
+        return 2 * self.half_width(n, k) + 1
 
 
 def check_claim_monotonicity(T: int, d: int, l_max: int):

@@ -151,6 +151,7 @@ def test_c04_recursive_step_certificates(t, d, k):
                 and rep.min_deviation >= Fraction(2 * t + 1, 2))
     plan = SizePlan(t, d)
     sizes_ok = (out.x_size == plan.x(1, k) and out.y_size == plan.y(1, k)
+                and plan_sizes(t, d, k, 1).cells == rec.hi - rec.lo + 1
                 and out.x_size <= 10 * d ** (2 * k + 1)
                 and out.y_size <= 10 * d ** (2 * k + 1))
     budget_ok = elapsed < 60.0 if (t, k) == (1, 1) else True

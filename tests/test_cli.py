@@ -276,7 +276,7 @@ def test_cmd_construct_refusal(capsys):
     assert code == 3
     # the step stage and the full pipeline refuse through the same guard
     assert capsys.readouterr().err.startswith(
-        "refused: materialization needs 16610653467 cells (limit ")
+        "refused: materialization needs 22373533243 cells (limit ")
     code = run_cli("construct", "--stage", "full", "--t", "0", "--d", "100",
                    "--k", "100")
     assert code == 3
@@ -320,7 +320,7 @@ def test_max_cells_env(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "ALLOWSEQ_MAX_CELLS" in capsys.readouterr().err
     # --max-cells wins over the environment, in both directions; this
-    # step needs 8 cells.
+    # step needs 13 cells.
     monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", str(10**9))
     code = run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
                    "--k", "0", "--max-cells", "5")
@@ -330,6 +330,18 @@ def test_max_cells_env(tmp_path, monkeypatch, capsys):
                    "--k", "0", "--max-cells", str(10**9))
     assert code == 0
     monkeypatch.delenv("ALLOWSEQ_MAX_CELLS")
+
+
+def test_max_cells_counts_the_built_domain(monkeypatch, capsys):
+    # The guard compares the cells the step instance builds, 3121 here.
+    argv = ("construct", "--stage", "step", "--t", "1", "--d", "81", "--k",
+            "1", "--machine")
+    monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "3120")
+    assert run_cli(*argv) == 3
+    assert "needs 3121 cells (limit 3120)" in capsys.readouterr().err
+    monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "3121")
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "cells=3121"
 
 
 def test_cmd_search(capsys):

@@ -288,6 +288,16 @@ def test_full_construction_negative_count_failure():
     assert res.required - res.achieved == (141**58 - 1) // 140
 
 
+def test_full_construction_refuses_on_its_own_domain():
+    # The full domain [-b, b] is the step instance's at n = 1 plus 4t
+    # cells; at t = 0 the two agree.
+    table = plan_sizes(0, 141, 58, 1)
+    cells = 2 * (1 + table.y_exact) + 1
+    assert cells == table.cells
+    with pytest.raises(RefusalError, match=f"needs {cells} cells"):
+        full_construction(0, 141, 58, max_cells=cells - 1)
+
+
 def test_full_construction_refuses_oversize():
     # gate passes at the headline parameters but the size is astronomical
     with pytest.raises(RefusalError):

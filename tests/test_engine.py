@@ -84,6 +84,23 @@ def test_swap_inside_window_fails():
         tr.swap_adjacent_blocks((0, 0), (1, 2))
 
 
+def test_swap_straddling_zero_clears_the_window_only_at_t0():
+    # At t = 0 no midpoint p + 1/2 lies in [0, 0], so a region across 0
+    # is allowed; at t = 1 the same move crosses [-1, 1].
+    tr = TraceRecorder(identity_sequence(-1, 1), Window(0))
+    tr.swap_adjacent_blocks((-1, 0), (1, 1))
+    assert tr.values(-1, 1) == (1, -1, 0)
+    assert tr.sink.steps == [BlockSwap(-1, 2, 1)]
+    assert tr.min_deviation == Fraction(1, 2)
+    rep = verify_trace(tr.to_trace())
+    assert rep.allowable and rep.all_valid
+    assert rep.min_deviation == Fraction(1, 2)
+    tr = TraceRecorder(identity_sequence(-1, 1), Window(1))
+    with pytest.raises(ConstructionBug):
+        tr.swap_adjacent_blocks((-1, 0), (1, 1))
+    assert tr.flip_count == 0
+
+
 def test_swap_requires_precedence():
     tr = TraceRecorder(CentredSequence(1, (5, 1)), Window(0))
     with pytest.raises(ConstructionBug):

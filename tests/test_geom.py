@@ -7,14 +7,16 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from allowseq.engine import verify_trace
+from allowseq import geom
+from allowseq.cli import EXIT_VIOLATION, main
+from allowseq.engine import FlipStep, flip_imbalance, verify_trace
 from allowseq.errors import ContractError
-from allowseq.geom import (HalfPeriod, LineRecord, PointSet,
+from allowseq.geom import (HalfPeriod, LineRecord, PointSet, SwapEvent,
                            circular_sequence, deviation_imbalance_link,
                            format_points, in_general_position, line_imbalances,
                            orientation, parse_points, render_points_svg,
                            render_trace_svg)
-from allowseq.seqcore import identity_sequence
+from allowseq.seqcore import Flip, identity_sequence
 from allowseq.engine import TraceRecorder, Window
 from conftest import five_element_steps
 
@@ -35,6 +37,31 @@ def cubic_line_imbalances(ps):
 def cubic_in_general_position(ps):
     """Oracle for in_general_position: no three points are collinear."""
     return all(orientation(a, b, c) for a, b, c in combinations(ps.points, 3))
+
+
+def fraction_deviation_imbalance_link(ps):
+    """Oracle for deviation_imbalance_link: side counts by orientation
+    tests on the Fraction coordinates themselves."""
+    pts = ps.points
+    n = len(pts)
+    lines = list(geom._fired_lines(ps))
+    if any(len(on) != 2 for _, on in lines):
+        raise ContractError("the link check needs general position")
+    for f, (i, j) in lines:
+        left = right = 0
+        for k in range(n):
+            if k in (i, j):
+                continue
+            s = orientation(pts[i], pts[j], pts[k])
+            if s > 0:
+                left += 1
+            elif s < 0:
+                right += 1
+            else:
+                return False
+        if abs(left - right) != flip_imbalance(n, f):
+            return False
+    return True
 
 
 def assert_matches_oracles(ps):
@@ -154,6 +181,50 @@ def test_rational_coordinates():
     ps = PointSet([(Fraction(1, 3), 0), (Fraction(2, 3), Fraction(1, 7)),
                    (0, 1)])
     assert deviation_imbalance_link(ps)
+
+
+@given(point_sets())
+@settings(max_examples=300, deadline=None)
+def test_link_matches_fraction_oracle(ps):
+    if in_general_position(ps):
+        assert deviation_imbalance_link(ps) == fraction_deviation_imbalance_link(ps)
+    else:
+        for link in (deviation_imbalance_link, fraction_deviation_imbalance_link):
+            with pytest.raises(ContractError):
+                link(ps)
+
+
+def test_link_scales_coprime_denominators():
+    # Denominators 7, 11 and 13 scale the points by 1001, to coordinates
+    # near 10^9.
+    rng = random.Random(713)
+    while True:
+        pts = {(Fraction(10**6 * den + rng.randrange(-999, 1000), den),
+                Fraction(10**6 * den + rng.randrange(-999, 1000), den))
+               for den in (7, 11, 13) for _ in range(5)}
+        ps = PointSet(sorted(pts))
+        if len(ps) == 15 and in_general_position(ps):
+            break
+    assert deviation_imbalance_link(ps)
+    assert fraction_deviation_imbalance_link(ps)
+
+
+def test_link_reports_a_wrong_flip(rng, monkeypatch, tmp_path, capsys):
+    # A half period whose one flip has another imbalance than its line.
+    ps = random_general_position(rng, 7)
+    hp = circular_sequence(ps)
+    ev = hp.events[0]
+    (f,) = ev.step.flips
+    c = next(c for c in range(1, 7)
+             if flip_imbalance(7, Flip(c, c + 1)) != flip_imbalance(7, f))
+    bad = SwapEvent(FlipStep([Flip(c, c + 1)]), ev.groups)
+    monkeypatch.setattr(geom, "circular_sequence", lambda ps: HalfPeriod(
+        hp.n, hp.initial, (bad,) + hp.events[1:]))
+    assert deviation_imbalance_link(ps) is False
+    path = tmp_path / "gp.pts"
+    path.write_text(format_points(ps))
+    assert main(["points", str(path), "--action", "link"]) == EXIT_VIOLATION
+    assert capsys.readouterr().out == "link violated\n"
 
 
 def test_point_file_round_trip():

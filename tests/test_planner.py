@@ -86,7 +86,8 @@ def test_size_plan_matches_recursive_definition():
         for k in range(5):
             for n in (1, 2, 3, 7):
                 assert (plan.x(n, k), plan.y(n, k)) == (x(n, k), y(n, k))
-                assert plan.cells(n, k) == x(n, k) + y(n, k) + 2 * t + 1
+                M = t + max(x(n, k), y(n, k)) + 1
+                assert plan.cells(n, k) == 2 * M + 1
             assert plan.p(k) == p(k)
 
 
