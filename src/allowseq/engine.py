@@ -17,10 +17,11 @@ Deviations are tracked doubled, as the integer |c + d - (lo + hi)|, and
 become Fractions only where they are reported.
 
 One-flip steps are shared immutable objects.  single_step hands out one
-FlipStep per distinct flip from a module cache, and ListSink and
-iter_trace_file keep a reference to it for each repeat instead of a new
-object.  The cache holds at most _SINGLE_STEP_CAP steps and is cleared
-when full, which bounds its memory whatever the trace.
+FlipStep per distinct flip from a module cache, and ListSink,
+iter_trace_file and geom.circular_sequence keep a reference to it for
+each repeat instead of a new object.  The cache holds at most
+_SINGLE_STEP_CAP steps and is cleared when full, which bounds its memory
+whatever the trace.
 
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
@@ -68,7 +69,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConstructionBug, ContractError, RangeError
-from .seqcore import CentredSequence, Flip, Window, _strictly_increasing
+from .seqcore import CentredSequence, Flip, Window
 
 INF = float("inf")
 
@@ -503,16 +504,23 @@ class TraceRecorder:
         for c, d in flips:
             if not (lo <= c <= d <= self.hi):
                 self._bug(f"flip [{c}, {d}] out of bounds", (c, d))
-            if not _strictly_increasing(vals[c - lo : d - lo + 1]):
+            # The values stay injective, so a run is strictly increasing
+            # exactly when it equals its sorted copy.
+            run = vals[c - lo : d - lo + 1]
+            if run != sorted(run):
                 self._bug(f"flip [{c}, {d}] is not an increasing run", (c, d))
             if abs(c + d) <= t2:
                 self._bug(f"flip [{c}, {d}] has midpoint inside the window",
                           (c, d))
+        centre2 = self._centre2
+        least = None
         for c, d in flips:
             i, j = c - lo, d - lo + 1
             vals[i:j] = vals[i:j][::-1]
-        centre2 = self._centre2
-        self._track(min(abs(c + d - centre2) for c, d in flips), len(flips), 1)
+            dev2 = abs(c + d - centre2)
+            if least is None or dev2 < least:
+                least = dev2
+        self._track(least, len(flips), 1)
         self.sink.on_step(flips)
 
     # -- block swaps -------------------------------------------------------

@@ -30,7 +30,7 @@ from math import gcd, lcm, log10
 from typing import Iterable
 
 from .engine import (FlipStep, Trace, TraceRecorder, expand_steps,
-                     flip_imbalance)
+                     flip_imbalance, single_step)
 from .errors import ContractError
 from .seqcore import CentredSequence, Flip, Window
 
@@ -127,7 +127,15 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     differ by at least 1/ymax^2, so the integer floor(-x * ymax^2 / y)
     orders them exactly; (-1, 0) fires last.  All points on one line have
     the same offset x*px + y*py, so the pairs of one direction group into
-    its parallel lines by offset."""
+    its parallel lines by offset.
+
+    In general position every direction holds a single pair (a, b), and
+    that event takes a direct path: it requires position[b] to follow
+    position[a] = c, records the shared step single_step(c, c + 1) and
+    swaps the two in place.  It accepts exactly what the group path
+    accepts for a group of two: pairs are generated with a < b, so a
+    contiguous {a, b} is label-increasing exactly when b follows a.
+    Directions with several pairs take the group path."""
     n = len(ps)
     if n < 1:
         raise ContractError("need at least one point")
@@ -148,6 +156,16 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     position = [0] + perm                     # label -> position
     result = []
     for pairs in sweep:
+        if len(pairs) == 1:
+            _, a, b = pairs[0]
+            c = position[a]
+            if position[b] != c + 1:
+                raise ContractError("collinear group is not contiguous; "
+                                    "geometry violated")
+            result.append(SwapEvent(single_step(c, c + 1), ((a, b),)))
+            perm[c - 1], perm[c] = b, a
+            position[a], position[b] = c + 1, c
+            continue
         # Several parallel lines may fire at once, each reversing its own
         # collinear group.
         lines = {}
@@ -316,6 +334,8 @@ def render_trace_svg(tr) -> str:
 def render_points_svg(ps: PointSet, with_lines: bool = False) -> str:
     """Draw the points (and optionally all determined lines, labelled with
     their imbalances)."""
+    if len(ps) < 1:
+        raise ContractError("need at least one point")
     pts = [(float(x), float(y)) for x, y in ps.points]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]

@@ -387,6 +387,18 @@ def test_cmd_points_and_render(tmp_path, capsys):
     assert run_cli("points", str(collinear), "--action", "link") == 2
 
 
+def test_empty_point_file_exits_malformed(tmp_path, capsys):
+    empty = tmp_path / "empty.pts"
+    empty.write_text("# no points\n")
+    for argv in (["points", str(empty), "--action", "sequence"],
+                 ["render", str(empty), "--points"],
+                 ["render", str(empty), "--points", "--lines"]):
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "need at least one point" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # About 200 KB of trace text, far more than a pipe buffers, so the
     # writer meets the closed pipe mid-write.

@@ -134,13 +134,16 @@ BAD_FLIPS = [
     (identity_sequence(-2, 2), Window(0), (2, 3), "out of bounds"),
     (CentredSequence(-2, (-2, -1, 0, 2, 1)), Window(0), (1, 2),
      "is not an increasing run"),
+    # ends increasing, middle not
+    (CentredSequence(-2, (-2, -1, 0, 2, 1)), Window(0), (0, 2),
+     "is not an increasing run"),
     (identity_sequence(-2, 2), Window(1), (0, 1),
      "has midpoint inside the window"),
 ]
 
 
 @pytest.mark.parametrize("initial, window, flip, reason", BAD_FLIPS,
-                         ids=["bounds", "run", "window"])
+                         ids=["bounds", "run", "long-run", "window"])
 def test_emit_flip_and_emit_step_reject_alike(initial, window, flip, reason):
     raised = []
     for emit in (lambda tr: tr.emit_flip(*flip),
@@ -153,7 +156,7 @@ def test_emit_flip_and_emit_step_reject_alike(initial, window, flip, reason):
 
 
 @pytest.mark.parametrize("initial, window, flip, reason", BAD_FLIPS,
-                         ids=["bounds", "run", "window"])
+                         ids=["bounds", "run", "long-run", "window"])
 def test_step_with_one_bad_flip_changes_nothing(initial, window, flip, reason):
     tr = TraceRecorder(initial, window)
     before = (tr.current(), tr.flip_count, tr.step_count, tr.min_deviation,

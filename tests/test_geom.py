@@ -1,15 +1,18 @@
+import hashlib
 import pathlib
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from allowseq import geom
+from allowseq import engine, geom
 from allowseq.cli import EXIT_VIOLATION, main
-from allowseq.engine import FlipStep, flip_imbalance, verify_trace
+from allowseq.engine import (FlipStep, flip_imbalance, single_step,
+                             verify_trace)
 from allowseq.errors import ContractError
 from allowseq.geom import (HalfPeriod, LineRecord, PointSet, SwapEvent,
                            circular_sequence, deviation_imbalance_link,
@@ -311,14 +314,16 @@ def test_sweep_orders_nearly_equal_slopes_exactly(extra):
         assert_matches_oracles(ps)
 
 
+# A 3x3 lattice and one point on its anti-diagonal's parallel: lines of
+# two, three and four points, parallel lines firing together, and the
+# vertical lines firing last.
+DEGENERATE_SET = PointSet([(x, y) for y in range(3) for x in range(3)]
+                          + [(Fraction(1, 2), Fraction(3, 2))])
+
+
 def test_sweep_events_of_a_degenerate_set():
-    # A 3x3 lattice and one point on its anti-diagonal's parallel: lines
-    # of two, three and four points, parallel lines firing together, and
-    # the vertical lines firing last.
-    ps = PointSet([(x, y) for y in range(3) for x in range(3)]
-                  + [(Fraction(1, 2), Fraction(3, 2))])
     events = [(tuple((f.c, f.d) for f in ev.step.flips), ev.groups)
-              for ev in circular_sequence(ps).events]
+              for ev in circular_sequence(DEGENERATE_SET).events]
     assert events == [
         (((4, 5),), ((4, 5),)),
         (((3, 4), (7, 8)), ((3, 5), (7, 8))),
@@ -333,6 +338,69 @@ def test_sweep_events_of_a_degenerate_set():
         (((7, 8),), ((1, 4),)),
         (((1, 3), (4, 6), (8, 10)), ((8, 9, 10), (5, 6, 7), (1, 2, 3))),
     ]
+
+
+def general_position_set(rng, n, box):
+    """n random integer points in [0, box)^2, no three collinear: a
+    candidate joins only if its directions to the points already chosen
+    are distinct (the points workload of perfbench draws its sets so)."""
+    def direction(dx, dy):
+        g = gcd(dx, dy)
+        dx, dy = dx // g, dy // g
+        return (dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)
+
+    pts = []
+    while len(pts) < n:
+        x, y = rng.randrange(box), rng.randrange(box)
+        if len({direction(x - a, y - b) for a, b in pts
+                if (a, b) != (x, y)}) == len(pts):
+            pts.append((x, y))
+    return PointSet(pts)
+
+
+def events_digest(hp):
+    """sha256 prefix of every event's (c, d) flips and its groups."""
+    events = [(tuple((f.c, f.d) for f in ev.step.flips), ev.groups)
+              for ev in hp.events]
+    return hashlib.sha256(repr(events).encode()).hexdigest()[:16]
+
+
+SWEEP_DIGESTS = {
+    1: ("5b810b0664899e19", "c06e1b8c9ab37abb", "7ab86cebece026cf"),
+    2: ("bd43ab38a4ae8079", "6efc662044f93917", "7c49790febec36cf"),
+    3: ("4502726ccdc17a7d", "7bee1f41d955c014", "eb4999a9ad1d085d"),
+}
+
+
+def workload_point_sets(seed):
+    """Random 40 and 150 in general position and 50 cells of a 10x10
+    lattice, drawn in that order from one seeded generator."""
+    rng = random.Random(seed)
+    sets = [general_position_set(rng, n, 10**6) for n in (40, 150)]
+    grid = [(x, y) for x in range(10) for y in range(10)]
+    sets.append(PointSet(rng.sample(grid, 50)))
+    return sets
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_DIGESTS))
+def test_sweep_output_is_pinned(seed):
+    assert (tuple(events_digest(circular_sequence(ps))
+                  for ps in workload_point_sets(seed))
+            == SWEEP_DIGESTS[seed])
+
+
+def test_one_pair_events_share_one_flip_steps(monkeypatch):
+    # A fresh cache, so that no clearing can happen during the checks.
+    monkeypatch.setattr(engine, "_single_steps", {})
+    one_pair = 0
+    for ps in workload_point_sets(1) + [DEGENERATE_SET]:
+        for ev in circular_sequence(ps).events:
+            if len(ev.groups) == 1 and len(ev.groups[0]) == 2:
+                c = ev.step.flips[0].c
+                assert ev.step is single_step(c, c + 1)
+                one_pair += 1
+    # every line of the two general-position sets
+    assert one_pair >= 40 * 39 // 2 + 150 * 149 // 2
 
 
 def test_points_n12_reach_line_imbalance_two():
