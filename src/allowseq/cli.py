@@ -24,9 +24,8 @@ from .engine import (INF, MAGIC, FileSink, StatsSink, TraceParseError,
                      iter_trace_file, parse_trace, serialize_trace,
                      verify_stream)
 from .errors import ConstructionBug, ContractError, RefusalError
-from .geom import (circular_sequence, deviation_imbalance_link,
-                   line_imbalances, parse_points, render_points_svg,
-                   render_trace_svg)
+from .geom import (circular_sequence, line_imbalances, link_and_minimum,
+                   parse_points, render_points_svg, render_trace_svg)
 from .oracle import SEARCH_GUARD, search_best_deviation
 from .planner import MAX_CELLS, plan_sizes, require_cells
 
@@ -200,11 +199,10 @@ def cmd_points(args) -> int:
         return EXIT_OK
     if args.action == "link":
         try:
-            ok = deviation_imbalance_link(ps)
+            ok, mn = link_and_minimum(ps)
         except ContractError as exc:
             print(f"cannot check: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
-        records, mn = line_imbalances(ps)
         if ok:
             print(f"link holds: line imbalance = 2 x deviation on every "
                   f"event; min imbalance = {mn}")

@@ -20,6 +20,14 @@ the flip's deviation.
 `deviation_imbalance_link` counts sides geometrically, by integer
 orientation determinants, as an independent check of that
 correspondence.
+
+The sweep is also the only check of its half period's trace: it checks
+each event against the live permutation as it applies it, so
+`HalfPeriod.to_trace` hands the events' own steps to the trace without
+replaying them through a `TraceRecorder`.  Each check the recorder would
+make has its counterpart in the sweep (listed at `HalfPeriod.to_trace`).
+A `HalfPeriod` built by hand has had no such check; `verify_trace` of its
+trace is its check.
 """
 
 from __future__ import annotations
@@ -88,11 +96,23 @@ class HalfPeriod:
         return tuple(ev.step for ev in self.events)
 
     def to_trace(self) -> Trace:
-        """Replay the events into a windowless trace on [1, n]."""
-        rec = TraceRecorder(CentredSequence(1, self.initial), Window(0))
-        for ev in self.events:
-            rec.emit_step(ev.step)
-        return rec.to_trace()
+        """The half period as a windowless trace on [1, n], holding the
+        events' own steps.
+
+        Nothing checks the steps again here.  `circular_sequence` checked
+        every event against the live permutation, and each check that
+        `TraceRecorder._emit` makes has its counterpart there:
+        - bounds, 1 <= c <= d <= n: positions are read off the live
+          permutation of 1..n, and a group must be contiguous in it;
+        - an increasing run: position[b] == c + 1 with a < b on the
+          one-pair path, run == sorted(run) on the group path;
+        - a midpoint outside Window(0): a flip has c >= 1 and d >= c + 1,
+          so c + d >= 3;
+        - disjoint flips: FlipStep refuses overlapping ones.
+        The sweep's last check adds the reversal at the end.
+        A HalfPeriod built by hand is not checked; verify_trace of its
+        trace is its check."""
+        return Trace(Window(0), CentredSequence(1, self.initial), self.steps())
 
 
 def _event_vector(p, q):
@@ -196,12 +216,12 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     return HalfPeriod(n, tuple(range(1, n + 1)), tuple(result))
 
 
-def _fired_lines(ps: PointSet):
+def _fired_lines(ps: PointSet, hp: HalfPeriod):
     """Yield (flip, storage indices of the line's points, ascending) for
-    every line of the half period, each once, in rotation order."""
+    every line of the half period hp of ps, each once, in rotation order."""
     pts = ps.points
     order = sorted(range(len(pts)), key=lambda i: pts[i])
-    for ev in circular_sequence(ps).events:
+    for ev in hp.events:
         for f, group in zip(ev.step.flips, ev.groups):
             yield f, sorted(order[lab - 1] for lab in group)
 
@@ -211,12 +231,17 @@ def line_imbalances(ps: PointSet):
     off the half period: the line that fires as the flip [c, d] has c - 1
     points before it in projection order and n - d after.  Returns
     (records, minimum imbalance)."""
+    if len(ps) < 2:
+        raise ContractError("need at least two points")
+    return _line_records(ps, circular_sequence(ps))
+
+
+def _line_records(ps: PointSet, hp: HalfPeriod):
+    """line_imbalances(ps), read off its half period hp."""
     pts = ps.points
     n = len(pts)
-    if n < 2:
-        raise ContractError("need at least two points")
     records = []
-    for f, on in _fired_lines(ps):
+    for f, on in _fired_lines(ps, hp):
         before, after = f.c - 1, n - f.d
         # At this event the projection direction is p_j - p_i turned a
         # quarter turn counterclockwise exactly when p_i < p_j in (x, y)
@@ -224,6 +249,8 @@ def line_imbalances(ps: PointSet):
         left, right = ((after, before) if pts[on[0]] < pts[on[1]]
                        else (before, after))
         records.append(LineRecord(tuple(k + 1 for k in on), left, right))
+    if not records:
+        raise ContractError("need at least two points")
     return records, min(r.imbalance for r in records)
 
 
@@ -242,8 +269,13 @@ def deviation_imbalance_link(ps: PointSet) -> bool:
     integer determinants on the integer-scaled points, whose signs are
     those of the points themselves, since the scale is uniform and
     positive."""
+    return _link_holds(ps, circular_sequence(ps))
+
+
+def _link_holds(ps: PointSet, hp: HalfPeriod) -> bool:
+    """deviation_imbalance_link(ps), checked on its half period hp."""
     n = len(ps)
-    lines = list(_fired_lines(ps))
+    lines = list(_fired_lines(ps, hp))
     if any(len(on) != 2 for _, on in lines):
         raise ContractError("the link check needs general position")
     ipts = _integer_points(ps)
@@ -261,6 +293,15 @@ def deviation_imbalance_link(ps: PointSet) -> bool:
         if left + right != n - 2 or abs(left - right) != flip_imbalance(n, f):
             return False
     return True
+
+
+def link_and_minimum(ps: PointSet):
+    """(deviation_imbalance_link(ps), line_imbalances(ps)[1]) from one
+    sweep.  Errors come as the two calls in turn would raise them: a
+    ContractError of the link check, then "need at least two points"."""
+    hp = circular_sequence(ps)
+    ok = _link_holds(ps, hp)
+    return ok, _line_records(ps, hp)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -367,10 +367,15 @@ def test_cmd_points_and_render(tmp_path, capsys):
     gp = tmp_path / "gp.pts"
     gp.write_text("0 0\n4 0\n1 3\n3 7\n9 2\n")
     assert run_cli("points", str(gp), "--action", "link") == 0
+    assert capsys.readouterr().out.startswith("link holds")
 
     assert run_cli("points", str(gp), "--action", "sequence") == 0
-    seq_text = capsys.readouterr().out.split("link holds")[-1]
-    assert MAGIC in seq_text
+    seq_text = capsys.readouterr().out
+    assert seq_text.startswith(MAGIC)
+    seq = tmp_path / "gp.trace"
+    seq.write_text(seq_text)
+    assert run_cli("verify", str(seq)) == 0
+    assert "reaches reversal: yes" in capsys.readouterr().out
 
     svg = tmp_path / "out.svg"
     assert run_cli("render", str(pts), "--points", "--lines",

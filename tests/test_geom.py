@@ -47,7 +47,7 @@ def fraction_deviation_imbalance_link(ps):
     tests on the Fraction coordinates themselves."""
     pts = ps.points
     n = len(pts)
-    lines = list(geom._fired_lines(ps))
+    lines = list(geom._fired_lines(ps, circular_sequence(ps)))
     if any(len(on) != 2 for _, on in lines):
         raise ContractError("the link check needs general position")
     for f, (i, j) in lines:
@@ -401,6 +401,117 @@ def test_one_pair_events_share_one_flip_steps(monkeypatch):
                 one_pair += 1
     # every line of the two general-position sets
     assert one_pair >= 40 * 39 // 2 + 150 * 149 // 2
+
+
+# sha256 prefixes of serialize_trace(circular_sequence(ps).to_trace()) for
+# the 150-point and the lattice set of workload_point_sets(seed), as the
+# trace was first written through a TraceRecorder replay.
+TO_TRACE_DIGESTS = {
+    1: ("d7d8766b11b5297b", "fe377ae5bfd51b36"),
+    2: ("acbc4f49a2da9bf6", "e4498faef2bfd836"),
+    3: ("3dfb47e6f1c3c0c4", "3cedb2ba66f269d6"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TO_TRACE_DIGESTS))
+def test_to_trace_output_is_pinned(seed):
+    digests = []
+    for ps in workload_point_sets(seed)[1:]:
+        hp = circular_sequence(ps)
+        tr = hp.to_trace()
+        assert len(tr.steps) == len(hp.events)
+        assert all(step is ev.step for step, ev in zip(tr.steps, hp.events))
+        digests.append(hashlib.sha256(
+            engine.serialize_trace(tr).encode()).hexdigest()[:16])
+    assert tuple(digests) == TO_TRACE_DIGESTS[seed]
+
+
+def misordered_sweep(monkeypatch, pts, directions):
+    """Sweep pts with the pair of labels (a, b) firing at the direction
+    directions[a, b] instead of its own.  Labels follow (x, y) order.  At
+    the directions (k, 1) a larger k fires earlier, and the pairs of one
+    direction share a line when their first points share k*x + y."""
+    ps = PointSet(pts)
+    label = {p: k for k, p in enumerate(sorted(geom._integer_points(ps)), 1)}
+    monkeypatch.setattr(geom, "_event_vector",
+                        lambda p, q: directions[label[p], label[q]])
+    return circular_sequence(ps)
+
+
+TRIANGLE = [(0, 0), (1, 3), (4, 0)]
+
+
+def test_sweep_refuses_a_one_pair_event_apart(monkeypatch):
+    # (1, 3) fires first, while 2 still stands between them.
+    with pytest.raises(ContractError, match="not contiguous"):
+        misordered_sweep(monkeypatch, TRIANGLE,
+                         {(1, 3): (3, 1), (1, 2): (2, 1), (2, 3): (1, 1)})
+
+
+def test_sweep_refuses_a_group_apart(monkeypatch):
+    # The lines {1, 3} and {2, 4} fire together first, each split by a
+    # point of the other.
+    pts = [(0, 0), (1, 0), (2, 5), (3, 1)]
+    directions = {pair: (0, 1) for pair in combinations(range(1, 5), 2)}
+    directions[1, 3] = directions[2, 4] = (1, 1)
+    with pytest.raises(ContractError, match="not contiguous"):
+        misordered_sweep(monkeypatch, pts, directions)
+
+
+def test_sweep_refuses_a_group_out_of_label_order(monkeypatch):
+    # (2, 3) swaps first; then the line {1, 2, 3} finds them as 1, 3, 2.
+    with pytest.raises(ContractError, match="not label-increasing"):
+        misordered_sweep(monkeypatch, TRIANGLE,
+                         {(2, 3): (2, 1), (1, 2): (1, 1), (1, 3): (1, 1)})
+
+
+def test_misordered_sweeps_are_refused_or_verify(monkeypatch):
+    # Whatever order the events come in, the sweep either refuses it or
+    # yields a half period whose trace the verifier accepts.  Each accepted
+    # event reverses an increasing run, so it inverts only pairs not yet
+    # inverted, and every pair belongs to an event: an accepted sweep
+    # always ends at the reversal, and no misordering reaches the
+    # "did not reach the reversal" check.
+    rng = random.Random(16)
+    pool = [(k, 1) for k in range(-2, 3)] + [(-1, 0)]
+    reasons = ("not contiguous", "not label-increasing", "overlap")
+    outcomes = dict.fromkeys(reasons + ("accepted",), 0)
+    for _ in range(300):
+        cells = rng.sample([(x, y) for x in range(3) for y in range(3)],
+                           rng.randint(3, 5))
+        directions = {pair: rng.choice(pool)
+                      for pair in combinations(range(1, len(cells) + 1), 2)}
+        try:
+            hp = misordered_sweep(monkeypatch, cells, directions)
+        except ContractError as exc:
+            (reason,) = [r for r in reasons if r in str(exc)]
+            outcomes[reason] += 1
+            continue
+        rep = verify_trace(hp.to_trace())
+        assert rep.allowable and rep.all_valid and rep.reaches_reversal
+        outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_points_link_sweeps_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "gp.pts"
+    path.write_text(format_points(random_general_position(random.Random(5), 9)))
+    calls = []
+
+    def counted(ps):
+        calls.append(len(ps))
+        return circular_sequence(ps)
+
+    monkeypatch.setattr(geom, "circular_sequence", counted)
+    assert main(["points", str(path), "--action", "link"]) == 0
+    assert calls == [9]
+    assert capsys.readouterr().out.startswith("link holds")
+    for text, reason in (("3 4\n", "need at least two points"),
+                         ("0 0\n1 1\n2 2\n", "needs general position")):
+        path.write_text(text)
+        assert main(["points", str(path), "--action", "link"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and reason in err
 
 
 def test_points_n12_reach_line_imbalance_two():
