@@ -118,54 +118,89 @@ def _apply(perm, c, d):
     return perm[: c - 1] + perm[c - 1 : d][::-1] + perm[d:]
 
 
-def _search(n: int, q2: int, goal=None) -> dict:
+def _position_map(c, d):
+    """The flip [c, d] as a `bytes.translate` table on positions: p goes
+    to c + d - p inside [c, d], and every other byte stays."""
+    table = bytearray(range(256))
+    table[c : d + 1] = range(d, c - 1, -1)
+    return bytes(table)
+
+
+def _search(n: int, q2: int, stop_at_reversal: bool = False) -> dict:
     """Breadth-first search from the identity on [1, n] over valid flips
     whose doubled deviation |c + d - (n + 1)| is at least q2.  Returns the
     parent map ({state: (c, d), or None for the identity}) of every state
-    reached, stopping as soon as `goal` is.
+    reached, in order of discovery, stopping as soon as the reversal is
+    reached when `stop_at_reversal` is set.
 
-    A state is the permutation's values as `bytes` (so n <= 255) and a
-    trailing 0 sentinel that ends its last increasing run.  One pass
-    over a state finds its maximal increasing runs; the valid flips are
-    exactly the intervals inside one run, and a table built once per call
-    holds, for each possible run, its admissible (c, d) with the slices
-    that cut a child out of the state, one shared entry per flip.  Runs
-    are taken left to right and each run's flips by c, then d, so
-    children are discovered in order of c, then d, and every state keeps
-    the parent the plain enumeration of intervals would give it.  Only
-    the flip is stored: a flip reverses an increasing run into a
-    decreasing one, and the same flip on the child reverses it back, so
-    re-applying the stored flips walks from any state back to the
-    identity.
+    A state is keyed by its inverse permutation σ as `bytes`: σ[v - 1]
+    is the position, 1..n, of value v.  The identity and the reversal are
+    their own inverses.  A flip [c, d] sends the value at position p in
+    [c, d] to c + d - p and leaves the rest in place, so the child's key is
+    the parent's with every byte in [c, d] mapped that way: one
+    `bytes.translate` through a 256-byte table built once per call for
+    each admissible flip.  The map is an involution, so the witness walk
+    back from the reversal applies the same table to each stored flip.
+
+    The valid flips are the intervals inside one maximal increasing run
+    of the values P.  `bytes.maketrans(σ, identity)` sends each position
+    σ[v - 1] to the value v it holds, so its bytes 1..n are P, built once
+    per expanded state.  One compare of P[:-1] against P[1:], both read
+    as big-endian integers, ((P[:-1] | H) - P[1:]) & H with H = 0x80 in
+    every byte, sets the top bit of byte i exactly where P[i] > P[i + 1];
+    no lane borrows from the next because every value is below 128 (so
+    n <= 127).  A table filled on first use maps that descent mask to the
+    admissible flips, taken run by run from the left and inside a run by
+    c, then d.  Runs are disjoint, so that is the order of c, then d, over
+    the whole state: children are discovered, and get their parents, in
+    the order the plain enumeration of intervals gives them.
+
+    The frontier of one layer is a single `bytes` of the new keys laid
+    end to end, n bytes a state, in order of discovery.  It holds no
+    values: those are rebuilt from the key when the state is expanded.
     """
-    identity = bytes(range(1, n + 1)) + b"\0"
-    centre2 = n + 1
-    cuts = {(c, d): ((c, d), slice(c - 1),
-                     slice(d - 1, c - 2 if c > 1 else None, -1), slice(d, None))
+    if n > 127:
+        raise RefusalError(f"n = {n} exceeds 127, the most values the "
+                           f"search's seven-bit descent compare holds")
+    identity = bytes(range(1, n + 1))
+    reversal = bytes(range(n, 0, -1)) if stop_at_reversal else None
+    maps = {(c, d): _position_map(c, d)
             for c in range(1, n + 1) for d in range(c + 1, n + 1)
-            if abs(c + d - centre2) >= q2}
-    runs = [[()] * n for _ in range(n)]
-    for s in range(n):
-        for e in range(s + 1, n):
-            runs[s][e] = tuple(cuts[c, d] for c in range(s + 1, e + 1)
-                               for d in range(c + 1, e + 2) if (c, d) in cuts)
+            if abs(c + d - (n + 1)) >= q2}
+    high = int.from_bytes(b"\x80" * (n - 1), "big")
+
+    class FlipsByDescents(dict):
+        def __missing__(self, mask):
+            flips = []
+            start = 1
+            for i in range(1, n + 1):
+                # byte i - 1 of the mask compares positions i and i + 1
+                if i == n or mask >> (8 * (n - 1 - i) + 7) & 1:
+                    flips += [(maps[c, d], (c, d))
+                              for c in range(start, i + 1)
+                              for d in range(c + 1, i + 1) if (c, d) in maps]
+                    start = i + 1
+            self[mask] = flips
+            return flips
+
+    flips_by_descents = FlipsByDescents()
     parent = {identity: None}
-    frontier = [identity]
+    frontier = identity
     while frontier:
-        nxt = []
-        for perm in frontier:
-            s = 0
-            for i in range(n):
-                if perm[i] > perm[i + 1]:
-                    for cd, a, r, b in runs[s][i]:
-                        child = perm[a] + perm[r] + perm[b]
-                        if child not in parent:
-                            parent[child] = cd
-                            if child == goal:
-                                return parent
-                            nxt.append(child)
-                    s = i + 1
-        frontier = nxt
+        nxt = bytearray()
+        for o in range(0, len(frontier), n):
+            sigma = frontier[o : o + n]
+            values = bytes.maketrans(sigma, identity)
+            mask = ((int.from_bytes(values[1:n], "big") | high)
+                    - int.from_bytes(values[2 : n + 1], "big")) & high
+            for table, cd in flips_by_descents[mask]:
+                child = sigma.translate(table)
+                if child not in parent:
+                    parent[child] = cd
+                    if child == reversal:
+                        return parent
+                    nxt += child
+        frontier = bytes(nxt)
     return parent
 
 
@@ -192,21 +227,17 @@ def search_best_deviation(n: int, mode: str = "single",
         raise RefusalError(
             f"n = {n} exceeds the guard {SEARCH_GUARD}; pass force=True "
             f"(--force on the command line) to override")
-    if n > 255:
-        raise RefusalError(f"n = {n} exceeds 255, the most values a search "
-                           f"state holds as bytes")
     if n == 1:
         return SearchResult(n, INF, (), 1)
-    goal = bytes(range(n, -1, -1))
     for q2 in range(n - 2, -1, -1):
-        parent = _search(n, q2, goal)
-        if goal in parent:
+        parent = _search(n, q2, stop_at_reversal=True)
+        state = bytes(range(n, 0, -1))  # the reversal's key: its own inverse
+        if state in parent:
             flips = []
-            state = goal
             while parent[state] is not None:
                 c, d = parent[state]
                 flips.append((c, d))
-                state = _apply(state, c, d)
+                state = state.translate(_position_map(c, d))
             flips.reverse()
             steps = _witness_steps(tuple(range(1, n + 1)), flips, mode)
             return SearchResult(n, Fraction(q2, 2), tuple(steps), len(parent))
@@ -247,8 +278,10 @@ def _witness_steps(identity, flips, mode):
 def reachable_states(n: int, min_deviation=Fraction(0)) -> set:
     """The permutations reachable from the identity using valid flips of
     at least the given deviation; the direct reachability baseline."""
-    return {tuple(state[:-1])
-            for state in _search(n, math.ceil(2 * min_deviation))}
+    parent = _search(n, math.ceil(2 * min_deviation))
+    identity = bytes(range(1, n + 1))
+    return {tuple(bytes.maketrans(sigma, identity)[1 : n + 1])
+            for sigma in parent}
 
 
 def sample_balanced_block(size: int, r, seed: int = DEFAULT_SEED) -> Block:

@@ -84,9 +84,18 @@ def test_search_multi_mode_matches_single():
 def test_search_guard():
     with pytest.raises(RefusalError, match="force"):
         search_best_deviation(9)
-    # a search state holds its values as bytes, so force cannot lift this
-    with pytest.raises(RefusalError, match="255"):
-        search_best_deviation(256, force=True)
+    # the search compares values seven bits at a time, so force cannot
+    # lift this
+    for n in (128, 256):
+        with pytest.raises(RefusalError, match="127"):
+            search_best_deviation(n, force=True)
+    with pytest.raises(RefusalError, match="127"):
+        reachable_states(128)
+    # at the bound itself: only (1, 2) and (126, 127) have imbalance 125
+    last = tuple(range(1, 128))
+    assert reachable_states(127, Fraction(125, 2)) == {
+        last, (2, 1) + last[2:], last[:-2] + (127, 126),
+        (2, 1) + last[2:-2] + (127, 126)}
     with pytest.raises(ContractError):
         search_best_deviation(3, mode="parallel")
 
@@ -144,12 +153,37 @@ def reference_search(n, q2):
     return parent
 
 
+def _inverse(perm):
+    """The position, 1..n, of each value 1..n of `perm`, as bytes."""
+    inverse = [0] * len(perm)
+    for position, value in enumerate(perm, 1):
+        inverse[value - 1] = position
+    return bytes(inverse)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_search_matches_reference(n):
+    # as ordered lists: `states_explored` and the witness depend on the
+    # order in which states are discovered
     for q2 in range(2 if n == 9 else 0, n):
-        expected = {bytes(state) + b"\0": link and link[1]
-                    for state, link in reference_search(n, q2).items()}
-        assert _search(n, q2) == expected
+        expected = [(_inverse(state), link and link[1])
+                    for state, link in reference_search(n, q2).items()]
+        assert list(_search(n, q2).items()) == expected
+
+
+@pytest.mark.parametrize("n, q2, states", [(11, 3, 91_270), (10, 2, 255_357)])
+def test_search_frontier_totals(n, q2, states):
+    # cells beyond the reach of reference_search; neither reaches the
+    # reversal
+    parent = _search(n, q2)
+    assert len(parent) == states
+    assert bytes(range(n, 0, -1)) not in parent
+
+
+def test_reachable_states_edges():
+    assert reachable_states(1) == {(1,)}
+    assert reachable_states(2) == {(1, 2), (2, 1)}
+    assert reachable_states(2, Fraction(1, 2)) == {(1, 2)}
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
