@@ -9,19 +9,20 @@ identity sequence to its reversal.
 
 Positions are absolute throughout; the window is always [-t, t].  Region
 bookkeeping inside the recursive step, and right of the window in the
-finish phase, uses a SegmentMap: an ordered list of named, sized segments
-tiling the working span of one recorder, mirroring the block
+finish phase, uses a SegmentMap: named, sized segments tiling the working
+span of one recorder, keyed by their first positions, mirroring the block
 concatenation expressions the procedures reason in.  `SegmentMap.move` is
 the only segment move: it derives the swapped intervals from the map,
-emits the block swap and reorders the map in one call, so the map stays
-the single source of truth for where things are, and every move is
-re-validated on concrete values by the recorder.
+emits the block swap and re-keys the segments it moved in one call, so
+the map stays the single source of truth for where things are, and every
+move is re-validated on concrete values by the recorder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .engine import TraceRecorder
@@ -271,97 +272,98 @@ def decompose_balanced(b: Block, r) -> Decomposition:
 
 
 class SegmentMap:
-    """Named, sized segments tiling [lo, lo + total - 1] of a recorder, in
-    order.  Names are any hashable values, unique within one map."""
+    """Named, sized segments tiling [lo, hi] of a recorder.  Names are any
+    hashable values, unique within one map.  `starts` keys each name by
+    its first position and `at` is its inverse, so a lookup is one dict
+    read and a change re-keys only the segments whose place it changes."""
 
     def __init__(self, rec, lo, segs):
-        self.rec = rec
-        self.lo = lo
-        self.order = []
-        self.sizes = {}
-        for name, size in segs:
-            self._add(name, size)
-        self._starts = None
+        self.rec, self.lo = rec, lo
+        self.sizes, self.starts, self.at = {}, {}, {}
+        self.sizes.update(self._fresh(segs))
+        self.hi = lo + sum(self.sizes.values()) - 1
+        self._place(list(self.sizes), lo)
 
-    def _add(self, name, size):
-        if size < 0:
-            raise ContractError(f"segment {name} has negative size")
-        if size == 0:
-            return
-        if name in self.sizes:
-            raise ContractError(f"duplicate segment {name}")
-        self.order.append(name)
-        self.sizes[name] = size
+    @property
+    def order(self):
+        return [self.at[p] for p in sorted(self.at)]
 
-    def _ensure(self):
-        if self._starts is None:
-            starts = {}
-            pos = self.lo
-            for name in self.order:
-                starts[name] = pos
-                pos += self.sizes[name]
-            self._starts = starts
-            self._end = pos - 1
+    def _fresh(self, pieces, old=()):
+        """The non-empty pieces as a dict, refusing a negative size or a
+        name already in use outside the segments `old` being replaced."""
+        new = {}
+        for n, s in pieces:
+            if s < 0:
+                raise ContractError(f"segment {n} has negative size")
+            if s and (n in new or n in self.sizes and n not in old):
+                raise ContractError(f"duplicate segment {n}")
+            if s:
+                new[n] = s
+        return new
+
+    def _place(self, names, pos):
+        """Key the named segments as laid out in turn from pos on."""
+        ps = list(accumulate(map(self.sizes.get, names[:-1]), initial=pos))
+        self.starts.update(zip(names, ps))
+        self.at.update(zip(ps, names))
+
+    def _take(self, pos, end):
+        """Unkey the segments tiling [pos, end) and return their names."""
+        names = []
+        while pos < end:
+            names.append(self.at.pop(pos))
+            pos += self.sizes[names[-1]]
+        return names
 
     def _run(self, names, what):
-        """Index of names[0], after checking that names sit contiguously."""
-        i = self.order.index(names[0])
-        if self.order[i : i + len(names)] != list(names):
-            raise ContractError(f"{what} needs a contiguous run")
-        return i
+        """Interval of names, after checking that they sit contiguously."""
+        lo = pos = self.iv(names[0])[0]
+        for n in names:
+            if self.iv(n)[0] != pos:
+                raise ContractError(f"{what} needs a contiguous run")
+            pos += self.sizes[n]
+        return lo, pos - 1
 
     def iv(self, name):
-        self._ensure()
-        s = self._starts[name]
+        if name not in self.starts:
+            raise ContractError(f"no segment {name} in the map")
+        s = self.starts[name]
         return (s, s + self.sizes[name] - 1)
 
     def span(self, first, last):
-        self._ensure()
-        i, j = self.order.index(first), self.order.index(last)
-        if i > j:
-            raise ContractError(f"span {first}..{last} is reversed")
-        return (self._starts[first], self._starts[last] + self.sizes[last] - 1)
+        lo, hi = self.iv(first)[0], self.iv(last)[1]
+        _check(lo <= hi, f"span {first}..{last} is reversed")
+        return (lo, hi)
 
     def replace(self, names, pieces):
         """Replace a contiguous run of segments by new ones, same total."""
-        i = self._run(names, "replace")
-        total = sum(self.sizes[n] for n in names)
-        if total != sum(s for _, s in pieces):
-            raise ContractError("replace must preserve total size")
-        for n in names:
-            del self.sizes[n]
-        keep = [(n, s) for n, s in pieces if s > 0]
-        for n, s in keep:
-            if n in self.sizes:
-                raise ContractError(f"duplicate segment {n}")
-            self.sizes[n] = s
-        self.order[i : i + len(names)] = [n for n, _ in keep]
-        self._starts = None
+        lo, hi = self._run(names, "replace")
+        new = self._fresh(pieces, set(names))
+        _check(sum(new.values()) == hi - lo + 1,
+               "replace must preserve total size")
+        for n in self._take(lo, hi + 1):
+            del self.starts[n], self.sizes[n]
+        self.sizes.update(new)
+        self._place(list(new), lo)
 
     def move(self, names, after=None):
         """Move a contiguous run of segments to sit right after `after`
         (first when None): one block swap on the recorder with the
-        segments it crosses, then the same reorder of the map."""
-        i = self._run(names, "move")
-        j = i + len(names)
+        segments it crosses, then the same re-keying of the map."""
+        lo, hi = self._run(names, "move")
         if after in names:
             raise ContractError(f"move cannot land after {after}, "
                                 "a segment of its own run")
-        dest = 0 if after is None else self.order.index(after) + 1
-        run = self.span(names[0], names[-1])
-        if dest < i:
-            self.rec.swap_adjacent_blocks(
-                self.span(self.order[dest], self.order[i - 1]), run)
-            self.order[dest:j] = self.order[i:j] + self.order[dest:i]
-        elif dest > j:
-            self.rec.swap_adjacent_blocks(
-                run, self.span(self.order[j], self.order[dest - 1]))
-            self.order[i:dest] = self.order[j:dest] + self.order[i:j]
-        self._starts = None
+        dest = self.lo if after is None else self.iv(after)[1] + 1
+        if dest < lo:
+            self.rec.swap_adjacent_blocks((dest, lo - 1), (lo, hi))
+            self._place(self._take(lo, hi + 1) + self._take(dest, lo), dest)
+        elif dest > hi:
+            self.rec.swap_adjacent_blocks((lo, hi), (hi + 1, dest - 1))
+            self._place(self._take(hi + 1, dest) + self._take(lo, hi + 1), lo)
 
     def total_span(self):
-        self._ensure()
-        return (self.lo, self._end)
+        return (self.lo, self.hi)
 
 
 # ---------------------------------------------------------------------------

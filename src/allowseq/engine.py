@@ -436,11 +436,6 @@ class TraceRecorder:
         """Least |flip midpoint - centre| so far; None before any flip."""
         return None if self._min_dev2 is None else Fraction(self._min_dev2, 2)
 
-    def value_at(self, pos: int) -> int:
-        if not self.lo <= pos <= self.hi:
-            raise RangeError(f"position {pos} outside [{self.lo}, {self.hi}]")
-        return self._vals[pos - self.lo]
-
     def values(self, lo: int, hi: int) -> tuple:
         """Inclusive slice by positions; empty when lo > hi."""
         if lo > hi:
@@ -580,22 +575,24 @@ class TraceRecorder:
         """Reorder region into the given value sequence using rightward
         element journeys (every crossed element must exceed the mover)."""
         rlo, rhi = region
-        cur = list(self.values(rlo, rhi))
-        tgt = list(target)
-        if sorted(cur) != sorted(tgt):
+        cur = self.values(rlo, rhi)
+        if sorted(cur) != sorted(target):
             self._bug("rearrange target is not a permutation of the region")
         # Work right-to-left: place the rightmost outstanding target value by
         # bubbling it right; everything it crosses is target-left of it.
-        placed = rhi + 1
-        for v in reversed(tgt):
-            idx = rlo + cur.index(v)
-            if idx == placed - 1:
-                placed -= 1
-                continue
-            self.swap_adjacent_blocks((idx, idx), (idx + 1, placed - 1))
-            cur.pop(idx - rlo)
-            cur.insert(placed - 1 - rlo, v)
-            placed -= 1
+        # Unplaced values keep their order, so a value's index is rlo plus
+        # a prefix count of unplaced values in a Fenwick tree over indices.
+        start = {v: i for i, v in enumerate(cur, start=1)}
+        tree = [i & -i for i in range(len(cur) + 1)]
+        for placed, v in enumerate(reversed(target)):
+            idx, i = rlo, start[v] - 1
+            while i:
+                idx, i = idx + tree[i], i & (i - 1)
+            self.swap_adjacent_blocks((idx, idx), (idx + 1, rhi - placed))
+            i = start[v]
+            while i < len(tree):
+                tree[i] -= 1
+                i += i & -i
 
 
 # -- independent verification ------------------------------------------

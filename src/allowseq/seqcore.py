@@ -250,6 +250,7 @@ def is_r_balanced(b: Block, r) -> BalanceReport:
         raise ContractError("r must be >= 0")
     if any(v == 0 for v in b):
         raise ContractError("balance is undefined for blocks containing 0")
+    num, den = r.as_integer_ratio()
     neg_count = 0
     last_neg = None
     pw = PrefixWidth()
@@ -262,7 +263,7 @@ def is_r_balanced(b: Block, r) -> BalanceReport:
             neg_count += 1
         else:
             wplus = pw.push(v)
-        if neg_count < r * wplus:
+        if neg_count * den < num * wplus:
             return BalanceReport(
                 False, r, k, f"prefix has {neg_count} negatives < r*width = {r * wplus}"
             )

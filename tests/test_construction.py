@@ -263,6 +263,143 @@ def test_segment_map_operations():
     assert rec.values(0, 5) == (5, 2, 3, 4, 0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sm: sm.iv("z"),
+    lambda sm: sm.span("a", "z"),
+    lambda sm: sm.span("z", "a"),
+    lambda sm: sm.move(["z"]),
+    lambda sm: sm.move(["a"], after="z"),
+    lambda sm: sm.replace(["z"], [("y", 1)]),
+    lambda sm: sm.replace(["a", "z"], [("y", 3)]),
+], ids=["iv", "span-last", "span-first", "move", "move-after", "replace",
+        "replace-run"])
+def test_segment_map_unknown_name(call):
+    rec = TraceRecorder(identity_sequence(0, 5), Window(0))
+    sm = SegmentMap(rec, 0, [("a", 2), ("b", 3), ("c", 1)])
+    with pytest.raises(ContractError, match="no segment z"):
+        call(sm)
+    assert sm.order == ["a", "b", "c"] and rec.flip_count == 0
+
+
+def _map_state(sm, rec):
+    return (sm.order, dict(sm.sizes), dict(sm.starts), dict(sm.at),
+            rec.values(*sm.total_span()), rec.flip_count)
+
+
+class ListMap:
+    """Reference for SegmentMap: a list of (name, values) in order, the
+    values being what the recorder should hold under that segment.  Each
+    operation returns "refused" (ContractError), "bug" (the recorder's
+    ConstructionBug) or None after applying itself."""
+
+    def __init__(self, segs):
+        self.segs = segs
+
+    def names(self):
+        return [n for n, _ in self.segs]
+
+    def _run(self, names):
+        order = self.names()
+        if names[0] not in order:
+            return None
+        i = order.index(names[0])
+        return i if order[i:i + len(names)] == names else None
+
+    def move(self, names, after):
+        i = self._run(names)
+        if i is None or after in names or (after is not None
+                                           and after not in self.names()):
+            return "refused"
+        j = i + len(names)
+        dest = 0 if after is None else self.names().index(after) + 1
+        run, segs = self.segs[i:j], self.segs[:i] + self.segs[j:]
+        lo = dest if dest < i else dest - len(names)
+        if dest < i or dest > j:
+            crossed = self.segs[dest:i] if dest < i else self.segs[j:dest]
+            left, right = (crossed, run) if dest < i else (run, crossed)
+            if max(v for _, vs in left for v in vs) >= min(
+                    v for _, vs in right for v in vs):
+                return "bug"
+            self.segs = segs[:lo] + run + segs[lo:]
+
+    def replace(self, names, pieces):
+        i = self._run(names)
+        j = i + len(names) if i is not None else 0
+        vals = [v for _, vs in self.segs[i:j] for v in vs]
+        new = [n for n, s in pieces if s > 0]
+        if (i is None or any(s < 0 for _, s in pieces)
+                or sum(s for _, s in pieces) != len(vals)
+                or len(set(new)) < len(new)
+                or set(new) & (set(self.names()) - set(names))):
+            return "refused"
+        out, pos = [], 0
+        for n, s in pieces:
+            if s > 0:
+                out.append((n, vals[pos:pos + s]))
+                pos += s
+        self.segs = self.segs[:i] + out + self.segs[j:]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_segment_map_against_list_model(seed):
+    rng = random.Random(seed)
+    lo, hi = -3, 20
+    rec = TraceRecorder(identity_sequence(lo, hi), Window(0))
+    sizes = [2 + i % 3 for i in range(8)]
+    sizes.append(hi - lo + 1 - sum(sizes))
+    segs, pos = [], lo
+    for i, size in enumerate(sizes):
+        segs.append((f"s{i}", list(range(pos, pos + size))))
+        pos += size
+    ref = ListMap(segs)
+    sm = SegmentMap(rec, lo, [(n, len(vs)) for n, vs in segs] + [("e", 0)])
+    fresh = (f"n{i}" for i in range(10 ** 6))
+    for _ in range(200):
+        order = ref.names()
+        i = rng.randrange(len(order))
+        run = order[i:i + rng.randint(1, 3)]
+        if rng.random() < 0.15:   # not contiguous, or not in the map
+            run = [run[0], rng.choice(order + ["gone"])]
+        before = _map_state(sm, rec)
+        if rng.random() < 0.6:
+            after = "gone" if rng.random() < 0.05 else rng.choice(order
+                                                                 + [None])
+            op, args = sm.move, (run, after)
+            want = ref.move(run, after)
+        else:
+            total = sum(len(vs) for n, vs in ref.segs if n in run)
+            cuts = sorted(rng.randint(0, total)
+                          for _ in range(rng.randint(0, 4)))
+            pieces = [(next(fresh), b - a)
+                      for a, b in zip([0] + cuts, cuts + [total])]
+            bad = rng.random()
+            if bad < 0.1:   # the total changes
+                pieces[0] = (pieces[0][0], pieces[0][1] + 1)
+            elif bad < 0.2:   # a name already in the map, maybe empty
+                dup = (rng.choice(order), int(bad < 0.15))
+                pieces = [(pieces[0][0], pieces[0][1] - dup[1]), *pieces[1:],
+                          dup]
+            op, args = sm.replace, (run, pieces)
+            want = ref.replace(run, pieces)
+        if want is None:
+            op(*args)
+        else:
+            exc = ContractError if want == "refused" else ConstructionBug
+            with pytest.raises(exc):
+                op(*args)
+            assert _map_state(sm, rec) == before
+        assert sm.order == ref.names()
+        pos = lo
+        for n, vs in ref.segs:
+            assert sm.iv(n) == (pos, pos + len(vs) - 1)
+            pos += len(vs)
+        a, b = sorted(rng.choices(ref.names(), k=2), key=ref.names().index)
+        assert sm.span(a, b) == (sm.iv(a)[0], sm.iv(b)[1])
+        assert sm.total_span() == (lo, hi)
+        assert list(rec.values(lo, hi)) == [v for _, vs in ref.segs
+                                             for v in vs]
+
+
 # -- the full pipeline ------------------------------------------------------------
 
 

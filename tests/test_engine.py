@@ -213,6 +213,69 @@ def test_rearrange_region():
     assert tr.values(1, 2) == (2, 1) and tr.flip_count == 0
 
 
+def _rearrange_by_lists(rec, region, target):
+    """The quadratic rearrangement, with list index, pop and insert: the
+    reference whose swaps TraceRecorder.rearrange_region must repeat."""
+    rlo, rhi = region
+    cur = list(rec.values(rlo, rhi))
+    tgt = list(target)
+    if sorted(cur) != sorted(tgt):
+        rec._bug("rearrange target is not a permutation of the region")
+    placed = rhi + 1
+    for v in reversed(tgt):
+        idx = rlo + cur.index(v)
+        if idx == placed - 1:
+            placed -= 1
+            continue
+        rec.swap_adjacent_blocks((idx, idx), (idx + 1, placed - 1))
+        cur.pop(idx - rlo)
+        cur.insert(placed - 1 - rlo, v)
+        placed -= 1
+
+
+def _rearranged(vals, region, target, how):
+    """(error text or None, steps, final values) of one rearrangement."""
+    sink = ListSink()
+    rec = TraceRecorder(CentredSequence(-3, vals), Window(0), sink=sink)
+    try:
+        how(rec, region, target)
+        err = None
+    except ConstructionBug as exc:
+        err = str(exc)
+    return err, sink.steps, rec.values(rec.lo, rec.hi)
+
+
+def test_rearrange_region_matches_list_reference():
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        size = rng.randint(1, 40)
+        vals = rng.sample(range(-60, 60), size + 5)
+        rlo = rng.randint(-3, 1)
+        region, i = (rlo, rlo + size - 1), rlo + 3
+        if seed % 3:   # a sorted region reaches every target; one
+            # transposition in it makes some fail part way
+            vals[i:i + size] = sorted(vals[i:i + size])
+            for _ in range(seed % 3 - 1):
+                j, k = i + rng.randrange(size), i + rng.randrange(size)
+                vals[j], vals[k] = vals[k], vals[j]
+        target = rng.sample(vals[i:i + size], size)
+        if seed % 10 == 9:
+            target[rng.randrange(size)] = 100
+        want = _rearranged(vals, region, target, _rearrange_by_lists)
+        got = _rearranged(vals, region, target,
+                          TraceRecorder.rearrange_region)
+        assert got == want
+        err = want[0] and want[0].split(":")[0]
+        outcomes.add((err, bool(want[1])))
+        if err is None:
+            assert list(got[2][i:i + size]) == target
+    assert outcomes >= {(None, True), ("cannot swap", True),
+                        ("cannot swap", False), (
+                            "rearrange target is not a permutation of the "
+                            "region", False)}
+
+
 def test_min_deviation_values():
     tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     tr.emit_step(FlipStep([Flip(1, 2)]))

@@ -56,6 +56,18 @@ def test_recursive_step_move_order(t, d, k):
                                         STEP_PINS_V2[t, d, k])
 
 
+def test_wide_map_step_move_order():
+    # At (0, 27, 2) the top-level segment map reaches 1,162 segments, so
+    # this pins moves that cross many segments.  Only the v2 text is
+    # pinned: its v1 expansion is 40,166,813 one-flip lines, too large to
+    # build in a unit test.
+    out = io.StringIO()
+    rec = step_instance(0, 27, 2, 1, sink=FileSink(out))
+    recursive_step(rec, 27, 2, 1, strict_certificates=False)
+    assert rec.flip_count == 40_166_813
+    assert _digest(out.getvalue()) == "c460f73f39dbc28d"
+
+
 PRIMITIVE_PINS = {  # t: (shift, reflect, reflect_mirrored)
     0: ("ab15ddf63f0a1fce", "aeb41df2b3e76fe7", "52fe67b8cd11063f"),
     1: ("398bd49b3fbdf2b8", "2956e61eb4fa3535", "a2aa8a3c689a923c"),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from allowseq.errors import ContractError, RangeError
 from allowseq.oracle import width_dp
-from allowseq.seqcore import (Block, CentredSequence, Flip, Window,
-                              apply_block_flip, apply_flip, as_block,
+from allowseq.seqcore import (BalanceReport, Block, CentredSequence, Flip,
+                              Window, apply_block_flip, apply_flip, as_block,
                               as_centred, identity_sequence, is_r_balanced,
                               is_valid_flip_block, is_valid_flip_centred,
                               precedes, sign_parts, width, width_greedy)
@@ -97,6 +97,28 @@ def test_is_r_balanced_examples():
     assert not rep.balanced and rep.witness == 1
     with pytest.raises(ContractError):
         is_r_balanced(Block((0, 1)), 1)
+
+
+def test_is_r_balanced_exact_boundary():
+    # r = 7/3: a prefix with 3 * negatives == 7 * width passes; one
+    # negative fewer fails at the same prefix.
+    r = Fraction(7, 3)
+    assert is_r_balanced(Block((-7, -6, -5, -4, -3, -2, -1, 3, 2, 1)),
+                         r).balanced
+    rep = is_r_balanced(Block((-6, -5, -4, -3, -2, -1, 3, 2, 1)), r)
+    assert (rep.balanced, rep.r, rep.witness, rep.detail) == (
+        False, r, 9, "prefix has 6 negatives < r*width = 7")
+    rep = is_r_balanced(Block((-4, -3, -2, -1, 2, 1)), r)
+    assert (rep.witness, rep.detail) == (
+        6, "prefix has 4 negatives < r*width = 14/3")
+    # integer r, and r = 0, which every block without 0 meets
+    assert is_r_balanced(Block((-2, -1, 1)), 2).balanced
+    rep = is_r_balanced(Block((-1, 1)), 2)
+    assert (rep.r, rep.witness, rep.detail) == (
+        2, 2, "prefix has 1 negatives < r*width = 2")
+    assert is_r_balanced(Block((3, 2, 1)), 0).balanced
+    assert is_r_balanced(Block((1, -4, 2, -3)), 0) == BalanceReport(
+        True, Fraction(0))
 
 
 @given(blocks, st.fractions(min_value=0, max_value=6))
