@@ -435,6 +435,27 @@ def _entry_checks(rec, plan, k, n, x_iv, y_iv, depth):
                               rec.annotation_stack())
 
 
+def _end(sm, pool, size):
+    """The size cells at a pool's window end: its right end when the pool
+    lies left of the window, its left end otherwise."""
+    lo, hi = sm.iv(pool)
+    return (hi - size + 1, hi) if lo < 0 else (lo, lo + size - 1)
+
+
+def _cut(sm, pool, pieces):
+    """Split pieces off the window end of a pool."""
+    rest = [(pool, sm.sizes[pool] - sum(s for _, s in pieces))]
+    sm.replace([pool], rest + pieces if sm.starts[pool] < 0 else pieces + rest)
+
+
+def _join(sm, group, names):
+    """Merge the run `names` (absent ones skipped) into one segment named
+    group.  replace refuses a run that is not contiguous in this order, so
+    each merge checks where its pieces landed."""
+    names = [nm for nm in names if nm in sm.sizes]
+    sm.replace(names, [(group, sum(map(sm.sizes.get, names)))])
+
+
 def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
     """One level of the growth step.  Segments are named by fixed strings
     or (tag, i) pairs; each call keeps its own map, so they stay unique."""
@@ -463,52 +484,58 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
     y1 = plan.y(n + 1, k - 1)
     u = T + 4 * t + 2
 
-    segs = [("Xp", p + 2 * t + 1)]
-    segs += [(("P", i), x1) for i in range(d, 0, -1)]
-    segs += [("WIN", 2 * t + 1)]
-    segs += [(("Q", i), y1) for i in range(1, d + 1)]
-    segs += [("Yp", _ivlen(y_iv) - d * y1)]
+    segs = [("Xp", p + 2 * t + 1), ("P", d * x1), ("WIN", 2 * t + 1),
+            ("Q", d * y1), ("Yp", _ivlen(y_iv) - d * y1)]
     sm = SegmentMap(rec, x_iv[0], segs)
     if sm.total_span() != (x_iv[0], y_iv[1]):
         raise ConstructionBug("segment map does not tile the working span",
                               rec.annotation_stack())
 
-    # Step 1: run the level below d times and herd the pieces apart.
-    Ls, Ws, Bs, Rs = [], [], [], []
+    # Pools and groups keep every move below crossing a bounded number of
+    # segments.  A pool holds pieces still to be used, each split off its
+    # window end once used; W and B each merge the pieces that land in
+    # them into one segment.  No move crosses the L and R pieces, so those
+    # stay as they land, listed in lz and rz.
+    lz, rz = [], []
+
+    # Step 1: run the level below d times and herd the pieces apart.  P
+    # holds P_d..P_i and Q holds Q_i..Q_d.
     with rec.annotate(f"step k={k}: repeat level {k-1} x{d}"):
         for i in range(1, d + 1):
-            sub = _rstep(rec, plan, k - 1, n + 1, sm.iv(("P", i)),
-                         sm.iv(("Q", i)), depth + 1)
+            sub = _rstep(rec, plan, k - 1, n + 1, _end(sm, "P", x1),
+                         _end(sm, "Q", y1), depth + 1)
             sizes = sub.region_sizes()
+            if sizes["W"] != m * (n + 2):
+                raise ConstructionBug("W piece has unexpected shape",
+                                      rec.annotation_stack())
+            # The sub-step's own final check makes its four regions tile
+            # the ends it ran on, so these cuts take exactly P_i and Q_i.
             Li, Wi, Bi, Ri = ("L", i), ("W", i), ("B", i), ("R", i)
-            sm.replace([("P", i)], [(Li, sizes["L"]), (Wi, sizes["W"])])
-            sm.replace([("Q", i)], [(Bi, sizes["B"]), (Ri, sizes["R"])])
+            _cut(sm, "P", [(Li, sizes["L"]), (Wi, sizes["W"])])
+            _cut(sm, "Q", [(Bi, sizes["B"]), (Ri, sizes["R"])])
             if sizes["L"]:
-                sm.move([Li], after=_last(Ls))
-                Ls.append(Li)
-            sm.move([Wi], after=(Ws[-1] if Ws else "Xp"))
-            Ws.append(Wi)
+                sm.move([Li], after=_last(lz))
+                lz.append(Li)
+            sm.move([Wi], after="W" if i > 1 else "Xp")
+            _join(sm, "W", ["W", Wi])
             if i < d:
-                sm.move([Bi, Ri], after=("Q", d))
+                sm.move([Bi, Ri], after="Q")
             sm.move([Ri], after="Yp")
-            Bs.insert(0, Bi)
-            Rs.insert(0, Ri)
+            _join(sm, "B", [Bi, "B"])
+            rz.insert(0, Ri)
 
     # Step 2: gather the singleton tails of the W pieces next to the
     # window, then recycle them to the right side one row at a time.
-    sm.replace(["Yp"], [(("S", i), T + d + 4 * t + 2) for i in range(1, m + 1)]
-               + [("Ypp", p)])
+    # S pools the tail cycles' pieces; Ypp holds the singles of step 3.
+    sm.replace(["Yp"], [("S", m * (T + d + 4 * t + 2)), ("Ypp", p)])
 
-    w_span = sm.span(Ws[0], Ws[-1])
+    w_span = sm.iv("W")
+    wv = rec.values(*w_span)
     kcells = []
     mrows = [[] for _ in range(m)]  # mrows[j-1] holds row j left to right
-    for Wi in Ws:
-        wv = rec.values(*sm.iv(Wi))
-        if len(wv) != m * (n + 2):
-            raise ConstructionBug("W piece has unexpected shape",
-                                  rec.annotation_stack())
-        kcells.extend(wv[: m * (n + 1)])
-        tail = wv[m * (n + 1) :]
+    for off in range(0, len(wv), m * (n + 2)):  # W_1 .. W_d
+        kcells.extend(wv[off : off + m * (n + 1)])
+        tail = wv[off + m * (n + 1) : off + m * (n + 2)]
         for j in range(m, 0, -1):
             mrows[j - 1].append(tail[m - j])
     target = list(kcells)
@@ -516,16 +543,13 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
         target.extend(mrows[j - 1])
     with rec.annotate("gather tails"):
         rec.rearrange_region(w_span, target)
-    sm.replace(Ws, [("WK", d * m * (n + 1))]
-               + [(("MR", j), d) for j in range(m, 0, -1)])
+    # MR pools the rows M_m..M_1 of singles.
+    sm.replace(["W"], [("WK", d * m * (n + 1)), ("MR", m * d)])
 
-    stack = []   # C-stack names, window side first
-    ubrs = []
-    rfront = Rs[0]  # leftmost segment of the R zone
     with rec.annotate("tail cycles"):
         for i in range(1, m + 1):
-            sm.replace([("S", i)], [("Tt", T), ("J", 2 * t + 1),
-                                    ("Ut", 2 * t + 1), ("Ub", d)])
+            _cut(sm, "S", [("Tt", T), ("J", 2 * t + 1), ("Ut", 2 * t + 1),
+                           ("Ub", d)])
             sm.move(["Tt", "J", "Ut", "Ub"], after="WIN")
             shift(rec, win, sm.iv("Tt"), sm.iv("J"))
             CCi = ("CC", i)
@@ -536,26 +560,24 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
                 CCn = ("CCneg", i)
                 sm.replace([CCi], [(CCi, len(ccv) - nneg), (CCn, nneg)])
                 sm.move([CCn], after="Ypp")
-                rfront = CCn
+                rz.insert(0, CCn)
             sm.move([CCi], after="Ub")
-            row = ("MR", i)
-            if sm.iv(row) != (-d - t, -t - 1):
+            if _end(sm, "MR", d) != (-d - t, -t - 1):
                 raise ConstructionBug("tail row out of position",
                                       rec.annotation_stack())
             rec.emit_flip(-d - t, d + 3 * t + 1)
             UbR, JR, Ni = ("UbR", i), ("JR", i), ("N", i)
-            sm.replace([row], [(UbR, d)])
+            _cut(sm, "MR", [(UbR, d)])
             sm.replace(["Ut", "Ub"], [(JR, 2 * t + 1), (Ni, d)])
-            stack = [JR, Ni, CCi] + stack
-            sm.move([UbR], after=_last(Ls + ubrs))
-            ubrs.append(UbR)
+            _join(sm, "B", [JR, Ni, CCi, "B"])
+            sm.move([UbR], after=_last(lz))
+            lz.append(UbR)
 
     # Step 3: split the leading cell off every gathered K block, regroup
     # those singles around the window with the X' singletons, and reflect
     # them across one by one to become the new tail.
     with rec.annotate("form the new tail"):
         sm.move(["Ypp"], after="WIN")
-        sm.replace(["Ypp"], [(("Qs", i), 1) for i in range(1, p + 1)])
 
         xpv = rec.values(*sm.iv("Xp"))
         wkv = rec.values(*sm.iv("WK"))
@@ -582,56 +604,54 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
             target.extend(Gparts[j])
             target.extend(Hparts[j])
         rec.rearrange_region(sm.span("Xp", "WK"), target)
-        pieces = [("WKp", md * n), ("XW", 2 * t + 1), ("F", f_len)]
-        for j in range(p, 0, -1):
-            pieces += [(("Ps", j), 1), (("G", j), 2 * t + 1),
-                       (("H", j), T + 2 * t + 1)]
-        sm.replace(["Xp", "WK"], pieces)
+        # W starts as K'.  XFP pools X_W, F and the triples (Ps_j, G_j,
+        # H_j) for j = p..1, each of u + 1 cells.
+        sm.replace(["Xp", "WK"], [("W", md * n),
+                                  ("XFP", 2 * t + 1 + f_len + p * (u + 1))])
 
-        qms, psrs, hrgr = [], [], []
+        psrs = []
         for i in range(1, p + 1):
-            reflect_mirrored(rec, x_iv=sm.iv(("Qs", i)), a_iv=win,
-                             b_iv=sm.span(("G", i), ("H", i)),
-                             c_iv=sm.iv(("Ps", i)))
+            ps, qs = _end(sm, "XFP", u + 1), _end(sm, "Ypp", 1)
+            reflect_mirrored(rec, x_iv=qs, a_iv=win,
+                             b_iv=(ps[0] + 1, ps[1]), c_iv=(ps[0], ps[0]))
             Qm, HRi, PsRi = ("Qm", i), ("HR", i), ("PsR", i)
             mid = "UT" if i == 1 else ("GR", i)
-            sm.replace([("Ps", i), ("G", i), ("H", i)],
-                       [(Qm, 1), (mid, 2 * t + 1), (HRi, T + 2 * t + 1)])
-            sm.replace([("Qs", i)], [(PsRi, 1)])
+            _cut(sm, "XFP", [(Qm, 1), (mid, 2 * t + 1), (HRi, T + 2 * t + 1)])
+            _cut(sm, "Ypp", [(PsRi, 1)])
             if i == 1:
-                sm.move([Qm, mid], after=_last(Ls + ubrs))
-                sm.move([HRi], after="WKp")
-                hrgr.append(HRi)
+                sm.move([Qm, mid], after=_last(lz))
+                sm.move([HRi], after="W")
+                _join(sm, "W", ["W", HRi])
             else:
-                sm.move([Qm], after=qms[-1])
-                sm.move([mid], after=hrgr[-1])
-                hrgr.append(mid)
+                sm.move([Qm], after=lz[-1])
+                sm.move([mid], after="W")
                 sm.move([HRi], after=mid)
-                hrgr.append(HRi)
-            qms.append(Qm)
+                _join(sm, "W", ["W", mid, HRi])
+            lz.append(Qm)
             if i < p:
-                sm.move([PsRi], after=("Qs", p))
-            psrs.append(PsRi)
+                sm.move([PsRi], after="Ypp")
+            psrs.insert(0, PsRi)
 
-        shift_mirrored(rec, a_iv=win, b_iv=sm.iv("F"), c_iv=sm.iv("XW"))
-        sm.replace(["XW", "F"], [("GRp", 2 * t + 1), ("FR", f_len)])
-        hrgr += ["GRp", "FR"]
+        lo, hi = sm.iv("XFP")  # X_W ^ F; they end as GR' ^ F-bar in W
+        shift_mirrored(rec, a_iv=win, b_iv=(lo + 2 * t + 1, hi),
+                       c_iv=(lo, lo + 2 * t))
+        _join(sm, "W", ["W", "XFP"])
 
-    l_names = Ls + ubrs + qms + ["UT"]
-    w_names = ["WKp"] + hrgr
-    b_names = list(reversed(psrs)) + stack + Bs
-    r_names = ([rfront] if rfront not in Rs else []) + Rs
-    expect = l_names + w_names + ["WIN"] + b_names + r_names
+    # The merges into W and B checked that each of their pieces landed
+    # where expected; this checks the order of everything else.
+    l_names = lz + ["UT"]
+    b_names = psrs + ["B"]
+    expect = l_names + ["W", "WIN"] + b_names + rz
     if sm.order != expect:
         raise ConstructionBug("final segment order is off: "
                               f"{sm.order} vs {expect}",
                               rec.annotation_stack())
     return StepLayout(
         L=sm.span(l_names[0], l_names[-1]),
-        W=sm.span(w_names[0], w_names[-1]),
+        W=sm.iv("W"),
         A=win,
         B=sm.span(b_names[0], b_names[-1]),
-        R=sm.span(r_names[0], r_names[-1]),
+        R=sm.span(rz[0], rz[-1]),
     )
 
 

@@ -7,7 +7,10 @@ swap, its one composite move.  A swap of blocks of sizes a and b is a*b
 transpositions, but the recorder checks the one precondition that makes
 them all valid (left block entirely below right block, region clear of
 the window), applies the move as a single splice, and hands the sinks a
-single BlockSwap step that stands for all of them.
+single BlockSwap step that stands for all of them.  It slices each block
+out of the state once, tests the precondition on those two slices and
+splices the same two back in swapped order, so a swap copies each block
+once and changes nothing until every check has passed.
 
 Sinks decide what to keep.  ListSink retains every step and annotation
 for replay and serialization, FileSink streams them to a text file,
@@ -534,8 +537,16 @@ class TraceRecorder:
             return
         if lhi + 1 != rlo:
             self._bug(f"blocks [{llo},{lhi}] and [{rlo},{rhi}] are not adjacent")
-        lv = self.values(llo, lhi)
-        rv = self.values(rlo, rhi)
+        # values()'s domain check, left block first; adjacent to it, the
+        # right block can only run out past hi.
+        lo, hi = self.lo, self.hi
+        if llo < lo or lhi > hi:
+            raise RangeError(f"interval [{llo}, {lhi}] outside [{lo}, {hi}]")
+        if rhi > hi:
+            raise RangeError(f"interval [{rlo}, {rhi}] outside [{lo}, {hi}]")
+        vals = self._vals
+        i, j, k = llo - lo, rlo - lo, rhi - lo + 1
+        lv, rv = vals[i:j], vals[j:k]
         if max(lv) >= min(rv):
             self._bug(f"cannot swap: [{llo},{lhi}] does not precede [{rlo},{rhi}]")
         # Every transposition (i, i+1) in [llo, rhi] clears the window iff
@@ -544,8 +555,7 @@ class TraceRecorder:
         t = self.window.t
         if t > 0 and not (rhi - 1 < -t or llo > t - 1):
             self._bug(f"swap over [{llo},{rhi}] would cross the window")
-        i, j, k = llo - self.lo, rlo - self.lo, rhi - self.lo + 1
-        self._vals[i:k] = self._vals[j:k] + self._vals[i:j]
+        vals[i:k] = rv + lv
         swap = BlockSwap(llo, a, b)
         self._track(swap.min_dev2(self._centre2), a * b, a * b)
         self.sink.on_transpositions(swap)

@@ -11,6 +11,7 @@ midpoint (c+d)/2, a half-integer), so there is no floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,7 +126,7 @@ def as_block(seq: CentredSequence) -> Block:
 
 
 def _strictly_increasing(vals: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(vals, vals[1:]))
+    return all(map(operator.lt, vals, vals[1:]))
 
 
 def is_valid_flip_centred(seq: CentredSequence, f: Flip, w: Window) -> bool:

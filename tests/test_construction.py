@@ -400,6 +400,29 @@ def test_segment_map_against_list_model(seed):
                                              for v in vs]
 
 
+@pytest.mark.parametrize("t, d, k", [(0, 27, 2), (1, 81, 1)])
+def test_step_moves_cross_a_bounded_number_of_segments(monkeypatch, t, d, k):
+    # SegmentMap._take un-keys the run a replace or a move takes and the
+    # segments a move crosses.  The growth step pools the pieces it has
+    # yet to use and merges W and B as they grow, so no call un-keys more
+    # than 5 names: the longest runs are [Tt, J, Ut, Ub] and the merge
+    # [JR, N, CC, B] (4), and the widest crossing is the negative part of
+    # a C piece passing Ut, Ub, B, S and Ypp (5).  Without the pools a move
+    # crosses every unused piece and every earlier one of its group.
+    counts = []
+    take = SegmentMap._take
+
+    def counted(self, pos, end):
+        names = take(self, pos, end)
+        counts.append(len(names))
+        return names
+
+    monkeypatch.setattr(SegmentMap, "_take", counted)
+    rec = step_instance(t, d, k, 1, sink=StatsSink())
+    recursive_step(rec, d, k, 1, strict_certificates=False)
+    assert counts and max(counts) <= 5
+
+
 # -- the full pipeline ------------------------------------------------------------
 
 

@@ -107,6 +107,26 @@ def test_swap_requires_precedence():
         tr.swap_adjacent_blocks((1, 1), (2, 2))
 
 
+@pytest.mark.parametrize("left, right, exc, message", [
+    ((-4, -3), (-1, -1), ConstructionBug, "are not adjacent"),
+    ((-5, -4), (-3, -3), RangeError, r"interval \[-5, -4\] outside \[-4, 4\]"),
+    ((3, 4), (5, 5), RangeError, r"interval \[5, 5\] outside \[-4, 4\]"),
+    ((2, 2), (3, 3), ConstructionBug, "does not precede"),
+    ((-2, -1), (0, 0), ConstructionBug, "would cross the window"),
+], ids=["not adjacent", "left outside", "right outside", "not below",
+        "across the window"])
+def test_swap_refusal_changes_nothing(left, right, exc, message):
+    # The state after one flip: positions 2 and 3 hold 3 and 2.
+    tr = TraceRecorder(identity_sequence(-4, 4), Window(1))
+    tr.emit_flip(2, 3)
+    before = (tr.values(-4, 4), tr.flip_count, tr.step_count,
+              tr.min_deviation, list(tr.sink.steps))
+    with pytest.raises(exc, match=message):
+        tr.swap_adjacent_blocks(left, right)
+    assert (tr.values(-4, 4), tr.flip_count, tr.step_count,
+            tr.min_deviation, tr.sink.steps) == before
+
+
 @given(st.integers(1, 6), st.integers(1, 6), st.booleans())
 @settings(max_examples=40)
 def test_swap_batch_equals_its_transpositions_one_by_one(a, b, right_side):
