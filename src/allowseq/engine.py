@@ -29,6 +29,10 @@ whatever the trace.
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
+Each flip meets one fast test, which decides it on every valid trace: a
+transposition costs two reads and one compare.  A flip that fails the
+test is checked again by the reporting code, so the report is the same
+as if every flip had been checked in full.
 
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
@@ -627,6 +631,16 @@ def verify_stream(initial: CentredSequence, window: Window,
     A step's flips are checked in the order it holds them, which FlipStep
     keeps sorted by c; flips that overlap or come out of that order are
     reported as a violation.  Violations are reported, never raised.
+
+    Each flip [c, d] gets one fast test: c lies after the previous flip
+    of its step, d inside the domain, the midpoint outside the window,
+    and the run increases.  For d = c + 1 the run test is one compare of
+    the two values, which are then swapped in place.  A flip that passes
+    is applied and its deviation taken.  A flip that fails is checked
+    again by the reporting code, which names each violation it has and
+    still applies it when it lies in the domain; out of the domain it
+    counts as a flip but not toward the minimum deviation.
+
     Memory stays O(sequence length): one pass, one working copy of the
     state.  Nothing is cached per step object, so a shared step is checked
     afresh against the state at each place it occurs.
@@ -639,7 +653,8 @@ def verify_stream(initial: CentredSequence, window: Window,
     the per-flip code, so the report, first violation included, is the
     one its one-flip steps give.
 
-    A run is strictly increasing exactly when it equals its sorted copy:
+    A run is strictly increasing exactly when it equals its sorted copy,
+    and two values are when the first is below the second:
     CentredSequence is injective and each flip only reverses a slice, so
     the working copy never holds two equal values.
     """
@@ -689,17 +704,37 @@ def verify_stream(initial: CentredSequence, window: Window,
             flips = step.flips
             steps_n += 1
             flips_n += len(flips)
-            prev_d = None
+            prev_d = lo - 1
             for f in flips:
                 c, d = f.c, f.d
+                i, j = c - lo, d - lo + 1
+                if prev_d < c <= d <= hi and abs(c + d) > t2:
+                    if d == c + 1:
+                        x, y = vals[i], vals[i + 1]
+                        ok = x < y
+                        if ok:
+                            vals[i], vals[i + 1] = y, x
+                    else:
+                        run = vals[i:j]
+                        ok = run == sorted(run)
+                        if ok:
+                            run.reverse()
+                            vals[i:j] = run
+                    if ok:
+                        prev_d = d
+                        dev2 = abs(c + d - centre2)
+                        if min_dev2 is None or dev2 < min_dev2:
+                            min_dev2 = dev2
+                        continue
+                # The flip fails a test above: check it again, reporting
+                # every violation it has.
                 if not (lo <= c <= d <= hi):
                     violate(steps_n - 1, (c, d), "out of bounds")
                     continue
-                if prev_d is not None and c <= prev_d:
+                if c <= prev_d:
                     violate(steps_n - 1, (c, d),
                             "overlapping flips in one step")
                 prev_d = d
-                i, j = c - lo, d - lo + 1
                 run = vals[i:j]
                 if run != sorted(run):
                     violate(steps_n - 1, (c, d), "run not strictly increasing")

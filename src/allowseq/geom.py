@@ -37,9 +37,9 @@ from fractions import Fraction
 from math import gcd, lcm, log10
 from typing import Iterable
 
-from .engine import (FlipStep, Trace, TraceRecorder, expand_steps,
-                     flip_imbalance, single_step)
-from .errors import ContractError
+from .engine import (BlockSwap, FlipStep, Trace, TraceRecorder,
+                     expand_steps, flip_imbalance, single_step)
+from .errors import ContractError, RefusalError
 from .seqcore import CentredSequence, Flip, Window
 
 
@@ -325,19 +325,33 @@ def _xscale(steps: int):
     return f
 
 
+# The most polyline points render_trace_svg builds; 10^6 points take
+# about 0.2 GB while they are built.
+_RENDER_POINT_CAP = 10**6
+
+
 def render_trace_svg(tr) -> str:
     """Wiring-diagram rendering: one polyline per element, x = step index,
     y = position; the window band is shaded.  A block swap takes one x
-    step per transposition, as in trace format v1."""
+    step per transposition, as in trace format v1.
+
+    Each element gets a point per step and one to start, counted before
+    anything is expanded; a trace needing more than _RENDER_POINT_CAP
+    raises RefusalError."""
     if isinstance(tr, TraceRecorder):
         tr = tr.to_trace()
     lo, hi = tr.initial.lo, tr.initial.hi
     n = hi - lo + 1
     t = tr.window.t
-    steps = list(expand_steps(tr.steps))
-    xs = _xscale(len(steps))
+    count = sum(s.a * s.b if isinstance(s, BlockSwap) else 1
+                for s in tr.steps)
+    if n * (count + 1) > _RENDER_POINT_CAP:
+        raise RefusalError(f"rendering {n} elements over {count} steps needs "
+                           f"{n * (count + 1)} points, more than "
+                           f"{_RENDER_POINT_CAP}")
+    xs = _xscale(count)
     unit_x, unit_y, pad = 24.0, 14.0, 20.0
-    width = pad * 2 + unit_x * max(1.0, xs(len(steps)))
+    width = pad * 2 + unit_x * max(1.0, xs(count))
     height = pad * 2 + unit_y * (n - 1 if n > 1 else 1)
 
     def X(i):
@@ -348,7 +362,7 @@ def render_trace_svg(tr) -> str:
 
     paths = {v: [(X(0), Y(lo + i))] for i, v in enumerate(tr.initial.values)}
     state = list(tr.initial.values)
-    for si, step in enumerate(steps, start=1):
+    for si, step in enumerate(expand_steps(tr.steps), start=1):
         for f in step.flips:
             i, j = f.c - lo, f.d - lo + 1
             state[i:j] = state[i:j][::-1]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from allowseq.construction import StepLayout
-from allowseq.engine import FlipStep, TraceRecorder, expand_steps
+from allowseq.engine import BlockSwap, FlipStep, TraceRecorder, expand_steps
 from allowseq.seqcore import CentredSequence, Flip, Window, identity_sequence
 
 
@@ -17,8 +17,81 @@ def five_element_steps():
     ]
 
 
-def random_trace_material(rng: random.Random, max_n: int = 7):
-    """A random initial sequence plus a mix of valid and junk steps."""
+class LooseStep:
+    """A step as verify_stream reads one, holding flips in any order,
+    overlapping or not, which FlipStep would refuse."""
+
+    def __init__(self, flips):
+        self.flips = tuple(flips)
+
+
+def _random_flips(rng, state):
+    """Disjoint flips (c, d) left to right over the positions 0..n-1 of
+    state, mostly increasing runs, some junk and some of one value; at
+    least one.  Each end may gain a flip reaching past the domain."""
+    n = len(state)
+    flips = []
+    p = 0
+    while p < n:
+        if rng.random() < 0.4:
+            d = p
+            if rng.random() < 0.8:  # an increasing run from p
+                while (d + 1 < n and state[d] < state[d + 1]
+                       and (d == p or rng.random() < 0.5)):
+                    d += 1
+            else:
+                d = rng.randrange(p, min(n, p + 4))
+            flips.append((p, d))
+            p = d + 1
+        p += 1
+    if rng.random() < 0.2:
+        flips.insert(0, (-rng.randint(1, 2), -1))
+    if rng.random() < 0.2:
+        flips.append((n, n + rng.randint(0, 1)))
+    return flips or [(0, n - 1)]
+
+
+def _random_swap(rng, state):
+    """A block swap (at, a, b) over positions 0..n-1 of state, valid on
+    state about half the time; now and then past the domain's ends."""
+    n = len(state)
+    swaps = [(at, a, b) for at in range(n) for a in range(1, n - at)
+             for b in range(1, n - at - a + 1)]
+    valid = [(at, a, b) for at, a, b in swaps
+             if max(state[at:at + a]) < min(state[at + a:at + a + b])]
+    if valid and rng.random() < 0.5:
+        return rng.choice(valid)
+    at, a, b = rng.choice(swaps)
+    if rng.random() < 0.15:
+        at += rng.choice((-1, 1))
+    return at, a, b
+
+
+def _mixed_step(rng, state, lo):
+    """One step of the mixed material: a multi-flip FlipStep, a
+    BlockSwap, or a LooseStep whose flips overlap or are out of order."""
+    kind = rng.random()
+    if kind < 0.3:
+        at, a, b = _random_swap(rng, state)
+        return BlockSwap(lo + at, a, b)
+    flips = [Flip(lo + c, lo + d) for c, d in _random_flips(rng, state)]
+    if kind < 0.8:
+        return FlipStep(flips)
+    if len(flips) > 1 and rng.random() < 0.5:
+        rng.shuffle(flips)
+    else:
+        f = rng.choice(flips)
+        flips.append(Flip(f.d, f.d + rng.randint(0, 2)))
+    return LooseStep(flips)
+
+
+def random_trace_material(rng: random.Random, max_n: int = 7,
+                          mixed: bool = False):
+    """A random initial sequence plus a mix of valid and junk steps.
+
+    The steps are one-flip FlipSteps.  With `mixed`, about half of them
+    are instead multi-flip steps, block swaps and LooseSteps, from
+    _mixed_step, and flips may reach past the domain."""
     n = rng.randint(2, max_n)
     lo = rng.randint(-3, 3)
     vals = rng.sample(range(-20, 40), n)
@@ -26,6 +99,15 @@ def random_trace_material(rng: random.Random, max_n: int = 7):
     state = list(vals)
     steps = []
     for _ in range(rng.randint(1, 12)):
+        if mixed and rng.random() < 0.5:
+            step = _mixed_step(rng, state, lo)
+            steps.append(step)
+            pairs = (step if isinstance(step, BlockSwap)
+                     else [(f.c, f.d) for f in step.flips])
+            for c, d in pairs:
+                if lo <= c <= d <= lo + n - 1:
+                    state[c - lo : d - lo + 1] = state[c - lo : d - lo + 1][::-1]
+            continue
         if rng.random() < 0.75:
             # a genuinely valid flip on the current state, when one exists
             runs = [(c, d)

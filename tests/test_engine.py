@@ -16,7 +16,8 @@ from allowseq.engine import (INF, BlockSwap, FileSink, FlipStep, ListSink,
 from allowseq.errors import ConstructionBug, ContractError, RangeError
 from allowseq.seqcore import (CentredSequence, Flip, Window,
                               identity_sequence)
-from conftest import as_v1, five_element_steps, random_trace_material
+from conftest import (as_v1, bubble_pairs, five_element_steps,
+                      random_trace_material)
 
 
 def test_fresh_recorder_is_empty_and_replays_to_itself():
@@ -358,6 +359,84 @@ def test_verifier_lockstep_with_recorder(rng):
         if ok:
             assert list(tr.values(tr.lo, tr.hi)) == state
             assert rep.allowable
+
+
+def reference_verify(initial, window, steps):
+    """verify_stream's report the slow way: every flip sliced, compared
+    with its sorted copy, reversed and spliced back, and every BlockSwap
+    replayed as the one-flip steps of bubble_pairs."""
+    lo, hi = initial.lo, initial.hi
+    vals = list(initial.values)
+    centre2 = lo + hi
+    t2 = 2 * window.t
+    allowable = all_valid = True
+    first_violation = None
+    min_dev2 = None
+    steps_n = flips_n = 0
+
+    def violate(idx, flip, reason):
+        nonlocal allowable, all_valid, first_violation
+        allowable = all_valid = False
+        if first_violation is None:
+            first_violation = (idx, flip, reason)
+
+    for step in steps:
+        if isinstance(step, BlockSwap):
+            one_flip_steps = [[pair] for pair in
+                              bubble_pairs(step.lo, step.a, step.b)]
+        else:
+            one_flip_steps = [[(f.c, f.d) for f in step.flips]]
+        for flips in one_flip_steps:
+            steps_n += 1
+            flips_n += len(flips)
+            prev_d = None
+            for c, d in flips:
+                if not (lo <= c <= d <= hi):
+                    violate(steps_n - 1, (c, d), "out of bounds")
+                    continue
+                if prev_d is not None and c <= prev_d:
+                    violate(steps_n - 1, (c, d),
+                            "overlapping flips in one step")
+                prev_d = d
+                i, j = c - lo, d - lo + 1
+                run = vals[i:j]
+                if run != sorted(run):
+                    violate(steps_n - 1, (c, d), "run not strictly increasing")
+                if abs(c + d) <= t2 and all_valid:
+                    all_valid = False
+                    if first_violation is None:
+                        first_violation = (steps_n - 1, (c, d),
+                                           "midpoint inside window")
+                dev2 = abs(c + d - centre2)
+                if min_dev2 is None or dev2 < min_dev2:
+                    min_dev2 = dev2
+                run.reverse()
+                vals[i:j] = run
+
+    return engine.VerificationReport(
+        allowable=allowable,
+        all_valid=all_valid and allowable,
+        reaches_reversal=vals == list(reversed(initial.values)),
+        min_deviation=INF if min_dev2 is None else Fraction(min_dev2, 2),
+        step_count=steps_n,
+        flip_count=flips_n,
+        first_violation=first_violation,
+    )
+
+
+def test_verifier_matches_per_flip_reference():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(3000):
+        initial, steps = random_trace_material(rng, max_n=9, mixed=True)
+        window = Window(rng.choice((0, 1, 2)))
+        rep = verify_stream(initial, window, steps)
+        assert rep == reference_verify(initial, window, steps)
+        seen.add(rep.first_violation and rep.first_violation[2])
+        seen.update(type(step).__name__ for step in steps)
+    assert seen == {None, "out of bounds", "overlapping flips in one step",
+                    "run not strictly increasing", "midpoint inside window",
+                    "FlipStep", "BlockSwap", "LooseStep"}
 
 
 def test_stats_sink_counts_match_list_sink():

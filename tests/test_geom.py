@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from allowseq import engine, geom
 from allowseq.cli import EXIT_VIOLATION, main
-from allowseq.engine import (FlipStep, flip_imbalance, single_step,
-                             verify_trace)
-from allowseq.errors import ContractError
+from allowseq.engine import (BlockSwap, FlipStep, Trace, flip_imbalance,
+                             serialize_trace, single_step, verify_trace)
+from allowseq.errors import ContractError, RefusalError
 from allowseq.geom import (HalfPeriod, LineRecord, PointSet, SwapEvent,
                            circular_sequence, deviation_imbalance_link,
                            format_points, in_general_position, line_imbalances,
@@ -263,6 +263,33 @@ def test_render_empty_trace():
     root = ET.fromstring(svg)
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 5
+
+
+def test_render_refuses_too_many_points(monkeypatch, tmp_path, capsys):
+    # One swap of two 1000-value blocks stands for 10^6 transpositions,
+    # so 2000 polylines of 10^6 + 1 points: refused before any expansion.
+    def no_expansion(steps):
+        raise AssertionError("a refused trace was expanded")
+
+    monkeypatch.setattr(geom, "expand_steps", no_expansion)
+    tr = Trace(Window(0), identity_sequence(1, 2000),
+               (BlockSwap(1, 1000, 1000),))
+    with pytest.raises(RefusalError, match="2000002000 points"):
+        render_trace_svg(tr)
+    path = tmp_path / "swap.trace"
+    path.write_text(serialize_trace(tr))
+    assert main(["render", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("refused: ")
+    # The five-element example needs 5 x (4 + 1) points: the cap is inclusive.
+    monkeypatch.undo()
+    rec = TraceRecorder(identity_sequence(1, 5), Window(0))
+    for step in five_element_steps():
+        rec.emit_step(step)
+    monkeypatch.setattr(geom, "_RENDER_POINT_CAP", 25)
+    assert render_trace_svg(rec).startswith("<svg")
+    monkeypatch.setattr(geom, "_RENDER_POINT_CAP", 24)
+    with pytest.raises(RefusalError):
+        render_trace_svg(rec)
 
 
 def test_render_points_svg_wellformed(rng):
