@@ -12,16 +12,20 @@ out of the state once, tests the precondition on those two slices and
 splices the same two back in swapped order, so a swap copies each block
 once and changes nothing until every check has passed.
 
-Sinks decide what to keep.  ListSink retains every step and annotation
-for replay and serialization, FileSink streams them to a text file,
-StatsSink keeps only aggregates.  The recorder always tracks flip count
-and minimum deviation itself, so even a stats-only run reports both.
+Sinks decide what to keep.  A sink is handed the recorder's own step
+objects, each after the recorder has applied it and counted its flips
+and steps: on_step(step) takes a FlipStep, on_transpositions(swap) a
+BlockSwap, and begin(initial, window) and on_annotation(depth, label)
+are optional.  ListSink retains every step and annotation for replay
+and serialization, FileSink streams them to a text file, StatsSink
+keeps only aggregates.  The recorder always tracks flip count and
+minimum deviation itself, so even a stats-only run reports both.
 Deviations are tracked doubled, as the integer |c + d - (lo + hi)|, and
 become Fractions only where they are reported.
 
 One-flip steps are shared immutable objects.  single_step hands out one
-FlipStep per distinct flip from a module cache, and ListSink,
-iter_trace_file and geom.circular_sequence keep a reference to it for
+FlipStep per distinct flip from a module cache, and emit_flip,
+iter_trace_file and geom.circular_sequence pass on a reference to it for
 each repeat instead of a new object.  The cache holds at most
 _SINGLE_STEP_CAP steps and is cleared when full, which bounds its memory
 whatever the trace.
@@ -195,29 +199,17 @@ class Trace:
 
 class ListSink:
     """Retains every step and annotation event; supports conversion to a
-    Trace.  A BlockSwap is kept as one entry.  One-flip steps come from
-    single_step, so a transposition passed on its own costs one list
-    reference to a shared step."""
+    Trace.  It keeps each step object it is handed, a BlockSwap as one
+    entry, so a shared one-flip step costs one list reference."""
 
     def __init__(self):
         self.steps = []
         self.annotations = []
 
-    def on_step(self, flips):
-        if len(flips) == 1:
-            self.steps.append(single_step(*flips[0]))
-        else:
-            self.steps.append(FlipStep([Flip(c, d) for c, d in flips]))
+    def on_step(self, step):
+        self.steps.append(step)
 
-    def on_transpositions(self, pairs):
-        """Keep a BlockSwap as one step, any other iterable of (c, c+1)
-        as one-flip steps."""
-        if isinstance(pairs, BlockSwap):
-            self.steps.append(pairs)
-            return
-        append = self.steps.append
-        for c, d in pairs:
-            append(single_step(c, d))
+    on_transpositions = on_step
 
     def on_annotation(self, depth, label):
         self.annotations.append((len(self.steps), depth, label))
@@ -226,17 +218,18 @@ class ListSink:
 class StatsSink:
     """Keeps nothing; the recorder's own aggregates are the record."""
 
-    def on_step(self, flips):
+    def on_step(self, step):
         pass
 
-    def on_transpositions(self, pairs):
+    def on_transpositions(self, swap):
         pass
 
 
 class FileSink:
     """The trace file writer.  Streams a whole trace file to an open text
     handle: the header as soon as the recorder announces its initial
-    state, then step and annotation lines as they happen."""
+    state, then step and annotation lines as they happen.  A FlipStep
+    becomes an `F` or `S` line and a BlockSwap one `B` line."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -246,17 +239,19 @@ class FileSink:
         self.fh.write(f"t={window.t} lo={initial.lo} hi={initial.hi}\n")
         self.fh.write(" ".join(str(v) for v in initial.values) + "\n")
 
-    def on_step(self, flips):
+    def on_step(self, step):
+        flips = step.flips
         if len(flips) == 1:
-            c, d = flips[0]
-            self.fh.write(f"F {c} {d}\n")
+            f = flips[0]
+            self.fh.write(f"F {f.c} {f.d}\n")
         else:
-            parts = " ".join(f"{c} {d}" for c, d in flips)
+            parts = " ".join(f"{f.c} {f.d}" for f in flips)
             self.fh.write(f"S {parts}\n")
 
     def on_transpositions(self, pairs):
         """Write a BlockSwap as one `B` line, any other iterable of
-        (c, c+1) as `F` lines."""
+        (c, c+1), such as a swap a wrapping sink has partly consumed, as
+        `F` lines."""
         if isinstance(pairs, BlockSwap):
             self.fh.write(f"B {pairs.lo} {pairs.a} {pairs.b}\n")
             return
@@ -407,7 +402,7 @@ def serialize_trace(tr) -> str:
             if isinstance(step, BlockSwap):
                 sink.on_transpositions(step)
             else:
-                sink.on_step([(f.c, f.d) for f in step.flips])
+                sink.on_step(step)
         done = at
         if label is not None:
             sink.on_annotation(depth, label)
@@ -492,20 +487,24 @@ class TraceRecorder:
 
     def emit_flip(self, c: int, d: int):
         """Validate and apply a single flip as its own step."""
-        self._emit([(c, d)])
+        self.emit_step(single_step(c, d))
 
     def emit_step(self, step: FlipStep):
-        """Apply several disjoint flips as one step (all validated first)."""
-        self._emit([(f.c, f.d) for f in step.flips])
-
-    def _emit(self, flips: list):
-        """Validate every (c, d) of one step against the current state,
-        then apply them all.  The flips must be pairwise disjoint; a step
-        that fails validation leaves the recorder untouched."""
+        """Validate every flip of one step against the current state, then
+        apply them all and hand the sink the step itself.  The flips must
+        be pairwise disjoint and come in order of c, as FlipStep holds
+        them; a step that fails validation leaves the recorder untouched."""
         lo, vals, t2 = self.lo, self._vals, 2 * self.window.t
-        for c, d in flips:
+        flips = step.flips
+        prev_d = lo - 1
+        for f in flips:
+            c, d = f.c, f.d
             if not (lo <= c <= d <= self.hi):
                 self._bug(f"flip [{c}, {d}] out of bounds", (c, d))
+            if c <= prev_d:
+                self._bug(f"flip [{c}, {d}] overlaps or precedes the flip "
+                          f"before it", (c, d))
+            prev_d = d
             # The values stay injective, so a run is strictly increasing
             # exactly when it equals its sorted copy.
             run = vals[c - lo : d - lo + 1]
@@ -516,14 +515,15 @@ class TraceRecorder:
                           (c, d))
         centre2 = self._centre2
         least = None
-        for c, d in flips:
+        for f in flips:
+            c, d = f.c, f.d
             i, j = c - lo, d - lo + 1
             vals[i:j] = vals[i:j][::-1]
             dev2 = abs(c + d - centre2)
             if least is None or dev2 < least:
                 least = dev2
         self._track(least, len(flips), 1)
-        self.sink.on_step(flips)
+        self.sink.on_step(step)
 
     # -- block swaps -------------------------------------------------------
 

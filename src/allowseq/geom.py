@@ -101,7 +101,7 @@ class HalfPeriod:
 
         Nothing checks the steps again here.  `circular_sequence` checked
         every event against the live permutation, and each check that
-        `TraceRecorder._emit` makes has its counterpart there:
+        `TraceRecorder.emit_step` makes has its counterpart there:
         - bounds, 1 <= c <= d <= n: positions are read off the live
           permutation of 1..n, and a group must be contiguous in it;
         - an increasing run: position[b] == c + 1 with a < b on the

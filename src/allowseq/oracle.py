@@ -110,7 +110,7 @@ class SearchResult:
         out.write(head + "\n")
         sink = FileSink(out)
         for step in self.witness:
-            sink.on_step([(f.c, f.d) for f in step.flips])
+            sink.on_step(step)
         return out.getvalue()
 
 
@@ -155,9 +155,8 @@ def _search(n: int, q2: int, stop_at_reversal: bool = False) -> dict:
     the whole state: children are discovered, and get their parents, in
     the order the plain enumeration of intervals gives them.
 
-    The frontier of one layer is a single `bytes` of the new keys laid
-    end to end, n bytes a state, in order of discovery.  It holds no
-    values: those are rebuilt from the key when the state is expanded.
+    The frontier of one layer lists the new keys in order of discovery;
+    a state's values are rebuilt from its key when it is expanded.
     """
     if n > 127:
         raise RefusalError(f"n = {n} exceeds 127, the most values the "
@@ -185,11 +184,10 @@ def _search(n: int, q2: int, stop_at_reversal: bool = False) -> dict:
 
     flips_by_descents = FlipsByDescents()
     parent = {identity: None}
-    frontier = identity
+    frontier = [identity]
     while frontier:
-        nxt = bytearray()
-        for o in range(0, len(frontier), n):
-            sigma = frontier[o : o + n]
+        nxt = []
+        for sigma in frontier:
             values = bytes.maketrans(sigma, identity)
             mask = ((int.from_bytes(values[1:n], "big") | high)
                     - int.from_bytes(values[2 : n + 1], "big")) & high
@@ -199,8 +197,8 @@ def _search(n: int, q2: int, stop_at_reversal: bool = False) -> dict:
                     parent[child] = cd
                     if child == reversal:
                         return parent
-                    nxt += child
-        frontier = bytes(nxt)
+                    nxt.append(child)
+        frontier = nxt
     return parent
 
 

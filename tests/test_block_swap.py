@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allowseq.construction import shift, shift_instance
-from allowseq.engine import (BlockSwap, FileSink, ListSink, StatsSink,
+from allowseq.engine import (BlockSwap, FileSink, FlipStep, StatsSink,
                              TraceParseError, TraceRecorder, min_deviation,
                              parse_trace, serialize_trace, single_step,
                              verify_stream, verify_trace)
 from allowseq.geom import render_trace_svg
 from allowseq.oracle import allowability_bruteforce
-from allowseq.seqcore import CentredSequence, Window
+from allowseq.seqcore import CentredSequence, Flip, Window
 from conftest import as_v1, bubble_pairs
 
 
@@ -121,32 +121,38 @@ def test_b_lines_round_trip():
 
 
 def test_sink_seam():
-    # The recorder hands on_transpositions a BlockSwap whose iteration
-    # yields its transpositions in canonical order.
+    # A sink is handed the recorder's own step objects: each FlipStep
+    # given to emit_step, or made by emit_flip, reaches on_step, and each
+    # BlockSwap on_transpositions, after the recorder has counted it.
     received = []
 
     class Recording(StatsSink):
-        def on_transpositions(self, pairs):
-            received.append(pairs)
+        def on_step(self, step):
+            received.append((step, rec.flip_count, rec.step_count))
 
-    rec = TraceRecorder(CentredSequence(3, (1, 2, 5, 6)), Window(0),
+        def on_transpositions(self, swap):
+            received.append((swap, rec.flip_count, rec.step_count))
+
+    rec = TraceRecorder(CentredSequence(3, (1, 2, 5, 6, 7)), Window(0),
                         sink=Recording())
     rec.swap_adjacent_blocks((3, 4), (5, 6))
-    assert received == [BlockSwap(3, 2, 2)]
-    assert list(received[0]) == bubble_pairs(3, 2, 2) == [(4, 5), (3, 4),
-                                                          (5, 6), (4, 5)]
-    # Any other iterable of transpositions, as a wrapping sink passes
-    # after consuming some of a swap, is written as F lines or held as
-    # one-flip steps.
-    pairs = iter(BlockSwap(3, 2, 2))
+    step = FlipStep([Flip(3, 4), Flip(5, 6)])
+    rec.emit_step(step)
+    rec.emit_flip(6, 7)
+    assert received == [(BlockSwap(3, 2, 2), 4, 4), (step, 6, 5),
+                        (single_step(6, 7), 7, 6)]
+    assert received[1][0] is step
+    assert received[2][0] is single_step(6, 7)
+    swap = received[0][0]
+    assert list(swap) == bubble_pairs(3, 2, 2) == [(4, 5), (3, 4),
+                                                   (5, 6), (4, 5)]
+    # FileSink writes any other iterable of transpositions, as a wrapping
+    # sink passes after consuming some of a swap, as F lines.
+    pairs = iter(swap)
     next(pairs)
     fh = io.StringIO()
     FileSink(fh).on_transpositions(pairs)
     assert fh.getvalue() == "F 3 4\nF 5 6\nF 4 5\n"
-    sink = ListSink()
-    sink.on_transpositions(iter([(4, 5), (3, 4)]))
-    assert sink.steps == [single_step(4, 5), single_step(3, 4)]
-    assert sink.steps[0] is single_step(4, 5)
 
 
 def test_svg_and_min_deviation_read_block_swaps():

@@ -16,7 +16,7 @@ from allowseq.engine import (INF, BlockSwap, FileSink, FlipStep, ListSink,
 from allowseq.errors import ConstructionBug, ContractError, RangeError
 from allowseq.seqcore import (CentredSequence, Flip, Window,
                               identity_sequence)
-from conftest import (as_v1, bubble_pairs, five_element_steps,
+from conftest import (LooseStep, as_v1, bubble_pairs, five_element_steps,
                       random_trace_material)
 
 
@@ -187,6 +187,26 @@ def test_step_with_one_bad_flip_changes_nothing(initial, window, flip, reason):
         tr.emit_step(FlipStep([Flip(-2, -1), Flip(*flip)]))
     assert (tr.current(), tr.flip_count, tr.step_count, tr.min_deviation,
             tr.sink.steps) == before
+
+
+@pytest.mark.parametrize("base", [StatsSink, ListSink])
+@pytest.mark.parametrize("flips", [(Flip(1, 3), Flip(2, 4)),
+                                   (Flip(4, 5), Flip(1, 2))],
+                         ids=["overlapping", "out-of-order"])
+def test_loose_step_is_refused_before_any_change(base, flips):
+    received = []
+
+    class Recording(base):
+        def on_step(self, step):
+            received.append(step)
+            super().on_step(step)
+
+    tr = TraceRecorder(identity_sequence(1, 6), Window(0), sink=Recording())
+    with pytest.raises(ConstructionBug, match="overlaps or precedes"):
+        tr.emit_step(LooseStep(flips))
+    assert tr.values(1, 6) == (1, 2, 3, 4, 5, 6)
+    assert (tr.flip_count, tr.step_count, tr.min_deviation) == (0, 0, None)
+    assert received == []
 
 
 def test_sort_region_decreasing():

@@ -31,3 +31,15 @@ def test_demo_renderings_writes_three_svgs(monkeypatch, tmp_path, capsys):
     # five points and the ten lines through their pairs
     assert shapes["pentagon.svg"].count("circle") == 5
     assert shapes["pentagon.svg"].count("line") == 10
+
+
+def test_regenerate_search_goldens_writes_the_goldens(monkeypatch, tmp_path,
+                                                      capsys):
+    regen = load_script("regenerate_search_goldens", monkeypatch)
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    regen.main()
+    assert str(tmp_path) in capsys.readouterr().out
+    golden = pathlib.Path(__file__).resolve().parent / "golden"
+    for n in range(2, 8):
+        name = f"search_n{n}.txt"
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
