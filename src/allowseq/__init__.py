@@ -10,10 +10,8 @@ from .engine import (BlockSwap, FlipStep, Trace, TraceRecorder,
                      verify_stream, verify_trace)
 from .errors import ConstructionBug, ContractError, RangeError, RefusalError
 from .seqcore import (BalanceReport, Block, CentredSequence, Flip, Window,
-                      apply_block_flip, apply_flip, as_block, as_centred,
-                      identity_sequence, is_r_balanced, is_valid_flip_block,
-                      is_valid_flip_centred, precedes, sign_parts, width,
-                      width_greedy)
+                      apply_block_flip, identity_sequence, is_r_balanced,
+                      is_valid_flip_block, width, width_greedy)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

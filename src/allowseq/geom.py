@@ -118,14 +118,12 @@ class HalfPeriod:
 def _event_vector(p, q):
     """Primitive integer direction, at angle in (0, pi], at which the
     projections of the integer points p and q coincide (the normal of
-    q - p)."""
+    q - p).  p must precede q in (x, y) order, as in `circular_sequence`:
+    then y = q.x - p.x >= 0, and y = 0 forces x = p.y - q.y < 0, so the
+    half-turn boundary comes out as (-1, 0)."""
     xi, yi = p[1] - q[1], q[0] - p[0]
     g = gcd(xi, yi)
-    xi, yi = xi // g, yi // g
-    # Upper half plane; the half-turn boundary is represented by (-1, 0).
-    if yi < 0 or (yi == 0 and xi > 0):
-        xi, yi = -xi, -yi
-    return (xi, yi)
+    return (xi // g, yi // g)
 
 
 def _integer_points(ps: PointSet) -> list:

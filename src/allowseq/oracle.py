@@ -8,6 +8,11 @@ exhaustive threshold-indexed reachability (no constructive procedure).
 From the engine they take only its value types and its writer: witness
 steps are `FlipStep`s (one-flip ones from `single_step`), and
 `SearchResult.to_text` prints them through `FileSink`.
+
+`allowability_bruteforce` takes a `BlockSwap` as its a*b transpositions
+in canonical order, one transition each.  A multi-mode witness groups the
+single-mode flips in order, a flip starting a new step exactly when it
+overlaps a flip already in the current one, so each step is maximal.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .engine import INF, FileSink, FlipStep, single_step
+from .engine import INF, BlockSwap, FileSink, FlipStep, single_step
 from .errors import ContractError, RefusalError
 from .seqcore import Block, CentredSequence, Flip
 
@@ -61,18 +66,22 @@ def allowability_bruteforce(steps: Iterable, initial: CentredSequence) -> bool:
     Applies the declared steps to produce the state sequence, then checks
     each consecutive pair independently: the changed cells must decompose
     into disjoint reversed runs that were increasing beforehand.  Declared
-    flip lists are never trusted for the check itself.
+    flip lists are never trusted for the check itself.  A BlockSwap is
+    its transpositions, each its own transition, in canonical order.
     """
     lo = initial.lo
     states = [list(initial.values)]
     for step in steps:
-        nxt = list(states[-1])
-        for f in step.flips:
-            i, j = f.c - lo, f.d - lo + 1
-            if i < 0 or j > len(nxt):
-                return False
-            nxt[i:j] = nxt[i:j][::-1]
-        states.append(nxt)
+        transitions = ([(Flip(c, d),) for c, d in step]
+                       if isinstance(step, BlockSwap) else [step.flips])
+        for flips in transitions:
+            nxt = list(states[-1])
+            for f in flips:
+                i, j = f.c - lo, f.d - lo + 1
+                if i < 0 or j > len(nxt):
+                    return False
+                nxt[i:j] = nxt[i:j][::-1]
+            states.append(nxt)
     for old, new in zip(states, states[1:]):
         pos_of = {v: i for i, v in enumerate(old)}
         i = 0
@@ -112,10 +121,6 @@ class SearchResult:
         for step in self.witness:
             sink.on_step(step)
         return out.getvalue()
-
-
-def _apply(perm, c, d):
-    return perm[: c - 1] + perm[c - 1 : d][::-1] + perm[d:]
 
 
 def _position_map(c, d):
@@ -237,40 +242,25 @@ def search_best_deviation(n: int, mode: str = "single",
                 flips.append((c, d))
                 state = state.translate(_position_map(c, d))
             flips.reverse()
-            steps = _witness_steps(tuple(range(1, n + 1)), flips, mode)
+            steps = _witness_steps(flips, mode)
             return SearchResult(n, Fraction(q2, 2), tuple(steps), len(parent))
         del parent  # free it before the next search builds its own
     raise ContractError("no threshold admits the reversal; impossible")
 
 
-def _witness_steps(identity, flips, mode):
+def _witness_steps(flips, mode):
     if mode == "single":
         return [single_step(c, d) for c, d in flips]
-    # Merge consecutive flips into one step while they are pairwise
-    # disjoint and each run was increasing in the state before the step.
-    steps = []
-    state = identity
-    group = []
-
-    def run_ok(c, d):
-        seg = state[c - 1 : d]
-        return all(a < b for a, b in zip(seg, seg[1:]))
-
-    def flush():
-        nonlocal state, group
-        if group:
-            steps.append(FlipStep([Flip(c, d) for c, d in group]))
-            for c, d in group:
-                state = _apply(state, c, d)
-            group = []
-
+    # A flip starts a new group exactly when it overlaps one already in
+    # it.  The flips form a valid path, so a flip disjoint from the earlier
+    # flips of its group reads a run they never touched: the run it
+    # reversed, which was increasing before the whole step.
+    groups = []
     for c, d in flips:
-        clash = any(not (d < c2 or d2 < c) for c2, d2 in group)
-        if clash or not run_ok(c, d):
-            flush()
-        group.append((c, d))
-    flush()
-    return steps
+        if not groups or any(c <= d2 and c2 <= d for c2, d2 in groups[-1]):
+            groups.append([])
+        groups[-1].append((c, d))
+    return [FlipStep([Flip(c, d) for c, d in group]) for group in groups]
 
 
 def reachable_states(n: int, min_deviation=Fraction(0)) -> set:

@@ -1,12 +1,12 @@
-"""Core data model: centred sequences, blocks, flips, windows, balance.
+"""Core value types: flips, windows, centred sequences and blocks, with
+block flips, width and r-balance on blocks, all in exact integers.
 
-A centred sequence is an injective integer sequence indexed by an integer
-interval [lo, hi]; position 0 is the centre of interest and flips whose
-midpoint lands in the window [-t, t] are forbidden.  A block is the same
-thing with the indexing forgotten; block flips carry no window condition.
-
-All midpoint comparisons are done on doubled integers (a flip [c, d] has
-midpoint (c+d)/2, a half-integer), so there is no floating point anywhere.
+A centred sequence is an injective integer sequence indexed by [lo, hi];
+a flip [c, d] on it is forbidden when its midpoint lands in the window
+[-t, t].  That rule lives in `TraceRecorder.emit_step` and, checked
+independently, in `verify_stream`, not here.  A block is a sequence with
+the indexing forgotten; a block flip needs only an increasing run, and
+serves as the reference for `decompose_balanced`'s size-2 moves.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class Flip:
     def size(self) -> int:
         return self.d - self.c + 1
 
-    def midpoint_doubled(self) -> int:
-        return self.c + self.d
-
 
 @dataclass(frozen=True)
 class Window:
@@ -48,10 +45,6 @@ class Window:
     def __post_init__(self):
         if self.t < 0:
             raise ContractError("window parameter t must be >= 0")
-
-    def clears(self, f: Flip) -> bool:
-        """True iff the midpoint of f lies strictly outside [-t, t]."""
-        return abs(f.midpoint_doubled()) > 2 * self.t
 
 
 @dataclass(frozen=True)
@@ -74,9 +67,6 @@ class Block:
 
     def __getitem__(self, i):
         return self.values[i]
-
-    def reversed(self) -> "Block":
-        return Block(reversed(self.values))
 
 
 @dataclass(frozen=True)
@@ -102,40 +92,14 @@ class CentredSequence:
     def __len__(self):
         return len(self.values)
 
-    def at(self, pos: int) -> int:
-        if not self.lo <= pos <= self.hi:
-            raise RangeError(f"position {pos} outside [{self.lo}, {self.hi}]")
-        return self.values[pos - self.lo]
-
 
 def identity_sequence(lo: int, hi: int) -> CentredSequence:
     """The identity map on [lo, hi]."""
     return CentredSequence(lo, range(lo, hi + 1))
 
 
-def as_centred(b: Block, hi: int) -> Optional[CentredSequence]:
-    """Place a block on the domain [hi - |b| + 1, hi]; empty blocks give None."""
-    if len(b) == 0:
-        return None
-    return CentredSequence(hi - len(b) + 1, b.values)
-
-
-def as_block(seq: CentredSequence) -> Block:
-    """Forget the indexing of a centred sequence."""
-    return Block(seq.values)
-
-
 def _strictly_increasing(vals: Sequence[int]) -> bool:
     return all(map(operator.lt, vals, vals[1:]))
-
-
-def is_valid_flip_centred(seq: CentredSequence, f: Flip, w: Window) -> bool:
-    """A flip is valid on a centred sequence when the affected run is
-    strictly increasing and its midpoint clears the window."""
-    if not (seq.lo <= f.c and f.d <= seq.hi):
-        raise RangeError(f"flip [{f.c}, {f.d}] outside [{seq.lo}, {seq.hi}]")
-    run = seq.values[f.c - seq.lo : f.d - seq.lo + 1]
-    return _strictly_increasing(run) and w.clears(f)
 
 
 def is_valid_flip_block(b: Block, f: Flip) -> bool:
@@ -145,41 +109,11 @@ def is_valid_flip_block(b: Block, f: Flip) -> bool:
     return _strictly_increasing(b.values[f.c - 1 : f.d])
 
 
-def apply_flip(seq: CentredSequence, f: Flip) -> CentredSequence:
-    """Reverse positions c..d.  Validity is not required here; the trace
-    engine enforces it at emission time."""
-    if not (seq.lo <= f.c and f.d <= seq.hi):
-        raise RangeError(f"flip [{f.c}, {f.d}] outside [{seq.lo}, {seq.hi}]")
-    i, j = f.c - seq.lo, f.d - seq.lo + 1
-    vals = seq.values[:i] + tuple(reversed(seq.values[i:j])) + seq.values[j:]
-    return CentredSequence(seq.lo, vals)
-
-
 def apply_block_flip(b: Block, f: Flip) -> Block:
     if not (1 <= f.c and f.d <= len(b)):
         raise RangeError(f"flip [{f.c}, {f.d}] outside block of size {len(b)}")
     i, j = f.c - 1, f.d
     return Block(b.values[:i] + tuple(reversed(b.values[i:j])) + b.values[j:])
-
-
-def sign_parts(b: Block) -> tuple:
-    """Split into the positive and negative subsequences, order preserved.
-
-    A value 0 belongs to neither part; callers that cannot tolerate that
-    must reject zeros themselves (is_r_balanced does).
-    """
-    pos = Block(v for v in b if v > 0)
-    neg = Block(v for v in b if v < 0)
-    return pos, neg
-
-
-def precedes(x, y) -> bool:
-    """x < y elementwise: every value of x is below every value of y."""
-    xv = x.values if not isinstance(x, (tuple, list)) else tuple(x)
-    yv = y.values if not isinstance(y, (tuple, list)) else tuple(y)
-    if not xv or not yv:
-        raise ContractError("precedes requires nonempty operands")
-    return max(xv) < min(yv)
 
 
 def width_greedy(b: Block):

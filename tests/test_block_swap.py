@@ -66,7 +66,7 @@ def test_block_swap_verifies_as_its_one_flip_steps(case):
     rep = verify_stream(initial, window, swaps)
     assert rep == verify_stream(initial, window, expanded)
     assert rep.step_count == rep.flip_count == len(expanded)
-    assert allowability_bruteforce(expanded, initial) == rep.allowable
+    assert allowability_bruteforce(swaps, initial) == rep.allowable
 
 
 def test_block_swap_checks_each_condition():

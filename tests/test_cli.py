@@ -152,6 +152,28 @@ def test_cmd_verify_five_example(tmp_path, capsys):
     assert run_cli("verify", str(p), "--strict") == 1
 
 
+def test_cmd_verify_reports_a_flip_in_the_window(tmp_path, capsys):
+    # [-1, 1] is an increasing run, but its midpoint 0 lies in [0, 0]
+    p = tmp_path / "window.txt"
+    p.write_text("ALLOWSEQ v1\nt=0 lo=-1 hi=1\n-1 0 1\nF -1 1\n")
+    assert run_cli("verify", str(p)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == ("first violation:  step 0 flip (-1, 1): "
+                       "midpoint inside window")
+    assert run_cli("verify", str(p), "--machine") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "allowable=1", "all_valid=0", "reaches_reversal=1",
+        "min_deviation=0/1", "steps=1", "flips=1"]
+
+
+def test_cmd_verify_without_flips(tmp_path, capsys):
+    p = tmp_path / "still.txt"
+    p.write_text("ALLOWSEQ v1\nt=0 lo=1 hi=3\n1 2 3\n")
+    assert run_cli("verify", str(p), "--machine") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "min_deviation=inf" in out and "flips=0" in out
+
+
 def test_cmd_verify_missing_and_malformed(tmp_path, capsys):
     assert run_cli("verify", str(tmp_path / "nope.txt")) == 2
     bad = tmp_path / "bad.txt"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,29 @@ def test_step_rejects_wrong_layout():
     rec = step_instance(0, 9, 0, 1)
     with pytest.raises(ContractError):
         recursive_step(rec, 9, 1, 1)
+
+
+@pytest.mark.parametrize("defect, problem", [
+    ("Y out of order", "Y must be increasing"),
+    ("centre inside Y", "need X < centre < Y on values"),
+    ("every value raised", "need X < 0 < Y")])
+def test_step_refuses_values_that_break_its_contract(defect, problem):
+    # step_instance(0, 9, 1, 1) holds X = -30..-1 on positions -30..-1,
+    # the centre 1 on position 0 and Y = 2..69 on positions 1..68
+    good = step_instance(0, 9, 1, 1)
+    lo = good.lo
+    vals = list(good.values(lo, good.hi))
+    if defect == "Y out of order":
+        vals[1 - lo], vals[2 - lo] = vals[2 - lo], vals[1 - lo]
+    elif defect == "centre inside Y":
+        vals[0 - lo], vals[1 - lo] = vals[1 - lo], vals[0 - lo]
+    else:
+        vals = [v + 10 for v in vals]
+    rec = TraceRecorder(CentredSequence(lo, vals), Window(0))
+    with pytest.raises(ContractError, match=re.escape(problem)):
+        recursive_step(rec, 9, 1, 1)
+    assert rec.values(lo, rec.hi) == tuple(vals)
+    assert rec.flip_count == rec.step_count == 0
 
 
 def test_segment_map_operations():

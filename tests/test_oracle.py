@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allowseq.engine import INF, FlipStep, iter_trace_file, verify_stream
+from allowseq.engine import (INF, BlockSwap, FlipStep, iter_trace_file,
+                             verify_stream)
 from allowseq.errors import ContractError, RefusalError
 from allowseq.oracle import (_search, allowability_bruteforce,
                              reachable_states, sample_balanced_block,
                              search_best_deviation, width_dp,
                              width_enumerate)
-from allowseq.seqcore import (Block, Flip, Window, identity_sequence,
-                              is_r_balanced, width, width_greedy)
-from conftest import five_element_steps, random_trace_material
+from allowseq.seqcore import (Block, CentredSequence, Flip, Window,
+                              identity_sequence, is_r_balanced, width,
+                              width_greedy)
+from conftest import LooseStep, five_element_steps, random_trace_material
 
 
 def test_width_dp_examples():
@@ -37,6 +39,21 @@ def test_allowability_bruteforce_examples():
     # non-increasing run must be caught from the state diff instead
     steps = [FlipStep([Flip(1, 2)]), FlipStep([Flip(1, 2)])]
     assert not allowability_bruteforce(steps, identity_sequence(1, 5))
+    # (1, 2 | 3, 4) is four increasing transpositions; (1, 4 | 5, 3) is
+    # refused once 3 must pass 4.
+    assert allowability_bruteforce([BlockSwap(1, 2, 2)],
+                                   identity_sequence(1, 4))
+    assert not allowability_bruteforce([BlockSwap(1, 2, 2)],
+                                       CentredSequence(1, (1, 4, 5, 3)))
+    # a swap reaching past the domain
+    assert not allowability_bruteforce([BlockSwap(2, 2, 2)],
+                                       identity_sequence(1, 4))
+    # 1 2 3 -> 2 3 1 is no union of reversed runs: refused as one
+    # transition, accepted as the swap's two transpositions
+    assert not allowability_bruteforce(
+        [LooseStep([Flip(1, 2), Flip(2, 3)])], identity_sequence(1, 3))
+    assert allowability_bruteforce([BlockSwap(1, 1, 2)],
+                                   identity_sequence(1, 3))
 
 
 def test_bruteforce_handles_odd_middle():
@@ -50,6 +67,21 @@ def test_bruteforce_agrees_with_verifier(rng):
         initial, steps = random_trace_material(rng)
         rep = verify_stream(initial, Window(0), steps)
         assert allowability_bruteforce(steps, initial) == rep.allowable
+    # Mixed material adds multi-flip steps, block swaps and LooseSteps.
+    # The oracle reads a step by its net effect, so on a LooseStep it may
+    # accept flips the verifier refuses for overlapping or coming out of
+    # order; never the other way round.
+    outcomes = set()
+    for _ in range(1000):
+        initial, steps = random_trace_material(rng, mixed=True)
+        allowable = verify_stream(initial, Window(0), steps).allowable
+        brute = allowability_bruteforce(steps, initial)
+        if any(isinstance(s, LooseStep) for s in steps):
+            assert brute or not allowable
+        else:
+            assert brute == allowable
+        outcomes.add((brute, allowable))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_search_tiny_values():
@@ -79,6 +111,27 @@ def test_search_multi_mode_matches_single():
         rep = verify_stream(identity_sequence(1, n), Window(0), multi.witness)
         assert rep.allowable and rep.reaches_reversal
         assert rep.min_deviation == multi.best_min_deviation
+
+
+def test_multi_witness_groups_the_single_flips_maximally():
+    def overlap(f, g):
+        return f.c <= g.d and g.c <= f.d
+
+    for n in range(2, 9):
+        flips = [step.flips[0]
+                 for step in search_best_deviation(n, mode="single").witness]
+        multi = search_best_deviation(n, mode="multi").witness
+        start = 0
+        for k, step in enumerate(multi):
+            group = flips[start:start + len(step.flips)]
+            # the step holds the next flips of the path, sorted by c
+            assert set(step.flips) == set(group)
+            if k:
+                # a group ends only where the next flip would overlap it
+                assert any(overlap(group[0], f) for f in multi[k - 1].flips)
+            start += len(group)
+        assert start == len(flips)
+        assert allowability_bruteforce(multi, identity_sequence(1, n))
 
 
 def test_search_guard():

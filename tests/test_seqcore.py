@@ -1,30 +1,17 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from allowseq.errors import ContractError, RangeError
 from allowseq.oracle import width_dp
-from allowseq.seqcore import (BalanceReport, Block, CentredSequence, Flip,
-                              Window, apply_block_flip, apply_flip, as_block,
-                              as_centred, identity_sequence, is_r_balanced,
-                              is_valid_flip_block, is_valid_flip_centred,
-                              precedes, sign_parts, width, width_greedy)
+from allowseq.seqcore import (BalanceReport, Block, Flip, apply_block_flip,
+                              is_r_balanced, is_valid_flip_block, width,
+                              width_greedy)
 
 blocks = st.lists(st.integers(-50, 50), min_size=1, max_size=24,
                   unique=True).map(Block)
-
-
-def test_valid_flip_centred_basics():
-    s = identity_sequence(-2, 2)
-    assert is_valid_flip_centred(s, Flip(1, 2), Window(1))
-    assert not is_valid_flip_centred(s, Flip(-1, 1), Window(1))
-    assert not is_valid_flip_centred(CentredSequence(1, (2, 1)), Flip(1, 2),
-                                     Window(0))
-    with pytest.raises(RangeError):
-        is_valid_flip_centred(s, Flip(2, 3), Window(0))
 
 
 def test_valid_flip_block():
@@ -35,32 +22,6 @@ def test_valid_flip_block():
         assert is_valid_flip_block(Block((3, 1, 2)), Flip(i, i))
     with pytest.raises(RangeError):
         is_valid_flip_block(Block((1, 2)), Flip(0, 1))
-
-
-def test_apply_flip_two_disjoint_gives_known_result():
-    s = identity_sequence(1, 5)
-    s = apply_flip(s, Flip(1, 2))
-    s = apply_flip(s, Flip(4, 5))
-    assert s.values == (2, 1, 3, 5, 4)
-
-
-@given(st.lists(st.integers(-99, 99), min_size=2, max_size=15, unique=True),
-       st.data())
-def test_apply_flip_involution_and_oracle(vals, data):
-    lo = data.draw(st.integers(-5, 5))
-    seq = CentredSequence(lo, vals)
-    c = data.draw(st.integers(lo, seq.hi))
-    d = data.draw(st.integers(c, seq.hi))
-    f = Flip(c, d)
-    once = apply_flip(seq, f)
-    # position-by-position reversal oracle
-    for pos in range(lo, seq.hi + 1):
-        if c <= pos <= d:
-            assert once.at(pos) == seq.at(c + d - pos)
-        else:
-            assert once.at(pos) == seq.at(pos)
-    assert apply_flip(once, f) == seq
-    assert sorted(once.values) == sorted(seq.values)
 
 
 def test_width_greedy_examples():
@@ -77,15 +38,6 @@ def test_width_greedy_matches_dp_and_covers(b):
     assert seen == list(range(len(b)))
     for ch in chains:
         assert all(b[i] < b[j] for i, j in zip(ch, ch[1:]))
-
-
-def test_sign_parts():
-    pos, neg = sign_parts(Block((-2, 5, -1, 3)))
-    assert pos.values == (5, 3) and neg.values == (-2, -1)
-    pos, neg = sign_parts(Block((-3, -1)))
-    assert pos.values == () and neg.values == (-3, -1)
-    pos, neg = sign_parts(Block((1, 0, -1)))
-    assert pos.values == (1,) and neg.values == (-1,)
 
 
 def test_is_r_balanced_examples():
@@ -129,33 +81,6 @@ def test_balance_monotone_in_r(b, r):
     if rep.balanced:
         assert is_r_balanced(b, r / 2).balanced
         assert is_r_balanced(b, 0).balanced
-
-
-def test_precedes():
-    assert precedes(Block((1, 2)), Block((5, 3)))
-    assert not precedes(Block((1, 4)), Block((3, 9)))
-    b = Block((4, 1))
-    assert not precedes(b, b)
-    with pytest.raises(ContractError):
-        precedes(Block(()), b)
-
-
-@given(st.lists(st.integers(-40, 40), min_size=3, max_size=9, unique=True))
-def test_precedes_transitive_on_chains(vals):
-    vals = sorted(vals)
-    cut1, cut2 = len(vals) // 3 or 1, 2 * len(vals) // 3
-    if not (0 < cut1 < cut2 < len(vals)):
-        return
-    a, b, c = Block(vals[:cut1]), Block(vals[cut1:cut2]), Block(vals[cut2:])
-    assert precedes(a, b) and precedes(b, c) and precedes(a, c)
-
-
-def test_as_centred_round_trip():
-    b = Block((4, 7, 9))
-    s = as_centred(b, 1)
-    assert (s.lo, s.hi) == (-1, 1) and s.values == (4, 7, 9)
-    assert as_block(s) == b
-    assert as_centred(Block(()), 5) is None
 
 
 @given(blocks)
