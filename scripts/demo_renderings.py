@@ -20,11 +20,11 @@ def main():
     tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for flips in ([(1, 2), (4, 5)], [(2, 4)], [(1, 2), (4, 5)], [(2, 4)]):
         tr.emit_step(FlipStep([Flip(c, d) for c, d in flips]))
-    (OUT / "five.svg").write_text(render_trace_svg(tr))
+    (OUT / "five.svg").write_text(render_trace_svg(tr.to_trace()))
 
     rec, a, b, c = shift_instance(1, 9)
     shift(rec, a, b, c)
-    (OUT / "shift_t1.svg").write_text(render_trace_svg(rec))
+    (OUT / "shift_t1.svg").write_text(render_trace_svg(rec.to_trace()))
 
     pent = PointSet([(0, 0), (10, 1), (14, 9), (5, 16), (-4, 8)])
     (OUT / "pentagon.svg").write_text(render_points_svg(pent, with_lines=True))

@@ -362,9 +362,6 @@ class SegmentMap:
             self.rec.swap_adjacent_blocks((lo, hi), (hi + 1, dest - 1))
             self._place(self._take(hi + 1, dest) + self._take(lo, hi + 1), lo)
 
-    def total_span(self):
-        return (self.lo, self.hi)
-
 
 # ---------------------------------------------------------------------------
 # The recursive growth step.
@@ -487,7 +484,7 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
     segs = [("Xp", p + 2 * t + 1), ("P", d * x1), ("WIN", 2 * t + 1),
             ("Q", d * y1), ("Yp", _ivlen(y_iv) - d * y1)]
     sm = SegmentMap(rec, x_iv[0], segs)
-    if sm.total_span() != (x_iv[0], y_iv[1]):
+    if (sm.lo, sm.hi) != (x_iv[0], y_iv[1]):
         raise ConstructionBug("segment map does not tile the working span",
                               rec.annotation_stack())
 
@@ -531,16 +528,13 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
 
     w_span = sm.iv("W")
     wv = rec.values(*w_span)
-    kcells = []
-    mrows = [[] for _ in range(m)]  # mrows[j-1] holds row j left to right
+    target, tails = [], []
     for off in range(0, len(wv), m * (n + 2)):  # W_1 .. W_d
-        kcells.extend(wv[off : off + m * (n + 1)])
-        tail = wv[off + m * (n + 1) : off + m * (n + 2)]
-        for j in range(m, 0, -1):
-            mrows[j - 1].append(tail[m - j])
-    target = list(kcells)
-    for j in range(m, 0, -1):
-        target.extend(mrows[j - 1])
+        target.extend(wv[off : off + m * (n + 1)])
+        tails.append(wv[off + m * (n + 1) : off + m * (n + 2)])
+    # The rows M_m..M_1 follow the K cells; row j holds cell m - j of
+    # each tail, left to right.
+    target.extend(tail[q] for q in range(m) for tail in tails)
     with rec.annotate("gather tails"):
         rec.rearrange_region(w_span, target)
     # MR pools the rows M_m..M_1 of singles.
@@ -592,17 +586,12 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
         if f_len < T:
             raise ConstructionBug("leftover singles shorter than 3^(2t)",
                                   rec.annotation_stack())
-        target = list(kprime) + list(xpv[: 2 * t + 1]) + osingles[:f_len]
-        off = f_len
-        Gparts, Hparts = {}, {}
-        for j in range(p, 0, -1):
-            Gparts[j] = osingles[off : off + 2 * t + 1]
-            Hparts[j] = osingles[off + 2 * t + 1 : off + u]
-            off += u
-        for j in range(p, 0, -1):
-            target.append(xpv[2 * t + 1 + (p - j)])
-            target.extend(Gparts[j])
-            target.extend(Hparts[j])
+        target = kprime + list(xpv[: 2 * t + 1]) + osingles[:f_len]
+        # For j = p..1: one X' singleton, then G_j and H_j, which are the
+        # next u singles.
+        for i, off in enumerate(range(f_len, md, u)):
+            target.append(xpv[2 * t + 1 + i])
+            target.extend(osingles[off : off + u])
         rec.rearrange_region(sm.span("Xp", "WK"), target)
         # W starts as K'.  XFP pools X_W, F and the triples (Ps_j, G_j,
         # H_j) for j = p..1, each of u + 1 cells.

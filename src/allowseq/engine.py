@@ -388,11 +388,9 @@ def parse_trace(text: str) -> Trace:
     return Trace(window, initial, tuple(sink.steps), tuple(sink.annotations))
 
 
-def serialize_trace(tr) -> str:
-    """The text of a Trace, or of a ListSink-backed recorder, as FileSink
-    writes it: the trace replayed into a FileSink."""
-    if isinstance(tr, TraceRecorder):
-        tr = tr.to_trace()
+def serialize_trace(tr: Trace) -> str:
+    """The text of a Trace as FileSink writes it: the trace replayed into
+    a FileSink."""
     out = io.StringIO()
     sink = FileSink(out)
     sink.begin(tr.initial, tr.window)
@@ -445,9 +443,6 @@ class TraceRecorder:
         if not (self.lo <= lo and hi <= self.hi):
             raise RangeError(f"interval [{lo}, {hi}] outside [{self.lo}, {self.hi}]")
         return tuple(self._vals[lo - self.lo : hi - self.lo + 1])
-
-    def current(self) -> CentredSequence:
-        return CentredSequence(self.lo, self._vals)
 
     def to_trace(self) -> Trace:
         if not isinstance(self.sink, ListSink):
@@ -513,16 +508,10 @@ class TraceRecorder:
             if abs(c + d) <= t2:
                 self._bug(f"flip [{c}, {d}] has midpoint inside the window",
                           (c, d))
-        centre2 = self._centre2
-        least = None
         for f in flips:
-            c, d = f.c, f.d
-            i, j = c - lo, d - lo + 1
+            i, j = f.c - lo, f.d - lo + 1
             vals[i:j] = vals[i:j][::-1]
-            dev2 = abs(c + d - centre2)
-            if least is None or dev2 < least:
-                least = dev2
-        self._track(least, len(flips), 1)
+        self._track(step.min_dev2(self._centre2), len(flips), 1)
         self.sink.on_step(step)
 
     # -- block swaps -------------------------------------------------------
@@ -761,19 +750,13 @@ def verify_stream(initial: CentredSequence, window: Window,
     )
 
 
-def verify_trace(tr) -> VerificationReport:
-    """Verify a Trace, or a ListSink-backed recorder."""
-    if isinstance(tr, TraceRecorder):
-        tr = tr.to_trace()
+def verify_trace(tr: Trace) -> VerificationReport:
+    """Verify a Trace."""
     return verify_stream(tr.initial, tr.window, tr.steps)
 
 
-def min_deviation(tr) -> Fraction:
-    """Minimum |flip midpoint - domain centre| over all flips of a trace."""
-    if isinstance(tr, TraceRecorder):
-        if tr.flip_count == 0:
-            raise ContractError("trace has no flips")
-        return tr.min_deviation
+def min_deviation(tr: Trace) -> Fraction:
+    """Minimum |flip midpoint - domain centre| over all flips of a Trace."""
     if not tr.steps:
         raise ContractError("trace has no flips")
     centre2 = tr.initial.lo + tr.initial.hi

@@ -37,8 +37,8 @@ from fractions import Fraction
 from math import gcd, lcm, log10
 from typing import Iterable
 
-from .engine import (BlockSwap, FlipStep, Trace, TraceRecorder,
-                     expand_steps, flip_imbalance, single_step)
+from .engine import (BlockSwap, FlipStep, Trace, expand_steps,
+                     flip_imbalance, single_step)
 from .errors import ContractError, RefusalError
 from .seqcore import CentredSequence, Flip, Window
 
@@ -328,7 +328,7 @@ def _xscale(steps: int):
 _RENDER_POINT_CAP = 10**6
 
 
-def render_trace_svg(tr) -> str:
+def render_trace_svg(tr: Trace) -> str:
     """Wiring-diagram rendering: one polyline per element, x = step index,
     y = position; the window band is shaded.  A block swap takes one x
     step per transposition, as in trace format v1.
@@ -336,8 +336,6 @@ def render_trace_svg(tr) -> str:
     Each element gets a point per step and one to start, counted before
     anything is expanded; a trace needing more than _RENDER_POINT_CAP
     raises RefusalError."""
-    if isinstance(tr, TraceRecorder):
-        tr = tr.to_trace()
     lo, hi = tr.initial.lo, tr.initial.hi
     n = hi - lo + 1
     t = tr.window.t

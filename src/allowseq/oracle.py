@@ -63,42 +63,42 @@ def width_enumerate(b: Block) -> int:
 def allowability_bruteforce(steps: Iterable, initial: CentredSequence) -> bool:
     """Re-derive every transition from the permutations themselves.
 
-    Applies the declared steps to produce the state sequence, then checks
-    each consecutive pair independently: the changed cells must decompose
-    into disjoint reversed runs that were increasing beforehand.  Declared
-    flip lists are never trusted for the check itself.  A BlockSwap is
-    its transpositions, each its own transition, in canonical order.
+    Applies the declared steps one transition at a time and checks each
+    transition against the state before it, keeping only those two
+    states: the changed cells must decompose into disjoint reversed runs
+    that were increasing beforehand.  Declared flip lists are never
+    trusted for the check itself.  A BlockSwap is its transpositions,
+    each its own transition, in canonical order.
     """
     lo = initial.lo
-    states = [list(initial.values)]
+    old = list(initial.values)
+    n = len(old)
     for step in steps:
         transitions = ([(Flip(c, d),) for c, d in step]
                        if isinstance(step, BlockSwap) else [step.flips])
         for flips in transitions:
-            nxt = list(states[-1])
+            new = list(old)
             for f in flips:
                 i, j = f.c - lo, f.d - lo + 1
-                if i < 0 or j > len(nxt):
+                if i < 0 or j > n:
                     return False
-                nxt[i:j] = nxt[i:j][::-1]
-            states.append(nxt)
-    for old, new in zip(states, states[1:]):
-        pos_of = {v: i for i, v in enumerate(old)}
-        i = 0
-        n = len(old)
-        while i < n:
-            if old[i] == new[i]:
-                i += 1
-                continue
-            j = pos_of[new[i]]
-            if j <= i:
-                return False
-            seg_old = old[i : j + 1]
-            if seg_old != new[i : j + 1][::-1]:
-                return False
-            if any(a >= b for a, b in zip(seg_old, seg_old[1:])):
-                return False
-            i = j + 1
+                new[i:j] = new[i:j][::-1]
+            pos_of = {v: i for i, v in enumerate(old)}
+            i = 0
+            while i < n:
+                if old[i] == new[i]:
+                    i += 1
+                    continue
+                j = pos_of[new[i]]
+                if j <= i:
+                    return False
+                seg_old = old[i : j + 1]
+                if seg_old != new[i : j + 1][::-1]:
+                    return False
+                if any(a >= b for a, b in zip(seg_old, seg_old[1:])):
+                    return False
+                i = j + 1
+            old = new
     return True
 
 

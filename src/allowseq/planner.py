@@ -70,20 +70,6 @@ _ENTRY_CAP = 512
 _SHOWN_ENTRIES = 12
 
 
-def power_of_nine_exponent(T: int) -> int:
-    """Return t with T = 9^t, or raise."""
-    t = 0
-    x = T
-    while x > 1:
-        if x % 9:
-            raise ContractError(f"T = {T} is not a power of 9")
-        x //= 9
-        t += 1
-    if T < 1:
-        raise ContractError("T must be >= 1")
-    return t
-
-
 def shift_thresholds(t: int) -> list:
     """Minimum middle-block sizes for the shifting recursion, indexed from
     level t down to level -t (list position 0 is level t)."""
@@ -354,10 +340,12 @@ class SizePlan:
         return 2 * self.half_width(n, k) + 1
 
 
-def check_claim_monotonicity(T: int, d: int, l_max: int):
+def check_claim_monotonicity(t: int, d: int, l_max: int):
     """Verify beta'_l/alpha'_l > beta_{l+1}/alpha_{l+1} > beta_l/alpha_l in
     exact rationals for l = 0..l_max.  Returns (ok, first counterexample)."""
-    t = power_of_nine_exponent(T)
+    if t < 0:
+        raise ContractError("claim check requires t >= 0")
+    T = 3 ** (2 * t)
     if d < 9 * T:
         raise ContractError("claim check requires d >= 9T")
     pairs = _alpha_beta(t, T, d)

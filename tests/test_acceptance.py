@@ -83,7 +83,7 @@ def test_c02_shift_minimal():
         assert rec.values(-t, t) == cvals
         dv = rec.values(*d_iv)
         assert all(x > y for x, y in zip(dv, dv[1:]))
-        rep = verify_trace(rec)
+        rep = verify_trace(rec.to_trace())
         assert rep.allowable and rep.all_valid, rep.first_violation
         if t == 2:
             assert elapsed < 5.0
@@ -111,7 +111,7 @@ def test_c03_reflect_minimal():
         bvals = rec.values(*b)
         reflect(rec, x, a, b, c)
         assert rec.values(-t, t) == tuple(reversed(bvals[-(2 * t + 1):]))
-        rep = verify_trace(rec)
+        rep = verify_trace(rec.to_trace())
         assert rep.allowable and rep.all_valid
         # mirrored variant with the mirrored checks
         rec, x, a, b, c = reflect_instance(t, n, 2, mirrored=True)
@@ -122,7 +122,7 @@ def test_c03_reflect_minimal():
         ev = rec.values(*e)
         assert all(p > q for p, q in zip(ev, ev[1:]))
         assert max(rec.values(-t, t)) < min(ev)
-        assert verify_trace(rec).all_valid
+        assert verify_trace(rec.to_trace()).all_valid
     elapsed = time.perf_counter() - t0
     report(3, elapsed < 5.0, f"t in {{0,1,2}} plus mirrored, {elapsed:.2f}s")
 
@@ -144,7 +144,7 @@ def test_c04_recursive_step_certificates(t, d, k):
     rec = step_instance(t, d, k, 1)
     out = recursive_step(rec, d, k, 1, strict_certificates=False)
     elapsed = time.perf_counter() - started
-    rep = verify_trace(rec)
+    rep = verify_trace(rec.to_trace())
     trace_ok = (rep.allowable and rep.all_valid
                 and rep.flip_count == rec.flip_count
                 and rep.step_count == rec.step_count
@@ -191,9 +191,9 @@ def test_c05_exact_recurrences():
     for t in range(21):
         ns = shift_thresholds(t)
         assert ns[-1] <= 3 ** (2 * t)
-    for (T, d) in ((1, 9), (9, 81), (9, 100 * 9**3)):
-        ok, ce = check_claim_monotonicity(T, d, 200)
-        assert ok, (T, d, ce)
+    for (t, d) in ((0, 9), (1, 81), (1, 100 * 9**3)):
+        ok, ce = check_claim_monotonicity(t, d, 200)
+        assert ok, (t, d, ce)
     # k = d: beta_k/alpha_k >= d/(18 T^2) where the derivation applies
     # (window parameter >= 1); exact cross-multiplied comparison
     for (t, d) in ((1, 81), (1, 100 * 9**3), (2, 9 * 81)):
@@ -389,7 +389,7 @@ def test_c11_format_stability(tmp_path, capsys):
                 tr.emit_step(step)
             except Exception:
                 break
-        text = serialize_trace(tr)
+        text = serialize_trace(tr.to_trace())
         assert serialize_trace(parse_trace(text)) == text
     for _ in range(20):
         pts = {(rng.randrange(-9, 9), rng.randrange(-9, 9))
@@ -405,7 +405,7 @@ def test_c11_format_stability(tmp_path, capsys):
     tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
-    five.write_text(serialize_trace(tr))
+    five.write_text(serialize_trace(tr.to_trace()))
     assert cli_main(["verify", str(five), "--strict"]) == 1          # exit 1
     bad = tmp_path / "bad.txt"
     bad.write_text("ALLOWSEQ v1\nt=0 lo=1 hi=4\n1 2 3\n")

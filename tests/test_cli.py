@@ -26,7 +26,7 @@ def five_example_text():
     tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
-    return serialize_trace(tr)
+    return serialize_trace(tr.to_trace())
 
 
 def test_serialize_parse_round_trip_small():
@@ -39,7 +39,7 @@ def test_serialize_parse_round_trip_small():
 def test_round_trip_with_annotations():
     rec, a, b, c = shift_instance(1, 9)
     shift(rec, a, b, c)
-    text = serialize_trace(rec)
+    text = serialize_trace(rec.to_trace())
     tr = parse_trace(text)
     assert serialize_trace(tr) == text
     assert tr == rec.to_trace()
@@ -139,6 +139,35 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(TraceParseError) as exc:
             parse_trace(header + "F 1 2\nF 2 3\n" * 2500 + bad)
         assert exc.value.lineno == 5004, bad
+
+
+@pytest.mark.parametrize("header, lineno", [
+    ("t=0 lo=1\n1 2\n", 2),
+    ("t=0 lo=1 hi=x\n1 2\n", 2),
+    ("t=0 lo=1 hi=2\n1 a\n", 3),
+    ("t=-1 lo=1 hi=2\n1 2\n", 3),
+    ("t=0 lo=1 hi=2\n1 1\n", 3),
+], ids=["missing-hi", "non-integer-hi", "non-integer-value", "negative-t",
+        "repeated-value"])
+def test_header_errors_carry_line_numbers(header, lineno, tmp_path, capsys):
+    text = "ALLOWSEQ v1\n" + header
+    with pytest.raises(TraceParseError) as exc:
+        parse_trace(text)
+    assert exc.value.lineno == lineno
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    assert run_cli("verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: line {lineno}:")
+
+
+def test_annotation_begin_at_wrong_depth():
+    header = "ALLOWSEQ v2\nt=0 lo=1 hi=3\n1 2 3\n"
+    for body, lineno in (("# 2 begin a\n# 2 end a\n", 4),
+                         ("# 1 begin a\n# 1 begin b\n# 1 end b\n"
+                          "# 1 end a\n", 5)):
+        with pytest.raises(TraceParseError, match="'begin' at depth") as exc:
+            parse_trace(header + body)
+        assert exc.value.lineno == lineno
 
 
 def test_cmd_verify_five_example(tmp_path, capsys):
@@ -373,6 +402,10 @@ def test_cmd_search(capsys):
     assert run_cli("search", "--n", "9") == 3
     assert "--force" in capsys.readouterr().err
     assert run_cli("search", "--n", "9", "--force") == 0
+    capsys.readouterr()
+    # One element is already its own reversal: no flip, one state.
+    assert run_cli("search", "--n", "1") == 0
+    assert capsys.readouterr().out == "1 inf 1\n"
 
 
 def test_cmd_points_and_render(tmp_path, capsys):

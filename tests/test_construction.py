@@ -36,7 +36,7 @@ def test_shift_minimal(t):
     assert rec.values(-t, t) == cvals
     dv = rec.values(*d_iv)
     assert all(x > y for x, y in zip(dv, dv[1:]))
-    rep = verify_trace(rec)
+    rep = verify_trace(rec.to_trace())
     assert rep.allowable and rep.all_valid
     assert rec.min_deviation >= Fraction(2 * t + 1, 2)
 
@@ -59,7 +59,7 @@ def test_shift_larger_b_and_decreasing_c():
     cvals = rec.values(*c)
     shift(rec, a, b, c)
     assert rec.values(-1, 1) == cvals
-    assert verify_trace(rec).all_valid
+    assert verify_trace(rec.to_trace()).all_valid
 
 
 def test_shift_mirrored():
@@ -72,7 +72,7 @@ def test_shift_mirrored():
     cvals = rec.values(*c_iv)
     shift_mirrored(rec, (-t, t), b_iv, c_iv)
     assert rec.values(-t, t) == cvals
-    assert verify_trace(rec).all_valid
+    assert verify_trace(rec.to_trace()).all_valid
 
 
 # -- reflection ---------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_reflect_minimal(t, xsize):
     ev = rec.values(*e)
     assert all(p > q for p, q in zip(ev, ev[1:]))
     assert min(rec.values(-t, t)) > max(ev)
-    rep = verify_trace(rec)
+    rep = verify_trace(rec.to_trace())
     assert rep.allowable and rep.all_valid
 
 
@@ -114,7 +114,7 @@ def test_reflect_mirrored(t):
     ev = rec.values(*e)
     assert all(p > q for p, q in zip(ev, ev[1:]))
     assert max(rec.values(-t, t)) < min(ev)
-    assert verify_trace(rec).all_valid
+    assert verify_trace(rec.to_trace()).all_valid
 
 
 # -- decomposition ------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_step_base_case_layouts():
         lay = out.layout
         assert lay.L[0] > lay.L[1]                   # empty
         assert lay.W == (-t - 2, -t - 1)             # reversed block of size n+1
-        rep = verify_trace(rec)
+        rep = verify_trace(rec.to_trace())
         assert rep.allowable and rep.all_valid
 
 
@@ -196,7 +196,7 @@ def test_step_t0_k1_certificates():
     assert all(by_index[i] for i in range(1, 7))
     assert not by_index[7]
     assert (out.x_size, out.y_size) == (30, 68)
-    rep = verify_trace(rec)
+    rep = verify_trace(rec.to_trace())
     assert rep.allowable and rep.all_valid
     assert rec.min_deviation == Fraction(1, 2)
 
@@ -205,6 +205,15 @@ def test_step_t0_k1_strict_raises():
     rec = step_instance(0, 9, 1, 1)
     with pytest.raises(ConstructionBug):
         recursive_step(rec, 9, 1, 1)
+
+
+@pytest.mark.parametrize("k, n", [(-1, 1), (0, 0)])
+def test_step_refuses_negative_k_or_empty_n(k, n):
+    rec = step_instance(0, 9, 0, 1)
+    before = rec.to_trace(), rec.values(rec.lo, rec.hi)
+    with pytest.raises(ContractError, match="need k >= 0 and n >= 1"):
+        recursive_step(rec, 9, k, n)
+    assert (rec.to_trace(), rec.values(rec.lo, rec.hi)) == before
 
 
 def test_step_t1_k1_all_certificates():
@@ -307,7 +316,7 @@ def test_segment_map_unknown_name(call):
 
 def _map_state(sm, rec):
     return (sm.order, dict(sm.sizes), dict(sm.starts), dict(sm.at),
-            rec.values(*sm.total_span()), rec.flip_count)
+            rec.values(sm.lo, sm.hi), rec.flip_count)
 
 
 class ListMap:
@@ -419,7 +428,7 @@ def test_segment_map_against_list_model(seed):
             pos += len(vs)
         a, b = sorted(rng.choices(ref.names(), k=2), key=ref.names().index)
         assert sm.span(a, b) == (sm.iv(a)[0], sm.iv(b)[1])
-        assert sm.total_span() == (lo, hi)
+        assert (sm.lo, sm.hi) == (lo, hi)
         assert list(rec.values(lo, hi)) == [v for _, vs in ref.segs
                                              for v in vs]
 
@@ -494,7 +503,7 @@ def _finish_synthetic(middle):
     rec = TraceRecorder(seq, Window(t))
     finish_pipeline(rec, layout, Fraction(28))
     assert rec.values(rec.lo, rec.hi) == tuple(range(76, -77, -1))
-    rep = verify_trace(rec)
+    rep = verify_trace(rec.to_trace())
     assert rep.allowable and rep.all_valid
     assert rec.min_deviation == Fraction(2 * t + 1, 2)
     return rec
@@ -531,7 +540,7 @@ def test_finishing_pipeline_on_generated_states(t, seed):
     middle = sample_balanced_block(6 * (r + 1) + seed, r, seed)
     rec = _finish_generated(middle.values, t, r, r_size=seed % 4)
     assert rec.values(rec.lo, rec.hi) == tuple(range(rec.hi, rec.lo - 1, -1))
-    rep = verify_trace(rec)
+    rep = verify_trace(rec.to_trace())
     assert rep.allowable and rep.all_valid
     assert rep.flip_count == rec.flip_count
     assert rep.min_deviation == rec.min_deviation == Fraction(2 * t + 1, 2)

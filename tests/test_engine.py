@@ -14,7 +14,7 @@ from allowseq.engine import (INF, BlockSwap, FileSink, FlipStep, ListSink,
                              parse_trace, single_step, verify_stream,
                              verify_trace)
 from allowseq.errors import ConstructionBug, ContractError, RangeError
-from allowseq.seqcore import (CentredSequence, Flip, Window,
+from allowseq.seqcore import (Block, CentredSequence, Flip, Window,
                               identity_sequence)
 from conftest import (LooseStep, as_v1, bubble_pairs, five_element_steps,
                       random_trace_material)
@@ -24,7 +24,7 @@ def test_fresh_recorder_is_empty_and_replays_to_itself():
     s = identity_sequence(-3, 3)
     tr = TraceRecorder(s, Window(1))
     assert tr.step_count == 0 and tr.to_trace().annotations == ()
-    rep = verify_trace(tr)
+    rep = verify_trace(tr.to_trace())
     assert rep.allowable and rep.min_deviation == INF
     assert not rep.reaches_reversal
 
@@ -52,11 +52,35 @@ def test_flipstep_rejects_overlap():
         FlipStep([Flip(1, 3), Flip(3, 4)])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: CentredSequence(0, []), "must be nonempty"),
+    (lambda: CentredSequence(0, [1, 1]), "must be injective"),
+    (lambda: Block([1, 1]), "must be pairwise distinct"),
+    (lambda: FlipStep([]), "at least one flip"),
+], ids=["empty-sequence", "repeated-value", "repeated-block-value",
+        "empty-step"])
+def test_value_types_refuse_bad_values(make, message):
+    with pytest.raises(ContractError, match=message):
+        make()
+
+
+def test_recorder_refuses_reads_it_cannot_answer():
+    tr = TraceRecorder(identity_sequence(-2, 2), Window(0))
+    with pytest.raises(RangeError, match=r"\[-3, 0\] outside \[-2, 2\]"):
+        tr.values(-3, 0)
+    with pytest.raises(RangeError, match=r"\[0, 3\] outside \[-2, 2\]"):
+        tr.values(0, 3)
+    stats = TraceRecorder(identity_sequence(-2, 2), Window(0),
+                          sink=StatsSink())
+    with pytest.raises(ContractError, match="only ListSink"):
+        stats.to_trace()
+
+
 def test_five_element_example_verifies():
     tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
-    rep = verify_trace(tr)
+    rep = verify_trace(tr.to_trace())
     assert rep.allowable and rep.all_valid and rep.reaches_reversal
     assert rep.min_deviation == 0
     assert rep.flip_count == 6 and rep.step_count == 4
@@ -180,12 +204,12 @@ def test_emit_flip_and_emit_step_reject_alike(initial, window, flip, reason):
                          ids=["bounds", "run", "long-run", "window"])
 def test_step_with_one_bad_flip_changes_nothing(initial, window, flip, reason):
     tr = TraceRecorder(initial, window)
-    before = (tr.current(), tr.flip_count, tr.step_count, tr.min_deviation,
+    before = (tr.values(tr.lo, tr.hi), tr.flip_count, tr.step_count, tr.min_deviation,
               list(tr.sink.steps))
     # [-2, -1] is valid in every case and comes first in the step.
     with pytest.raises(ConstructionBug, match=reason):
         tr.emit_step(FlipStep([Flip(-2, -1), Flip(*flip)]))
-    assert (tr.current(), tr.flip_count, tr.step_count, tr.min_deviation,
+    assert (tr.values(tr.lo, tr.hi), tr.flip_count, tr.step_count, tr.min_deviation,
             tr.sink.steps) == before
 
 
@@ -213,7 +237,7 @@ def test_sort_region_decreasing():
     tr = TraceRecorder(CentredSequence(2, (4, 9, 1, 7, 3)), Window(1))
     tr.sort_region_decreasing((2, 6))
     assert tr.values(2, 6) == (9, 7, 4, 3, 1)
-    rep = verify_trace(tr)
+    rep = verify_trace(tr.to_trace())
     assert rep.all_valid
     # already decreasing: zero flips
     before = tr.flip_count
@@ -243,7 +267,7 @@ def test_rearrange_region():
     tr = TraceRecorder(CentredSequence(3, (2, 9, 4, 7)), Window(0))
     tr.rearrange_region((3, 6), (9, 2, 7, 4))
     assert tr.values(3, 6) == (9, 2, 7, 4)
-    rep = verify_trace(tr)
+    rep = verify_trace(tr.to_trace())
     assert rep.allowable and rep.all_valid
     # a descending pair cannot be swapped by an ascending transposition
     tr = TraceRecorder(CentredSequence(1, (2, 1)), Window(0))
@@ -320,11 +344,12 @@ def test_rearrange_region_matches_list_reference():
 def test_min_deviation_values():
     tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     tr.emit_step(FlipStep([Flip(1, 2)]))
-    assert min_deviation(tr) == Fraction(3, 2)
+    assert min_deviation(tr.to_trace()) == Fraction(3, 2)
     tr.emit_step(FlipStep([Flip(2, 4)]))
-    assert min_deviation(tr) == 0
+    assert min_deviation(tr.to_trace()) == 0
     with pytest.raises(ContractError):
-        min_deviation(TraceRecorder(identity_sequence(1, 3), Window(0)))
+        min_deviation(
+            TraceRecorder(identity_sequence(1, 3), Window(0)).to_trace())
 
 
 def test_flip_imbalance():

@@ -245,7 +245,7 @@ def test_render_trace_svg_structure():
     tr = TraceRecorder(identity_sequence(1, 5), Window(0))
     for step in five_element_steps():
         tr.emit_step(step)
-    svg = render_trace_svg(tr)
+    svg = render_trace_svg(tr.to_trace())
     root = ET.fromstring(svg)
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 5
@@ -259,7 +259,7 @@ def test_render_trace_svg_structure():
 
 def test_render_empty_trace():
     tr = TraceRecorder(identity_sequence(-2, 2), Window(1))
-    svg = render_trace_svg(tr)
+    svg = render_trace_svg(tr.to_trace())
     root = ET.fromstring(svg)
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 5
@@ -286,10 +286,10 @@ def test_render_refuses_too_many_points(monkeypatch, tmp_path, capsys):
     for step in five_element_steps():
         rec.emit_step(step)
     monkeypatch.setattr(geom, "_RENDER_POINT_CAP", 25)
-    assert render_trace_svg(rec).startswith("<svg")
+    assert render_trace_svg(rec.to_trace()).startswith("<svg")
     monkeypatch.setattr(geom, "_RENDER_POINT_CAP", 24)
     with pytest.raises(RefusalError):
-        render_trace_svg(rec)
+        render_trace_svg(rec.to_trace())
 
 
 def test_render_points_svg_wellformed(rng):

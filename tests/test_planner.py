@@ -140,8 +140,8 @@ def test_gate_comparison_past_the_enclosure():
 
 
 def test_claim_monotonicity():
-    for (T, d) in ((1, 9), (9, 81), (9, 100 * 9**3)):
-        ok, counterexample = check_claim_monotonicity(T, d, 200)
+    for (t, d) in ((0, 9), (1, 81), (1, 100 * 9**3)):
+        ok, counterexample = check_claim_monotonicity(t, d, 200)
         assert ok, counterexample
     # the lower inequality at l = 0 is the beta_0 = 0 base case
     tb = plan_sizes(1, 81, 1, 1)
@@ -150,9 +150,9 @@ def test_claim_monotonicity():
 
 def test_claim_needs_valid_T():
     with pytest.raises(ContractError):
-        check_claim_monotonicity(5, 45, 10)
+        check_claim_monotonicity(-1, 45, 10)
     with pytest.raises(ContractError):
-        check_claim_monotonicity(9, 80, 10)
+        check_claim_monotonicity(1, 80, 10)
 
 
 def test_k_equals_d_lower_bound_for_positive_t():
