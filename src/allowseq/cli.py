@@ -153,10 +153,14 @@ def _construct(args, n) -> int:
 
     elapsed = time.perf_counter() - started
     if args.out:
+        # The file must be valid and hold exactly what was recorded.
         with open(args.out) as fh:
             (window, initial), steps = iter_trace_file(fh)
             rep = verify_stream(initial, window, steps)
-        if not (rep.allowable and rep.all_valid):
+        recorded = (rec.flip_count, rec.step_count,
+                    INF if rec.min_deviation is None else rec.min_deviation)
+        if not (rep.allowable and rep.all_valid) or recorded != (
+                rep.flip_count, rep.step_count, rep.min_deviation):
             print("self-check failed on the written trace", file=sys.stderr)
             return EXIT_VIOLATION
     n_cells = rec.hi - rec.lo + 1

@@ -28,15 +28,19 @@ FlipStep per distinct flip from a module cache, and emit_flip,
 iter_trace_file and geom.circular_sequence pass on a reference to it for
 each repeat instead of a new object.  The cache holds at most
 _SINGLE_STEP_CAP steps and is cleared when full, which bounds its memory
-whatever the trace.
+whatever the trace.  iter_trace_file likewise parses each distinct step
+line of a file once: a repeated `F`, `S` or `B` line yields the step its
+first occurrence parsed to, from a per-file dict under the same cap.
 
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
-Each flip meets one fast test, which decides it on every valid trace: a
-transposition costs two reads and one compare.  A flip that fails the
-test is checked again by the reporting code, so the report is the same
-as if every flip had been checked in full.
+Each step meets one fast test, which decides it on every valid trace: a
+transposition costs two reads and one compare, a block swap a few
+integer compares and its two block scans, each block sliced once.  A
+step that fails the test is checked again by the reporting code, one
+flip at a time, so the report is the same as if every flip had been
+checked in full.
 
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
@@ -280,9 +284,11 @@ def iter_trace_file(fh, on_annotation=None):
     scope, and every scope is closed by the end of the file.  Each one is
     checked and, if `on_annotation` is given, passed to it as (depth,
     "begin <label>" or "end <label>") before the next step is yielded.
-    Anything else raises TraceParseError naming the offending line.  An
-    `F` line whose text parsed before yields the step parsed then, found
-    by one lookup.
+    Anything else raises TraceParseError naming the offending line.  A
+    step line whose text parsed before in this file yields the step
+    parsed then, found by one lookup; only lines that passed every check
+    are kept, so a refused line is refused where it stands.  Annotation
+    lines are checked at each occurrence.
     """
     lineno = 0
 
@@ -301,7 +307,7 @@ def iter_trace_file(fh, on_annotation=None):
     except (ValueError, KeyError):
         raise TraceParseError(lineno, "expected 't=<int> lo=<int> hi=<int>'")
     try:
-        vals = [int(x) for x in readline().split()]
+        vals = list(map(int, readline().split()))
     except ValueError:
         raise TraceParseError(lineno, "initial values must be integers")
     if len(vals) != hi - lo + 1:
@@ -314,7 +320,7 @@ def iter_trace_file(fh, on_annotation=None):
 
     def steps():
         scopes = []  # (depth, label, line number) of each open annotation
-        parsed = {}  # text of an F line that parsed -> its step
+        parsed = {}  # text of a step line that parsed -> its step
         for lineno, line in enumerate(fh, 4):
             step = parsed.get(line)
             if step is not None:
@@ -329,24 +335,19 @@ def iter_trace_file(fh, on_annotation=None):
                 if kind == "F":
                     c, d = rest.split()
                     step = single_step(int(c), int(d))
-                    if len(parsed) >= _SINGLE_STEP_CAP:
-                        parsed.clear()
-                    parsed[line] = step
-                    yield step
                 elif kind == "S":
-                    nums = [int(x) for x in rest.split()]
+                    nums = list(map(int, rest.split()))
                     if not nums or len(nums) % 2:
                         raise ValueError
-                    yield FlipStep([Flip(nums[i], nums[i + 1])
-                                    for i in range(0, len(nums), 2)])
+                    step = FlipStep([Flip(nums[i], nums[i + 1])
+                                     for i in range(0, len(nums), 2)])
                 elif kind == "B":
-                    at, a, b = (int(x) for x in rest.split())
-                    swap = BlockSwap(at, a, b)
+                    at, a, b = map(int, rest.split())
+                    step = BlockSwap(at, a, b)
                     if at < lo or at + a + b - 1 > hi:
                         raise TraceParseError(
                             lineno, f"block swap over [{at}, {at + a + b - 1}]"
                                     f" outside [{lo}, {hi}]")
-                    yield swap
                 else:
                     depth, _, label = rest.partition(" ")
                     depth = int(depth)
@@ -365,11 +366,16 @@ def iter_trace_file(fh, on_annotation=None):
                         scopes.pop()
                     if on_annotation is not None:
                         on_annotation(depth, label)
+                    continue
             except ContractError as exc:
                 raise TraceParseError(lineno, str(exc))
             except ValueError:
                 raise TraceParseError(lineno,
                                       f"expected '{_LINE_SHAPES[kind]}'")
+            if len(parsed) >= _SINGLE_STEP_CAP:
+                parsed.clear()
+            parsed[line] = step
+            yield step
         if scopes:
             depth, label, lineno = scopes[-1]
             raise TraceParseError(lineno,
@@ -634,13 +640,17 @@ def verify_stream(initial: CentredSequence, window: Window,
     state.  Nothing is cached per step object, so a shared step is checked
     afresh against the state at each place it occurs.
 
-    A BlockSwap counts as the a*b one-flip steps it stands for.  It is
-    checked in O(a + b): inside the domain, every left value below every
-    right value, no transposition midpoint in the window; then applied as
-    one splice, its closest midpoint found in closed form.  A swap that
-    fails any of these checks is replayed one transposition at a time by
-    the per-flip code, so the report, first violation included, is the
-    one its one-flip steps give.
+    A BlockSwap counts as the a*b one-flip steps it stands for.  Its
+    transpositions (p, p+1) have p in [at, last], at = step.lo and
+    last = at + a + b - 2, and domain and window are decided on these
+    integers first: the swap lies inside the domain, and it clears the
+    window when t = 0, at >= t or last < -t.  Then each block is sliced
+    once, max(left) < min(right) tests that every left value lies below
+    every right value, and right + left is spliced back.  The midpoint
+    nearest the centre is that of the transposition at the centre, its p
+    clamped to [at, last].  A swap that fails any of these checks is
+    replayed one transposition at a time by the per-flip code, so the
+    report, first violation included, is the one its one-flip steps give.
 
     A run is strictly increasing exactly when it equals its sorted copy,
     and two values are when the first is below the second:
@@ -650,6 +660,7 @@ def verify_stream(initial: CentredSequence, window: Window,
     lo, hi = initial.lo, initial.hi
     vals = list(initial.values)
     centre2 = lo + hi
+    near = (centre2 - 1) // 2  # the p whose 2p + 1 lies nearest centre2
     t = window.t
     t2 = 2 * t
     allowable = True
@@ -673,21 +684,29 @@ def verify_stream(initial: CentredSequence, window: Window,
             if step.__class__ is BlockSwap:
                 at, a, b = step.lo, step.a, step.b
                 last = at + a + b - 2  # the last transposition's c
-                i, j, k = at - lo, at - lo + a, at - lo + a + b
                 # A transposition (p, p+1) has its midpoint in [-t, t]
-                # exactly when -t <= p <= t-1.
+                # exactly when -t <= p <= t-1, so [at, last] clears the
+                # window when t = 0 or it lies wholly on one side.
                 if (lo <= at and last < hi
-                        and max(vals[i:j]) < min(vals[j:k])
-                        and max(at, -t) > min(last, t - 1)):
-                    vals[i:k] = vals[j:k] + vals[i:j]
-                    # the doubled midpoint 2p+1 nearest the doubled centre
-                    p = min(max((centre2 - 1) // 2, at), last)
-                    dev2 = abs(2 * p + 1 - centre2)
-                    if min_dev2 is None or dev2 < min_dev2:
-                        min_dev2 = dev2
-                    steps_n += a * b
-                    flips_n += a * b
-                    continue
+                        and (t == 0 or at >= t or last < -t)):
+                    i = at - lo
+                    j = i + a
+                    k = j + b
+                    left, right = vals[i:j], vals[j:k]
+                    if max(left) < min(right):
+                        vals[i:k] = right + left
+                        # the doubled midpoint 2p+1 nearest the doubled centre
+                        p = near
+                        if p < at:
+                            p = at
+                        elif p > last:
+                            p = last
+                        dev2 = abs(2 * p + 1 - centre2)
+                        if min_dev2 is None or dev2 < min_dev2:
+                            min_dev2 = dev2
+                        steps_n += a * b
+                        flips_n += a * b
+                        continue
                 pending = chain(expand_steps((step,)), steps)
                 break
             flips = step.flips

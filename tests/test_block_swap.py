@@ -2,6 +2,7 @@
 `B` line of trace format v2, the sink seam, and the trace consumers."""
 
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from allowseq.construction import shift, shift_instance
 from allowseq.engine import (BlockSwap, FileSink, FlipStep, StatsSink,
-                             TraceParseError, TraceRecorder, min_deviation,
-                             parse_trace, serialize_trace, single_step,
-                             verify_stream, verify_trace)
+                             TraceParseError, TraceRecorder, expand_steps,
+                             min_deviation, parse_trace, serialize_trace,
+                             single_step, verify_stream, verify_trace)
 from allowseq.geom import render_trace_svg
 from allowseq.oracle import allowability_bruteforce
-from allowseq.seqcore import CentredSequence, Flip, Window
+from allowseq.seqcore import (CentredSequence, Flip, Window,
+                              identity_sequence)
 from conftest import as_v1, bubble_pairs
 
 
@@ -88,6 +90,55 @@ def test_block_swap_checks_each_condition():
         assert rep == verify_stream(initial, window, one_flip_steps([swap]))
 
 
+def assert_as_expanded(initial, window, swap, min_dev, violation):
+    rep = verify_stream(initial, window, [swap])
+    assert (rep.min_deviation, rep.first_violation) == (min_dev, violation)
+    assert rep.step_count == rep.flip_count == swap.a * swap.b
+    assert rep == verify_stream(initial, window, list(expand_steps([swap])))
+
+
+@pytest.mark.parametrize("lo, hi, pins", [
+    # lo + hi even: the centre 0 is a position
+    (-5, 5, [(BlockSwap(-5, 2, 1), Fraction(7, 2)),  # left of the centre
+             (BlockSwap(-2, 1, 2), Fraction(1, 2)),  # next to it, left
+             (BlockSwap(-2, 2, 3), Fraction(1, 2)),  # around it
+             (BlockSwap(0, 1, 2), Fraction(1, 2)),   # next to it, right
+             (BlockSwap(2, 1, 2), Fraction(5, 2))]), # right of it
+    # lo + hi odd: the centre 1/2 is a transposition's midpoint
+    (-5, 6, [(BlockSwap(-5, 2, 1), Fraction(4)),
+             (BlockSwap(-2, 1, 2), Fraction(1)),
+             (BlockSwap(-2, 2, 3), Fraction(0)),
+             (BlockSwap(1, 1, 2), Fraction(1)),
+             (BlockSwap(2, 1, 2), Fraction(2))]),
+])
+def test_lone_valid_swap_pins(lo, hi, pins):
+    initial = identity_sequence(lo, hi)
+    for swap, min_dev in pins:
+        assert_as_expanded(initial, Window(0), swap, min_dev, None)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_swaps_at_the_window_edges(t):
+    # A transposition (p, p+1) falls in the window [-t, t] exactly when
+    # -t <= p <= t - 1; at t = 0 none does.
+    initial = identity_sequence(-6, 6)
+    inside = t > 0
+    # the last transposition is (-t-1, -t), then one further right
+    assert_as_expanded(initial, Window(t), BlockSwap(-t - 2, 1, 2),
+                       Fraction(2 * t + 1, 2), None)
+    assert_as_expanded(initial, Window(t), BlockSwap(-t - 1, 1, 2),
+                       Fraction(abs(2 * t - 1), 2),
+                       (1, (-t, -t + 1), "midpoint inside window")
+                       if inside else None)
+    # the first transposition is (t, t+1), then one further left
+    assert_as_expanded(initial, Window(t), BlockSwap(t, 2, 1),
+                       Fraction(2 * t + 1, 2), None)
+    assert_as_expanded(initial, Window(t), BlockSwap(t - 1, 2, 1),
+                       Fraction(abs(2 * t - 1), 2),
+                       (1, (t - 1, t), "midpoint inside window")
+                       if inside else None)
+
+
 HEADER = "ALLOWSEQ v2\nt=0 lo=1 hi=3\n1 2 3\n"
 
 
@@ -95,9 +146,22 @@ HEADER = "ALLOWSEQ v2\nt=0 lo=1 hi=3\n1 2 3\n"
                                   "B 1 x 1", "B 1.0 1 1", "B", "B 0 1 1",
                                   "B 2 1 2"])
 def test_malformed_b_line_names_its_line(line):
-    with pytest.raises(TraceParseError) as exc:
-        parse_trace(HEADER + "F 1 2\n" + line + "\nF 1 2\n")
-    assert exc.value.lineno == 5
+    # also after a `B` line the reader has parsed once and then reused
+    for before in ("F 1 2\n", "B 1 1 2\nB 1 1 2\n"):
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(HEADER + before + line + "\nF 1 2\n")
+        assert exc.value.lineno == 4 + before.count("\n")
+
+
+def test_b_line_domain_is_each_files_own():
+    # a line parsed in one file is checked afresh against the next header
+    wide = "ALLOWSEQ v2\nt=0 lo=1 hi=4\n1 2 3 4\n"
+    for _ in range(2):
+        assert parse_trace(wide + "B 2 1 2\nB 2 1 2\n").steps == \
+            (BlockSwap(2, 1, 2),) * 2
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(HEADER + "F 1 2\nB 2 1 2\n")
+        assert exc.value.lineno == 5 and "outside [1, 3]" in str(exc.value)
 
 
 def test_b_line_needs_format_v2():

@@ -360,6 +360,49 @@ def test_failed_construct_leaves_no_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+class WithholdingSink(FileSink):
+    """Writes every step but the trace's last: each waits for the next."""
+
+    held = None
+
+    def hold(self, write, step):
+        if self.held is not None:
+            self.held[0](self, self.held[1])
+        self.held = (write, step)
+
+    def on_step(self, step):
+        self.hold(FileSink.on_step, step)
+
+    def on_transpositions(self, swap):
+        self.hold(FileSink.on_transpositions, swap)
+
+
+def test_construct_self_check_compares_with_the_recorder(tmp_path,
+                                                         monkeypatch, capsys):
+    # Without its last step the file is still allowable, but it no longer
+    # holds what was recorded.
+    fh = io.StringIO()
+    rec, a, b, c = shift_instance(1, 9, sink=WithholdingSink(fh))
+    shift(rec, a, b, c)
+    (window, initial), steps = iter_trace_file(io.StringIO(fh.getvalue()))
+    rep = verify_stream(initial, window, steps)
+    assert rep.allowable and rep.all_valid
+    assert rep.flip_count < rec.flip_count
+    monkeypatch.setattr(allowseq.cli, "FileSink", WithholdingSink)
+    out = tmp_path / "s.trace"
+    assert run_cli("construct", "--stage", "shift", "--t", "1",
+                   "--out", str(out)) == 1
+    assert "self-check failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # With no flips, the recorder's None matches the file's inf.
+    monkeypatch.setattr(allowseq.cli, "FileSink", FileSink)
+    monkeypatch.setattr(allowseq.cli, "shift", lambda rec, a, b, c: None)
+    assert run_cli("construct", "--stage", "shift", "--t", "1",
+                   "--out", str(out)) == 0
+    assert "flips=0 min_deviation=inf" in capsys.readouterr().out
+    assert verify_trace(parse_trace(out.read_text())).flip_count == 0
+
+
 def test_max_cells_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "5")
     code = run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",

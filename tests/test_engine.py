@@ -524,6 +524,17 @@ def test_one_flip_steps_are_shared():
         if len(kept.flips) == 1:
             assert by_flips.setdefault(kept.flips, kept) is kept
     assert len(by_line) < len(lines) // 10  # the trace repeats its lines
+    # In the written file a repeated step line, `B` lines included, yields
+    # the object its first occurrence parsed to.
+    text = fh.getvalue()
+    lines = [line for line in text.splitlines()[3:] if line[0] != "#"]
+    _, steps = iter_trace_file(io.StringIO(text))
+    by_line = {}
+    for line, step in zip(lines, steps, strict=True):
+        assert by_line.setdefault(line, step) is step
+        assert isinstance(step, BlockSwap) == (line[0] == "B")
+    swaps = [line for line in lines if line[0] == "B"]
+    assert len(set(swaps)) < len(swaps)
 
 
 def test_shared_steps_are_verified_afresh():
@@ -546,6 +557,7 @@ def test_single_step_cap_changes_nothing(monkeypatch):
         fh = io.StringIO()
         step_trace(FileSink(fh))
         text = fh.getvalue()
+        assert "\nB " in text and "\nF " in text
         tr = step_trace().to_trace()
         (window, initial), steps = iter_trace_file(io.StringIO(text))
         return (text, tr, parse_trace(text), verify_trace(tr),
