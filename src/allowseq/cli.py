@@ -116,6 +116,7 @@ def cmd_construct(args) -> int:
 
 def _construct(args, n) -> int:
     t = args.t
+    failed = ()  # the certificates a lenient step failed
     started = time.perf_counter()
     with (open(args.out, "w") if args.out else nullcontext()) as out_fh:
         sink = FileSink(out_fh) if out_fh else StatsSink()
@@ -136,8 +137,9 @@ def _construct(args, n) -> int:
             require_cells(plan_sizes(t, args.d, args.k, n).cells,
                           _max_cells(args))
             rec = step_instance(t, args.d, args.k, n, sink=sink)
-            recursive_step(rec, args.d, args.k, n,
-                           strict_certificates=not args.lenient)
+            outcome = recursive_step(rec, args.d, args.k, n,
+                                     strict_certificates=not args.lenient)
+            failed = [c for c in outcome.certificates if not c.passed]
         elif args.stage == "shift":
             rec, a, b, c = shift_instance(t, n, sink=sink)
             shift(rec, a, b, c)
@@ -169,10 +171,15 @@ def _construct(args, n) -> int:
         print(f"flips={rec.flip_count}")
         print(f"min_deviation={_fmt_dev(rec.min_deviation)}")
         print(f"seconds={elapsed:.3f}")
+        if failed:
+            print("failed_certificates="
+                  + ",".join(str(c.index) for c in failed))
     else:
         print(f"cells={n_cells} flips={rec.flip_count} "
               f"min_deviation={_fmt_dev(rec.min_deviation)} "
               f"wall={elapsed:.3f}s")
+        for c in failed:
+            print(f"certificate ({c.index}) {c.name}: {c.detail}")
     return EXIT_OK
 
 

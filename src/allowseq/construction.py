@@ -20,7 +20,6 @@ move is re-validated on concrete values by the recorder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -30,9 +29,9 @@ from .errors import ConstructionBug, ContractError
 from .planner import (MAX_CELLS, RecurrenceTable, SizePlan, alpha_closed,
                       beta_closed, plan_sizes, require_cells,
                       shift_thresholds)
-from .seqcore import (Block, CentredSequence, Window,
-                      _strictly_increasing, identity_sequence, is_r_balanced,
-                      width, width_greedy)
+from .seqcore import (Block, CentredSequence, Value, Window,
+                      _strictly_increasing, identity_sequence, init_field,
+                      is_r_balanced, width, width_greedy)
 
 
 def _ivlen(iv) -> int:
@@ -224,10 +223,14 @@ def reflect_mirrored(tr, x_iv, a_iv, b_iv, c_iv):
 # Balanced decomposition (block level; no window involved).
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    blocks: tuple      # resulting increasing blocks, left to right
-    result: Block      # concatenation of blocks
+class Decomposition(Value):
+    """The increasing blocks, left to right, and their concatenation."""
+
+    __slots__ = ("blocks", "result")
+
+    def __init__(self, blocks: tuple, result: Block):
+        init_field(self, "blocks", blocks)
+        init_field(self, "result", result)
 
     @property
     def k(self) -> int:
@@ -367,15 +370,17 @@ class SegmentMap:
 # The recursive growth step.
 
 
-@dataclass
-class StepLayout:
+class StepLayout(Value):
     """Position intervals of the five result regions (empty: lo > hi)."""
 
-    L: tuple
-    W: tuple
-    A: tuple
-    B: tuple
-    R: tuple
+    __slots__ = ("L", "W", "A", "B", "R")
+
+    def __init__(self, L: tuple, W: tuple, A: tuple, B: tuple, R: tuple):
+        init_field(self, "L", L)
+        init_field(self, "W", W)
+        init_field(self, "A", A)
+        init_field(self, "B", B)
+        init_field(self, "R", R)
 
     def region_sizes(self):
         return {name: max(0, iv[1] - iv[0] + 1)
@@ -383,21 +388,31 @@ class StepLayout:
                                  ("B", self.B), ("R", self.R))}
 
 
-@dataclass
-class Certificate:
-    index: int
-    name: str
-    passed: bool
-    detail: str = ""
+class Certificate(Value):
+    """One of the step's eight result conditions, checked."""
+
+    __slots__ = ("index", "name", "passed", "detail")
+
+    def __init__(self, index: int, name: str, passed: bool, detail: str = ""):
+        init_field(self, "index", index)
+        init_field(self, "name", name)
+        init_field(self, "passed", passed)
+        init_field(self, "detail", detail)
 
 
-@dataclass
-class StepOutcome:
-    layout: StepLayout
-    certificates: list
-    x_size: int
-    y_size: int
-    flip_count: int
+class StepOutcome(Value):
+    """The growth step's result regions, its certificates in index
+    order, the sizes of X and Y, and the flips it made."""
+
+    __slots__ = ("layout", "certificates", "x_size", "y_size", "flip_count")
+
+    def __init__(self, layout: StepLayout, certificates: tuple, x_size: int,
+                 y_size: int, flip_count: int):
+        init_field(self, "layout", layout)
+        init_field(self, "certificates", certificates)
+        init_field(self, "x_size", x_size)
+        init_field(self, "y_size", y_size)
+        init_field(self, "flip_count", flip_count)
 
     @property
     def all_passed(self) -> bool:
@@ -713,8 +728,11 @@ def _certify(rec, plan, layout, k, n, y_set, strict=False):
     add(7, "negative count bound", nneg >= b_k, det7)
     ratio = Fraction(b_k, a_k)
     rep = is_r_balanced(Block(bv), ratio)
+    least = ("none, B+ is empty" if rep.least_ratio is None
+             else rep.least_ratio)
     add(8, "balancedness", rep.balanced,
-        f"B is {ratio}-balanced" if rep.balanced else rep.detail)
+        f"B is {ratio}-balanced, least prefix ratio {least}"
+        if rep.balanced else rep.detail)
 
     if strict and not all(c.passed for c in certs):
         bad = [c for c in certs if not c.passed]
@@ -722,7 +740,7 @@ def _certify(rec, plan, layout, k, n, y_set, strict=False):
             "certificates failed: " + "; ".join(f"({c.index}) {c.name}: "
                                                 f"{c.detail}" for c in bad),
             rec.annotation_stack())
-    return certs
+    return tuple(certs)
 
 
 def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
@@ -815,15 +833,19 @@ def reflect_instance(t: int, n: int, xsize: int, sink=None,
 # The full pipeline.
 
 
-@dataclass
-class ConstructionFailure:
-    """Structured failure value: the pipeline refused to proceed."""
+class ConstructionFailure(Value):
+    """Structured failure value: the pipeline refused to proceed.
+    `achieved` is a Fraction or (lower, upper) bounds."""
 
-    stage: str
-    achieved: object          # Fraction or (lower, upper) bounds
-    required: Fraction
-    message: str
-    table: Optional[RecurrenceTable] = None
+    __slots__ = ("stage", "achieved", "required", "message", "table")
+
+    def __init__(self, stage: str, achieved, required: Fraction,
+                 message: str, table: Optional[RecurrenceTable] = None):
+        init_field(self, "stage", stage)
+        init_field(self, "achieved", achieved)
+        init_field(self, "required", required)
+        init_field(self, "message", message)
+        init_field(self, "table", table)
 
     def __bool__(self):
         return False

@@ -23,10 +23,11 @@ minimum deviation itself, so even a stats-only run reports both.
 Deviations are tracked doubled, as the integer |c + d - (lo + hi)|, and
 become Fractions only where they are reported.
 
-One-flip steps are shared immutable objects.  single_step hands out one
-FlipStep per distinct flip from a module cache, and emit_flip,
-iter_trace_file and geom.circular_sequence pass on a reference to it for
-each repeat instead of a new object.  The cache holds at most
+One-flip steps are shared immutable objects: FlipStep and BlockSwap
+are `seqcore.Value`s, whose fields cannot be assigned.  single_step
+hands out one FlipStep per distinct flip from a module cache, and
+emit_flip, iter_trace_file and geom.circular_sequence pass on a
+reference to it for each repeat instead of a new object.  The cache holds at most
 _SINGLE_STEP_CAP steps and is cleared when full, which bounds its memory
 whatever the trace.  iter_trace_file likewise parses each distinct step
 line of a file once: a repeated `F`, `S` or `B` line yields the step its
@@ -78,13 +79,12 @@ from __future__ import annotations
 
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConstructionBug, ContractError, RangeError
-from .seqcore import CentredSequence, Flip, Window
+from .seqcore import CentredSequence, Flip, Value, Window, init_field
 
 INF = float("inf")
 
@@ -98,11 +98,10 @@ class TraceParseError(Exception):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class FlipStep:
+class FlipStep(Value):
     """One or more pairwise disjoint flips applied simultaneously."""
 
-    flips: tuple
+    __slots__ = ("flips",)
 
     def __init__(self, flips: Iterable[Flip]):
         fs = tuple(flips)
@@ -113,15 +112,14 @@ class FlipStep:
                     raise ContractError(f"flips [{a.c},{a.d}] and [{b.c},{b.d}] overlap")
         elif not fs:
             raise ContractError("a step needs at least one flip")
-        object.__setattr__(self, "flips", fs)
+        init_field(self, "flips", fs)
 
     def min_dev2(self, centre2: int) -> int:
         """Least doubled |midpoint - centre| over the step's flips."""
         return min(abs(f.c + f.d - centre2) for f in self.flips)
 
 
-@dataclass(frozen=True)
-class BlockSwap:
+class BlockSwap(Value):
     """The a*b adjacent transpositions that exchange the blocks
     [lo, lo+a-1] and [lo+a, lo+a+b-1], one trace step standing for a*b
     one-flip steps.
@@ -131,14 +129,14 @@ class BlockSwap:
     whole left block, the rightmost transposition first.
     """
 
-    lo: int
-    a: int
-    b: int
+    __slots__ = ("lo", "a", "b")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ContractError(f"block swap sizes {self.a}, {self.b} "
-                                f"must both be >= 1")
+    def __init__(self, lo: int, a: int, b: int):
+        if a < 1 or b < 1:
+            raise ContractError(f"block swap sizes {a}, {b} must both be >= 1")
+        init_field(self, "lo", lo)
+        init_field(self, "a", a)
+        init_field(self, "b", b)
 
     def __iter__(self) -> Iterator[tuple]:
         lo, a = self.lo, self.a
@@ -176,7 +174,8 @@ _single_steps = {}  # (c, d) -> the shared FlipStep of that one flip
 
 def single_step(c: int, d: int) -> FlipStep:
     """The one-flip step [c, d].  Equal calls return the same object while
-    it stays in the cache; FlipStep is frozen, so sharing it is safe."""
+    it stays in the cache; a FlipStep is an immutable Value, so sharing
+    it is safe."""
     step = _single_steps.get((c, d))
     if step is None:
         if len(_single_steps) >= _SINGLE_STEP_CAP:
@@ -185,8 +184,7 @@ def single_step(c: int, d: int) -> FlipStep:
     return step
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Value):
     """A finished, immutable flip trace.
 
     `steps` holds FlipSteps and BlockSwaps in application order.
@@ -195,10 +193,14 @@ class Trace:
     the event came after the first `index` entries of `steps`.
     """
 
-    window: Window
-    initial: CentredSequence
-    steps: tuple
-    annotations: tuple = ()
+    __slots__ = ("window", "initial", "steps", "annotations")
+
+    def __init__(self, window: Window, initial: CentredSequence,
+                 steps: tuple, annotations: tuple = ()):
+        init_field(self, "window", window)
+        init_field(self, "initial", initial)
+        init_field(self, "steps", steps)
+        init_field(self, "annotations", annotations)
 
 
 class ListSink:
@@ -607,15 +609,25 @@ class TraceRecorder:
 # -- independent verification ------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    allowable: bool
-    all_valid: bool
-    reaches_reversal: bool
-    min_deviation: object  # Fraction, or inf when no flips
-    step_count: int
-    flip_count: int
-    first_violation: Optional[tuple] = None  # (step index, (c, d), reason)
+class VerificationReport(Value):
+    """What `verify_stream` found.  `min_deviation` is a Fraction, or inf
+    when there are no flips; `first_violation` is (step index, (c, d),
+    reason), or None."""
+
+    __slots__ = ("allowable", "all_valid", "reaches_reversal",
+                 "min_deviation", "step_count", "flip_count",
+                 "first_violation")
+
+    def __init__(self, allowable: bool, all_valid: bool,
+                 reaches_reversal: bool, min_deviation, step_count: int,
+                 flip_count: int, first_violation: Optional[tuple] = None):
+        init_field(self, "allowable", allowable)
+        init_field(self, "all_valid", all_valid)
+        init_field(self, "reaches_reversal", reaches_reversal)
+        init_field(self, "min_deviation", min_deviation)
+        init_field(self, "step_count", step_count)
+        init_field(self, "flip_count", flip_count)
+        init_field(self, "first_violation", first_violation)
 
 
 def verify_stream(initial: CentredSequence, window: Window,

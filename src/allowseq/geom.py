@@ -32,7 +32,6 @@ trace is its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, log10
 from typing import Iterable
@@ -40,18 +39,20 @@ from typing import Iterable
 from .engine import (BlockSwap, FlipStep, Trace, expand_steps,
                      flip_imbalance, single_step)
 from .errors import ContractError, RefusalError
-from .seqcore import CentredSequence, Flip, Window
+from .seqcore import CentredSequence, Flip, Value, Window, init_field
 
 
-@dataclass(frozen=True)
-class PointSet:
-    points: tuple  # ((x, y) Fractions), labelled 1..n in storage order
+class PointSet(Value):
+    """Distinct points ((x, y) Fractions), labelled 1..n in storage
+    order."""
+
+    __slots__ = ("points",)
 
     def __init__(self, points: Iterable):
         pts = tuple((Fraction(x), Fraction(y)) for x, y in points)
         if len(set(pts)) != len(pts):
             raise ContractError("points must be pairwise distinct")
-        object.__setattr__(self, "points", pts)
+        init_field(self, "points", pts)
 
     def __len__(self):
         return len(self.points)
@@ -63,34 +64,44 @@ def orientation(a, b, c) -> int:
     return (det > 0) - (det < 0)
 
 
-@dataclass(frozen=True)
-class LineRecord:
-    """A line through two or more points.  The left side is where
-    orientation(p_i, p_j, .) > 0, for p_i and p_j the line's first two
-    points in storage order."""
+class LineRecord(Value):
+    """A line through two or more points, `labels` the 1-based labels of
+    its points.  The left side is where orientation(p_i, p_j, .) > 0, for
+    p_i and p_j the line's first two points in storage order."""
 
-    labels: tuple        # 1-based labels of the points on the line
-    left_count: int
-    right_count: int
+    __slots__ = ("labels", "left_count", "right_count")
+
+    def __init__(self, labels: tuple, left_count: int, right_count: int):
+        init_field(self, "labels", labels)
+        init_field(self, "left_count", left_count)
+        init_field(self, "right_count", right_count)
 
     @property
     def imbalance(self) -> int:
         return abs(self.left_count - self.right_count)
 
 
-@dataclass(frozen=True)
-class SwapEvent:
-    """One simultaneous batch of projection-order reversals."""
+class SwapEvent(Value):
+    """One simultaneous batch of projection-order reversals: the step and
+    the collinear label groups generating each of its flips."""
 
-    step: FlipStep
-    groups: tuple       # collinear label groups generating each flip
+    __slots__ = ("step", "groups")
+
+    def __init__(self, step: FlipStep, groups: tuple):
+        init_field(self, "step", step)
+        init_field(self, "groups", groups)
 
 
-@dataclass(frozen=True)
-class HalfPeriod:
-    n: int
-    initial: tuple      # the identity labelling 1..n
-    events: tuple       # SwapEvents in rotation order
+class HalfPeriod(Value):
+    """The circular sequence's half period: from the identity labelling
+    1..n, the SwapEvents in rotation order."""
+
+    __slots__ = ("n", "initial", "events")
+
+    def __init__(self, n: int, initial: tuple, events: tuple):
+        init_field(self, "n", n)
+        init_field(self, "initial", initial)
+        init_field(self, "events", events)
 
     def steps(self):
         return tuple(ev.step for ev in self.events)

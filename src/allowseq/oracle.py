@@ -104,6 +104,10 @@ def allowability_bruteforce(steps: Iterable, initial: CentredSequence) -> bool:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best least deviation at n, a witness reaching it and the states
+    the search explored.  A dataclass, not a `seqcore.Value`, because the
+    benchmark's tests build variants of it with `dataclasses.replace`."""
+
     n: int
     best_min_deviation: object    # Fraction, or INF when no flip is needed
     witness: tuple                # FlipSteps from the identity to the reversal

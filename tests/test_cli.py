@@ -278,6 +278,26 @@ def test_cmd_construct_without_out_keeps_no_trace(monkeypatch, capsys):
         assert ("flips=" if code == 0 else "structured failure") in out
 
 
+def test_cmd_construct_lenient_reports_failed_certificates(tmp_path, capsys):
+    # At t = 0 the step lays down fewer negatives than beta_k, so
+    # certificate (7) fails; --lenient reports it and still succeeds.
+    argv = ["construct", "--stage", "step", "--t", "0", "--d", "9",
+            "--k", "2", "--lenient"]
+    assert run_cli(*argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("cells=1657 flips=519302 ")
+    assert lines[1:] == ["certificate (7) negative count bound: "
+                         "|B-| = 44 < beta_2 = 54 (short by 10)"]
+    out = tmp_path / "step.trace"
+    assert run_cli(*argv, "--machine", "--out", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["cells=1657", "flips=519302", "min_deviation=1/2"]
+    assert lines[3].startswith("seconds=")
+    assert lines[4:] == ["failed_certificates=7"]
+    assert run_cli("verify", str(out), "--machine") == 0
+    assert "flips=519302" in capsys.readouterr().out.splitlines()
+
+
 def test_cmd_construct_full_failure(capsys):
     code = run_cli("construct", "--stage", "full", "--t", "0", "--d", "9",
                    "--k", "1", "--machine")

@@ -227,6 +227,18 @@ def test_step_t1_k1_all_certificates():
     assert rec.min_deviation == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("t, d, k, detail", [
+    (0, 9, 2, "B is 6/41-balanced, least prefix ratio 11/72"),
+    (1, 81, 1, "B is 1/438-balanced, least prefix ratio 2/615")])
+def test_step_balancedness_shows_least_prefix_ratio(t, d, k, detail):
+    rec = step_instance(t, d, k, 1, sink=StatsSink())
+    out = recursive_step(rec, d, k, 1, strict_certificates=False)
+    cert = out.certificates[7]
+    assert (cert.index, cert.passed, cert.detail) == (8, True, detail)
+    rep = is_r_balanced(Block(rec.values(*out.layout.B)), 0)
+    assert str(rep.least_ratio) == detail.rsplit(" ", 1)[1]
+
+
 def test_step_rejects_small_d():
     rec = step_instance(1, 81, 0, 1)
     with pytest.raises(ContractError):

@@ -70,7 +70,46 @@ def test_is_r_balanced_exact_boundary():
         2, 2, "prefix has 1 negatives < r*width = 2")
     assert is_r_balanced(Block((3, 2, 1)), 0).balanced
     assert is_r_balanced(Block((1, -4, 2, -3)), 0) == BalanceReport(
-        True, Fraction(0))
+        True, Fraction(0), least_ratio=Fraction(0))
+
+
+def test_is_r_balanced_least_prefix_ratio():
+    # the least |B'-| / width(B'+), met with equality at the boundary
+    rep = is_r_balanced(Block((-7, -6, -5, -4, -3, -2, -1, 3, 2, 1)),
+                        Fraction(7, 3))
+    assert rep.balanced and rep.least_ratio == Fraction(7, 3)
+    # a failure reports the least ratio up to its witness
+    rep = is_r_balanced(Block((-6, -5, -4, -3, -2, -1, 3, 2, 1)),
+                        Fraction(7, 3))
+    assert (rep.witness, rep.least_ratio) == (9, 2)
+    rep = is_r_balanced(Block((-4, -1, 5, -3, 2, 1)), 0)
+    assert rep.witness == 4 and rep.least_ratio == 2
+    # the least need not come last: 1/1 after the 4, then 4/2 twice
+    rep = is_r_balanced(Block((-9, 4, -8, -7, -6, 3, 5)), 1)
+    assert rep.balanced and rep.least_ratio == 1
+    assert is_r_balanced(Block((1, -1)), 0).least_ratio == 0
+    # None when no prefix holds a positive value
+    rep = is_r_balanced(Block((-5, -3, -1)), 100)
+    assert rep.balanced and rep.least_ratio is None
+
+
+@given(blocks, st.fractions(min_value=0, max_value=6))
+def test_least_prefix_ratio_matches_prefix_scan(b, r):
+    if any(v == 0 for v in b):
+        return
+    rep = is_r_balanced(b, r)
+    scanned = len(b) if rep.balanced else rep.witness
+    ratios = []
+    for j in range(1, scanned + 1):
+        prefix = b.values[:j]
+        w = width(Block(v for v in prefix if v > 0))
+        if w:
+            ratios.append(Fraction(sum(v < 0 for v in prefix), w))
+    assert rep.least_ratio == (min(ratios) if ratios else None)
+    negs = [v for v in b if v < 0]
+    if negs == sorted(negs):
+        assert rep.balanced == (rep.least_ratio is None
+                                or rep.least_ratio >= r)
 
 
 @given(blocks, st.fractions(min_value=0, max_value=6))
