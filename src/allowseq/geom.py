@@ -3,8 +3,11 @@
 Everything is exact.  A `PointSet` holds Fractions; the sweep and the
 link check work on the points scaled by the lcm of all coordinate
 denominators.  A uniform positive scale keeps every direction, every
-coordinate order and every orientation sign, so both compute on integers
-and the sweep orders its events by integer keys.
+coordinate order and every orientation sign, so both compute on integers.
+The sweep sorts all pairs once, by the integer key floor(dy * S^2 / dx)
+of the slope dy / dx of each pair, where S is the x span of the points:
+two distinct slopes with denominators at most S differ by at least
+1/S^2, so the key is exact, and it needs no gcd.
 
 Rotating the projection direction through a half turn sweeps out an
 allowable sequence of permutations, the circular sequence of Goodman and
@@ -142,7 +145,32 @@ def _integer_points(ps: PointSet) -> list:
     scaled by the lcm of all their denominators.  The scale is uniform and
     positive, so directions, (x, y) order and orientation signs survive."""
     scale = lcm(*(c.denominator for p in ps.points for c in p))
-    return [(int(x * scale), int(y * scale)) for x, y in ps.points]
+    return [(x.numerator * (scale // x.denominator),
+             y.numerator * (scale // y.denominator)) for x, y in ps.points]
+
+
+# The key of the direction (-1, 0), which fires after every slope.
+_VERTICAL = float("inf")
+
+
+def _sweep_order(ipts: list) -> list:
+    """The pairs a < b of labels of the integer points ipts, in (x, y)
+    order, as the sorted list of (slope key, a * (n + 1) + b), vertical
+    pairs last: the firing order of `circular_sequence`."""
+    n = len(ipts)
+    m = n + 1
+    s2 = (ipts[-1][0] - ipts[0][0]) ** 2
+    order, vertical = [], []
+    for a in range(1, n):
+        px, py = ipts[a - 1]
+        b = a + 1
+        while b <= n and ipts[b - 1][0] == px:
+            vertical.append((_VERTICAL, a * m + b))
+            b += 1
+        order += [((qy - py) * s2 // (qx - px), a * m + k)
+                  for k, (qx, qy) in enumerate(ipts[b - 1:], b)]
+    order.sort()
+    return order + vertical
 
 
 def circular_sequence(ps: PointSet) -> HalfPeriod:
@@ -150,56 +178,58 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     swap events.  Labels 1..n follow the starting order, which breaks
     projection ties by the lexicographic (x, y) perturbation.
 
-    Each pair of points fires at the direction of its primitive integer
-    normal (x, y), with 0 < y <= ymax or (x, y) = (-1, 0).  Directions with
-    y > 0 come in the order of the slope -x/y, and two distinct slopes
-    differ by at least 1/ymax^2, so the integer floor(-x * ymax^2 / y)
-    orders them exactly; (-1, 0) fires last.  All points on one line have
-    the same offset x*px + y*py, so the pairs of one direction group into
-    its parallel lines by offset.
+    The pair of points p < q fires at the normal of q - p.  `_sweep_order`
+    sorts the pairs with px < qx by the key floor((qy - py) * S^2 /
+    (qx - px)) of their slope, S the x span, and puts the vertical pairs
+    last.  Distinct slopes with denominators up to S differ by at least
+    1/S^2, so their keys differ, in the same order; equal slopes have
+    equal keys.  A run of equal keys is one direction (x, y).  All points
+    on one line have the same offset x*px + y*py, so the pairs of a run
+    group into its parallel lines by offset.
 
-    In general position every direction holds a single pair (a, b), and
-    that event takes a direct path: it requires position[b] to follow
+    In general position every key holds a single pair (a, b), and that
+    event takes a direct path: it requires position[b] to follow
     position[a] = c, records the shared step single_step(c, c + 1) and
     swaps the two in place.  It accepts exactly what the group path
     accepts for a group of two: pairs are generated with a < b, so a
     contiguous {a, b} is label-increasing exactly when b follows a.
-    Directions with several pairs take the group path."""
+    Runs of several pairs take the group path."""
     n = len(ps)
     if n < 1:
         raise ContractError("need at least one point")
     ipts = sorted(_integer_points(ps))
-    events = {}  # direction -> [(offset, label, label)] of its pairs
-    for a in range(1, n):
-        p = ipts[a - 1]
-        for b in range(a + 1, n + 1):
-            vec = _event_vector(p, ipts[b - 1])
-            events.setdefault(vec, []).append(
-                (vec[0] * p[0] + vec[1] * p[1], a, b))
-    last = events.pop((-1, 0), None)
-    ymax2 = max((y for _, y in events), default=1) ** 2
-    order = sorted(events, key=lambda v: -v[0] * ymax2 // v[1])
-    sweep = [events[v] for v in order] + ([last] if last else [])
-
+    m = n + 1
+    order = _sweep_order(ipts) + [(None, 0)]  # the sentinel ends the last run
+    # The shared one-flip steps, fetched once per sweep, not once per pair.
+    adjacent = [None] + [single_step(c, c + 1) for c in range(1, n)]
     perm = list(range(1, n + 1))
     position = [0] + perm                     # label -> position
     result = []
-    for pairs in sweep:
-        if len(pairs) == 1:
-            _, a, b = pairs[0]
+    pending = []                              # the codes of the open run
+    for (key, code), (next_key, _) in zip(order, order[1:]):
+        if key != next_key and not pending:
+            a, b = divmod(code, m)
             c = position[a]
             if position[b] != c + 1:
                 raise ContractError("collinear group is not contiguous; "
                                     "geometry violated")
-            result.append(SwapEvent(single_step(c, c + 1), ((a, b),)))
+            result.append(SwapEvent(adjacent[c], ((a, b),)))
             perm[c - 1], perm[c] = b, a
             position[a], position[b] = c + 1, c
             continue
+        pending.append(code)
+        if key == next_key:
+            continue
         # Several parallel lines may fire at once, each reversing its own
         # collinear group.
+        a, b = divmod(pending[0], m)
+        vx, vy = _event_vector(ipts[a - 1], ipts[b - 1])
         lines = {}
-        for offset, a, b in pairs:
-            lines.setdefault(offset, set()).update((a, b))
+        for code in pending:
+            a, b = divmod(code, m)
+            px, py = ipts[a - 1]
+            lines.setdefault(vx * px + vy * py, set()).update((a, b))
+        pending = []
         runs = []
         for labs in lines.values():
             c = min(position[lab] for lab in labs)
@@ -225,14 +255,15 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     return HalfPeriod(n, tuple(range(1, n + 1)), tuple(result))
 
 
-def _fired_lines(ps: PointSet, hp: HalfPeriod):
+def _fired_lines(hp: HalfPeriod, ipts: list):
     """Yield (flip, storage indices of the line's points, ascending) for
-    every line of the half period hp of ps, each once, in rotation order."""
-    pts = ps.points
-    order = sorted(range(len(pts)), key=lambda i: pts[i])
+    every line of the half period hp of the integer points ipts, each
+    once, in rotation order."""
+    # Labels are ranks in (x, y) order; order[k - 1] stores label k.
+    order = sorted(range(len(ipts)), key=ipts.__getitem__)
     for ev in hp.events:
         for f, group in zip(ev.step.flips, ev.groups):
-            yield f, sorted(order[lab - 1] for lab in group)
+            yield f, sorted([order[lab - 1] for lab in group])
 
 
 def line_imbalances(ps: PointSet):
@@ -247,15 +278,15 @@ def line_imbalances(ps: PointSet):
 
 def _line_records(ps: PointSet, hp: HalfPeriod):
     """line_imbalances(ps), read off its half period hp."""
-    pts = ps.points
-    n = len(pts)
+    n = len(ps)
+    ipts = _integer_points(ps)
     records = []
-    for f, on in _fired_lines(ps, hp):
+    for f, on in _fired_lines(hp, ipts):
         before, after = f.c - 1, n - f.d
         # At this event the projection direction is p_j - p_i turned a
         # quarter turn counterclockwise exactly when p_i < p_j in (x, y)
         # order; the points projected after the group then lie on the left.
-        left, right = ((after, before) if pts[on[0]] < pts[on[1]]
+        left, right = ((after, before) if ipts[on[0]] < ipts[on[1]]
                        else (before, after))
         records.append(LineRecord(tuple(k + 1 for k in on), left, right))
     if not records:
@@ -284,10 +315,10 @@ def deviation_imbalance_link(ps: PointSet) -> bool:
 def _link_holds(ps: PointSet, hp: HalfPeriod) -> bool:
     """deviation_imbalance_link(ps), checked on its half period hp."""
     n = len(ps)
-    lines = list(_fired_lines(ps, hp))
+    ipts = _integer_points(ps)
+    lines = list(_fired_lines(hp, ipts))
     if any(len(on) != 2 for _, on in lines):
         raise ContractError("the link check needs general position")
-    ipts = _integer_points(ps)
     for f, (i, j) in lines:
         ax, ay = ipts[i]
         dx, dy = ipts[j][0] - ax, ipts[j][1] - ay

@@ -522,6 +522,27 @@ def test_empty_point_file_exits_malformed(tmp_path, capsys):
         assert "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 0\n1 x\n", "line 2: bad coordinate"),
+    ("0 0\n# three fields\n1 2 3\n", "line 3: expected 'x y'"),
+    ("1/0 0\n", "line 1: bad coordinate"),
+    ("0 0\n1 1\n0/2 0\n", "points must be pairwise distinct"),
+], ids=["bad-coordinate", "three-fields", "zero-denominator", "duplicate"])
+@pytest.mark.parametrize("command, prefix", [
+    (["points", "--action", "sequence"], "parse error: "),
+    (["render", "--points"], "cannot read points: "),
+], ids=["points", "render"])
+def test_unparsable_point_files_exit_malformed(text, message, command, prefix,
+                                               tmp_path, capsys):
+    path = tmp_path / "bad.pts"
+    path.write_text(text)
+    assert run_cli(command[0], str(path), *command[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix + message), err
+    assert "Traceback" not in err
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # About 200 KB of trace text, far more than a pipe buffers, so the
     # writer meets the closed pipe mid-write.

@@ -47,7 +47,8 @@ def fraction_deviation_imbalance_link(ps):
     tests on the Fraction coordinates themselves."""
     pts = ps.points
     n = len(pts)
-    lines = list(geom._fired_lines(ps, circular_sequence(ps)))
+    lines = list(geom._fired_lines(circular_sequence(ps),
+                                   geom._integer_points(ps)))
     if any(len(on) != 2 for _, on in lines):
         raise ContractError("the link check needs general position")
     for f, (i, j) in lines:
@@ -457,9 +458,21 @@ def misordered_sweep(monkeypatch, pts, directions):
     """Sweep pts with the pair of labels (a, b) firing at the direction
     directions[a, b] instead of its own.  Labels follow (x, y) order.  At
     the directions (k, 1) a larger k fires earlier, and the pairs of one
-    direction share a line when their first points share k*x + y."""
+    direction share a line when their first points share k*x + y.
+
+    The misordering enters through the sweep's two seams: `_sweep_order`
+    gives each pair the key of its injected direction, and `_event_vector`
+    gives a run of pairs its injected normal for the line offsets."""
     ps = PointSet(pts)
     label = {p: k for k, p in enumerate(sorted(geom._integer_points(ps)), 1)}
+    m = len(pts) + 1
+
+    def key(direction):
+        x, y = direction
+        return geom._VERTICAL if y == 0 else Fraction(-x, y)
+
+    monkeypatch.setattr(geom, "_sweep_order", lambda ipts: sorted(
+        (key(d), a * m + b) for (a, b), d in directions.items()))
     monkeypatch.setattr(geom, "_event_vector",
                         lambda p, q: directions[label[p], label[q]])
     return circular_sequence(ps)
@@ -518,6 +531,62 @@ def test_misordered_sweeps_are_refused_or_verify(monkeypatch):
         assert rep.allowable and rep.all_valid and rep.reaches_reversal
         outcomes["accepted"] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+def assert_sweep_verifies(ps):
+    rep = verify_trace(circular_sequence(ps).to_trace())
+    assert rep.allowable and rep.all_valid and rep.reaches_reversal
+
+
+# S is the x span of a set, which scales the sweep's slope keys by S^2.
+SPAN = 10**9 - 7
+KEY_EDGE_SETS = {
+    # S = 0: every pair is vertical and no slope key is formed.
+    "one-vertical-line": [(0, 3), (0, -1), (0, 7), (0, 0), (0, 2)],
+    "n=2": [(0, 0), (3, 1)],
+    "n=2-vertical": [(4, 1), (4, 0)],
+    "lone-vertical-pair": [(0, 0), (0, 1), (3, 2), (5, -4)],
+    # Slopes 1/SPAN and 1/(SPAN - 1) from (0, 0), 1/(SPAN (SPAN - 1))
+    # apart, the least gap two slopes with denominators up to SPAN can
+    # have; their keys differ by 1.  The line y = 1 holds three points.
+    "span-near-1e9": [(0, 0), (SPAN, 1), (SPAN - 1, 1), (0, 1),
+                      (1, -SPAN)],
+}
+
+
+@pytest.mark.parametrize("pts", KEY_EDGE_SETS.values(), ids=KEY_EDGE_SETS)
+def test_sweep_key_edge_cases(pts):
+    ps = PointSet(pts)
+    assert_matches_oracles(ps)
+    assert_sweep_verifies(ps)
+
+
+def test_near_slopes_at_a_large_span_fire_apart():
+    ps = PointSet(KEY_EDGE_SETS["span-near-1e9"])
+    groups = [ev.groups for ev in circular_sequence(ps).events]
+    # Labels in (x, y) order: (0, 0), (0, 1), (1, -SPAN), (SPAN - 1, 1),
+    # (SPAN, 1).
+    assert groups.index(((1, 5),)) + 1 == groups.index(((1, 4),))
+    assert ((2, 4, 5),) in groups
+    assert groups[-1] == ((1, 2),)
+
+
+def test_lone_vertical_pair_shares_the_one_flip_step(monkeypatch):
+    monkeypatch.setattr(engine, "_single_steps", {})
+    ps = PointSet(KEY_EDGE_SETS["lone-vertical-pair"])
+    last = circular_sequence(ps).events[-1]
+    assert last.groups == ((1, 2),)
+    c = last.step.flips[0].c
+    assert last.step is single_step(c, c + 1)
+
+
+def test_one_point_sweeps_to_no_events():
+    ps = PointSet([(Fraction(1, 3), 5)])
+    assert circular_sequence(ps).events == ()
+    assert_sweep_verifies(ps)
+    assert in_general_position(ps)
+    with pytest.raises(ContractError, match="need at least two points"):
+        line_imbalances(ps)
 
 
 def test_points_link_sweeps_once(monkeypatch, tmp_path, capsys):
