@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .engine import TraceRecorder
-from .errors import ConstructionBug, ContractError
+from .errors import ContractError
 from .planner import (MAX_CELLS, RecurrenceTable, SizePlan, alpha_closed,
                       beta_closed, plan_sizes, require_cells,
                       shift_thresholds)
@@ -92,6 +92,9 @@ class MirrorView:
     def annotate(self, label):
         return self.rec.annotate(label + " [mirrored]")
 
+    def bug(self, message):
+        self.rec.bug(message)
+
 
 # ---------------------------------------------------------------------------
 # Shifting.
@@ -104,7 +107,7 @@ def _shift_rec(ops, t, k, a_iv, b_iv, c_iv, thresholds):
     n = _ivlen(b_iv)
     need = thresholds[t - k]
     if n < need:
-        raise ConstructionBug(f"shift level {k} needs |B| >= {need}, got {n}")
+        ops.bug(f"shift level {k} needs |B| >= {need}, got {n}")
     if k == t:
         # A, B, C concatenate to one increasing run; flip it whole.  The
         # midpoint t + (n+1)/2 clears the window for every n >= 0.
@@ -419,32 +422,27 @@ class StepOutcome(Value):
         return all(c.passed for c in self.certificates)
 
 
-def _entry_checks(rec, plan, k, n, x_iv, y_iv, depth):
+def _entry_problem(rec, plan, k, n, x_iv, y_iv):
+    """Why X and Y cannot enter a level-k step of size n, or None."""
     t = plan.t
-    problem = None
     if _ivlen(x_iv) != plan.x(n, k):
-        problem = f"|X| = {_ivlen(x_iv)} but the planner wants {plan.x(n, k)}"
-    elif _ivlen(y_iv) != plan.y(n, k):
-        problem = f"|Y| = {_ivlen(y_iv)} but the planner wants {plan.y(n, k)}"
-    elif x_iv[1] != -t - 1 or y_iv[0] != t + 1:
-        problem = "X and Y must be adjacent to the window"
-    else:
-        xv = rec.values(*x_iv)
-        yv = rec.values(*y_iv)
-        wv = rec.values(-t, t)
-        if not _strictly_increasing(xv):
-            problem = "X must be increasing"
-        elif not _strictly_increasing(yv):
-            problem = "Y must be increasing"
-        elif not (max(xv) < min(wv) and max(wv) < min(yv)):
-            problem = "need X < centre < Y on values"
-        elif xv[-1] >= 0 or yv[0] <= 0:
-            problem = "need X < 0 < Y"
-    if problem:
-        if depth == 0:
-            raise ContractError(f"recursive step: {problem}")
-        raise ConstructionBug(f"recursive step (inner): {problem}",
-                              rec.annotation_stack())
+        return f"|X| = {_ivlen(x_iv)} but the planner wants {plan.x(n, k)}"
+    if _ivlen(y_iv) != plan.y(n, k):
+        return f"|Y| = {_ivlen(y_iv)} but the planner wants {plan.y(n, k)}"
+    if x_iv[1] != -t - 1 or y_iv[0] != t + 1:
+        return "X and Y must be adjacent to the window"
+    xv = rec.values(*x_iv)
+    yv = rec.values(*y_iv)
+    wv = rec.values(-t, t)
+    if not _strictly_increasing(xv):
+        return "X must be increasing"
+    if not _strictly_increasing(yv):
+        return "Y must be increasing"
+    if not (max(xv) < min(wv) and max(wv) < min(yv)):
+        return "need X < centre < Y on values"
+    if xv[-1] >= 0 or yv[0] <= 0:
+        return "need X < 0 < Y"
+    return None
 
 
 def _end(sm, pool, size):
@@ -468,11 +466,11 @@ def _join(sm, group, names):
     sm.replace(names, [(group, sum(map(sm.sizes.get, names)))])
 
 
-def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
-    """One level of the growth step.  Segments are named by fixed strings
-    or (tag, i) pairs; each call keeps its own map, so they stay unique."""
+def _rstep(rec, plan, k, n, x_iv, y_iv):
+    """One level of the growth step, on X and Y that pass _entry_problem.
+    Segments are named by fixed strings or (tag, i) pairs; each call keeps
+    its own map, so they stay unique."""
     t, T, d = plan.t, plan.T, plan.d
-    _entry_checks(rec, plan, k, n, x_iv, y_iv, depth)
     win = (-t, t)
 
     if k == 0:
@@ -483,8 +481,7 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
         w_iv = (-t - (n + 1), -t - 1)
         vals = rec.values(t + 1, y_iv[1])
         if any(v == 0 for v in vals):
-            raise ConstructionBug("zero value entered a sign-split zone",
-                                  rec.annotation_stack())
+            rec.bug("zero value entered a sign-split zone")
         pos_count = sum(1 for v in vals if v > 0)
         return StepLayout(L=(x_iv[0], x_iv[0] - 1), W=w_iv, A=win,
                           B=(t + 1, t + pos_count),
@@ -500,8 +497,7 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
             ("Q", d * y1), ("Yp", _ivlen(y_iv) - d * y1)]
     sm = SegmentMap(rec, x_iv[0], segs)
     if (sm.lo, sm.hi) != (x_iv[0], y_iv[1]):
-        raise ConstructionBug("segment map does not tile the working span",
-                              rec.annotation_stack())
+        rec.bug("segment map does not tile the working span")
 
     # Pools and groups keep every move below crossing a bounded number of
     # segments.  A pool holds pieces still to be used, each split off its
@@ -514,12 +510,14 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
     # holds P_d..P_i and Q holds Q_i..Q_d.
     with rec.annotate(f"step k={k}: repeat level {k-1} x{d}"):
         for i in range(1, d + 1):
-            sub = _rstep(rec, plan, k - 1, n + 1, _end(sm, "P", x1),
-                         _end(sm, "Q", y1), depth + 1)
+            sub_x, sub_y = _end(sm, "P", x1), _end(sm, "Q", y1)
+            problem = _entry_problem(rec, plan, k - 1, n + 1, sub_x, sub_y)
+            if problem:
+                rec.bug(f"recursive step (inner): {problem}")
+            sub = _rstep(rec, plan, k - 1, n + 1, sub_x, sub_y)
             sizes = sub.region_sizes()
             if sizes["W"] != m * (n + 2):
-                raise ConstructionBug("W piece has unexpected shape",
-                                      rec.annotation_stack())
+                rec.bug("W piece has unexpected shape")
             # The sub-step's own final check makes its four regions tile
             # the ends it ran on, so these cuts take exactly P_i and Q_i.
             Li, Wi, Bi, Ri = ("L", i), ("W", i), ("B", i), ("R", i)
@@ -572,8 +570,7 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
                 rz.insert(0, CCn)
             sm.move([CCi], after="Ub")
             if _end(sm, "MR", d) != (-d - t, -t - 1):
-                raise ConstructionBug("tail row out of position",
-                                      rec.annotation_stack())
+                rec.bug("tail row out of position")
             rec.emit_flip(-d - t, d + 3 * t + 1)
             UbR, JR, Ni = ("UbR", i), ("JR", i), ("N", i)
             _cut(sm, "MR", [(UbR, d)])
@@ -599,8 +596,7 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
             osingles.append(blockv[-1])
         f_len = md - p * u
         if f_len < T:
-            raise ConstructionBug("leftover singles shorter than 3^(2t)",
-                                  rec.annotation_stack())
+            rec.bug("leftover singles shorter than 3^(2t)")
         target = kprime + list(xpv[: 2 * t + 1]) + osingles[:f_len]
         # For j = p..1: one X' singleton, then G_j and H_j, which are the
         # next u singles.
@@ -647,9 +643,7 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
     b_names = psrs + ["B"]
     expect = l_names + ["W", "WIN"] + b_names + rz
     if sm.order != expect:
-        raise ConstructionBug("final segment order is off: "
-                              f"{sm.order} vs {expect}",
-                              rec.annotation_stack())
+        rec.bug(f"final segment order is off: {sm.order} vs {expect}")
     return StepLayout(
         L=sm.span(l_names[0], l_names[-1]),
         W=sm.iv("W"),
@@ -663,7 +657,26 @@ def _rstep(rec, plan, k, n, x_iv, y_iv, depth):
 # Certificates.
 
 
-def _certify(rec, plan, layout, k, n, y_set, strict=False):
+def _tail_shape(wv, n, m):
+    """Certificate (5) on the values of W: (passed, detail).  W must be m
+    decreasing K pieces of n cells, then the singles M_m .. M_1, each M_j
+    below K_j and above K_{j-1}."""
+    detail = f"|W| = {len(wv)}, m = {m}"
+    if len(wv) != m * (n + 1):
+        return False, detail
+    ks = [wv[i * n : (i + 1) * n] for i in range(m)]
+    if any(a <= b for kb in ks for a, b in zip(kb, kb[1:])):
+        return False, "a K piece is not decreasing"
+    for j in range(m, 0, -1):
+        mj = wv[m * n + m - j]
+        if not mj < min(ks[j - 1]):
+            return False, f"M_{j} not below K_{j}"
+        if j > 1 and not mj > max(ks[j - 2]):
+            return False, f"M_{j} not above K_{j-1}"
+    return True, detail
+
+
+def _certify(rec, plan, layout, k, n, y_set):
     t, T, d = plan.t, plan.T, plan.d
     a_k = alpha_closed(t, T, d, k)
     b_k = beta_closed(T, d, k)
@@ -692,30 +705,7 @@ def _certify(rec, plan, layout, k, n, y_set, strict=False):
     add(3, "centre/B orientation", ok3, det3)
     add(4, "tail provenance", y_set is not None and set(wv) <= y_set,
         "W values all drawn from Y")
-    m_final = d**k
-    ok5 = len(wv) == m_final * (n + 1)
-    det5 = f"|W| = {len(wv)}, m = {m_final}"
-    if ok5:
-        ks = [wv[i * n : (i + 1) * n] for i in range(m_final)]
-        msing = wv[m_final * n :]
-        # positional tail holds M_m .. M_1
-        for kb in ks:
-            if any(a <= b for a, b in zip(kb, kb[1:])):
-                ok5 = False
-                det5 = "a K piece is not decreasing"
-                break
-        if ok5:
-            for j in range(m_final, 0, -1):
-                mi = msing[m_final - j]
-                if not (mi < min(ks[j - 1])):
-                    ok5 = False
-                    det5 = f"M_{j} not below K_{j}"
-                    break
-                if j > 1 and not (mi > max(ks[j - 2])):
-                    ok5 = False
-                    det5 = f"M_{j} not above K_{j-1}"
-                    break
-    add(5, "tail shape", ok5, det5)
+    add(5, "tail shape", *_tail_shape(wv, n, d**k))
     bpos = Block(v for v in bv if v > 0)
     wplus = width(bpos) if len(bpos) else 0
     add(6, "positive width bound", wplus <= a_k,
@@ -733,13 +723,6 @@ def _certify(rec, plan, layout, k, n, y_set, strict=False):
     add(8, "balancedness", rep.balanced,
         f"B is {ratio}-balanced, least prefix ratio {least}"
         if rep.balanced else rep.detail)
-
-    if strict and not all(c.passed for c in certs):
-        bad = [c for c in certs if not c.passed]
-        raise ConstructionBug(
-            "certificates failed: " + "; ".join(f"({c.index}) {c.name}: "
-                                                f"{c.detail}" for c in bad),
-            rec.annotation_stack())
     return tuple(certs)
 
 
@@ -771,16 +754,21 @@ def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
     y_iv = (t + 1, t + y)
     if not (tr.lo <= x_iv[0] and y_iv[1] <= tr.hi):
         raise ContractError("trace domain does not fit the planned X and Y")
+    problem = _entry_problem(tr, plan, k, n, x_iv, y_iv)
+    if problem:
+        raise ContractError(f"recursive step: {problem}")
     flips_before = tr.flip_count
     y_set = set(tr.values(*y_iv))
     with tr.annotate(f"recursive step t={t} d={d} k={k} n={n}"):
-        layout = _rstep(tr, plan, k, n, x_iv, y_iv, depth=0)
-    certs = _certify(tr, plan, layout, k, n, y_set,
-                     strict=strict_certificates)
+        layout = _rstep(tr, plan, k, n, x_iv, y_iv)
+    certs = _certify(tr, plan, layout, k, n, y_set)
+    bad = [c for c in certs if not c.passed]
+    if strict_certificates and bad:
+        tr.bug("certificates failed: " + "; ".join(
+            f"({c.index}) {c.name}: {c.detail}" for c in bad))
     sizes = layout.region_sizes()
     if sizes["L"] + sizes["W"] != x or sizes["B"] + sizes["R"] != y:
-        raise ConstructionBug("result regions do not tile X and Y",
-                              tr.annotation_stack())
+        tr.bug("result regions do not tile X and Y")
     return StepOutcome(layout=layout, certificates=certs, x_size=x, y_size=y,
                        flip_count=tr.flip_count - flips_before)
 
@@ -869,8 +857,7 @@ def finish_pipeline(rec, layout, r):
     b_iv = layout.B
     block = Block(rec.values(*b_iv))
     if not any(v > 0 for v in block):
-        raise ConstructionBug("B has no positive values",
-                              rec.annotation_stack())
+        rec.bug("B has no positive values")
     dec = decompose_balanced(block, r)
     with rec.annotate("apply decomposition"):
         rec.rearrange_region(b_iv, dec.result.values)
@@ -883,8 +870,7 @@ def finish_pipeline(rec, layout, r):
     lastv = rec.values(*sm.iv(last))
     nneg = sum(1 for v in lastv if v < 0)
     if nneg < 2 * T + 4 * t + 2:
-        raise ConstructionBug("last piece too negative-poor to carve Z",
-                              rec.annotation_stack())
+        rec.bug("last piece too negative-poor to carve Z")
     sm.replace([last], [(last, nneg - T), ("Z", T),
                         ("F", len(lastv) - nneg)])
     sm.move(["F"], after=last)
@@ -897,11 +883,9 @@ def finish_pipeline(rec, layout, r):
         neg = sum(1 for v in civ if v < 0)
         fsize = len(civ) - neg
         if neg < T + 4 * t + 2:
-            raise ConstructionBug(f"piece {i} has too few negatives ({neg})",
-                                  rec.annotation_stack())
+            rec.bug(f"piece {i} has too few negatives ({neg})")
         if cursor - fsize + 1 < rec.lo:
-            raise ConstructionBug("X' exhausted before the last piece",
-                                  rec.annotation_stack())
+            rec.bug("X' exhausted before the last piece")
         with rec.annotate(f"carry piece {i} across"):
             x_i = (cursor - fsize + 1, cursor)
             cursor -= fsize
@@ -916,8 +900,7 @@ def finish_pipeline(rec, layout, r):
             if i < mcount:
                 sm.move([ci], after=last)
     if cursor != rec.lo - 1:
-        raise ConstructionBug("X' size does not match the positive total",
-                              rec.annotation_stack())
+        rec.bug("X' size does not match the positive total")
 
     with rec.annotate("recentre the parked piece"):
         # Right of the window: C_m .. C_1 ^ Z ^ R ^ J.
@@ -929,8 +912,7 @@ def finish_pipeline(rec, layout, r):
         rec.sort_region_decreasing((rec.lo, -t - 1))
         rec.sort_region_decreasing((t + 1, rec.hi))
     if not _strictly_increasing(rec.values(rec.lo, rec.hi)[::-1]):
-        raise ConstructionBug("the finish phase did not end decreasing",
-                              rec.annotation_stack())
+        rec.bug("the finish phase did not end decreasing")
 
 
 def full_construction(t: int, d: int, k: int, *, max_cells: int = MAX_CELLS,

@@ -10,7 +10,9 @@ the window), applies the move as a single splice, and hands the sinks a
 single BlockSwap step that stands for all of them.  It slices each block
 out of the state once, tests the precondition on those two slices and
 splices the same two back in swapped order, so a swap copies each block
-once and changes nothing until every check has passed.
+once and changes nothing until every check has passed.  TraceRecorder.bug
+is the one raise of a ConstructionBug, the recorder's and the
+construction's alike, and names the annotation path open at the time.
 
 Sinks decide what to keep.  A sink is handed the recorder's own step
 objects, each after the recorder has applied it and counted its flips
@@ -473,11 +475,9 @@ class TraceRecorder:
             if hasattr(self.sink, "on_annotation"):
                 self.sink.on_annotation(depth, "end " + label)
 
-    def annotation_stack(self) -> tuple:
-        return tuple(self._ann_stack)
-
-    def _bug(self, message, flip=None):
-        raise ConstructionBug(message, self.annotation_stack(), flip)
+    def bug(self, message, flip=None):
+        """Raise a ConstructionBug naming the open annotation path."""
+        raise ConstructionBug(message, self._ann_stack, flip)
 
     # -- primitive emission --------------------------------------------
 
@@ -503,19 +503,19 @@ class TraceRecorder:
         for f in flips:
             c, d = f.c, f.d
             if not (lo <= c <= d <= self.hi):
-                self._bug(f"flip [{c}, {d}] out of bounds", (c, d))
+                self.bug(f"flip [{c}, {d}] out of bounds", (c, d))
             if c <= prev_d:
-                self._bug(f"flip [{c}, {d}] overlaps or precedes the flip "
-                          f"before it", (c, d))
+                self.bug(f"flip [{c}, {d}] overlaps or precedes the flip "
+                         f"before it", (c, d))
             prev_d = d
             # The values stay injective, so a run is strictly increasing
             # exactly when it equals its sorted copy.
             run = vals[c - lo : d - lo + 1]
             if run != sorted(run):
-                self._bug(f"flip [{c}, {d}] is not an increasing run", (c, d))
+                self.bug(f"flip [{c}, {d}] is not an increasing run", (c, d))
             if abs(c + d) <= t2:
-                self._bug(f"flip [{c}, {d}] has midpoint inside the window",
-                          (c, d))
+                self.bug(f"flip [{c}, {d}] has midpoint inside the window",
+                         (c, d))
         for f in flips:
             i, j = f.c - lo, f.d - lo + 1
             vals[i:j] = vals[i:j][::-1]
@@ -537,7 +537,7 @@ class TraceRecorder:
         if a <= 0 or b <= 0:
             return
         if lhi + 1 != rlo:
-            self._bug(f"blocks [{llo},{lhi}] and [{rlo},{rhi}] are not adjacent")
+            self.bug(f"blocks [{llo},{lhi}] and [{rlo},{rhi}] are not adjacent")
         # values()'s domain check, left block first; adjacent to it, the
         # right block can only run out past hi.
         lo, hi = self.lo, self.hi
@@ -549,13 +549,13 @@ class TraceRecorder:
         i, j, k = llo - lo, rlo - lo, rhi - lo + 1
         lv, rv = vals[i:j], vals[j:k]
         if max(lv) >= min(rv):
-            self._bug(f"cannot swap: [{llo},{lhi}] does not precede [{rlo},{rhi}]")
+            self.bug(f"cannot swap: [{llo},{lhi}] does not precede [{rlo},{rhi}]")
         # Every transposition (i, i+1) in [llo, rhi] clears the window iff
         # its midpoint i + 1/2 lies outside [-t, t], which fails exactly
         # for i in [-t, t-1]; at t = 0 that range is empty.
         t = self.window.t
         if t > 0 and not (rhi - 1 < -t or llo > t - 1):
-            self._bug(f"swap over [{llo},{rhi}] would cross the window")
+            self.bug(f"swap over [{llo},{rhi}] would cross the window")
         vals[i:k] = rv + lv
         swap = BlockSwap(llo, a, b)
         self._track(swap.min_dev2(self._centre2), a * b, a * b)
@@ -588,7 +588,7 @@ class TraceRecorder:
         rlo, rhi = region
         cur = self.values(rlo, rhi)
         if sorted(cur) != sorted(target):
-            self._bug("rearrange target is not a permutation of the region")
+            self.bug("rearrange target is not a permutation of the region")
         # Work right-to-left: place the rightmost outstanding target value by
         # bubbling it right; everything it crosses is target-left of it.
         # Unplaced values keep their order, so a value's index is rlo plus

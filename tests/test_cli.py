@@ -471,6 +471,22 @@ def test_cmd_search(capsys):
     assert capsys.readouterr().out == "1 inf 1\n"
 
 
+def test_step_without_d_exits_malformed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("construct", "--stage", "step", "--t", "0")
+    assert exc.value.code == 2
+    assert "--d is required" in capsys.readouterr().err
+
+
+def test_render_without_out_writes_stdout(tmp_path, capsys):
+    tr = tmp_path / "tr.txt"
+    tr.write_text(five_example_text())
+    assert run_cli("render", str(tr)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("<svg") and out.endswith("</svg>\n")
+    assert out.count("<polyline") == 5
+
+
 def test_cmd_points_and_render(tmp_path, capsys):
     pts = tmp_path / "kite.pts"
     pts.write_text(format_points(PointSet([(0, 0), (2, 2), (1, 1), (0, 3)])))

@@ -1,11 +1,14 @@
+import ast
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allowseq import construction
 from allowseq.construction import (ConstructionFailure, Decomposition,
                                    MirrorView, SegmentMap,
                                    decompose_balanced, finish_pipeline,
@@ -16,7 +19,8 @@ from allowseq.construction import (ConstructionFailure, Decomposition,
 from allowseq.engine import StatsSink, TraceRecorder, verify_trace
 from allowseq.errors import ConstructionBug, ContractError, RefusalError
 from allowseq.oracle import sample_balanced_block
-from allowseq.planner import SizePlan, beta_closed, plan_sizes
+from allowseq.planner import (SizePlan, beta_closed, plan_sizes,
+                              shift_thresholds)
 from allowseq.seqcore import (Block, CentredSequence, Window,
                               apply_block_flip, identity_sequence,
                               is_r_balanced, is_valid_flip_block, width)
@@ -588,3 +592,60 @@ def test_mirror_view_round_trip():
     assert view.values(-4, 4) == tuple(-v for v in reversed(vals))
     view.emit_flip(2, 3)
     assert rec.values(-3, -2) == (-2, -3)
+
+
+# -- construction bugs name their path ----------------------------------------
+
+
+def test_shift_bug_through_a_mirror_view_names_its_path():
+    # At t = 1 level -1 needs |B| >= 8; the check fires before any move.
+    rec = TraceRecorder(identity_sequence(-12, 12), Window(1))
+    with rec.annotate("outer"):
+        with pytest.raises(ConstructionBug) as exc:
+            construction._shift_rec(MirrorView(rec), 1, -1, (-1, 1), (2, 8),
+                                    (9, 11), shift_thresholds(1))
+    assert str(exc.value) == "shift level -1 needs |B| >= 8, got 7 [at: outer]"
+    assert rec.flip_count == 0
+
+
+def test_inner_entry_bug_names_its_path(monkeypatch):
+    real = construction._entry_problem
+
+    def inner_fails(rec, plan, k, n, x_iv, y_iv):
+        if k == 0:
+            return "X must be increasing"
+        return real(rec, plan, k, n, x_iv, y_iv)
+
+    monkeypatch.setattr(construction, "_entry_problem", inner_fails)
+    rec = step_instance(0, 9, 1, 1)
+    with pytest.raises(ConstructionBug) as exc:
+        recursive_step(rec, 9, 1, 1)
+    path = ("recursive step t=0 d=9 k=1 n=1", "step k=1: repeat level 0 x9")
+    assert exc.value.annotation_stack == path
+    assert str(exc.value) == ("recursive step (inner): X must be increasing "
+                              "[at: " + " > ".join(path) + "]")
+
+
+def test_construction_builds_no_construction_bug_itself():
+    # Every construction bug is raised by TraceRecorder.bug, which
+    # attaches the annotation path; a direct ConstructionBug(...) would
+    # not.
+    tree = ast.parse(Path(construction.__file__).read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "ConstructionBug" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))]
+    assert calls == []
+
+
+@pytest.mark.parametrize("wv, expect", [
+    # K_1 = (2, 1), K_2 = (6, 5), then M_2 = 4 and M_1 = 0
+    ((2, 1, 6, 5, 4, 0), (True, "|W| = 6, m = 2")),
+    ((2, 1, 6, 5, 4), (False, "|W| = 5, m = 2")),
+    ((1, 2, 6, 5, 4, 0), (False, "a K piece is not decreasing")),
+    ((2, 1, 6, 5, 7, 0), (False, "M_2 not below K_2")),
+    ((3, 2, 6, 5, 1, 0), (False, "M_2 not above K_1")),
+    ((3, 2, 6, 5, 4, 9), (False, "M_1 not below K_1")),
+])
+def test_tail_shape_details(wv, expect):
+    assert construction._tail_shape(wv, 2, 2) == expect

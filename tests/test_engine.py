@@ -245,6 +245,13 @@ def test_sort_region_decreasing():
     assert tr.flip_count == before
 
 
+def test_sort_region_of_one_cell_emits_nothing():
+    sink = ListSink()
+    tr = TraceRecorder(identity_sequence(-3, 3), Window(1), sink=sink)
+    tr.sort_region_decreasing((2, 2))
+    assert (tr.flip_count, tr.step_count, sink.steps) == (0, 0, [])
+
+
 def test_sort_region_increasing_right_of_window_is_single_flip():
     tr = TraceRecorder(identity_sequence(-5, 5), Window(1))
     tr.sort_region_decreasing((2, 5))
@@ -285,7 +292,7 @@ def _rearrange_by_lists(rec, region, target):
     cur = list(rec.values(rlo, rhi))
     tgt = list(target)
     if sorted(cur) != sorted(tgt):
-        rec._bug("rearrange target is not a permutation of the region")
+        rec.bug("rearrange target is not a permutation of the region")
     placed = rhi + 1
     for v in reversed(tgt):
         idx = rlo + cur.index(v)

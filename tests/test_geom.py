@@ -4,7 +4,7 @@ import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, log10
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,6 +291,22 @@ def test_render_refuses_too_many_points(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(geom, "_RENDER_POINT_CAP", 24)
     with pytest.raises(RefusalError):
         render_trace_svg(rec.to_trace())
+
+
+def test_render_compresses_x_past_ten_thousand_steps():
+    # 2 values over 12,000 steps: 24,002 points, under the cap.
+    step = engine.single_step(1, 2)
+    tr = Trace(Window(0), identity_sequence(1, 2), (step,) * 12_000)
+    root = ET.fromstring(render_trace_svg(tr))
+    polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
+    xs = [[float(pt.split(",")[0]) for pt in el.get("points").split()]
+          for el in polylines]
+    assert [len(x) for x in xs] == [12_001, 12_001]
+    # linear, 24 units a step, up to step 10^4; then logarithmic
+    assert xs[0][10_000] == 20.0 + 24 * 10_000
+    last = 20.0 + 24 * (10_000 + 2_000 * log10(1.2))
+    assert xs[0][-1] == xs[1][-1] == round(last, 1)
+    assert float(root.get("width")) == round(last + 20.0, 1)
 
 
 def test_render_points_svg_wellformed(rng):
