@@ -154,53 +154,79 @@ def _search(n: int, q2: int, stop_at_reversal: bool = False) -> dict:
     The valid flips are the intervals inside one maximal increasing run
     of the values P.  `bytes.maketrans(σ, identity)` sends each position
     σ[v - 1] to the value v it holds, so its bytes 1..n are P, built once
-    per expanded state.  One compare of P[:-1] against P[1:], both read
-    as big-endian integers, ((P[:-1] | H) - P[1:]) & H with H = 0x80 in
-    every byte, sets the top bit of byte i exactly where P[i] > P[i + 1];
-    no lane borrows from the next because every value is below 128 (so
-    n <= 127).  A table filled on first use maps that descent mask to the
-    admissible flips, taken run by run from the left and inside a run by
-    c, then d.  Runs are disjoint, so that is the order of c, then d, over
-    the whole state: children are discovered, and get their parents, in
-    the order the plain enumeration of intervals gives them.
+    per expanded state and read as one big-endian integer x.  Then x >> 8
+    holds P[1..n - 1] and x & L holds P[2..n], L being n - 1 bytes of
+    0xff, and ((x >> 8 | H) - (x & L)) & H with H = 0x80 in each of those
+    bytes sets the top bit of byte i exactly where P[i] > P[i + 1]; no
+    lane borrows from the next because every value is below 128 (so
+    n <= 127).
+
+    A state s first reached by the flip f = [c_f, d_f] (`parent[s]`)
+    probes only the admissible flips g with d_g >= c_f; the identity
+    probes all.  The others commute with f and reach known states, so
+    skipping them leaves the parent map, its order and its links as they
+    are.  Proof, for the search that probes every flip: s is reached from
+    p, and d_g < c_f.  Then g is disjoint from f and reads in p the values
+    it reads in s, so g was admissible in p, and p probed it before f, as
+    c_g < c_f.  So g(p) was reached before s and is expanded before it.
+    f is admissible in g(p), so that expansion puts f(g(p)) = g(s) in the
+    map before s is expanded, and the probe of g from s adds nothing.  By
+    induction over the expansions, the skipping search builds the same
+    map.  The proof needs breadth-first order: a parent's earlier
+    children are expanded before its later ones.  This is the sleep set of
+    partial-order reduction, with no set stored.
+
+    A table filled on first use maps the descent mask and c_f to those
+    flips, taken run by run from the left and inside a run by c, then d.
+    Runs are disjoint, so that is the order of c, then d, over the whole
+    state: children are discovered, and get their parents, in the order
+    the plain enumeration of intervals gives them.  c_f <= 126 fills the
+    seven low bits the mask leaves clear, so the key is their sum.
 
     The frontier of one layer lists the new keys in order of discovery;
     a state's values are rebuilt from its key when it is expanded.
     """
+    if n < 1:
+        raise ContractError("need n >= 1")
     if n > 127:
         raise RefusalError(f"n = {n} exceeds 127, the most values the "
                            f"search's seven-bit descent compare holds")
     identity = bytes(range(1, n + 1))
     reversal = bytes(range(n, 0, -1)) if stop_at_reversal else None
-    maps = {(c, d): _position_map(c, d)
-            for c in range(1, n + 1) for d in range(c + 1, n + 1)
-            if abs(c + d - (n + 1)) >= q2}
+    flips = {(c, d): (_position_map(c, d), (c, d))
+             for c in range(1, n + 1) for d in range(c + 1, n + 1)
+             if abs(c + d - (n + 1)) >= q2}
     high = int.from_bytes(b"\x80" * (n - 1), "big")
+    low = (1 << 8 * (n - 1)) - 1
 
-    class FlipsByDescents(dict):
-        def __missing__(self, mask):
-            flips = []
+    class FlipsToProbe(dict):
+        def __missing__(self, key):
+            mask, c_f = key & ~0x7F, key & 0x7F
+            probes = []
             start = 1
             for i in range(1, n + 1):
                 # byte i - 1 of the mask compares positions i and i + 1
                 if i == n or mask >> (8 * (n - 1 - i) + 7) & 1:
-                    flips += [(maps[c, d], (c, d))
-                              for c in range(start, i + 1)
-                              for d in range(c + 1, i + 1) if (c, d) in maps]
+                    probes += [flips[c, d] for c in range(start, i + 1)
+                               for d in range(max(c + 1, c_f), i + 1)
+                               if (c, d) in flips]
                     start = i + 1
-            self[mask] = flips
-            return flips
+            self[key] = probes
+            return probes
 
-    flips_by_descents = FlipsByDescents()
+    flips_to_probe = FlipsToProbe()
     parent = {identity: None}
     frontier = [identity]
     while frontier:
         nxt = []
         for sigma in frontier:
-            values = bytes.maketrans(sigma, identity)
-            mask = ((int.from_bytes(values[1:n], "big") | high)
-                    - int.from_bytes(values[2 : n + 1], "big")) & high
-            for table, cd in flips_by_descents[mask]:
+            x = int.from_bytes(bytes.maketrans(sigma, identity)[1 : n + 1],
+                               "big")
+            key = ((x >> 8 | high) - (x & low)) & high
+            link = parent[sigma]
+            if link:
+                key += link[0]
+            for table, cd in flips_to_probe[key]:
                 child = sigma.translate(table)
                 if child not in parent:
                     parent[child] = cd
@@ -228,14 +254,12 @@ def search_best_deviation(n: int, mode: str = "single",
     """
     if mode not in ("single", "multi"):
         raise ContractError(f"unknown mode {mode!r}")
-    if n < 1:
-        raise ContractError("need n >= 1")
     if n > SEARCH_GUARD and not force:
         raise RefusalError(
             f"n = {n} exceeds the guard {SEARCH_GUARD}; pass force=True "
             f"(--force on the command line) to override")
-    if n == 1:
-        return SearchResult(n, INF, (), 1)
+    if n <= 1:  # no flip at all; `_search` refuses n < 1
+        return SearchResult(n, INF, (), len(_search(n, 0)))
     for q2 in range(n - 2, -1, -1):
         parent = _search(n, q2, stop_at_reversal=True)
         state = bytes(range(n, 0, -1))  # the reversal's key: its own inverse

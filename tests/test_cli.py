@@ -469,6 +469,8 @@ def test_cmd_search(capsys):
     # One element is already its own reversal: no flip, one state.
     assert run_cli("search", "--n", "1") == 0
     assert capsys.readouterr().out == "1 inf 1\n"
+    assert run_cli("search", "--n", "0") == 2
+    assert capsys.readouterr().err == "invalid request: need n >= 1\n"
 
 
 def test_step_without_d_exits_malformed(capsys):

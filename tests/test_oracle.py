@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import pathlib
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import allowseq
 from allowseq.engine import (INF, BlockSwap, FlipStep, iter_trace_file,
                              verify_stream)
 from allowseq.errors import ContractError, RefusalError
@@ -151,6 +153,12 @@ def test_search_guard():
         (2, 1) + last[2:-2] + (127, 126)}
     with pytest.raises(ContractError):
         search_best_deviation(3, mode="parallel")
+    # nor is there anything to search below one value
+    for n in (0, -3):
+        for call in (search_best_deviation, reachable_states,
+                     lambda n: _search(n, 0)):
+            with pytest.raises(ContractError, match="need n >= 1"):
+                call(n)
 
 
 def test_search_exhaustive_against_direct_bfs():
@@ -184,11 +192,13 @@ def _valid_flips(perm):
     return res
 
 
-def reference_search(n, q2):
+def reference_search(n, q2, stop_at_reversal=False):
     """The search by plain enumeration of intervals over tuple states,
     kept as the independent oracle for `_search`: {state: (previous
-    state, (c, d)) or None} for every state reached."""
+    state, (c, d)) or None} for every state reached, stopping at the
+    reversal when `stop_at_reversal` is set."""
     identity = tuple(range(1, n + 1))
+    reversal = identity[::-1] if stop_at_reversal else None
     parent = {identity: None}
     frontier = [identity]
     while frontier:
@@ -201,6 +211,8 @@ def reference_search(n, q2):
                 if child in parent:
                     continue
                 parent[child] = (perm, (c, d))
+                if child == reversal:
+                    return parent
                 nxt.append(child)
         frontier = nxt
     return parent
@@ -222,6 +234,23 @@ def test_search_matches_reference(n):
         expected = [(_inverse(state), link and link[1])
                     for state, link in reference_search(n, q2).items()]
         assert list(_search(n, q2).items()) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_search_stops_at_the_reversal(n):
+    # the early return: the ordered prefix of the map through the reversal
+    reversal = tuple(range(n, 0, -1))
+    stopped = 0
+    for q2 in range(n):
+        reference = reference_search(n, q2, stop_at_reversal=True)
+        if reversal not in reference:
+            break  # a higher threshold admits fewer flips
+        expected = [(_inverse(state), link and link[1])
+                    for state, link in reference.items()]
+        assert list(_search(n, q2, stop_at_reversal=True).items()) == expected
+        stopped += 1
+    # the best doubled deviation is 1 at n = 3 and n >= 5, 0 otherwise
+    assert stopped == (2 if n == 3 or n >= 5 else 1)
 
 
 @pytest.mark.parametrize("n, q2, states", [(11, 3, 91_270), (10, 2, 255_357)])
@@ -270,6 +299,22 @@ def test_pseudoline_witness_n12_reaches_imbalance_two():
     assert (initial.lo, initial.hi, rep.flip_count) == (1, 12, 36)
     assert rep.min_deviation == 1
     assert allowability_bruteforce(steps, initial)
+
+
+def test_int_byte_conversions_name_their_byteorder():
+    # pyproject declares Python >= 3.10, where int.from_bytes and
+    # int.to_bytes have no default byteorder
+    root = pathlib.Path(allowseq.__file__).parent
+    calls = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in ("from_bytes",
+                                                             "to_bytes")):
+                named = any(k.arg == "byteorder" for k in node.keywords)
+                calls.append((path.name, node.lineno,
+                              len(node.args) >= 2 or named))
+    assert calls and all(ok for _, _, ok in calls), calls
 
 
 def test_sampler_reproducible_and_balanced():
