@@ -21,7 +21,6 @@ move is re-validated on concrete values by the recorder.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 from .engine import TraceRecorder
@@ -46,9 +45,11 @@ def _last(names):
     return names[-1] if names else None
 
 
-def _check(cond, message):
+def _check(cond, *parts):
+    """Refuse unless cond holds, with the parts joined as the message; the
+    message is built only when the check fails."""
     if not cond:
-        raise ContractError(message)
+        raise ContractError("".join(map(str, parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +145,26 @@ def _shift_rec(ops, t, k, a_iv, b_iv, c_iv, thresholds):
 def _require_layout(ops, x_iv, a_iv, b_iv, c_iv, min_b, name):
     t = ops.t
     for part, iv in (("X", x_iv), ("C", c_iv)):
-        _check(iv is None or not _empty(iv),
-               f"{name}: {part} must not be empty")
-    _check(a_iv == (-t, t), f"{name}: the centred part must sit on [-t, t]")
-    _check(b_iv[0] == t + 1, f"{name}: B must start at t+1")
-    _check(b_iv[1] + 1 == c_iv[0], f"{name}: C must follow B")
-    _check(_ivlen(b_iv) >= min_b,
-           f"{name}: |B| = {_ivlen(b_iv)} is below the bound {min_b}")
+        _check(iv is None or not _empty(iv), name, ": ", part,
+               " must not be empty")
+    _check(a_iv == (-t, t), name, ": the centred part must sit on [-t, t]")
+    _check(b_iv[0] == t + 1, name, ": B must start at t+1")
+    _check(b_iv[1] + 1 == c_iv[0], name, ": C must follow B")
+    nb = _ivlen(b_iv)
+    _check(nb >= min_b, name, ": |B| = ", nb, " is below the bound ", min_b)
     bv = ops.values(*b_iv)
-    _check(_strictly_increasing(bv), f"{name}: B must be increasing")
+    _check(_strictly_increasing(bv), name, ": B must be increasing")
     av = ops.values(*a_iv)
     cv = ops.values(*c_iv)
-    _check(max(av) < min(bv), f"{name}: need A < B")
-    _check(max(bv) < min(cv), f"{name}: need B < C")
+    _check(max(av) < min(bv), name, ": need A < B")
+    _check(max(bv) < min(cv), name, ": need B < C")
     if x_iv is not None:
-        _check(x_iv[1] + 1 == a_iv[0], f"{name}: X must end at -t-1")
+        _check(x_iv[1] + 1 == a_iv[0], name, ": X must end at -t-1")
         xv = ops.values(*x_iv)
-        _check(_strictly_increasing(xv), f"{name}: X must be increasing")
-        _check(_strictly_increasing(cv), f"{name}: C must be increasing")
-        _check(max(xv) < min(av), f"{name}: need X < A")
-        _check(_ivlen(x_iv) == _ivlen(c_iv), f"{name}: need |X| = |C|")
+        _check(_strictly_increasing(xv), name, ": X must be increasing")
+        _check(_strictly_increasing(cv), name, ": C must be increasing")
+        _check(max(xv) < min(av), name, ": need X < A")
+        _check(_ivlen(x_iv) == _ivlen(c_iv), name, ": need |X| = |C|")
 
 
 def shift(ops, a_iv, b_iv, c_iv):
@@ -281,14 +282,16 @@ class SegmentMap:
     """Named, sized segments tiling [lo, hi] of a recorder.  Names are any
     hashable values, unique within one map.  `starts` keys each name by
     its first position and `at` is its inverse, so a lookup is one dict
-    read and a change re-keys only the segments whose place it changes."""
+    read and a change re-keys only the segments whose place it changes.
+    A move or a replace costs one dict read per name of its run and per
+    segment it crosses, plus the re-keying of those segments."""
 
     def __init__(self, rec, lo, segs):
         self.rec, self.lo = rec, lo
         self.sizes, self.starts, self.at = {}, {}, {}
         self.sizes.update(self._fresh(segs))
         self.hi = lo + sum(self.sizes.values()) - 1
-        self._place(list(self.sizes), lo)
+        self._place(self.sizes, lo)
 
     @property
     def order(self):
@@ -297,60 +300,70 @@ class SegmentMap:
     def _fresh(self, pieces, old=()):
         """The non-empty pieces as a dict, refusing a negative size or a
         name already in use outside the segments `old` being replaced."""
-        new = {}
+        new, sizes = {}, self.sizes
         for n, s in pieces:
-            if s < 0:
-                raise ContractError(f"segment {n} has negative size")
-            if s and (n in new or n in self.sizes and n not in old):
-                raise ContractError(f"duplicate segment {n}")
-            if s:
+            if s > 0:
+                if n in new or n in sizes and n not in old:
+                    raise ContractError(f"duplicate segment {n}")
                 new[n] = s
+            elif s < 0:
+                raise ContractError(f"segment {n} has negative size")
         return new
 
     def _place(self, names, pos):
         """Key the named segments as laid out in turn from pos on."""
-        ps = list(accumulate(map(self.sizes.get, names[:-1]), initial=pos))
-        self.starts.update(zip(names, ps))
-        self.at.update(zip(ps, names))
+        starts, at, sizes = self.starts, self.at, self.sizes
+        for n in names:
+            starts[n] = pos
+            at[pos] = n
+            pos += sizes[n]
 
     def _take(self, pos, end):
         """Unkey the segments tiling [pos, end) and return their names."""
-        names = []
+        names, pop, sizes = [], self.at.pop, self.sizes
         while pos < end:
-            names.append(self.at.pop(pos))
-            pos += self.sizes[names[-1]]
+            n = pop(pos)
+            names.append(n)
+            pos += sizes[n]
         return names
 
     def _run(self, names, what):
         """Interval of names, after checking that they sit contiguously."""
-        lo = pos = self.iv(names[0])[0]
+        if not names:
+            raise ContractError(f"{what} needs a non-empty run")
+        get, sizes = self.starts.get, self.sizes
+        lo = pos = get(names[0])
         for n in names:
-            if self.iv(n)[0] != pos:
+            s = get(n)
+            if s is None:
+                raise ContractError(f"no segment {n} in the map")
+            if s != pos:
                 raise ContractError(f"{what} needs a contiguous run")
-            pos += self.sizes[n]
+            pos += sizes[n]
         return lo, pos - 1
 
     def iv(self, name):
-        if name not in self.starts:
+        s = self.starts.get(name)
+        if s is None:
             raise ContractError(f"no segment {name} in the map")
-        s = self.starts[name]
         return (s, s + self.sizes[name] - 1)
 
     def span(self, first, last):
         lo, hi = self.iv(first)[0], self.iv(last)[1]
-        _check(lo <= hi, f"span {first}..{last} is reversed")
+        _check(lo <= hi, "span ", first, "..", last, " is reversed")
         return (lo, hi)
 
     def replace(self, names, pieces):
         """Replace a contiguous run of segments by new ones, same total."""
         lo, hi = self._run(names, "replace")
-        new = self._fresh(pieces, set(names))
+        new = self._fresh(pieces, names)
         _check(sum(new.values()) == hi - lo + 1,
                "replace must preserve total size")
+        starts, sizes = self.starts, self.sizes
         for n in self._take(lo, hi + 1):
-            del self.starts[n], self.sizes[n]
-        self.sizes.update(new)
-        self._place(list(new), lo)
+            del starts[n], sizes[n]
+        sizes.update(new)
+        self._place(new, lo)
 
     def move(self, names, after=None):
         """Move a contiguous run of segments to sit right after `after`
@@ -360,7 +373,13 @@ class SegmentMap:
         if after in names:
             raise ContractError(f"move cannot land after {after}, "
                                 "a segment of its own run")
-        dest = self.lo if after is None else self.iv(after)[1] + 1
+        if after is None:
+            dest = self.lo
+        else:
+            dest = self.starts.get(after)
+            if dest is None:
+                raise ContractError(f"no segment {after} in the map")
+            dest += self.sizes[after]
         if dest < lo:
             self.rec.swap_adjacent_blocks((dest, lo - 1), (lo, hi))
             self._place(self._take(lo, hi + 1) + self._take(dest, lo), dest)

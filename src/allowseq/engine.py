@@ -80,7 +80,6 @@ back sorted.
 from __future__ import annotations
 
 import io
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
@@ -417,6 +416,30 @@ def serialize_trace(tr: Trace) -> str:
     return out.getvalue()
 
 
+class _Scope:
+    """One annotation scope of a TraceRecorder, as annotate returns it."""
+
+    __slots__ = ("rec", "label", "depth")
+
+    def __init__(self, rec, label):
+        self.rec = rec
+        self.label = label
+
+    def __enter__(self):
+        rec = self.rec
+        stack = rec._ann_stack
+        stack.append(self.label)
+        self.depth = len(stack)
+        if rec._on_annotation is not None:
+            rec._on_annotation(self.depth, "begin " + self.label)
+
+    def __exit__(self, *exc):
+        rec = self.rec
+        rec._ann_stack.pop()
+        if rec._on_annotation is not None:
+            rec._on_annotation(self.depth, "end " + self.label)
+
+
 class TraceRecorder:
     """Single-writer trace builder over a mutable current state."""
 
@@ -428,6 +451,7 @@ class TraceRecorder:
         self._vals = list(initial.values)
         self._centre2 = initial.lo + initial.hi
         self.sink = ListSink() if sink is None else sink
+        self._on_annotation = getattr(self.sink, "on_annotation", None)
         if hasattr(self.sink, "begin"):
             self.sink.begin(initial, window)
         self.flip_count = 0
@@ -462,18 +486,13 @@ class TraceRecorder:
 
     # -- annotation stack ----------------------------------------------
 
-    @contextmanager
-    def annotate(self, label: str):
-        depth = len(self._ann_stack) + 1
-        self._ann_stack.append(label)
-        if hasattr(self.sink, "on_annotation"):
-            self.sink.on_annotation(depth, "begin " + label)
-        try:
-            yield
-        finally:
-            self._ann_stack.pop()
-            if hasattr(self.sink, "on_annotation"):
-                self.sink.on_annotation(depth, "end " + label)
+    def annotate(self, label: str) -> _Scope:
+        """A scope for `with`: entering it opens the label one deeper than
+        the scopes already open (the outermost at depth 1) and hands the
+        sink `begin <label>`; leaving it closes the label and hands the
+        sink `end <label>`, also when the body raised, and lets the
+        exception through."""
+        return _Scope(self, label)
 
     def bug(self, message, flip=None):
         """Raise a ConstructionBug naming the open annotation path."""

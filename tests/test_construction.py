@@ -335,6 +335,35 @@ def _map_state(sm, rec):
             rec.values(sm.lo, sm.hi), rec.flip_count)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sm: sm.replace(["b"], [("x", -1), ("y", 4)]),
+     "segment x has negative size"),
+    (lambda sm: sm.replace(["b"], [("x", 1), ("a", 2)]),
+     "duplicate segment a"),
+    (lambda sm: sm.replace(["b"], [("x", 2)]),
+     "replace must preserve total size"),
+    (lambda sm: sm.move(["c", "b"]), "move needs a contiguous run"),
+    (lambda sm: sm.replace(["a", "c"], [("x", 3)]),
+     "replace needs a contiguous run"),
+    (lambda sm: sm.move(["a", "b"], after="b"),
+     "move cannot land after b, a segment of its own run"),
+    (lambda sm: sm.move(["a"], after="z"), "no segment z in the map"),
+    (lambda sm: sm.move([]), "move needs a non-empty run"),
+    (lambda sm: sm.replace([], []), "replace needs a non-empty run"),
+    (lambda sm: sm.replace([], [("x", 0)]), "replace needs a non-empty run"),
+], ids=["negative-size", "duplicate", "total", "move-gap", "replace-gap",
+        "lands-inside", "unknown-after", "move-empty", "replace-empty",
+        "replace-empty-by-empty"])
+def test_segment_map_refusal_names_its_reason(call, message):
+    rec = TraceRecorder(identity_sequence(0, 5), Window(0))
+    sm = SegmentMap(rec, 0, [("a", 2), ("b", 3), ("c", 1)])
+    sm.move(["c"])   # c, a, b, so the state refused calls keep is moved
+    before, steps = _map_state(sm, rec), rec.step_count
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        call(sm)
+    assert _map_state(sm, rec) == before and rec.step_count == steps
+
+
 class ListMap:
     """Reference for SegmentMap: a list of (name, values) in order, the
     values being what the recorder should hold under that segment.  Each
@@ -636,6 +665,18 @@ def test_construction_builds_no_construction_bug_itself():
              and "ConstructionBug" in (getattr(node.func, "id", None),
                                        getattr(node.func, "attr", None))]
     assert calls == []
+
+
+def test_checks_format_their_message_only_on_failure():
+    # _check joins its message parts only when the check fails; an
+    # f-string argument would be formatted on every call, passing or not.
+    tree = ast.parse(Path(construction.__file__).read_text())
+    checks = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_check"]
+    assert checks
+    assert [node.lineno for node in checks
+            if any(isinstance(arg, ast.JoinedStr) for arg in node.args)] == []
 
 
 @pytest.mark.parametrize("wv, expect", [

@@ -29,6 +29,33 @@ def test_fresh_recorder_is_empty_and_replays_to_itself():
     assert not rep.reaches_reversal
 
 
+def _refuse(rec):
+    raise ContractError("refused inside")
+
+
+def _bug(rec):
+    rec.bug("broken inside")
+
+
+@pytest.mark.parametrize("fail, exc", [(_refuse, ContractError),
+                                       (_bug, ConstructionBug)],
+                         ids=["contract-error", "construction-bug"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["list", "file"])
+def test_scopes_close_when_their_body_raises(fail, exc, to_file):
+    fh = io.StringIO()
+    rec = TraceRecorder(identity_sequence(-2, 2), Window(0),
+                        sink=FileSink(fh) if to_file else None)
+    with pytest.raises(exc, match="inside"):
+        with rec.annotate("outer"):
+            rec.emit_flip(1, 2)
+            with rec.annotate("inner"):
+                fail(rec)
+    assert rec._ann_stack == []
+    tr = parse_trace(fh.getvalue()) if to_file else rec.to_trace()
+    assert tr.annotations == ((0, 1, "begin outer"), (1, 2, "begin inner"),
+                              (1, 2, "end inner"), (1, 1, "end outer"))
+
+
 def test_emit_step_window_rules():
     tr = TraceRecorder(identity_sequence(-2, 2), Window(0))
     tr.emit_step(FlipStep([Flip(1, 2)]))

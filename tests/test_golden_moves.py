@@ -18,7 +18,7 @@ import pytest
 from allowseq.construction import (finish_pipeline, recursive_step, reflect,
                                    reflect_instance, reflect_mirrored, shift,
                                    shift_instance, step_instance)
-from allowseq.engine import FileSink, TraceRecorder
+from allowseq.engine import FileSink, TraceRecorder, serialize_trace
 from allowseq.seqcore import Window
 from conftest import SYNTHETIC_MIDDLES, as_v1, synthetic_finishing_state
 
@@ -54,6 +54,17 @@ def test_recursive_step_move_order(t, d, k):
     recursive_step(rec, d, k, 1, strict_certificates=False)
     assert _digests(out.getvalue()) == (STEP_PINS[t, d, k],
                                         STEP_PINS_V2[t, d, k])
+
+
+def test_both_sinks_see_the_same_scopes():
+    # STEP_PINS pins the FileSink side; the same step recorded into a
+    # ListSink must serialize to that text, every scope at its place.
+    out = io.StringIO()
+    for sink in (FileSink(out), None):
+        rec = step_instance(0, 9, 2, 1, sink=sink)
+        recursive_step(rec, 9, 2, 1, strict_certificates=False)
+    assert rec.to_trace().annotations
+    assert serialize_trace(rec.to_trace()) == out.getvalue()
 
 
 def test_wide_map_step_move_order():
