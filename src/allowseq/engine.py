@@ -41,9 +41,10 @@ the reversal check from scratch, holding only the current sequence.
 Each step meets one fast test, which decides it on every valid trace: a
 transposition costs two reads and one compare, a block swap a few
 integer compares and its two block scans, each block sliced once.  A
-step that fails the test is checked again by the reporting code, one
-flip at a time, so the report is the same as if every flip had been
-checked in full.
+one-flip step, the common case, is decided on a direct path outside the
+per-flip loop of multi-flip steps.  A step that fails the test is
+checked again by the reporting code, one flip at a time, so the report
+is the same as if every flip had been checked in full.
 
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
@@ -667,6 +668,17 @@ def verify_stream(initial: CentredSequence, window: Window,
     still applies it when it lies in the domain; out of the domain it
     counts as a flip but not toward the minimum deviation.
 
+    A step of one flip takes the same test on a direct path, with no
+    per-flip loop: lo <= c (no previous flip), d <= hi, c + d outside
+    [-2t, 2t], and the run.  A step it passes is applied and counted
+    there.  A step it fails changes nothing on that path and goes on, as
+    if it had never been tried, to the per-flip loop, which fails the
+    same test and reports the step, so every report, first violation
+    included, is the one the per-flip loop alone gives.  The least
+    doubled deviation starts at hi - lo + 2, above any deviation a flip
+    inside the domain can have, and reads INF if it is still there at
+    the end.
+
     Memory stays O(sequence length): one pass, one working copy of the
     state.  Nothing is cached per step object, so a shared step is checked
     afresh against the state at each place it occurs.
@@ -697,7 +709,9 @@ def verify_stream(initial: CentredSequence, window: Window,
     allowable = True
     all_valid = True
     first_violation = None
-    min_dev2 = None  # doubled, as in the recorder
+    # Doubled, as in the recorder.  In the domain, dev2 <= hi - lo.
+    none_dev2 = hi - lo + 2
+    min_dev2 = none_dev2
     steps_n = 0  # one-flip steps counted; steps_n - 1 indexes the current one
     flips_n = 0
 
@@ -733,7 +747,7 @@ def verify_stream(initial: CentredSequence, window: Window,
                         elif p > last:
                             p = last
                         dev2 = abs(2 * p + 1 - centre2)
-                        if min_dev2 is None or dev2 < min_dev2:
+                        if dev2 < min_dev2:
                             min_dev2 = dev2
                         steps_n += a * b
                         flips_n += a * b
@@ -741,6 +755,32 @@ def verify_stream(initial: CentredSequence, window: Window,
                 pending = chain(expand_steps((step,)), steps)
                 break
             flips = step.flips
+            if len(flips) == 1:
+                f = flips[0]
+                c = f.c
+                d = f.d
+                s = c + d
+                if lo <= c and d <= hi and (s > t2 or s < -t2):
+                    i = c - lo
+                    if d == c + 1:
+                        x, y = vals[i], vals[i + 1]
+                        ok = x < y
+                        if ok:
+                            vals[i], vals[i + 1] = y, x
+                    else:
+                        j = d - lo + 1
+                        run = vals[i:j]
+                        ok = run == sorted(run)
+                        if ok:
+                            run.reverse()
+                            vals[i:j] = run
+                    if ok:
+                        steps_n += 1
+                        flips_n += 1
+                        dev2 = abs(s - centre2)
+                        if dev2 < min_dev2:
+                            min_dev2 = dev2
+                        continue
             steps_n += 1
             flips_n += len(flips)
             prev_d = lo - 1
@@ -762,7 +802,7 @@ def verify_stream(initial: CentredSequence, window: Window,
                     if ok:
                         prev_d = d
                         dev2 = abs(c + d - centre2)
-                        if min_dev2 is None or dev2 < min_dev2:
+                        if dev2 < min_dev2:
                             min_dev2 = dev2
                         continue
                 # The flip fails a test above: check it again, reporting
@@ -783,21 +823,16 @@ def verify_stream(initial: CentredSequence, window: Window,
                         first_violation = (steps_n - 1, (c, d),
                                            "midpoint inside window")
                 dev2 = abs(c + d - centre2)
-                if min_dev2 is None or dev2 < min_dev2:
+                if dev2 < min_dev2:
                     min_dev2 = dev2
                 run.reverse()
                 vals[i:j] = run
 
-    reaches = vals == list(reversed(initial.values))
+    vals.reverse()
     return VerificationReport(
-        allowable=allowable,
-        all_valid=all_valid and allowable,
-        reaches_reversal=reaches,
-        min_deviation=INF if min_dev2 is None else Fraction(min_dev2, 2),
-        step_count=steps_n,
-        flip_count=flips_n,
-        first_violation=first_violation,
-    )
+        allowable, all_valid and allowable, tuple(vals) == initial.values,
+        INF if min_dev2 == none_dev2 else Fraction(min_dev2, 2),
+        steps_n, flips_n, first_violation)
 
 
 def verify_trace(tr: Trace) -> VerificationReport:

@@ -281,8 +281,12 @@ def _line_records(ps: PointSet, hp: HalfPeriod):
     n = len(ps)
     ipts = _integer_points(ps)
     records = []
+    least = n  # above any imbalance: the two sides hold at most n - 2
     for f, on in _fired_lines(hp, ipts):
         before, after = f.c - 1, n - f.d
+        imbalance = abs(before - after)
+        if imbalance < least:
+            least = imbalance
         # At this event the projection direction is p_j - p_i turned a
         # quarter turn counterclockwise exactly when p_i < p_j in (x, y)
         # order; the points projected after the group then lie on the left.
@@ -291,7 +295,7 @@ def _line_records(ps: PointSet, hp: HalfPeriod):
         records.append(LineRecord(tuple(k + 1 for k in on), left, right))
     if not records:
         raise ContractError("need at least two points")
-    return records, min(r.imbalance for r in records)
+    return records, least
 
 
 def in_general_position(ps: PointSet) -> bool:

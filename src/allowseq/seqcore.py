@@ -130,7 +130,8 @@ class CentredSequence(Value):
         vals = tuple(values)
         if not vals:
             raise ContractError("centred sequence must be nonempty")
-        if len(set(vals)) != len(vals):
+        # A range holds no value twice, so only other iterables are checked.
+        if values.__class__ is not range and len(set(vals)) != len(vals):
             raise ContractError("centred sequence must be injective")
         init_field(self, "lo", lo)
         init_field(self, "values", vals)

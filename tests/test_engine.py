@@ -503,9 +503,28 @@ def reference_verify(initial, window, steps):
     )
 
 
+def one_flip_outcome(state, lo, hi, t2, c, d):
+    """How the one-flip step [c, d] fares on state, which holds the
+    positions lo..hi: the first test it fails, or the kind of valid flip
+    it is."""
+    if c < lo:
+        return "below lo"
+    if d > hi:
+        return "above hi"
+    if abs(c + d) <= t2:
+        return "midpoint inside window"
+    run = state[c - lo:d - lo + 1]
+    if run != sorted(run):
+        return "run not increasing"
+    if c == d:
+        return "one value"
+    return "adjacent" if d == c + 1 else "longer run"
+
+
 def test_verifier_matches_per_flip_reference():
     rng = random.Random(20)
     seen = set()
+    one_flip = {}
     for _ in range(3000):
         initial, steps = random_trace_material(rng, max_n=9, mixed=True)
         window = Window(rng.choice((0, 1, 2)))
@@ -513,9 +532,60 @@ def test_verifier_matches_per_flip_reference():
         assert rep == reference_verify(initial, window, steps)
         seen.add(rep.first_violation and rep.first_violation[2])
         seen.update(type(step).__name__ for step in steps)
+        # Tally the one-flip steps by the state each one meets.
+        lo, hi = initial.lo, initial.hi
+        state = list(initial.values)
+        for step in steps:
+            pairs = (list(step) if isinstance(step, BlockSwap)
+                     else [(f.c, f.d) for f in step.flips])
+            if len(pairs) == 1 and not isinstance(step, BlockSwap):
+                outcome = one_flip_outcome(state, lo, hi, 2 * window.t,
+                                           *pairs[0])
+                one_flip[outcome] = one_flip.get(outcome, 0) + 1
+            for c, d in pairs:
+                if lo <= c <= d <= hi:
+                    state[c - lo:d - lo + 1] = state[c - lo:d - lo + 1][::-1]
     assert seen == {None, "out of bounds", "overlapping flips in one step",
                     "run not strictly increasing", "midpoint inside window",
                     "FlipStep", "BlockSwap", "LooseStep"}
+    assert set(one_flip) == {"adjacent", "longer run", "one value",
+                             "below lo", "above hi", "midpoint inside window",
+                             "run not increasing"}
+    assert min(one_flip.values()) >= 10, one_flip
+
+
+def test_verifier_reports_with_no_deviation_to_take():
+    window = Window(0)
+    cases = [
+        (identity_sequence(1, 3), []),  # no steps at all
+        (CentredSequence(4, [7]), []),
+        # only flips outside the domain
+        (identity_sequence(1, 3), [FlipStep([Flip(0, 1)]),
+                                   FlipStep([Flip(3, 4)]),
+                                   FlipStep([Flip(-2, -1), Flip(4, 4)])]),
+    ]
+    for initial, steps in cases:
+        rep = verify_stream(initial, window, steps)
+        assert rep == reference_verify(initial, window, steps)
+        assert rep.min_deviation == INF
+        assert (rep.step_count, rep.flip_count) == (len(steps),
+                                                    sum(len(s.flips)
+                                                        for s in steps))
+        assert rep.allowable == (not steps)
+
+
+@pytest.mark.parametrize("lo, valid", [(4, True), (0, False), (-3, True)])
+def test_verifier_one_cell_domain(lo, valid):
+    # The one flip [lo, lo] sits at the centre: deviation 0, below the
+    # sentinel hi - lo + 2 = 2.  At lo = 0 its midpoint lies in [-0, 0].
+    initial = CentredSequence(lo, [7])
+    steps = [FlipStep([Flip(lo, lo)])]
+    rep = verify_stream(initial, Window(0), steps)
+    assert rep == reference_verify(initial, Window(0), steps)
+    assert rep.min_deviation == 0
+    assert rep.allowable and rep.reaches_reversal
+    assert rep.all_valid == valid
+    assert (rep.step_count, rep.flip_count) == (1, 1)
 
 
 def test_stats_sink_counts_match_list_sink():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from allowseq.errors import ContractError, RangeError
 from allowseq.oracle import width_dp
-from allowseq.seqcore import (BalanceReport, Block, Flip, apply_block_flip,
+from allowseq.seqcore import (BalanceReport, Block, CentredSequence, Flip,
+                              apply_block_flip, identity_sequence,
                               is_r_balanced, is_valid_flip_block, width,
                               width_greedy)
 
@@ -137,3 +138,16 @@ def test_block_flip_decomposes_into_valid_transpositions(b):
                 assert is_valid_flip_block(cur, step)
                 cur = apply_block_flip(cur, step)
         assert cur == direct
+
+
+def test_centred_sequence_from_a_range():
+    assert CentredSequence(0, range(3)) == CentredSequence(0, [0, 1, 2])
+    assert CentredSequence(-2, range(5, 0, -2)) == CentredSequence(-2, (5, 3, 1))
+    assert identity_sequence(-1, 1) == CentredSequence(-1, (-1, 0, 1))
+    with pytest.raises(ContractError, match="must be nonempty"):
+        CentredSequence(0, range(0))
+    with pytest.raises(ContractError, match="must be nonempty"):
+        identity_sequence(1, 0)
+    for dup in ([0, 1, 0], (2, 2), iter([3, 4, 3])):
+        with pytest.raises(ContractError, match="must be injective"):
+            CentredSequence(0, dup)
