@@ -141,17 +141,15 @@ def _construct(args, n) -> int:
                                      strict_certificates=not args.lenient)
             failed = [c for c in outcome.certificates if not c.passed]
         elif args.stage == "shift":
-            rec, a, b, c = shift_instance(t, n, sink=sink)
+            rec, a, b, c = shift_instance(t, n, sink=sink,
+                                          max_cells=_max_cells(args))
             shift(rec, a, b, c)
-        elif args.stage == "reflect":
-            rec, x, a, b, c = reflect_instance(t, n, args.c_size, sink=sink)
-            reflect(rec, x, a, b, c)
-        elif args.stage == "reflect-mirrored":
-            rec, x, a, b, c = reflect_instance(t, n, args.c_size, sink=sink,
-                                               mirrored=True)
-            reflect_mirrored(rec, x, a, b, c)
         else:
-            raise ContractError(f"unknown stage {args.stage}")
+            mirrored = args.stage == "reflect-mirrored"
+            rec, x, a, b, c = reflect_instance(t, n, args.c_size, sink=sink,
+                                               mirrored=mirrored,
+                                               max_cells=_max_cells(args))
+            (reflect_mirrored if mirrored else reflect)(rec, x, a, b, c)
 
     elapsed = time.perf_counter() - started
     if args.out:
@@ -313,6 +311,8 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "construct":
         if args.stage in ("step", "full") and args.d is None:
             ap.error("--d is required for step and full stages")
+    if args.command == "render" and args.lines and not args.points:
+        ap.error("--lines needs --points")
     try:
         return args.func(args)
     except ContractError as exc:

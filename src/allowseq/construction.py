@@ -726,7 +726,7 @@ def _certify(rec, plan, layout, k, n, y_set):
         "W values all drawn from Y")
     add(5, "tail shape", *_tail_shape(wv, n, d**k))
     bpos = Block(v for v in bv if v > 0)
-    wplus = width(bpos) if len(bpos) else 0
+    wplus = width(bpos)
     add(6, "positive width bound", wplus <= a_k,
         f"width(B+) = {wplus} <= alpha_{k} = {a_k}")
     nneg = sum(1 for v in bv if v < 0)
@@ -807,28 +807,29 @@ def step_instance(t: int, d: int, k: int, n: int, sink=None) -> TraceRecorder:
     return TraceRecorder(CentredSequence(-M, vals), Window(t), sink=sink)
 
 
-def shift_instance(t: int, n: int, sink=None, decreasing_c: bool = False):
-    """A trace laid out as A ^ B ^ C for shifting, symmetric domain.
-    Returns (recorder, a_iv, b_iv, c_iv)."""
+def _identity_instance(M: int, t: int, sink, max_cells: int):
+    """A trace on the identity over [-M, M], refused above max_cells
+    cells before any is built."""
     window = Window(t)
+    require_cells(2 * M + 1, max_cells)
+    return TraceRecorder(identity_sequence(-M, M), window, sink=sink)
+
+
+def shift_instance(t: int, n: int, sink=None, *, max_cells: int = MAX_CELLS):
+    """A trace laid out as A ^ B ^ C for shifting, symmetric domain,
+    refused above max_cells cells.  Returns (recorder, a_iv, b_iv, c_iv)."""
     c = 2 * t + 1
-    M = t + n + c
-    vals = list(range(-M, M + 1))
-    if decreasing_c:
-        i = M + t + n + 1
-        vals[i : i + c] = reversed(vals[i : i + c])
-    rec = TraceRecorder(CentredSequence(-M, vals), window, sink=sink)
+    rec = _identity_instance(t + n + c, t, sink, max_cells)
     return rec, (-t, t), (t + 1, t + n), (t + n + 1, t + n + c)
 
 
 def reflect_instance(t: int, n: int, xsize: int, sink=None,
-                     mirrored: bool = False):
+                     mirrored: bool = False, *, max_cells: int = MAX_CELLS):
     """A trace laid out as X ^ A ^ B ^ C (or its mirror image) for
-    reflection.  Returns (recorder, x_iv, a_iv, b_iv, c_iv)."""
-    window = Window(t)
-    M = t + max(xsize, n + xsize) + 1
-    vals = list(range(-M, M + 1))
-    rec = TraceRecorder(CentredSequence(-M, vals), window, sink=sink)
+    reflection, refused above max_cells cells.  Returns (recorder, x_iv,
+    a_iv, b_iv, c_iv)."""
+    rec = _identity_instance(t + max(xsize, n + xsize) + 1, t, sink,
+                             max_cells)
     if not mirrored:
         return rec, (-t - xsize, -t - 1), (-t, t), (t + 1, t + n), \
             (t + n + 1, t + n + xsize)

@@ -1,8 +1,8 @@
 """Brute-force oracles and exhaustive search over small state spaces.
 
 None of them reuses the code it is checked against: widths by dynamic
-programming and by full subsequence enumeration (not `seqcore`'s greedy
-width), allowability by diffing consecutive permutations (not
+programming and by full subsequence enumeration (not `seqcore`'s one
+pile cover), allowability by diffing consecutive permutations (not
 `verify_stream`), and the best achievable minimum deviation by
 exhaustive threshold-indexed reachability (no constructive procedure).
 From the engine they take only its value types and its writer: witness

@@ -1,5 +1,7 @@
 """Core value types: flips, windows, centred sequences and blocks, with
-block flips, width and r-balance on blocks, all in exact integers.
+block flips, width and r-balance on blocks, all in exact integers.  The
+width, the greedy chains and the balance check all read one chain cover,
+the patience piles of `_piles`.
 
 A centred sequence is an injective integer sequence indexed by [lo, hi];
 a flip [c, d] on it is forbidden when its midpoint lands in the window
@@ -167,57 +169,46 @@ def apply_block_flip(b: Block, f: Flip) -> Block:
     return Block(b.values[:i] + tuple(reversed(b.values[i:j])) + b.values[j:])
 
 
-def width_greedy(b: Block):
-    """Greedy peeling into increasing subsequences.
+def _piles(vals: Sequence[int]) -> list:
+    """The pile index, from 0, of each value: the one chain cover behind
+    `width_greedy`, `width` and `is_r_balanced`.
 
-    Repeatedly extracts the chain that starts at the leftmost remaining
-    index and always continues at the leftmost later index carrying a
-    larger value.  Returns (number of chains, chains as index tuples);
-    the chain count equals the width of the block.
+    Patience piles: a value goes on the leftmost pile whose top is below
+    it, or starts a new pile.  The tops decrease left to right, so one
+    `bisect_left` on the negated tops finds the pile.  Pile 0 takes a
+    value exactly when it exceeds the pile's top, which is the rule by
+    which greedy peeling builds its first chain; pile 1 applies the same
+    rule to what pile 0 refuses, and so on.  So pile j is the j-th chain
+    that greedy peeling takes, value for value.  A value on pile j > 0
+    lies below the top of pile j-1 when placed, an earlier value; these
+    links give a strictly decreasing subsequence through every pile, so
+    the pile count is the width (Aldous & Diaconis, Bull. AMS 36, 1999).
     """
-    n = len(b)
-    remaining = list(range(n))
-    chains = []
-    while remaining:
-        chain = [remaining[0]]
-        for idx in remaining[1:]:
-            if b[idx] > b[chain[-1]]:
-                chain.append(idx)
-        chains.append(tuple(chain))
-        taken = set(chain)
-        remaining = [i for i in remaining if i not in taken]
-    return len(chains), chains
-
-
-class PrefixWidth:
-    """Online longest-strictly-decreasing-subsequence length.
-
-    Feed values left to right; width() is the LDS length of everything
-    fed so far.  Patience piles on negated values, O(log n) per push.
-    """
-
-    def __init__(self):
-        self._tops = []  # pile tops of negated values, increasing
-
-    def push(self, v: int) -> int:
-        x = -v
-        i = bisect_left(self._tops, x)
-        if i == len(self._tops):
-            self._tops.append(x)
+    tops = []  # negated pile tops, increasing
+    piles = []
+    for x in map(operator.neg, vals):
+        i = bisect_left(tops, x)
+        if i == len(tops):
+            tops.append(x)
         else:
-            self._tops[i] = x
-        return len(self._tops)
+            tops[i] = x
+        piles.append(i)
+    return piles
 
-    def width(self) -> int:
-        return len(self._tops)
+
+def width_greedy(b: Block):
+    """Greedy peeling into increasing subsequences, the piles of `_piles`:
+    (number of chains, chains as index tuples), the count being the width."""
+    piles = _piles(b.values)
+    chains = [[] for _ in range(max(piles, default=-1) + 1)]
+    for idx, pile in enumerate(piles):
+        chains[pile].append(idx)
+    return len(chains), [tuple(chain) for chain in chains]
 
 
 def width(b: Block) -> int:
-    """Width = longest strictly decreasing subsequence length."""
-    pw = PrefixWidth()
-    for v in b:
-        pw.push(v)
-    return pw.width()
+    """Width = longest strictly decreasing subsequence = pile count."""
+    return max(_piles(b.values), default=-1) + 1
 
 
 class BalanceReport(Value):
@@ -254,8 +245,8 @@ def is_r_balanced(b: Block, r) -> BalanceReport:
     num, den = r.as_integer_ratio()
     neg_count = 0
     last_neg = None
-    pw = PrefixWidth()
-    wplus = 0
+    piles = iter(_piles([v for v in b if v > 0]))
+    wplus = 0  # the pile count of the positive values so far
     least_neg, least_w = 0, 0  # the least ratio so far; least_w = 0: none
 
     def report(balanced, witness=None, detail=""):
@@ -269,7 +260,8 @@ def is_r_balanced(b: Block, r) -> BalanceReport:
             last_neg = v
             neg_count += 1
         else:
-            wplus = pw.push(v)
+            if next(piles) == wplus:
+                wplus += 1
             if not least_w or neg_count * least_w < least_neg * wplus:
                 least_neg, least_w = neg_count, wplus
         if neg_count * den < num * wplus:

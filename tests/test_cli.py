@@ -458,6 +458,26 @@ def test_max_cells_counts_the_built_domain(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "cells=3121"
 
 
+@pytest.mark.parametrize("stage, extra, cells", [
+    ("shift", (), 27),
+    ("reflect", ("--c-size", "5"), 45),
+    ("reflect-mirrored", ("--c-size", "5"), 45)])
+def test_max_cells_guards_shift_and_reflect(tmp_path, capsys, stage, extra,
+                                            cells):
+    # At t = 1 the shift instance spans [-13, 13], and the reflect
+    # instances with 5 carried cells span [-22, 22].
+    out = tmp_path / "refused.trace"
+    argv = ("construct", "--stage", stage, "--t", "1", *extra, "--machine")
+    assert run_cli(*argv, "--max-cells", str(cells - 1),
+                   "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"refused: materialization needs {cells} cells "
+        f"(limit {cells - 1})\n")
+    assert not out.exists()
+    assert run_cli(*argv, "--max-cells", str(cells)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"cells={cells}"
+
+
 def test_cmd_search(capsys):
     assert run_cli("search", "--n", "3") == 0
     out = capsys.readouterr().out
@@ -478,6 +498,15 @@ def test_step_without_d_exits_malformed(capsys):
         run_cli("construct", "--stage", "step", "--t", "0")
     assert exc.value.code == 2
     assert "--d is required" in capsys.readouterr().err
+
+
+def test_render_lines_without_points_exits_malformed(tmp_path, capsys):
+    tr = tmp_path / "tr.txt"
+    tr.write_text(five_example_text())
+    with pytest.raises(SystemExit) as exc:
+        run_cli("render", str(tr), "--lines")
+    assert exc.value.code == 2
+    assert "--lines needs --points" in capsys.readouterr().err
 
 
 def test_render_without_out_writes_stdout(tmp_path, capsys):

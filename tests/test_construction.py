@@ -59,10 +59,18 @@ def test_shift_rejects_below_bound(t):
 
 
 def test_shift_larger_b_and_decreasing_c():
-    rec, a, b, c = shift_instance(1, 23, decreasing_c=True)
-    cvals = rec.values(*c)
-    shift(rec, a, b, c)
-    assert rec.values(-1, 1) == cvals
+    # shift_instance's layout at t = 1, n = 23, with C's values reversed
+    t, n = 1, 23
+    M = t + n + 2 * t + 1
+    vals = list(range(-M, M + 1))
+    c_iv = (t + n + 1, t + n + 2 * t + 1)
+    vals[M + c_iv[0] : M + c_iv[1] + 1] = reversed(
+        vals[M + c_iv[0] : M + c_iv[1] + 1])
+    rec = TraceRecorder(CentredSequence(-M, vals), Window(t))
+    cvals = rec.values(*c_iv)
+    assert cvals == (27, 26, 25)
+    shift(rec, (-t, t), (t + 1, t + n), c_iv)
+    assert rec.values(-t, t) == cvals
     assert verify_trace(rec.to_trace()).all_valid
 
 
@@ -283,6 +291,20 @@ def test_step_refuses_values_that_break_its_contract(defect, problem):
         recursive_step(rec, 9, 1, 1)
     assert rec.values(lo, rec.hi) == tuple(vals)
     assert rec.flip_count == rec.step_count == 0
+
+
+@pytest.mark.parametrize("x_iv, y_iv, problem", [
+    ((-29, -1), (1, 68), "|X| = 29 but the planner wants 30"),
+    ((-30, -1), (1, 67), "|Y| = 67 but the planner wants 68"),
+    ((-31, -2), (1, 68), "X and Y must be adjacent to the window"),
+    ((-30, -1), (2, 69), "X and Y must be adjacent to the window"),
+    ((-30, -1), (1, 68), None)])
+def test_entry_problem_sizes_and_adjacency(x_iv, y_iv, problem):
+    # step_instance(0, 9, 1, 1) holds X on positions -30..-1 and Y on
+    # 1..68; only an inner sub-step can hand over other intervals
+    rec = step_instance(0, 9, 1, 1)
+    assert construction._entry_problem(rec, SizePlan(0, 9), 1, 1,
+                                       x_iv, y_iv) == problem
 
 
 def test_segment_map_operations():

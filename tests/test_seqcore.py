@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,38 @@ def test_width_greedy_matches_dp_and_covers(b):
     assert seen == list(range(len(b)))
     for ch in chains:
         assert all(b[i] < b[j] for i, j in zip(ch, ch[1:]))
+
+
+def rescanning_width_greedy(b):
+    """Greedy peeling by repeated rescans, the chain cover `seqcore` used
+    before its patience piles, kept as the reference they must match."""
+    remaining = list(range(len(b)))
+    chains = []
+    while remaining:
+        chain = [remaining[0]]
+        for idx in remaining[1:]:
+            if b[idx] > b[chain[-1]]:
+                chain.append(idx)
+        chains.append(tuple(chain))
+        taken = set(chain)
+        remaining = [i for i in remaining if i not in taken]
+    return len(chains), chains
+
+
+def test_width_greedy_matches_rescanning_reference():
+    rng = random.Random(31)
+    cases = [Block(()), Block(range(1, 9)), Block(range(8, 0, -1)),
+             Block(range(-4, 5)), Block((-3, 5, -1, 2, 4, -7, 1, -2))]
+    for _ in range(400):
+        size = rng.randrange(0, 30)
+        low = rng.choice((-60, -30, 0))
+        cases.append(Block(rng.sample(range(low, low + 61), size)))
+    for b in cases:
+        k, chains = width_greedy(b)
+        assert (k, chains) == rescanning_width_greedy(b), b
+        assert width(b) == k == width_dp(b)
+    assert width_greedy(Block(())) == (0, [])
+    assert width_greedy(Block((2, 3, 1))) == (2, [(0, 1), (2,)])
 
 
 def test_is_r_balanced_examples():
@@ -103,7 +136,7 @@ def test_least_prefix_ratio_matches_prefix_scan(b, r):
     ratios = []
     for j in range(1, scanned + 1):
         prefix = b.values[:j]
-        w = width(Block(v for v in prefix if v > 0))
+        w = width_dp(Block(v for v in prefix if v > 0))
         if w:
             ratios.append(Fraction(sum(v < 0 for v in prefix), w))
     assert rep.least_ratio == (min(ratios) if ratios else None)
