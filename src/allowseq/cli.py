@@ -1,10 +1,17 @@
 """Command-line surface and run orchestration.
 
 The trace file format is documented, written and read in `engine`; its
-reader and writer are re-exported here.  Exit codes: 0 success, 1
-property violated or structured failure, 2 malformed input, 3 refusal by
-a resource guard, 141 (128 + SIGPIPE, as a shell reports a writer killed
-by SIGPIPE) when the reader of standard output closed it early.
+reader and writer are re-exported here.  `construct --out` writes format
+v3, in which a repeated sub-step is one `R` line, and opens the file
+only once every cell guard has passed.  `verify` and `render` read
+formats v1, v2 and v3: `verify` checks each replay against the shape it
+derives from the file itself, and `render` draws a replay as its body,
+refusing a trace whose expansion needs too many points.
+
+Exit codes: 0 success, 1 property violated or structured failure, 2
+malformed input, 3 refusal by a resource guard, 141 (128 + SIGPIPE, as
+a shell reports a writer killed by SIGPIPE) when the reader of standard
+output closed it early.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import argparse
 import os
 import sys
 import time
-from contextlib import nullcontext
 from fractions import Fraction
 
 from .construction import (ConstructionFailure, full_construction,
@@ -104,55 +110,79 @@ def cmd_construct(args) -> int:
     if args.stage in ("step", "full") and args.plan:
         sys.stdout.write(plan_sizes(t, args.d, args.k, n).to_text())
         return EXIT_OK
+    out = _OutFile(args.out) if args.out else None
     code = EXIT_VIOLATION
     try:
-        code = _construct(args, n)
+        code = _construct(args, n, out)
     finally:
-        # A run that does not succeed leaves no trace file behind.
-        if code != EXIT_OK and args.out and os.path.exists(args.out):
-            os.unlink(args.out)
+        if out is not None:
+            out.close()
+            # A run that does not succeed leaves no trace file of its own
+            # behind, and a refused one never opened the path.
+            if code != EXIT_OK and out.fh is not None:
+                os.unlink(args.out)
     return code
 
 
-def _construct(args, n) -> int:
+class _OutFile:
+    """The `--out` trace file, opened for writing at its first write.  The
+    recorder writes first when it announces its initial state, after the
+    cell guards of every stage have passed, so a run they refuse leaves a
+    file already at the path as it was."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = None
+
+    def write(self, text):
+        self.fh = open(self.path, "w")
+        self.write = self.fh.write  # later writes go straight to the file
+        return self.write(text)
+
+    def close(self):
+        if self.fh is not None:
+            self.fh.close()
+
+
+def _construct(args, n, out) -> int:
     t = args.t
     failed = ()  # the certificates a lenient step failed
     started = time.perf_counter()
-    with (open(args.out, "w") if args.out else nullcontext()) as out_fh:
-        sink = FileSink(out_fh) if out_fh else StatsSink()
-        if args.stage == "full":
-            result = full_construction(t, args.d, args.k,
-                                       max_cells=_max_cells(args), sink=sink)
-            if isinstance(result, ConstructionFailure):
-                if args.machine:
-                    print(f"failure_stage={result.stage.replace(' ', '-')}")
-                    print(f"achieved={result.achieved}")
-                    print(f"required={result.required}")
-                else:
-                    print(f"structured failure at {result.stage}: "
-                          f"{result.message}")
-                return EXIT_VIOLATION
-            rec = result
-        elif args.stage == "step":
-            require_cells(plan_sizes(t, args.d, args.k, n).cells,
-                          _max_cells(args))
-            rec = step_instance(t, args.d, args.k, n, sink=sink)
-            outcome = recursive_step(rec, args.d, args.k, n,
-                                     strict_certificates=not args.lenient)
-            failed = [c for c in outcome.certificates if not c.passed]
-        elif args.stage == "shift":
-            rec, a, b, c = shift_instance(t, n, sink=sink,
-                                          max_cells=_max_cells(args))
-            shift(rec, a, b, c)
-        else:
-            mirrored = args.stage == "reflect-mirrored"
-            rec, x, a, b, c = reflect_instance(t, n, args.c_size, sink=sink,
-                                               mirrored=mirrored,
-                                               max_cells=_max_cells(args))
-            (reflect_mirrored if mirrored else reflect)(rec, x, a, b, c)
+    sink = StatsSink() if out is None else FileSink(out)
+    if args.stage == "full":
+        result = full_construction(t, args.d, args.k,
+                                   max_cells=_max_cells(args), sink=sink)
+        if isinstance(result, ConstructionFailure):
+            if args.machine:
+                print(f"failure_stage={result.stage.replace(' ', '-')}")
+                print(f"achieved={result.achieved}")
+                print(f"required={result.required}")
+            else:
+                print(f"structured failure at {result.stage}: "
+                      f"{result.message}")
+            return EXIT_VIOLATION
+        rec = result
+    elif args.stage == "step":
+        require_cells(plan_sizes(t, args.d, args.k, n).cells,
+                      _max_cells(args))
+        rec = step_instance(t, args.d, args.k, n, sink=sink)
+        outcome = recursive_step(rec, args.d, args.k, n,
+                                 strict_certificates=not args.lenient)
+        failed = [c for c in outcome.certificates if not c.passed]
+    elif args.stage == "shift":
+        rec, a, b, c = shift_instance(t, n, sink=sink,
+                                      max_cells=_max_cells(args))
+        shift(rec, a, b, c)
+    else:
+        mirrored = args.stage == "reflect-mirrored"
+        rec, x, a, b, c = reflect_instance(t, n, args.c_size, sink=sink,
+                                           mirrored=mirrored,
+                                           max_cells=_max_cells(args))
+        (reflect_mirrored if mirrored else reflect)(rec, x, a, b, c)
 
     elapsed = time.perf_counter() - started
-    if args.out:
+    if out is not None:
+        out.close()
         # The file must be valid and hold exactly what was recorded.
         with open(args.out) as fh:
             (window, initial), steps = iter_trace_file(fh)

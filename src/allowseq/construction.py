@@ -28,9 +28,9 @@ from .errors import ContractError
 from .planner import (MAX_CELLS, RecurrenceTable, SizePlan, alpha_closed,
                       beta_closed, plan_sizes, require_cells,
                       shift_thresholds)
-from .seqcore import (Block, CentredSequence, Value, Window,
+from .seqcore import (Block, CentredSequence, Value, Window, _piles,
                       _strictly_increasing, identity_sequence, init_field,
-                      is_r_balanced, width, width_greedy)
+                      is_r_balanced, width_greedy)
 
 
 def _ivlen(iv) -> int:
@@ -533,7 +533,12 @@ def _rstep(rec, plan, k, n, x_iv, y_iv):
             problem = _entry_problem(rec, plan, k - 1, n + 1, sub_x, sub_y)
             if problem:
                 rec.bug(f"recursive step (inner): {problem}")
-            sub = _rstep(rec, plan, k - 1, n + 1, sub_x, sub_y)
+            # Every call of this loop runs on the same span; the recorder
+            # replays a call whose span holds values in the order and with
+            # the signs of an earlier one.
+            sub = rec.substep((t, d, k - 1, n + 1), sub_x[0], sub_y[1],
+                              lambda: _rstep(rec, plan, k - 1, n + 1,
+                                             sub_x, sub_y))
             sizes = sub.region_sizes()
             if sizes["W"] != m * (n + 2):
                 rec.bug("W piece has unexpected shape")
@@ -725,8 +730,9 @@ def _certify(rec, plan, layout, k, n, y_set):
     add(4, "tail provenance", y_set is not None and set(wv) <= y_set,
         "W values all drawn from Y")
     add(5, "tail shape", *_tail_shape(wv, n, d**k))
-    bpos = Block(v for v in bv if v > 0)
-    wplus = width(bpos)
+    # One pile cover of B+ serves (6) and (8).
+    piles = _piles([v for v in bv if v > 0])
+    wplus = max(piles, default=-1) + 1
     add(6, "positive width bound", wplus <= a_k,
         f"width(B+) = {wplus} <= alpha_{k} = {a_k}")
     nneg = sum(1 for v in bv if v < 0)
@@ -736,7 +742,7 @@ def _certify(rec, plan, layout, k, n, y_set):
         det7 = f"|B-| = {nneg} < beta_{k} = {b_k} (short by {b_k - nneg})"
     add(7, "negative count bound", nneg >= b_k, det7)
     ratio = Fraction(b_k, a_k)
-    rep = is_r_balanced(Block(bv), ratio)
+    rep = is_r_balanced(Block(bv), ratio, piles)
     least = ("none, B+ is empty" if rep.least_ratio is None
              else rep.least_ratio)
     add(8, "balancedness", rep.balanced,

@@ -14,16 +14,24 @@ once and changes nothing until every check has passed.  TraceRecorder.bug
 is the one raise of a ConstructionBug, the recorder's and the
 construction's alike, and names the annotation path open at the time.
 
+A sub-step is recorded by reference: TraceRecorder.substep runs it in
+full the first time, between a Define and an End marker, as a shape
+confined to its span, and keeps the shape's argsort of starting values,
+its net permutation of the span, its counts and its result.  A later
+call under the same key and span whose values have the stored order
+and signs is replayed: one O(span) check, one splice and one Replay
+marker, instead of every move again.  Shapes live in their recorder.
+
 Sinks decide what to keep.  A sink is handed the recorder's own step
 objects, each after the recorder has applied it and counted its flips
 and steps: on_step(step) takes a FlipStep, on_transpositions(swap) a
-BlockSwap, and begin(initial, window) and on_annotation(depth, label)
-are optional.  ListSink retains every step and annotation for replay
-and serialization, FileSink streams them to a text file, StatsSink
-keeps only aggregates.  The recorder always tracks flip count and
-minimum deviation itself, so even a stats-only run reports both.
-Deviations are tracked doubled, as the integer |c + d - (lo + hi)|, and
-become Fractions only where they are reported.
+BlockSwap or a marker, and begin(initial, window) and
+on_annotation(depth, label) are optional.  ListSink retains every step
+and annotation for replay and serialization, FileSink streams them to a
+text file, StatsSink keeps only aggregates.  The recorder always tracks
+flip count and minimum deviation itself, so even a stats-only run
+reports both.  Deviations are tracked doubled, as the integer
+|c + d - (lo + hi)|, and become Fractions only where they are reported.
 
 One-flip steps are shared immutable objects: FlipStep and BlockSwap
 are `seqcore.Value`s, whose fields cannot be assigned.  single_step
@@ -40,7 +48,8 @@ steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
 Each step meets one fast test, which decides it on every valid trace: a
 transposition costs two reads and one compare, a block swap a few
-integer compares and its two block scans, each block sliced once.  A
+integer compares and its two block scans, each block sliced once, and
+a replay one read of its span in the order its shape stored.  A
 one-flip step, the common case, is decided on a direct path outside the
 per-flip loop of multi-flip steps.  A step that fails the test is
 checked again by the reporting code, one flip at a time, so the report
@@ -49,13 +58,16 @@ is the same as if every flip had been checked in full.
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
 
-    ALLOWSEQ v2
+    ALLOWSEQ v3
     t=<int> lo=<int> hi=<int>
     <initial values, space separated>
     # <depth> begin <label>        (annotation lines, optional)
     F <c> <d>                      (single flip)
     S <c1> <d1> <c2> <d2> ...      (disjoint multi-flip step)
     B <lo> <a> <b>                 (block swap, a*b one-flip steps)
+    D <id> <lo> <hi>               (shape id begins: its first run)
+    E <id>                         (shape id ends)
+    R <id>                         (shape id again: its body, replayed)
     # <depth> end <label>
 
 Steps appear in application order.  A `B` line swaps the adjacent
@@ -65,22 +77,53 @@ element of the right block in turn, leftmost first, bubbles leftward
 past the whole left block, the rightmost transposition first, so
 `B 3 2 1` is `F 4 5`, `F 3 4`.  Verification counts those steps and
 flips and reports a violation by its index among them, exactly as for
-the `F` lines they stand for.  Files with the magic `ALLOWSEQ v1` hold
-no `B` lines and still parse.
+the `F` lines they stand for.
+
+The lines between `D <id> <lo> <hi>` and `E <id>` are the body of shape
+id: the first run of a sub-step confined to positions [lo, hi], inside
+the domain and inside the span of any shape open around it.  Every
+entry of the body lies in [lo, hi]: a flip or block swap by the cells
+it moves, a nested `D` or an `R` by its shape's span.  Ids are never
+reused, an `E` closes the innermost open shape, every shape is closed
+by the end of the file, and an annotation scope opens and closes on
+the same side of a shape's `D` and `E`.  `R <id>` names a shape closed
+earlier and stands for its body at this place, markers dropped and
+every `R` inside expanded in turn, annotation depths shifted by the
+scopes open at the `R` less those open at the `D`.  That expansion of
+a v3 file, with `D` and `E` dropped and the magic set to v2, is the v2
+file of the same steps.  A shape's span holds the same cells at every
+replay.
+
+Replaying a shape is sound after one check of its span's order.  A
+move's validity depends only on its positions, the window, and the
+relative order of the values it covers: a flip needs an increasing run
+and a midpoint outside the window, a block swap its left block below
+its right.  So a body whose every entry lies in [lo, hi] gives the
+same verdict on every move, and the same net permutation of the span,
+whenever the span holds values in the same relative order as at its
+`D`.  The verifier stores, at `E`, the span's starting values in
+ascending order of value as an argsort, and at `R` it reads the span's
+current values in that order: they are strictly increasing exactly
+when the span is order-isomorphic to the shape's start.
+
+The one reader accepts the magics `ALLOWSEQ v1` (no `B`, `D`, `E` or
+`R` lines), `ALLOWSEQ v2` (no `D`, `E` or `R` lines) and `ALLOWSEQ v3`;
+FileSink writes v3.
 
 Every annotation scope, empty or not, is written where it opens and
 where it closes; depth counts the scopes open around it, the outermost
 being 1.  An annotation's index in Trace.annotations counts trace
-entries, a BlockSwap being one entry.  Files that FileSink writes parse
-and serialize back byte for byte.  Other valid files parse to the same
-steps, but need not come back byte for byte: a v1 file comes back as
-v2, `S 1 2` comes back as `F 1 2`, and the flips of an `S` line come
-back sorted.
+entries, a BlockSwap or a marker being one entry.  Files that FileSink
+writes parse and serialize back byte for byte.  Other valid files parse
+to the same steps, but need not come back byte for byte: v1 and v2
+files come back as v3, `S 1 2` comes back as `F 1 2`, and the flips of
+an `S` line come back sorted.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
@@ -90,7 +133,8 @@ from .seqcore import CentredSequence, Flip, Value, Window, init_field
 
 INF = float("inf")
 
-MAGIC = "ALLOWSEQ v2"
+MAGIC = "ALLOWSEQ v3"
+MAGIC_V2 = "ALLOWSEQ v2"  # read, never written: the format before shapes
 MAGIC_V1 = "ALLOWSEQ v1"  # read, never written: the format before `B` lines
 
 
@@ -159,15 +203,100 @@ class BlockSwap(Value):
         return 0 if centre2 % 2 else 1
 
 
-def expand_steps(steps: Iterable) -> Iterator[FlipStep]:
-    """The steps as trace format v1 holds them: every BlockSwap replaced
-    by its transpositions, each a one-flip step, in canonical order."""
+class Define(Value):
+    """`D <id> <lo> <hi>`: the entries up to `End(id)` are the first run
+    of shape id, confined to positions [lo, hi]."""
+
+    __slots__ = ("id", "lo", "hi")
+
+    def __init__(self, id: int, lo: int, hi: int):
+        init_field(self, "id", id)
+        init_field(self, "lo", lo)
+        init_field(self, "hi", hi)
+
+
+class End(Value):
+    """`E <id>`: the end of shape id's first run."""
+
+    __slots__ = ("id",)
+
+    def __init__(self, id: int):
+        init_field(self, "id", id)
+
+
+class Replay(Value):
+    """`R <id>`: shape id's body again, at the same positions."""
+
+    __slots__ = ("id",)
+
+    def __init__(self, id: int):
+        init_field(self, "id", id)
+
+
+def _unfold(steps: Iterable, bodies=None) -> Iterator:
+    """The entries with every Replay replaced by its shape's body, in
+    turn unfolded, and Define and End dropped; BlockSwaps stay.  Raises
+    ContractError on a Replay of a shape not closed before it, or an End
+    that does not close the innermost open shape."""
+    bodies = {} if bodies is None else bodies  # id -> its body's entries
+    kept = []  # the entries inside shapes
+    opened = []  # (id, index in kept where its body starts)
     for step in steps:
-        if isinstance(step, BlockSwap):
+        cls = step.__class__
+        if opened:
+            kept.append(step)
+        if cls is Define:
+            opened.append((step.id, len(kept)))
+        elif cls is End:
+            if not opened or opened[-1][0] != step.id:
+                raise ContractError(f"shape {step.id} ends but is not the "
+                                    f"innermost open one")
+            bodies[step.id] = kept[opened.pop()[1]:-1]
+        elif cls is Replay:
+            if step.id not in bodies:
+                raise ContractError(f"replay of unknown shape {step.id}")
+            yield from _unfold(bodies[step.id], bodies)
+        else:
+            yield step
+
+
+def expand_steps(steps: Iterable) -> Iterator[FlipStep]:
+    """The steps as trace format v1 holds them: every Replay replaced by
+    its shape's body, Define and End dropped, and every BlockSwap
+    replaced by its transpositions, each a one-flip step, in canonical
+    order."""
+    for step in _unfold(steps):
+        if step.__class__ is BlockSwap:
             for c, d in step:
                 yield single_step(c, d)
         else:
             yield step
+
+
+def expanded_length(steps: Iterable) -> int:
+    """How many steps expand_steps yields, counted without expanding: a
+    BlockSwap counts a*b, a Replay what its shape's body counts."""
+    total = 0
+    counts = {}  # id of each closed shape -> the steps of its body
+    opened = []  # (id, total at its Define)
+    for step in steps:
+        cls = step.__class__
+        if cls is BlockSwap:
+            total += step.a * step.b
+        elif cls is Define:
+            opened.append((step.id, total))
+        elif cls is End:
+            if not opened or opened[-1][0] != step.id:
+                raise ContractError(f"shape {step.id} ends but is not the "
+                                    f"innermost open one")
+            counts[step.id] = total - opened.pop()[1]
+        elif cls is Replay:
+            if step.id not in counts:
+                raise ContractError(f"replay of unknown shape {step.id}")
+            total += counts[step.id]
+        else:
+            total += 1
+    return total
 
 
 _SINGLE_STEP_CAP = 1 << 14
@@ -189,7 +318,8 @@ def single_step(c: int, d: int) -> FlipStep:
 class Trace(Value):
     """A finished, immutable flip trace.
 
-    `steps` holds FlipSteps and BlockSwaps in application order.
+    `steps` holds FlipSteps, BlockSwaps and the shape markers Define,
+    End and Replay in application order, one entry per trace file line.
     `annotations` holds the annotation events in the order they were
     emitted, each as (index, depth, "begin <label>" or "end <label>"):
     the event came after the first `index` entries of `steps`.
@@ -207,8 +337,9 @@ class Trace(Value):
 
 class ListSink:
     """Retains every step and annotation event; supports conversion to a
-    Trace.  It keeps each step object it is handed, a BlockSwap as one
-    entry, so a shared one-flip step costs one list reference."""
+    Trace.  It keeps each step object it is handed, a BlockSwap or a
+    marker as one entry, so a shared one-flip step costs one list
+    reference."""
 
     def __init__(self):
         self.steps = []
@@ -237,7 +368,8 @@ class FileSink:
     """The trace file writer.  Streams a whole trace file to an open text
     handle: the header as soon as the recorder announces its initial
     state, then step and annotation lines as they happen.  A FlipStep
-    becomes an `F` or `S` line and a BlockSwap one `B` line."""
+    becomes an `F` or `S` line, a BlockSwap one `B` line and a marker its
+    `D`, `E` or `R` line."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -257,11 +389,21 @@ class FileSink:
             self.fh.write(f"S {parts}\n")
 
     def on_transpositions(self, pairs):
-        """Write a BlockSwap as one `B` line, any other iterable of
-        (c, c+1), such as a swap a wrapping sink has partly consumed, as
-        `F` lines."""
-        if isinstance(pairs, BlockSwap):
+        """Write a BlockSwap as one `B` line, a marker as its line, and
+        any other iterable of (c, c+1), such as a swap a wrapping sink has
+        partly consumed, as `F` lines."""
+        cls = pairs.__class__
+        if cls is BlockSwap:
             self.fh.write(f"B {pairs.lo} {pairs.a} {pairs.b}\n")
+            return
+        if cls is Replay:
+            self.fh.write(f"R {pairs.id}\n")
+            return
+        if cls is Define:
+            self.fh.write(f"D {pairs.id} {pairs.lo} {pairs.hi}\n")
+            return
+        if cls is End:
+            self.fh.write(f"E {pairs.id}\n")
             return
         write = self.fh.write
         for c, d in pairs:
@@ -272,27 +414,38 @@ class FileSink:
 
 
 _LINE_SHAPES = {"F": "F <c> <d>", "S": "S <c1> <d1> <c2> <d2> ...",
-                "B": "B <lo> <a> <b>", "#": "# <depth> begin|end <label>"}
-_LINE_KINDS = {MAGIC: set(_LINE_SHAPES), MAGIC_V1: {"F", "S", "#"}}
+                "B": "B <lo> <a> <b>", "D": "D <id> <lo> <hi>",
+                "E": "E <id>", "R": "R <id>",
+                "#": "# <depth> begin|end <label>"}
+_LINE_KINDS = {MAGIC: set(_LINE_SHAPES), MAGIC_V2: {"F", "S", "B", "#"},
+               MAGIC_V1: {"F", "S", "#"}}
 
 
 def iter_trace_file(fh, on_annotation=None):
     """The trace file reader: ((window, initial), steps) from an open text
-    handle.
+    handle of format v1, v2 or v3.
 
     The header is parsed at once; `steps` yields a FlipStep for each `F`
-    or `S` line and a BlockSwap for each `B` line, in file order.  A `B`
-    line must lie inside the domain [lo, hi], and only v2 files hold
-    them.  Annotations must nest: a `begin` sits one deeper
-    than the scopes open around it, an `end` closes the innermost open
-    scope, and every scope is closed by the end of the file.  Each one is
-    checked and, if `on_annotation` is given, passed to it as (depth,
-    "begin <label>" or "end <label>") before the next step is yielded.
-    Anything else raises TraceParseError naming the offending line.  A
-    step line whose text parsed before in this file yields the step
-    parsed then, found by one lookup; only lines that passed every check
-    are kept, so a refused line is refused where it stands.  Annotation
-    lines are checked at each occurrence.
+    or `S` line, a BlockSwap for each `B` line and a Define, End or
+    Replay for each `D`, `E` or `R` line, in file order.  A `B` line must
+    lie inside the domain [lo, hi]; only v2 and v3 files hold them, and
+    only v3 files the shape lines.  Shapes must nest as the format
+    section says: a `D` span inside the domain and inside the shape open
+    around it, each body entry inside its shape's span, no id defined
+    twice, an `E` closing the innermost open shape, an `R` naming a
+    closed one, every shape closed by the end of the file and no
+    annotation scope crossing a `D` or an `E`.  Annotations must nest: a
+    `begin` sits one deeper than the scopes open around it, an `end`
+    closes the innermost open scope, and every scope is closed by the end
+    of the file.  Each one is checked and, if `on_annotation` is given,
+    passed to it as (depth, "begin <label>" or "end <label>") before the
+    next step is yielded.  Anything else raises TraceParseError naming
+    the offending line.  A step or `R` line whose text parsed before in
+    this file yields the entry parsed then, found by one lookup; only
+    lines that passed every check are kept, so a refused line is refused
+    where it stands.  Annotation, `D` and `E` lines are checked at each
+    occurrence, and inside a shape every entry is checked against its
+    span.
     """
     lineno = 0
 
@@ -325,9 +478,31 @@ def iter_trace_file(fh, on_annotation=None):
     def steps():
         scopes = []  # (depth, label, line number) of each open annotation
         parsed = {}  # text of a step line that parsed -> its step
+        spans = {}  # id of each closed shape -> its span (lo, hi)
+        opened = []  # (id, lo, hi, open scopes, line number) per open shape
+
+        def inside(step, lineno):
+            """Refuse an entry of the innermost open shape that moves a
+            position outside its span: a flip step by its flips, which it
+            holds sorted and disjoint, a block swap by its blocks, a
+            replay by its shape's span."""
+            if step.__class__ is BlockSwap:
+                first, last = step.lo, step.lo + step.a + step.b - 1
+            elif step.__class__ is Replay:
+                first, last = spans[step.id]
+            else:
+                first, last = step.flips[0].c, step.flips[-1].d
+            sid, at, to = opened[-1][:3]
+            if first < at or last > to:
+                raise TraceParseError(
+                    lineno, f"entry over [{first}, {last}] outside the span "
+                            f"[{at}, {to}] of shape {sid}")
+
         for lineno, line in enumerate(fh, 4):
             step = parsed.get(line)
             if step is not None:
+                if opened:
+                    inside(step, lineno)
                 yield step
                 continue
             kind, _, rest = line.rstrip("\n").partition(" ")
@@ -352,6 +527,37 @@ def iter_trace_file(fh, on_annotation=None):
                         raise TraceParseError(
                             lineno, f"block swap over [{at}, {at + a + b - 1}]"
                                     f" outside [{lo}, {hi}]")
+                elif kind == "R":
+                    step = Replay(int(rest))
+                    if step.id not in spans:
+                        raise TraceParseError(
+                            lineno, f"replay of unknown shape {step.id}")
+                elif kind == "D":
+                    sid, at, to = map(int, rest.split())
+                    if sid in spans or any(o[0] == sid for o in opened):
+                        raise TraceParseError(
+                            lineno, f"shape {sid} is defined twice")
+                    outer = opened[-1][1:3] if opened else (lo, hi)
+                    if not outer[0] <= at <= to <= outer[1]:
+                        raise TraceParseError(
+                            lineno, f"shape span [{at}, {to}] outside "
+                                    f"[{outer[0]}, {outer[1]}]")
+                    opened.append((sid, at, to, len(scopes), lineno))
+                    yield Define(sid, at, to)
+                    continue
+                elif kind == "E":
+                    sid = int(rest)
+                    if not opened or opened[-1][0] != sid:
+                        raise TraceParseError(
+                            lineno, f"'E {sid}' does not close the innermost "
+                                    f"open shape")
+                    if len(scopes) != opened[-1][3]:
+                        raise TraceParseError(
+                            lineno, f"an annotation scope crosses the end of "
+                                    f"shape {sid}")
+                    spans[sid] = opened.pop()[1:3]
+                    yield End(sid)
+                    continue
                 else:
                     depth, _, label = rest.partition(" ")
                     depth = int(depth)
@@ -366,6 +572,10 @@ def iter_trace_file(fh, on_annotation=None):
                     elif not scopes or scopes[-1][:2] != (depth, label[4:]):
                         raise TraceParseError(lineno,
                                               "unbalanced annotation nesting")
+                    elif opened and len(scopes) == opened[-1][3]:
+                        raise TraceParseError(
+                            lineno, f"an annotation scope crosses the start "
+                                    f"of shape {opened[-1][0]}")
                     else:
                         scopes.pop()
                     if on_annotation is not None:
@@ -376,10 +586,15 @@ def iter_trace_file(fh, on_annotation=None):
             except ValueError:
                 raise TraceParseError(lineno,
                                       f"expected '{_LINE_SHAPES[kind]}'")
+            if opened:
+                inside(step, lineno)
             if len(parsed) >= _SINGLE_STEP_CAP:
                 parsed.clear()
             parsed[line] = step
             yield step
+        if opened:
+            raise TraceParseError(opened[-1][4],
+                                  f"shape {opened[-1][0]} is never closed")
         if scopes:
             depth, label, lineno = scopes[-1]
             raise TraceParseError(lineno,
@@ -407,10 +622,10 @@ def serialize_trace(tr: Trace) -> str:
     done = 0
     for at, depth, label in tr.annotations + ((len(tr.steps), 0, None),):
         for step in tr.steps[done:at]:
-            if isinstance(step, BlockSwap):
-                sink.on_transpositions(step)
-            else:
+            if step.__class__ is FlipStep:
                 sink.on_step(step)
+            else:
+                sink.on_transpositions(step)
         done = at
         if label is not None:
             sink.on_annotation(depth, label)
@@ -459,6 +674,11 @@ class TraceRecorder:
         self.step_count = 0
         self._min_dev2: Optional[int] = None  # doubled minimum deviation
         self._ann_stack = []
+        # Entries and reads must lie in [_lo, _hi]: the domain, or the span
+        # of the shape being recorded.
+        self._lo, self._hi = self.lo, self.hi
+        self._shapes = {}  # substep key -> the _Shapes recorded under it
+        self._shape_count = 0
 
     # -- state access ------------------------------------------------
 
@@ -475,9 +695,18 @@ class TraceRecorder:
         """Inclusive slice by positions; empty when lo > hi."""
         if lo > hi:
             return ()
-        if not (self.lo <= lo and hi <= self.hi):
-            raise RangeError(f"interval [{lo}, {hi}] outside [{self.lo}, {self.hi}]")
+        if not (self._lo <= lo and hi <= self._hi):
+            self._outside(lo, hi)
         return tuple(self._vals[lo - self.lo : hi - self.lo + 1])
+
+    def _outside(self, lo, hi):
+        """Refuse [lo, hi], which leaves the bounds: a RangeError when it
+        leaves the domain, else a ConstructionBug, since it leaves the span
+        of the shape being recorded."""
+        if lo < self.lo or hi > self.hi:
+            raise RangeError(f"interval [{lo}, {hi}] outside [{self.lo}, {self.hi}]")
+        self.bug(f"interval [{lo}, {hi}] outside the span [{self._lo}, "
+                 f"{self._hi}] of the shape being recorded")
 
     def to_trace(self) -> Trace:
         if not isinstance(self.sink, ListSink):
@@ -517,27 +746,31 @@ class TraceRecorder:
         apply them all and hand the sink the step itself.  The flips must
         be pairwise disjoint and come in order of c, as FlipStep holds
         them; a step that fails validation leaves the recorder untouched."""
-        lo, vals, t2 = self.lo, self._vals, 2 * self.window.t
+        base, vals, t2 = self.lo, self._vals, 2 * self.window.t
+        lo, hi = self._lo, self._hi
         flips = step.flips
         prev_d = lo - 1
         for f in flips:
             c, d = f.c, f.d
-            if not (lo <= c <= d <= self.hi):
-                self.bug(f"flip [{c}, {d}] out of bounds", (c, d))
+            if not (lo <= c <= d <= hi):
+                self.bug(f"flip [{c}, {d}] out of bounds"
+                         if c < base or d > self.hi else
+                         f"flip [{c}, {d}] outside the span [{lo}, {hi}] "
+                         f"of the shape being recorded", (c, d))
             if c <= prev_d:
                 self.bug(f"flip [{c}, {d}] overlaps or precedes the flip "
                          f"before it", (c, d))
             prev_d = d
             # The values stay injective, so a run is strictly increasing
             # exactly when it equals its sorted copy.
-            run = vals[c - lo : d - lo + 1]
+            run = vals[c - base : d - base + 1]
             if run != sorted(run):
                 self.bug(f"flip [{c}, {d}] is not an increasing run", (c, d))
             if abs(c + d) <= t2:
                 self.bug(f"flip [{c}, {d}] has midpoint inside the window",
                          (c, d))
         for f in flips:
-            i, j = f.c - lo, f.d - lo + 1
+            i, j = f.c - base, f.d - base + 1
             vals[i:j] = vals[i:j][::-1]
         self._track(step.min_dev2(self._centre2), len(flips), 1)
         self.sink.on_step(step)
@@ -558,14 +791,13 @@ class TraceRecorder:
             return
         if lhi + 1 != rlo:
             self.bug(f"blocks [{llo},{lhi}] and [{rlo},{rhi}] are not adjacent")
-        # values()'s domain check, left block first; adjacent to it, the
+        # values()'s bounds check, left block first; adjacent to it, the
         # right block can only run out past hi.
-        lo, hi = self.lo, self.hi
-        if llo < lo or lhi > hi:
-            raise RangeError(f"interval [{llo}, {lhi}] outside [{lo}, {hi}]")
-        if rhi > hi:
-            raise RangeError(f"interval [{rlo}, {rhi}] outside [{lo}, {hi}]")
-        vals = self._vals
+        if llo < self._lo or lhi > self._hi:
+            self._outside(llo, lhi)
+        if rhi > self._hi:
+            self._outside(rlo, rhi)
+        vals, lo = self._vals, self.lo
         i, j, k = llo - lo, rlo - lo, rhi - lo + 1
         lv, rv = vals[i:j], vals[j:k]
         if max(lv) >= min(rv):
@@ -625,6 +857,81 @@ class TraceRecorder:
                 tree[i] -= 1
                 i += i & -i
 
+    # -- sub-steps by reference ----------------------------------------------
+
+    def substep(self, key, lo: int, hi: int, run):
+        """The result of run(), a sub-step confined to positions [lo, hi],
+        with its entries recorded once per shape.
+
+        Every shape recorded under `key` is tried in turn: the span's
+        current values, read in the order that sorts the shape's starting
+        values, must be strictly increasing, and each must have the sign
+        its starting value had.  The first shape that passes is replayed:
+        its net permutation is applied to the span, its flips, steps and
+        least doubled deviation are counted, the sink is handed one
+        Replay, and its stored result is returned.  So `key` must name
+        everything besides the span's values on which run() depends, and
+        run() may depend on those values only through their order and
+        signs.  When no shape passes, run() runs in full between a Define
+        and an End, as a new shape; while it runs, a read or entry outside
+        [lo, hi] is a ConstructionBug.  Shapes live in this recorder
+        only."""
+        if not (self._lo <= lo <= hi <= self._hi):
+            self._outside(lo, hi)
+        vals = self._vals
+        i, j = lo - self.lo, hi - self.lo + 1
+        cur = vals[i:j]
+        key = (key, lo, hi)
+        for shape in self._shapes.get(key, ()):
+            seq = list(map(cur.__getitem__, shape.order))
+            if (seq == sorted(seq) and bisect_left(seq, 0) == shape.neg
+                    and bisect_right(seq, 0) == shape.nonpos):
+                vals[i:j] = map(cur.__getitem__, shape.perm)
+                if shape.flips:
+                    self._track(shape.dev2, shape.flips, shape.steps)
+                self.sink.on_transpositions(shape.replay)
+                return shape.result
+        sid = self._shape_count
+        self._shape_count += 1
+        outer = self._lo, self._hi
+        dev2, flips, steps = self._min_dev2, self.flip_count, self.step_count
+        self.sink.on_transpositions(Define(sid, lo, hi))
+        self._min_dev2 = None
+        self._lo, self._hi = lo, hi
+        try:
+            result = run()
+        finally:
+            self._lo, self._hi = outer
+        self.sink.on_transpositions(End(sid))
+        shape = _Shape(sid, cur, vals[i:j], self.flip_count - flips,
+                       self.step_count - steps, self._min_dev2, result)
+        if dev2 is not None and (shape.dev2 is None or dev2 < shape.dev2):
+            self._min_dev2 = dev2
+        self._shapes.setdefault(key, []).append(shape)
+        return result
+
+
+class _Shape:
+    """A recorded sub-step: how to recognise a span it applies to, what it
+    does to the span, and what it counts and returns."""
+
+    __slots__ = ("order", "neg", "nonpos", "perm", "flips", "steps", "dev2",
+                 "result", "replay")
+
+    def __init__(self, sid, start, end, flips, steps, dev2, result):
+        # The argsort of the starting values, and how many were < 0, <= 0.
+        self.order = sorted(range(len(start)), key=start.__getitem__)
+        ordered = sorted(start)
+        self.neg = bisect_left(ordered, 0)
+        self.nonpos = bisect_right(ordered, 0)
+        # Position p of the span ends holding the value that began at
+        # perm[p].
+        index = {v: p for p, v in enumerate(start)}
+        self.perm = [index[v] for v in end]
+        self.flips, self.steps, self.dev2 = flips, steps, dev2
+        self.result = result
+        self.replay = Replay(sid)
+
 
 # -- independent verification ------------------------------------------
 
@@ -650,23 +957,32 @@ class VerificationReport(Value):
         init_field(self, "first_violation", first_violation)
 
 
+def _kept(steps, kept):
+    """The steps, each also appended to kept."""
+    append = kept.append
+    for step in steps:
+        append(step)
+        yield step
+
+
 def verify_stream(initial: CentredSequence, window: Window,
                   steps: Iterable) -> VerificationReport:
-    """Replay FlipSteps and BlockSwaps from scratch and report what
-    actually holds.
+    """Replay FlipSteps, BlockSwaps and shape markers from scratch and
+    report what actually holds.
 
     A step's flips are checked in the order it holds them, which FlipStep
     keeps sorted by c; flips that overlap or come out of that order are
     reported as a violation.  Violations are reported, never raised.
 
     Each flip [c, d] gets one fast test: c lies after the previous flip
-    of its step, d inside the domain, the midpoint outside the window,
-    and the run increases.  For d = c + 1 the run test is one compare of
-    the two values, which are then swapped in place.  A flip that passes
-    is applied and its deviation taken.  A flip that fails is checked
-    again by the reporting code, which names each violation it has and
-    still applies it when it lies in the domain; out of the domain it
-    counts as a flip but not toward the minimum deviation.
+    of its step, d inside the bounds, the midpoint outside the window,
+    and the run increases.  The bounds are the domain, or inside a shape
+    its span.  For d = c + 1 the run test is one compare of the two
+    values, which are then swapped in place.  A flip that passes is
+    applied and its deviation taken.  A flip that fails is checked again
+    by the reporting code, which names each violation it has and still
+    applies it when it lies in the bounds; out of them it counts as a
+    flip but is not applied and not taken toward the minimum deviation.
 
     A step of one flip takes the same test on a direct path, with no
     per-flip loop: lo <= c (no previous flip), d <= hi, c + d outside
@@ -679,14 +995,15 @@ def verify_stream(initial: CentredSequence, window: Window,
     inside the domain can have, and reads INF if it is still there at
     the end.
 
-    Memory stays O(sequence length): one pass, one working copy of the
-    state.  Nothing is cached per step object, so a shared step is checked
-    afresh against the state at each place it occurs.
+    Memory stays O(sequence length) on a trace without shapes: one pass,
+    one working copy of the state.  Nothing is cached per step object, so
+    a shared step is checked afresh against the state at each place it
+    occurs.
 
     A BlockSwap counts as the a*b one-flip steps it stands for.  Its
     transpositions (p, p+1) have p in [at, last], at = step.lo and
-    last = at + a + b - 2, and domain and window are decided on these
-    integers first: the swap lies inside the domain, and it clears the
+    last = at + a + b - 2, and bounds and window are decided on these
+    integers first: the swap lies inside the bounds, and it clears the
     window when t = 0, at >= t or last < -t.  Then each block is sliced
     once, max(left) < min(right) tests that every left value lies below
     every right value, and right + left is spliced back.  The midpoint
@@ -695,25 +1012,50 @@ def verify_stream(initial: CentredSequence, window: Window,
     replayed one transposition at a time by the per-flip code, so the
     report, first violation included, is the one its one-flip steps give.
 
+    Shapes trust nothing of the recorder's: each is derived from the body
+    this pass has just verified.  A Define keeps the span's values and
+    narrows the bounds to its span, so a body entry outside it is
+    reported.  Its End stores the argsort of those starting values, the
+    net permutation of the span, the steps, flips and least doubled
+    deviation of the body, and the body's entries.  A Replay reads the
+    span's values in the stored argsort order; when they are strictly
+    increasing, the span is order-isomorphic to the shape's start, so
+    every move of the body gets the verdict it got there (see the module
+    docstring), and the shape is applied in O(span): the permutation and
+    the counts.  Otherwise the body's entries, Define and End dropped,
+    are verified in its place one at a time, so every report, first
+    violation included, is the one the expansion gives.  A Define that
+    reuses an id or leaves the bounds, an End that does not close the
+    innermost open shape, a Replay of a shape not closed before it, and
+    a shape never closed are reported with flip None.  No shape table
+    exists until the first Define, and a body's entries are kept only
+    while a shape is open, by a wrapper of the step iterator that is
+    dropped when the outermost shape closes.  The FlipStep path meets
+    one class test per step, as before shapes.
+
     A run is strictly increasing exactly when it equals its sorted copy,
     and two values are when the first is below the second:
     CentredSequence is injective and each flip only reverses a slice, so
     the working copy never holds two equal values.
     """
-    lo, hi = initial.lo, initial.hi
+    base, top = initial.lo, initial.hi  # the domain
+    lo, hi = base, top  # the bounds: the domain or the innermost shape's span
     vals = list(initial.values)
-    centre2 = lo + hi
+    centre2 = base + top
     near = (centre2 - 1) // 2  # the p whose 2p + 1 lies nearest centre2
     t = window.t
     t2 = 2 * t
     allowable = True
     all_valid = True
     first_violation = None
-    # Doubled, as in the recorder.  In the domain, dev2 <= hi - lo.
-    none_dev2 = hi - lo + 2
+    # Doubled, as in the recorder.  In the domain, dev2 <= top - base.
+    none_dev2 = top - base + 2
     min_dev2 = none_dev2
     steps_n = 0  # one-flip steps counted; steps_n - 1 indexes the current one
     flips_n = 0
+    shapes = None  # id -> (lo, hi, argsort, permutation, steps, flips,
+    #                       least dev2, body) of each closed shape
+    opened = None  # what each open shape's End needs, innermost last
 
     def violate(idx, flip, reason):
         nonlocal allowable, all_valid, first_violation
@@ -726,34 +1068,98 @@ def verify_stream(initial: CentredSequence, window: Window,
     while pending is not None:
         steps, pending = pending, None
         for step in steps:
-            if step.__class__ is BlockSwap:
-                at, a, b = step.lo, step.a, step.b
-                last = at + a + b - 2  # the last transposition's c
-                # A transposition (p, p+1) has its midpoint in [-t, t]
-                # exactly when -t <= p <= t-1, so [at, last] clears the
-                # window when t = 0 or it lies wholly on one side.
-                if (lo <= at and last < hi
-                        and (t == 0 or at >= t or last < -t)):
-                    i = at - lo
-                    j = i + a
-                    k = j + b
-                    left, right = vals[i:j], vals[j:k]
-                    if max(left) < min(right):
-                        vals[i:k] = right + left
-                        # the doubled midpoint 2p+1 nearest the doubled centre
-                        p = near
-                        if p < at:
-                            p = at
-                        elif p > last:
-                            p = last
-                        dev2 = abs(2 * p + 1 - centre2)
+            if step.__class__ is not FlipStep:
+                cls = step.__class__
+                if cls is BlockSwap:
+                    at, a, b = step.lo, step.a, step.b
+                    last = at + a + b - 2  # the last transposition's c
+                    # A transposition (p, p+1) has its midpoint in [-t, t]
+                    # exactly when -t <= p <= t-1, so [at, last] clears the
+                    # window when t = 0 or it lies wholly on one side.
+                    if (lo <= at and last < hi
+                            and (t == 0 or at >= t or last < -t)):
+                        i = at - base
+                        j = i + a
+                        k = j + b
+                        left, right = vals[i:j], vals[j:k]
+                        if max(left) < min(right):
+                            vals[i:k] = right + left
+                            # the doubled midpoint 2p+1 nearest the centre
+                            p = near
+                            if p < at:
+                                p = at
+                            elif p > last:
+                                p = last
+                            dev2 = abs(2 * p + 1 - centre2)
+                            if dev2 < min_dev2:
+                                min_dev2 = dev2
+                            steps_n += a * b
+                            flips_n += a * b
+                            continue
+                    pending = chain(expand_steps((step,)), steps)
+                    break
+                if cls is Replay:
+                    shape = shapes.get(step.id) if shapes else None
+                    if shape is None:
+                        violate(steps_n, None,
+                                f"replay of unknown shape {step.id}")
+                        continue
+                    slo, shi, order, perm, s_n, f_n, dev2, body = shape
+                    i, j = slo - base, shi - base + 1
+                    cur = vals[i:j]
+                    seq = list(map(cur.__getitem__, order))
+                    if lo <= slo and shi <= hi and seq == sorted(seq):
+                        vals[i:j] = map(cur.__getitem__, perm)
+                        steps_n += s_n
+                        flips_n += f_n
                         if dev2 < min_dev2:
                             min_dev2 = dev2
-                        steps_n += a * b
-                        flips_n += a * b
                         continue
-                pending = chain(expand_steps((step,)), steps)
-                break
+                    pending = chain((s for s in body if s.__class__ is not
+                                     Define and s.__class__ is not End),
+                                    steps)
+                    break
+                if cls is Define:
+                    if shapes is None:
+                        shapes, opened = {}, []
+                    sid, slo, shi = step.id, step.lo, step.hi
+                    if sid in shapes or any(o[0] == sid for o in opened):
+                        violate(steps_n, None, f"shape {sid} is defined twice")
+                    if not lo <= slo <= shi <= hi:
+                        violate(steps_n, None, f"shape span [{slo}, {shi}] "
+                                               f"outside [{lo}, {hi}]")
+                        slo, shi = max(slo, lo), min(shi, hi)
+                    if not opened:
+                        kept = []
+                    opened.append((sid, vals[slo - base:shi - base + 1],
+                                   steps_n, flips_n, min_dev2, lo, hi,
+                                   len(kept)))
+                    lo, hi, min_dev2 = slo, shi, none_dev2
+                    if len(opened) == 1:
+                        outside = steps  # resumed when the shape closes
+                        pending = _kept(steps, kept)
+                        break
+                    continue
+                if cls is End:
+                    if not opened or opened[-1][0] != step.id:
+                        violate(steps_n, None, f"shape {step.id} ends but is "
+                                               f"not the innermost open one")
+                        if not opened:
+                            continue
+                    sid, start, s0, f0, m0, olo, ohi, at = opened.pop()
+                    index = {v: p for p, v in enumerate(start)}
+                    order = sorted(range(len(start)), key=start.__getitem__)
+                    shapes[sid] = (
+                        lo, hi, order,
+                        [index[v] for v in vals[lo - base:hi - base + 1]],
+                        steps_n - s0, flips_n - f0, min_dev2, kept[at:-1])
+                    lo, hi = olo, ohi
+                    if m0 < min_dev2:
+                        min_dev2 = m0
+                    if not opened:
+                        pending = outside
+                        break
+                    continue
             flips = step.flips
             if len(flips) == 1:
                 f = flips[0]
@@ -761,14 +1167,14 @@ def verify_stream(initial: CentredSequence, window: Window,
                 d = f.d
                 s = c + d
                 if lo <= c and d <= hi and (s > t2 or s < -t2):
-                    i = c - lo
+                    i = c - base
                     if d == c + 1:
                         x, y = vals[i], vals[i + 1]
                         ok = x < y
                         if ok:
                             vals[i], vals[i + 1] = y, x
                     else:
-                        j = d - lo + 1
+                        j = d - base + 1
                         run = vals[i:j]
                         ok = run == sorted(run)
                         if ok:
@@ -786,7 +1192,7 @@ def verify_stream(initial: CentredSequence, window: Window,
             prev_d = lo - 1
             for f in flips:
                 c, d = f.c, f.d
-                i, j = c - lo, d - lo + 1
+                i, j = c - base, d - base + 1
                 if prev_d < c <= d <= hi and abs(c + d) > t2:
                     if d == c + 1:
                         x, y = vals[i], vals[i + 1]
@@ -808,7 +1214,9 @@ def verify_stream(initial: CentredSequence, window: Window,
                 # The flip fails a test above: check it again, reporting
                 # every violation it has.
                 if not (lo <= c <= d <= hi):
-                    violate(steps_n - 1, (c, d), "out of bounds")
+                    violate(steps_n - 1, (c, d),
+                            "out of bounds" if c < base or d > top
+                            else "outside the span of its shape")
                     continue
                 if c <= prev_d:
                     violate(steps_n - 1, (c, d),
@@ -828,6 +1236,8 @@ def verify_stream(initial: CentredSequence, window: Window,
                 run.reverse()
                 vals[i:j] = run
 
+    if opened:
+        violate(steps_n, None, f"shape {opened[-1][0]} is never closed")
     vals.reverse()
     return VerificationReport(
         allowable, all_valid and allowable, tuple(vals) == initial.values,
@@ -841,11 +1251,13 @@ def verify_trace(tr: Trace) -> VerificationReport:
 
 
 def min_deviation(tr: Trace) -> Fraction:
-    """Minimum |flip midpoint - domain centre| over all flips of a Trace."""
-    if not tr.steps:
-        raise ContractError("trace has no flips")
+    """Minimum |flip midpoint - domain centre| over all flips of a Trace,
+    replays unfolded."""
     centre2 = tr.initial.lo + tr.initial.hi
-    return Fraction(min(s.min_dev2(centre2) for s in tr.steps), 2)
+    dev2 = min((s.min_dev2(centre2) for s in _unfold(tr.steps)), default=None)
+    if dev2 is None:
+        raise ContractError("trace has no flips")
+    return Fraction(dev2, 2)
 
 
 def flip_imbalance(n: int, f: Flip) -> int:

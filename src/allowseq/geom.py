@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm, log10
 from typing import Iterable
 
-from .engine import (BlockSwap, FlipStep, Trace, expand_steps,
+from .engine import (FlipStep, Trace, expand_steps, expanded_length,
                      flip_imbalance, single_step)
 from .errors import ContractError, RefusalError
 from .seqcore import CentredSequence, Flip, Value, Window, init_field
@@ -376,17 +376,18 @@ _RENDER_POINT_CAP = 10**6
 
 def render_trace_svg(tr: Trace) -> str:
     """Wiring-diagram rendering: one polyline per element, x = step index,
-    y = position; the window band is shaded.  A block swap takes one x
-    step per transposition, as in trace format v1.
+    y = position; the window band is shaded.  The trace is drawn as
+    expand_steps gives it: a replayed sub-step takes the x steps of its
+    body, and a block swap one x step per transposition, as in trace
+    format v1.
 
-    Each element gets a point per step and one to start, counted before
-    anything is expanded; a trace needing more than _RENDER_POINT_CAP
-    raises RefusalError."""
+    Each element gets a point per expanded step and one to start, counted
+    by expanded_length before anything is expanded; a trace needing more
+    than _RENDER_POINT_CAP raises RefusalError."""
     lo, hi = tr.initial.lo, tr.initial.hi
     n = hi - lo + 1
     t = tr.window.t
-    count = sum(s.a * s.b if isinstance(s, BlockSwap) else 1
-                for s in tr.steps)
+    count = expanded_length(tr.steps)
     if n * (count + 1) > _RENDER_POINT_CAP:
         raise RefusalError(f"rendering {n} elements over {count} steps needs "
                            f"{n * (count + 1)} points, more than "

@@ -9,8 +9,9 @@ From the engine they take only its value types and its writer: witness
 steps are `FlipStep`s (one-flip ones from `single_step`), and
 `SearchResult.to_text` prints them through `FileSink`.
 
-`allowability_bruteforce` takes a `BlockSwap` as its a*b transpositions
-in canonical order, one transition each.  A multi-mode witness groups the
+`allowability_bruteforce` reads steps through `expand_steps`, so it
+takes a `BlockSwap` as its a*b transpositions in canonical order, one
+transition each, and a replayed sub-step as its body.  A multi-mode witness groups the
 single-mode flips in order, a flip starting a new step exactly when it
 overlaps a flip already in the current one, so each step is maximal.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .engine import INF, BlockSwap, FileSink, FlipStep, single_step
+from .engine import INF, FileSink, FlipStep, expand_steps, single_step
 from .errors import ContractError, RefusalError
 from .seqcore import Block, CentredSequence, Flip
 
@@ -67,38 +68,36 @@ def allowability_bruteforce(steps: Iterable, initial: CentredSequence) -> bool:
     transition against the state before it, keeping only those two
     states: the changed cells must decompose into disjoint reversed runs
     that were increasing beforehand.  Declared flip lists are never
-    trusted for the check itself.  A BlockSwap is its transpositions,
-    each its own transition, in canonical order.
+    trusted for the check itself.  The steps are read through
+    expand_steps: a replayed sub-step is its body, and a BlockSwap is its
+    transpositions, each its own transition, in canonical order.
     """
     lo = initial.lo
     old = list(initial.values)
     n = len(old)
-    for step in steps:
-        transitions = ([(Flip(c, d),) for c, d in step]
-                       if isinstance(step, BlockSwap) else [step.flips])
-        for flips in transitions:
-            new = list(old)
-            for f in flips:
-                i, j = f.c - lo, f.d - lo + 1
-                if i < 0 or j > n:
-                    return False
-                new[i:j] = new[i:j][::-1]
-            pos_of = {v: i for i, v in enumerate(old)}
-            i = 0
-            while i < n:
-                if old[i] == new[i]:
-                    i += 1
-                    continue
-                j = pos_of[new[i]]
-                if j <= i:
-                    return False
-                seg_old = old[i : j + 1]
-                if seg_old != new[i : j + 1][::-1]:
-                    return False
-                if any(a >= b for a, b in zip(seg_old, seg_old[1:])):
-                    return False
-                i = j + 1
-            old = new
+    for step in expand_steps(steps):
+        new = list(old)
+        for f in step.flips:
+            i, j = f.c - lo, f.d - lo + 1
+            if i < 0 or j > n:
+                return False
+            new[i:j] = new[i:j][::-1]
+        pos_of = {v: i for i, v in enumerate(old)}
+        i = 0
+        while i < n:
+            if old[i] == new[i]:
+                i += 1
+                continue
+            j = pos_of[new[i]]
+            if j <= i:
+                return False
+            seg_old = old[i : j + 1]
+            if seg_old != new[i : j + 1][::-1]:
+                return False
+            if any(a >= b for a, b in zip(seg_old, seg_old[1:])):
+                return False
+            i = j + 1
+        old = new
     return True
 
 

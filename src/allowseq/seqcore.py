@@ -15,7 +15,9 @@ here; steps, traces and reports in `engine`, `geom`, `construction` and
 `planner`) is a `Value`: a slotted, immutable class whose fields are its
 `__slots__`.  `Value` derives equality, hashing and the repr from the
 fields once, so a value type writes only its constructor and, unlike a
-dataclass, generates and compiles no code when its module is imported.
+dataclass, generates and compiles no code when its module is imported:
+a class's equality and hash are compiled at the first comparison or
+hash of one of its values.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ class Value:
     an attribute raises AttributeError, so a value can be shared freely.
     A subclass that caches a `functools.cached_property` adds "__dict__"
     to its slots; the cache is not a field.
+
+    Equality and hash compare the key of a value: its one field, or the
+    tuple of its fields when there are several.  The first call of
+    either on a class compiles both for it from its field names, as a
+    dataclass's are, so that later calls read the fields inline.
     """
 
     __slots__ = ()
@@ -49,17 +56,29 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
-        # The fields of a value, as a tuple when there are several.
-        cls._key = operator.attrgetter(*cls._fields)
+
+    @classmethod
+    def _compile(cls):
+        """Give the class the `__eq__` and `__hash__` of its key."""
+        def key(name):
+            return ", ".join(f"{name}.{f}" for f in cls._fields) + (
+                "" if len(cls._fields) == 1 else ",")
+        ns = {}
+        exec(f"def __eq__(self, other):\n"
+             f"    if other.__class__ is self.__class__:\n"
+             f"        return ({key('self')}) == ({key('other')})\n"
+             f"    return NotImplemented\n"
+             f"def __hash__(self):\n"
+             f"    return hash(({key('self')}))\n", ns)
+        cls.__eq__, cls.__hash__ = ns["__eq__"], ns["__hash__"]
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            key = self._key
-            return key(self) == key(other)
-        return NotImplemented
+        self._compile()
+        return self.__eq__(other)
 
     def __hash__(self):
-        return hash(self._key(self))
+        self._compile()
+        return self.__hash__()
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -230,13 +249,15 @@ class BalanceReport(Value):
         init_field(self, "least_ratio", least_ratio)
 
 
-def is_r_balanced(b: Block, r) -> BalanceReport:
+def is_r_balanced(b: Block, r, piles: Optional[list] = None) -> BalanceReport:
     """Check that the negative part is increasing and that every prefix B'
     has at least r * width(B'+) negative entries.  Exact rationals.
 
     The least prefix ratio is kept as the pair (negatives, width) and
     compared by cross-multiplying.  Only a positive value can lower the
-    ratio, so only those prefixes are compared."""
+    ratio, so only those prefixes are compared.  `piles`, when given, is
+    `_piles` of b's positive values, which a caller that also needs
+    width(B+) has already built."""
     r = Fraction(r)
     if r < 0:
         raise ContractError("r must be >= 0")
@@ -245,7 +266,9 @@ def is_r_balanced(b: Block, r) -> BalanceReport:
     num, den = r.as_integer_ratio()
     neg_count = 0
     last_neg = None
-    piles = iter(_piles([v for v in b if v > 0]))
+    if piles is None:
+        piles = _piles([v for v in b if v > 0])
+    piles = iter(piles)
     wplus = 0  # the pile count of the positive values so far
     least_neg, least_w = 0, 0  # the least ratio so far; least_w = 0: none
 

@@ -133,11 +133,48 @@ def bubble_pairs(lo, a, b):
             for p in range(lo + a + j - 1, lo + j - 1, -1)]
 
 
-def as_v1(text):
-    """A trace file's text as format v1 holds it: the magic line says
-    v1 and each `B` line becomes its a*b `F` lines."""
+def as_v2(text):
+    """A trace file's text as format v2 holds it: the magic line says v2,
+    each `R` line becomes the body of its shape, every `R` in it expanded
+    in turn and its annotation depths shifted by the scopes open at the
+    `R` less those open at the `D`, and `D` and `E` lines are dropped.
+    Written apart from the engine's reader, from the format section."""
     lines = text.splitlines(keepends=True)
-    assert lines[0] == "ALLOWSEQ v2\n"
+    assert lines[0] in ("ALLOWSEQ v2\n", "ALLOWSEQ v3\n")
+    bodies = {}  # id -> (its body lines, scopes open at its D)
+    opened = []  # (id, index of its D line, scopes open there)
+    depth = 0
+    for i, line in enumerate(lines[3:], 3):
+        kind, *rest = line.split()
+        if kind == "#":
+            depth = int(rest[0]) - (rest[1] == "end")
+        elif kind == "D":
+            opened.append((rest[0], i, depth))
+        elif kind == "E":
+            sid, at, at_depth = opened.pop()
+            assert sid == rest[0]
+            bodies[sid] = (lines[at + 1:i], at_depth)
+    assert not opened
+
+    def expand(body, depth, shift):
+        for line in body:
+            kind, *rest = line.split()
+            if kind == "#":
+                depth = int(rest[0]) - (rest[1] == "end")
+                yield f"# {int(rest[0]) + shift} {line.split(' ', 2)[2]}"
+            elif kind == "R":
+                inner, at_depth = bodies[rest[0]]
+                yield from expand(inner, at_depth, shift + depth - at_depth)
+            elif kind not in ("D", "E"):
+                yield line
+
+    return "".join(["ALLOWSEQ v2\n", *lines[1:3], *expand(lines[3:], 0, 0)])
+
+
+def as_v1(text):
+    """A trace file's text as format v1 holds it: as_v2, then the magic
+    line says v1 and each `B` line becomes its a*b `F` lines."""
+    lines = as_v2(text).splitlines(keepends=True)
     out = ["ALLOWSEQ v1\n"] + lines[1:3]
     for line in lines[3:]:
         if line.startswith("B "):

@@ -173,14 +173,16 @@ def test_b_line_needs_format_v2():
 
 
 def test_b_lines_round_trip():
-    text = HEADER + "# 1 begin swap\nB 1 1 2\n# 1 end swap\nF 2 3\n"
+    # The writer writes format v3, which holds `B` lines as v2 does.
+    v3 = HEADER.replace("v2", "v3")
+    text = v3 + "# 1 begin swap\nB 1 1 2\n# 1 end swap\nF 2 3\n"
     tr = parse_trace(text)
     assert tr.steps == (BlockSwap(1, 1, 2), single_step(2, 3))
     assert tr.annotations == ((0, 1, "begin swap"), (1, 1, "end swap"))
     assert serialize_trace(tr) == text
     v1 = parse_trace(as_v1(text))
-    assert serialize_trace(v1) == HEADER + ("# 1 begin swap\nF 1 2\nF 2 3\n"
-                                            "# 1 end swap\nF 2 3\n")
+    assert serialize_trace(v1) == v3 + ("# 1 begin swap\nF 1 2\nF 2 3\n"
+                                        "# 1 end swap\nF 2 3\n")
     assert verify_trace(tr) == verify_trace(v1)
 
 

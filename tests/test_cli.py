@@ -380,6 +380,23 @@ def test_failed_construct_leaves_no_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_refused_construct_keeps_an_existing_file(tmp_path, capsys):
+    # The cell guards run before the file is opened, and a run removes
+    # only a file it wrote.
+    out = tmp_path / "existing.trace"
+    for argv in (("--stage", "shift", "--t", "1"),
+                 ("--stage", "step", "--t", "1", "--d", "81", "--k", "1")):
+        out.write_bytes(b"kept\n")
+        assert run_cli("construct", *argv, "--max-cells", "5",
+                       "--out", str(out)) == 3
+        assert out.read_bytes() == b"kept\n"
+    # The balance gate's structured failure comes before any cell too.
+    assert run_cli("construct", "--stage", "full", "--t", "0", "--d", "9",
+                   "--k", "1", "--out", str(out)) == 1
+    assert out.read_bytes() == b"kept\n"
+    capsys.readouterr()
+
+
 class WithholdingSink(FileSink):
     """Writes every step but the trace's last: each waits for the next."""
 

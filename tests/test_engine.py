@@ -521,8 +521,68 @@ def one_flip_outcome(state, lo, hi, t2, c, d):
     return "adjacent" if d == c + 1 else "longer run"
 
 
+def _extent(step):
+    pairs = (list(step) if isinstance(step, BlockSwap)
+             else [(f.c, f.d) for f in step.flips])
+    return min(c for c, _ in pairs), max(d for _, d in pairs)
+
+
+def _apply(state, lo, step):
+    pairs = (list(step) if isinstance(step, BlockSwap)
+             else [(f.c, f.d) for f in step.flips])
+    for c, d in pairs:
+        if lo <= c <= d <= lo + len(state) - 1:
+            state[c - lo:d - lo + 1] = state[c - lo:d - lo + 1][::-1]
+
+
+def _argsort(vals):
+    return sorted(range(len(vals)), key=vals.__getitem__)
+
+
+def with_shapes(rng, initial, steps):
+    """The steps with some short runs of them written as shapes: a run
+    whose moves lie in one span inside the domain becomes Define, the
+    run and End, and Replays of its shape follow at random places.
+    Returns the marked entries, their expansion, and for each replay
+    whether its span held the order of the shape's start ("valid
+    replay") or not ("broken replay")."""
+    lo, hi = initial.lo, initial.hi
+    state = list(initial.values)
+    marked, expanded, kinds = [], [], []
+    shapes = []  # (id, lo, hi, body, argsort of the starting values)
+    i = 0
+    while i < len(steps):
+        r = rng.random()
+        if shapes and r < 0.3 and len(kinds) < 8:
+            sid, a, b, body, order = rng.choice(shapes)
+            kinds.append("valid replay"
+                         if _argsort(state[a - lo:b - lo + 1]) == order
+                         else "broken replay")
+            marked.append(engine.Replay(sid))
+            for step in body:
+                expanded.append(step)
+                _apply(state, lo, step)
+            continue
+        run = steps[i:i + rng.randint(1, 3)]
+        a = min(_extent(step)[0] for step in run)
+        b = max(_extent(step)[1] for step in run)
+        if r < 0.6 and lo <= a and b <= hi:
+            sid = len(shapes)
+            shapes.append((sid, a, b, run, _argsort(state[a - lo:b - lo + 1])))
+            marked += [engine.Define(sid, a, b), *run, engine.End(sid)]
+        else:
+            run = run[:1]
+            marked += run
+        for step in run:
+            expanded.append(step)
+            _apply(state, lo, step)
+        i += len(run)
+    return marked, expanded, kinds
+
+
 def test_verifier_matches_per_flip_reference():
     rng = random.Random(20)
+    shape_rng = random.Random(21)
     seen = set()
     one_flip = {}
     for _ in range(3000):
@@ -532,6 +592,11 @@ def test_verifier_matches_per_flip_reference():
         assert rep == reference_verify(initial, window, steps)
         seen.add(rep.first_violation and rep.first_violation[2])
         seen.update(type(step).__name__ for step in steps)
+        # The same steps with shapes: the report is the expansion's.
+        marked, expanded, kinds = with_shapes(shape_rng, initial, steps)
+        assert verify_stream(initial, window, marked) == \
+            reference_verify(initial, window, expanded)
+        seen.update(kinds)
         # Tally the one-flip steps by the state each one meets.
         lo, hi = initial.lo, initial.hi
         state = list(initial.values)
@@ -547,7 +612,8 @@ def test_verifier_matches_per_flip_reference():
                     state[c - lo:d - lo + 1] = state[c - lo:d - lo + 1][::-1]
     assert seen == {None, "out of bounds", "overlapping flips in one step",
                     "run not strictly increasing", "midpoint inside window",
-                    "FlipStep", "BlockSwap", "LooseStep"}
+                    "FlipStep", "BlockSwap", "LooseStep", "valid replay",
+                    "broken replay"}
     assert set(one_flip) == {"adjacent", "longer run", "one value",
                              "below lo", "above hi", "midpoint inside window",
                              "run not increasing"}

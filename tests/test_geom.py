@@ -21,7 +21,7 @@ from allowseq.geom import (HalfPeriod, LineRecord, PointSet, SwapEvent,
                            render_trace_svg)
 from allowseq.seqcore import Flip, identity_sequence
 from allowseq.engine import TraceRecorder, Window
-from conftest import five_element_steps
+from conftest import as_v2, five_element_steps
 
 
 def cubic_line_imbalances(ps):
@@ -447,9 +447,10 @@ def test_one_pair_events_share_one_flip_steps(monkeypatch):
     assert one_pair >= 40 * 39 // 2 + 150 * 149 // 2
 
 
-# sha256 prefixes of serialize_trace(circular_sequence(ps).to_trace()) for
-# the 150-point and the lattice set of workload_point_sets(seed), as the
-# trace was first written through a TraceRecorder replay.
+# sha256 prefixes of serialize_trace(circular_sequence(ps).to_trace()),
+# read as format v2 (conftest.as_v2), for the 150-point and the lattice
+# set of workload_point_sets(seed), as the trace was first written
+# through a TraceRecorder replay.
 TO_TRACE_DIGESTS = {
     1: ("d7d8766b11b5297b", "fe377ae5bfd51b36"),
     2: ("acbc4f49a2da9bf6", "e4498faef2bfd836"),
@@ -466,7 +467,7 @@ def test_to_trace_output_is_pinned(seed):
         assert len(tr.steps) == len(hp.events)
         assert all(step is ev.step for step, ev in zip(tr.steps, hp.events))
         digests.append(hashlib.sha256(
-            engine.serialize_trace(tr).encode()).hexdigest()[:16])
+            as_v2(engine.serialize_trace(tr)).encode()).hexdigest()[:16])
     assert tuple(digests) == TO_TRACE_DIGESTS[seed]
 
 

@@ -16,7 +16,8 @@ import pytest
 import allowseq
 from allowseq.construction import (Certificate, ConstructionFailure,
                                    Decomposition, StepLayout, StepOutcome)
-from allowseq.engine import BlockSwap, FlipStep, Trace, VerificationReport
+from allowseq.engine import (BlockSwap, Define, End, FlipStep, Replay, Trace,
+                             VerificationReport)
 from allowseq.errors import ContractError
 from allowseq.geom import HalfPeriod, LineRecord, PointSet, SwapEvent
 from allowseq.planner import RecurrenceTable, plan_sizes
@@ -43,6 +44,9 @@ SAMPLES = [
     (FlipStep, ([Flip(4, 5), Flip(1, 2)],),
      "FlipStep(flips=(Flip(c=1, d=2), Flip(c=4, d=5)))"),
     (BlockSwap, (3, 2, 1), "BlockSwap(lo=3, a=2, b=1)"),
+    (Define, (0, -2, 5), "Define(id=0, lo=-2, hi=5)"),
+    (End, (0,), "End(id=0)"),
+    (Replay, (0,), "Replay(id=0)"),
     (Trace, (Window(0), CentredSequence(1, (1, 2)),
              (_step, BlockSwap(1, 1, 1)), ((1, 1, "begin a"),)),
      "Trace(window=Window(t=0), initial=CentredSequence(lo=1, "
@@ -191,4 +195,4 @@ def test_no_dataclass_but_search_result():
     found = {cls.__qualname__ for cls in _classes()
              if dataclasses.is_dataclass(cls)}
     assert found == {"SearchResult"}
-    assert len(_value_types()) == 19
+    assert len(_value_types()) == 22
