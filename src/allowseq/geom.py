@@ -7,7 +7,10 @@ coordinate order and every orientation sign, so both compute on integers.
 The sweep sorts all pairs once, by the integer key floor(dy * S^2 / dx)
 of the slope dy / dx of each pair, where S is the x span of the points:
 two distinct slopes with denominators at most S differ by at least
-1/S^2, so the key is exact, and it needs no gcd.
+1/S^2, so the key is exact, and it needs no gcd.  It sorts the indices
+of two flat lists of ints, keys and pairs, by key, building no tuple the
+garbage collector would track; the sort is stable, so a key's pairs keep
+their ascending order, as a sort of (key, pair) tuples leaves them.
 
 Rotating the projection direction through a half turn sweeps out an
 allowable sequence of permutations, the circular sequence of Goodman and
@@ -75,13 +78,20 @@ class LineRecord(Value):
     __slots__ = ("labels", "left_count", "right_count")
 
     def __init__(self, labels: tuple, left_count: int, right_count: int):
-        init_field(self, "labels", labels)
-        init_field(self, "left_count", left_count)
-        init_field(self, "right_count", right_count)
+        _set_labels(self, labels)
+        _set_left_count(self, left_count)
+        _set_right_count(self, right_count)
 
     @property
     def imbalance(self) -> int:
         return abs(self.left_count - self.right_count)
+
+
+# Built once per pair of points, LineRecord and SwapEvent set their fields
+# with their slots' setters (see Value).
+_set_labels, _set_left_count, _set_right_count = (
+    LineRecord.labels.__set__, LineRecord.left_count.__set__,
+    LineRecord.right_count.__set__)
 
 
 class SwapEvent(Value):
@@ -91,8 +101,11 @@ class SwapEvent(Value):
     __slots__ = ("step", "groups")
 
     def __init__(self, step: FlipStep, groups: tuple):
-        init_field(self, "step", step)
-        init_field(self, "groups", groups)
+        _set_step(self, step)
+        _set_groups(self, groups)
+
+
+_set_step, _set_groups = SwapEvent.step.__set__, SwapEvent.groups.__set__
 
 
 class HalfPeriod(Value):
@@ -119,7 +132,7 @@ class HalfPeriod(Value):
         - bounds, 1 <= c <= d <= n: positions are read off the live
           permutation of 1..n, and a group must be contiguous in it;
         - an increasing run: position[b] == c + 1 with a < b on the
-          one-pair path, run == sorted(run) on the group path;
+          one-pair path, run == the group's sorted labels on the group path;
         - a midpoint outside Window(0): a flip has c >= 1 and d >= c + 1,
           so c + d >= 3;
         - disjoint flips: FlipStep refuses overlapping ones.
@@ -149,28 +162,31 @@ def _integer_points(ps: PointSet) -> list:
              y.numerator * (scale // y.denominator)) for x, y in ps.points]
 
 
-# The key of the direction (-1, 0), which fires after every slope.
-_VERTICAL = float("inf")
+# The key of the direction (-1, 0), whose pairs fire after every slope.
+# The sweep only tests keys for equality, so it need not be ordered.
+_VERTICAL = "vertical"
 
 
-def _sweep_order(ipts: list) -> list:
+def _sweep_order(ipts: list) -> tuple:
     """The pairs a < b of labels of the integer points ipts, in (x, y)
-    order, as the sorted list of (slope key, a * (n + 1) + b), vertical
-    pairs last: the firing order of `circular_sequence`."""
+    order, in the firing order of `circular_sequence`, as two lists: their
+    slope keys, _VERTICAL for the vertical pairs, which come last, and
+    their codes a * (n + 1) + b, in the order of sorted (key, code) pairs."""
     n = len(ipts)
     m = n + 1
     s2 = (ipts[-1][0] - ipts[0][0]) ** 2
-    order, vertical = [], []
+    keys, codes, vertical = [], [], []
     for a in range(1, n):
         px, py = ipts[a - 1]
         b = a + 1
         while b <= n and ipts[b - 1][0] == px:
-            vertical.append((_VERTICAL, a * m + b))
+            vertical.append(a * m + b)
             b += 1
-        order += [((qy - py) * s2 // (qx - px), a * m + k)
-                  for k, (qx, qy) in enumerate(ipts[b - 1:], b)]
-    order.sort()
-    return order + vertical
+        keys += [(qy - py) * s2 // (qx - px) for qx, qy in ipts[b - 1:]]
+        codes += range(a * m + b, a * m + m)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return ([keys[i] for i in order] + [_VERTICAL] * len(vertical),
+            [codes[i] for i in order] + vertical)
 
 
 def circular_sequence(ps: PointSet) -> HalfPeriod:
@@ -179,13 +195,15 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     projection ties by the lexicographic (x, y) perturbation.
 
     The pair of points p < q fires at the normal of q - p.  `_sweep_order`
-    sorts the pairs with px < qx by the key floor((qy - py) * S^2 /
+    orders the pairs with px < qx by the key floor((qy - py) * S^2 /
     (qx - px)) of their slope, S the x span, and puts the vertical pairs
     last.  Distinct slopes with denominators up to S differ by at least
     1/S^2, so their keys differ, in the same order; equal slopes have
-    equal keys.  A run of equal keys is one direction (x, y).  All points
-    on one line have the same offset x*px + y*py, so the pairs of a run
-    group into its parallel lines by offset.
+    equal keys.  The codes are generated in ascending order and the sort
+    of their indices by key is stable, so a key keeps its codes ascending.
+    A run of equal keys is one direction (x, y).  All points on one line
+    have the same offset x*px + y*py, so the pairs of a run group into its
+    parallel lines by offset.
 
     In general position every key holds a single pair (a, b), and that
     event takes a direct path: it requires position[b] to follow
@@ -193,20 +211,30 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
     swaps the two in place.  It accepts exactly what the group path
     accepts for a group of two: pairs are generated with a < b, so a
     contiguous {a, b} is label-increasing exactly when b follows a.
-    Runs of several pairs take the group path."""
+
+    Runs of several pairs take the group path.  A line's codes ascend, so
+    its first pairs are (a, b) for its least label a and each other label
+    b, ascending, and it is contiguous and label-increasing exactly when
+    the positions from position[a] on hold those labels in order.  Only a
+    misordered sweep has a later pair naming a label new to the line; the
+    line is then the sorted union of its pairs' labels."""
     n = len(ps)
     if n < 1:
         raise ContractError("need at least one point")
     ipts = sorted(_integer_points(ps))
     m = n + 1
-    order = _sweep_order(ipts) + [(None, 0)]  # the sentinel ends the last run
+    keys, codes = _sweep_order(ipts)
+    # The sentinel ends the last run.  It must differ from every key, 0
+    # and _VERTICAL too; False would not, as 0 == False.
+    keys.append(None)
     # The shared one-flip steps, fetched once per sweep, not once per pair.
     adjacent = [None] + [single_step(c, c + 1) for c in range(1, n)]
     perm = list(range(1, n + 1))
     position = [0] + perm                     # label -> position
+    member = [None] * m                       # label -> the last line given it
     result = []
     pending = []                              # the codes of the open run
-    for (key, code), (next_key, _) in zip(order, order[1:]):
+    for key, next_key, code in zip(keys, keys[1:], codes):
         if key != next_key and not pending:
             a, b = divmod(code, m)
             c = position[a]
@@ -224,22 +252,30 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
         # collinear group.
         a, b = divmod(pending[0], m)
         vx, vy = _event_vector(ipts[a - 1], ipts[b - 1])
-        lines = {}
+        lines = {}                            # offset -> labels, ascending
         for code in pending:
             a, b = divmod(code, m)
             px, py = ipts[a - 1]
-            lines.setdefault(vx * px + vy * py, set()).update((a, b))
+            offset = vx * px + vy * py
+            line = lines.get(offset)
+            if line is None:
+                lines[offset] = line = member[a] = [a]
+            if a == line[0]:
+                line.append(b)
+                member[b] = line
+            elif member[a] is not line or member[b] is not line:
+                line[:] = sorted({*line, a, b})  # a misordered sweep
         pending = []
         runs = []
         for labs in lines.values():
-            c = min(position[lab] for lab in labs)
+            c = position[labs[0]]
             run = perm[c - 1:c - 1 + len(labs)]
-            if labs.difference(run):
-                raise ContractError("collinear group is not contiguous; "
-                                    "geometry violated")
-            if run != sorted(run):
-                raise ContractError("swap group is not label-increasing; "
-                                    "geometry violated")
+            if run != labs:
+                c = min(position[lab] for lab in labs)
+                raise ContractError(
+                    "swap group is not label-increasing; geometry violated"
+                    if sorted(perm[c - 1:c - 1 + len(labs)]) == labs else
+                    "collinear group is not contiguous; geometry violated")
             runs.append((c, run))
         runs.sort()
         result.append(SwapEvent(
@@ -256,14 +292,21 @@ def circular_sequence(ps: PointSet) -> HalfPeriod:
 
 
 def _fired_lines(hp: HalfPeriod, ipts: list):
-    """Yield (flip, storage indices of the line's points, ascending) for
-    every line of the half period hp of the integer points ipts, each
-    once, in rotation order."""
-    # Labels are ranks in (x, y) order; order[k - 1] stores label k.
-    order = sorted(range(len(ipts)), key=ipts.__getitem__)
+    """Yield (flip, labels of the line's points, ascending) for every line
+    of the half period hp of the integer points ipts, each once, in
+    rotation order.  These are the 1-based storage labels of LineRecord,
+    not the sweep's labels."""
+    # The sweep's labels are ranks in (x, y) order; stored[k] is the
+    # storage label of sweep label k.
+    stored = [0] + [k + 1 for k in sorted(range(len(ipts)),
+                                          key=ipts.__getitem__)]
     for ev in hp.events:
         for f, group in zip(ev.step.flips, ev.groups):
-            yield f, sorted([order[lab - 1] for lab in group])
+            if len(group) == 2:
+                i, j = stored[group[0]], stored[group[1]]
+                yield f, ((i, j) if i < j else (j, i))
+            else:
+                yield f, tuple(sorted([stored[lab] for lab in group]))
 
 
 def line_imbalances(ps: PointSet):
@@ -290,9 +333,9 @@ def _line_records(ps: PointSet, hp: HalfPeriod):
         # At this event the projection direction is p_j - p_i turned a
         # quarter turn counterclockwise exactly when p_i < p_j in (x, y)
         # order; the points projected after the group then lie on the left.
-        left, right = ((after, before) if ipts[on[0]] < ipts[on[1]]
+        left, right = ((after, before) if ipts[on[0] - 1] < ipts[on[1] - 1]
                        else (before, after))
-        records.append(LineRecord(tuple(k + 1 for k in on), left, right))
+        records.append(LineRecord(on, left, right))
     if not records:
         raise ContractError("need at least two points")
     return records, least
@@ -324,8 +367,8 @@ def _link_holds(ps: PointSet, hp: HalfPeriod) -> bool:
     if any(len(on) != 2 for _, on in lines):
         raise ContractError("the link check needs general position")
     for f, (i, j) in lines:
-        ax, ay = ipts[i]
-        dx, dy = ipts[j][0] - ax, ipts[j][1] - ay
+        ax, ay = ipts[i - 1]
+        dx, dy = ipts[j - 1][0] - ax, ipts[j - 1][1] - ay
         left = right = 0
         for x, y in ipts:
             det = dx * (y - ay) - dy * (x - ax)

@@ -38,12 +38,15 @@ class Value:
 
     A subclass names its fields in `__slots__`, in the order of its
     constructor's parameters, and its `__init__` sets each one with
-    `init_field`.  From the fields the base derives equality (same class,
-    equal fields), a hash over the fields, the repr `Name(field=value,
-    ...)` and a copy or pickle by the constructor.  Assigning or deleting
-    an attribute raises AttributeError, so a value can be shared freely.
-    A subclass that caches a `functools.cached_property` adds "__dict__"
-    to its slots; the cache is not a field.
+    `init_field`, or, in a class built once per pair of points, with its
+    slots' setters `Cls.field.__set__` bound once after the class, which
+    build one about a quarter faster.  From the fields the base derives
+    equality (same class, equal fields), a hash over the fields, the repr
+    `Name(field=value, ...)` and a copy or pickle by the constructor.
+    Assigning or deleting an attribute raises AttributeError, so a value
+    can be shared freely.  A subclass that caches a
+    `functools.cached_property` adds "__dict__" to its slots; the cache is
+    not a field.
 
     Equality and hash compare the key of a value: its one field, or the
     tuple of its fields when there are several.  The first call of

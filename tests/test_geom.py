@@ -53,10 +53,10 @@ def fraction_deviation_imbalance_link(ps):
         raise ContractError("the link check needs general position")
     for f, (i, j) in lines:
         left = right = 0
-        for k in range(n):
+        for k in range(1, n + 1):
             if k in (i, j):
                 continue
-            s = orientation(pts[i], pts[j], pts[k])
+            s = orientation(pts[i - 1], pts[j - 1], pts[k - 1])
             if s > 0:
                 left += 1
             elif s < 0:
@@ -486,10 +486,13 @@ def misordered_sweep(monkeypatch, pts, directions):
 
     def key(direction):
         x, y = direction
-        return geom._VERTICAL if y == 0 else Fraction(-x, y)
+        return (True, 0) if y == 0 else (False, Fraction(-x, y))
 
-    monkeypatch.setattr(geom, "_sweep_order", lambda ipts: sorted(
-        (key(d), a * m + b) for (a, b), d in directions.items()))
+    def sweep_order(ipts):
+        order = sorted((key(d), a * m + b) for (a, b), d in directions.items())
+        return [k for k, _ in order], [code for _, code in order]
+
+    monkeypatch.setattr(geom, "_sweep_order", sweep_order)
     monkeypatch.setattr(geom, "_event_vector",
                         lambda p, q: directions[label[p], label[q]])
     return circular_sequence(ps)
@@ -520,6 +523,16 @@ def test_sweep_refuses_a_group_out_of_label_order(monkeypatch):
     with pytest.raises(ContractError, match="not label-increasing"):
         misordered_sweep(monkeypatch, TRIANGLE,
                          {(2, 3): (2, 1), (1, 2): (1, 1), (1, 3): (1, 1)})
+
+
+def test_sweep_groups_a_line_by_all_its_pairs(monkeypatch):
+    # (1, 2) swaps first.  Then (1, 3) and (2, 3) fire together at
+    # (-3, 1), where their first points share the offset 0, so they make
+    # one line {1, 2, 3}, although its pair (1, 2) has fired already; it
+    # is found as 2, 1, 3.
+    with pytest.raises(ContractError, match="not label-increasing"):
+        misordered_sweep(monkeypatch, TRIANGLE,
+                         {(1, 2): (1, 1), (1, 3): (-3, 1), (2, 3): (-3, 1)})
 
 
 def test_misordered_sweeps_are_refused_or_verify(monkeypatch):
@@ -568,6 +581,9 @@ KEY_EDGE_SETS = {
     # have; their keys differ by 1.  The line y = 1 holds three points.
     "span-near-1e9": [(0, 0), (SPAN, 1), (SPAN - 1, 1), (0, 1),
                       (1, -SPAN)],
+    # The last key is 0 and no pair is vertical: the sweep's end sentinel
+    # must differ from 0 to end the last run.
+    "largest-key-0": [(0, 0), (1, 0), (2, -1)],
 }
 
 
@@ -576,6 +592,41 @@ def test_sweep_key_edge_cases(pts):
     ps = PointSet(pts)
     assert_matches_oracles(ps)
     assert_sweep_verifies(ps)
+
+
+def tuple_sweep_order(ipts):
+    """Reference for geom._sweep_order: one sort of (key, code) tuples,
+    the vertical pairs appended after it in code order."""
+    n = len(ipts)
+    m = n + 1
+    s2 = (ipts[-1][0] - ipts[0][0]) ** 2
+    order, vertical = [], []
+    for a, b in combinations(range(1, n + 1), 2):
+        (px, py), (qx, qy) = ipts[a - 1], ipts[b - 1]
+        if px == qx:
+            vertical.append((geom._VERTICAL, a * m + b))
+        else:
+            order.append(((qy - py) * s2 // (qx - px), a * m + b))
+    return sorted(order) + vertical
+
+
+def test_sweep_order_is_the_tuple_sort():
+    rng = random.Random(44)
+    sets = [ps for seed in (1, 2) for ps in workload_point_sets(seed)]
+    for side in (3, 4, 5, 10):
+        cells = [(x - 2, y - 1) for x in range(side) for y in range(side)]
+        rng.shuffle(cells)
+        sets.append(PointSet(cells))
+    sets += [PointSet(pts) for pts in KEY_EDGE_SETS.values()]
+    base = [(0, 0), (10**9, 10**9 + 1), (10**9 - 1, 10**9)]
+    sets += [PointSet(pts) for extra in ([], [(1, 0)])
+             for pts in permutations(base + extra)]
+    sets.append(DEGENERATE_SET)
+    for ps in sets:
+        ipts = sorted(geom._integer_points(ps))
+        want = tuple_sweep_order(ipts)
+        assert geom._sweep_order(ipts) == ([key for key, _ in want],
+                                           [code for _, code in want])
 
 
 def test_near_slopes_at_a_large_span_fire_apart():
