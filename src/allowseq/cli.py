@@ -43,7 +43,7 @@ EXIT_PIPE = 141
 
 
 def _fmt_dev(dev):
-    if dev is None or dev == INF:
+    if dev == INF:
         return "inf"
     dev = Fraction(dev)
     return f"{dev.numerator}/{dev.denominator}"
@@ -187,8 +187,7 @@ def _construct(args, n, out) -> int:
         with open(args.out) as fh:
             (window, initial), steps = iter_trace_file(fh)
             rep = verify_stream(initial, window, steps)
-        recorded = (rec.flip_count, rec.step_count,
-                    INF if rec.min_deviation is None else rec.min_deviation)
+        recorded = (rec.flip_count, rec.step_count, rec.min_deviation)
         if not (rep.allowable and rep.all_valid) or recorded != (
                 rep.flip_count, rep.step_count, rep.min_deviation):
             print("self-check failed on the written trace", file=sys.stderr)

@@ -46,14 +46,15 @@ first occurrence parsed to, from a per-file dict under the same cap.
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
-Each step meets one fast test, which decides it on every valid trace: a
-transposition costs two reads and one compare, a block swap a few
-integer compares and its two block scans, each block sliced once, and
-a replay one read of its span in the order its shape stored.  A
-one-flip step, the common case, is decided on a direct path outside the
-per-flip loop of multi-flip steps.  A step that fails the test is
-checked again by the reporting code, one flip at a time, so the report
-is the same as if every flip had been checked in full.
+The per-flip loop checks each flip once, reporting every violation it
+finds as it goes; a transposition's run costs two reads and one
+compare.  Three kinds of step meet a fast test first, which decides
+them on every valid trace: a one-flip step, the common case, on a
+direct path outside the loop, a block swap by a few integer compares
+and its two block scans, each block sliced once, and a replay by one
+read of its span in the order its shape stored.  A step that fails its
+fast test goes to the per-flip loop, one flip at a time, so the report
+is the same as if every flip had been checked there.
 
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
@@ -360,8 +361,7 @@ class StatsSink:
     def on_step(self, step):
         pass
 
-    def on_transpositions(self, swap):
-        pass
+    on_transpositions = on_step
 
 
 class FileSink:
@@ -458,11 +458,16 @@ def iter_trace_file(fh, on_annotation=None):
     kinds = _LINE_KINDS.get(magic)
     if kinds is None:
         raise TraceParseError(lineno, f"bad magic {magic!r}")
+    fields = [p.split("=", 1) for p in readline().split()]
     try:
-        kv = dict(p.split("=", 1) for p in readline().split())
+        kv = dict(fields)
+        if len(fields) != 3 or kv.keys() != {"t", "lo", "hi"}:
+            raise ValueError
         t, lo, hi = int(kv["t"]), int(kv["lo"]), int(kv["hi"])
-    except (ValueError, KeyError):
+    except ValueError:
         raise TraceParseError(lineno, "expected 't=<int> lo=<int> hi=<int>'")
+    if hi < lo:
+        raise TraceParseError(lineno, f"hi={hi} below lo={lo}")
     try:
         vals = list(map(int, readline().split()))
     except ValueError:
@@ -687,9 +692,10 @@ class TraceRecorder:
         return self.window.t
 
     @property
-    def min_deviation(self) -> Optional[Fraction]:
-        """Least |flip midpoint - centre| so far; None before any flip."""
-        return None if self._min_dev2 is None else Fraction(self._min_dev2, 2)
+    def min_deviation(self):
+        """Least |flip midpoint - centre| so far, a Fraction; INF before
+        any flip."""
+        return INF if self._min_dev2 is None else Fraction(self._min_dev2, 2)
 
     def values(self, lo: int, hi: int) -> tuple:
         """Inclusive slice by positions; empty when lo > hi."""
@@ -974,15 +980,16 @@ def verify_stream(initial: CentredSequence, window: Window,
     keeps sorted by c; flips that overlap or come out of that order are
     reported as a violation.  Violations are reported, never raised.
 
-    Each flip [c, d] gets one fast test: c lies after the previous flip
-    of its step, d inside the bounds, the midpoint outside the window,
-    and the run increases.  The bounds are the domain, or inside a shape
-    its span.  For d = c + 1 the run test is one compare of the two
-    values, which are then swapped in place.  A flip that passes is
-    applied and its deviation taken.  A flip that fails is checked again
-    by the reporting code, which names each violation it has and still
-    applies it when it lies in the bounds; out of them it counts as a
-    flip but is not applied and not taken toward the minimum deviation.
+    Each flip [c, d] is checked once, in one pass that reports every
+    violation it has, in this order: c and d inside the bounds, c after
+    the previous flip of its step, an increasing run, and a midpoint
+    outside the window, whose failure clears all_valid but not
+    allowable.  The bounds are the domain, or inside a shape its span.
+    For d = c + 1 the run test is one compare of the two values, which
+    are then swapped in place.  A flip inside the bounds is applied and
+    its deviation taken, whatever else it violates; a flip out of them
+    counts as a flip but is not applied and not taken toward the minimum
+    deviation.
 
     A step of one flip takes the same test on a direct path, with no
     per-flip loop: lo <= c (no previous flip), d <= hi, c + d outside
@@ -1192,27 +1199,6 @@ def verify_stream(initial: CentredSequence, window: Window,
             prev_d = lo - 1
             for f in flips:
                 c, d = f.c, f.d
-                i, j = c - base, d - base + 1
-                if prev_d < c <= d <= hi and abs(c + d) > t2:
-                    if d == c + 1:
-                        x, y = vals[i], vals[i + 1]
-                        ok = x < y
-                        if ok:
-                            vals[i], vals[i + 1] = y, x
-                    else:
-                        run = vals[i:j]
-                        ok = run == sorted(run)
-                        if ok:
-                            run.reverse()
-                            vals[i:j] = run
-                    if ok:
-                        prev_d = d
-                        dev2 = abs(c + d - centre2)
-                        if dev2 < min_dev2:
-                            min_dev2 = dev2
-                        continue
-                # The flip fails a test above: check it again, reporting
-                # every violation it has.
                 if not (lo <= c <= d <= hi):
                     violate(steps_n - 1, (c, d),
                             "out of bounds" if c < base or d > top
@@ -1222,25 +1208,34 @@ def verify_stream(initial: CentredSequence, window: Window,
                     violate(steps_n - 1, (c, d),
                             "overlapping flips in one step")
                 prev_d = d
-                run = vals[i:j]
-                if run != sorted(run):
+                i = c - base
+                if d == c + 1:
+                    x, y = vals[i], vals[i + 1]
+                    ok = x < y
+                    vals[i], vals[i + 1] = y, x
+                else:
+                    j = d - base + 1
+                    run = vals[i:j]
+                    ok = run == sorted(run)
+                    run.reverse()
+                    vals[i:j] = run
+                if not ok:
                     violate(steps_n - 1, (c, d), "run not strictly increasing")
-                if abs(c + d) <= t2 and all_valid:
+                s = c + d
+                if -t2 <= s <= t2:
                     all_valid = False
                     if first_violation is None:
                         first_violation = (steps_n - 1, (c, d),
                                            "midpoint inside window")
-                dev2 = abs(c + d - centre2)
+                dev2 = abs(s - centre2)
                 if dev2 < min_dev2:
                     min_dev2 = dev2
-                run.reverse()
-                vals[i:j] = run
 
     if opened:
         violate(steps_n, None, f"shape {opened[-1][0]} is never closed")
     vals.reverse()
     return VerificationReport(
-        allowable, all_valid and allowable, tuple(vals) == initial.values,
+        allowable, all_valid, tuple(vals) == initial.values,
         INF if min_dev2 == none_dev2 else Fraction(min_dev2, 2),
         steps_n, flips_n, first_violation)
 
@@ -1250,14 +1245,12 @@ def verify_trace(tr: Trace) -> VerificationReport:
     return verify_stream(tr.initial, tr.window, tr.steps)
 
 
-def min_deviation(tr: Trace) -> Fraction:
+def min_deviation(tr: Trace):
     """Minimum |flip midpoint - domain centre| over all flips of a Trace,
-    replays unfolded."""
+    replays unfolded: a Fraction, or INF when it has no flips."""
     centre2 = tr.initial.lo + tr.initial.hi
     dev2 = min((s.min_dev2(centre2) for s in _unfold(tr.steps)), default=None)
-    if dev2 is None:
-        raise ContractError("trace has no flips")
-    return Fraction(dev2, 2)
+    return INF if dev2 is None else Fraction(dev2, 2)
 
 
 def flip_imbalance(n: int, f: Flip) -> int:

@@ -401,15 +401,11 @@ def _svg_header(width, height):
             f'width="{width:.1f}" height="{height:.1f}">')
 
 
-def _xscale(steps: int):
+def _xscale(i: int) -> float:
     """Step index to x offset; linear up to 10^4 steps, then compressed."""
-
-    def f(i):
-        if i <= 10_000:
-            return float(i)
-        return 10_000.0 + 2_000.0 * log10(i / 10_000.0)
-
-    return f
+    if i <= 10_000:
+        return float(i)
+    return 10_000.0 + 2_000.0 * log10(i / 10_000.0)
 
 
 # The most polyline points render_trace_svg builds; 10^6 points take
@@ -435,13 +431,12 @@ def render_trace_svg(tr: Trace) -> str:
         raise RefusalError(f"rendering {n} elements over {count} steps needs "
                            f"{n * (count + 1)} points, more than "
                            f"{_RENDER_POINT_CAP}")
-    xs = _xscale(count)
     unit_x, unit_y, pad = 24.0, 14.0, 20.0
-    width = pad * 2 + unit_x * max(1.0, xs(count))
+    width = pad * 2 + unit_x * max(1.0, _xscale(count))
     height = pad * 2 + unit_y * (n - 1 if n > 1 else 1)
 
     def X(i):
-        return pad + unit_x * xs(i)
+        return pad + unit_x * _xscale(i)
 
     def Y(pos):
         return pad + unit_y * (hi - pos)

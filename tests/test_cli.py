@@ -147,8 +147,11 @@ def test_parse_errors_carry_line_numbers():
     ("t=0 lo=1 hi=2\n1 a\n", 3),
     ("t=-1 lo=1 hi=2\n1 2\n", 3),
     ("t=0 lo=1 hi=2\n1 1\n", 3),
+    ("t=0 lo=1 hi=3 t=5\n1 2 3\n", 2),
+    ("t=0 lo=1 hi=3 x=5\n1 2 3\n", 2),
+    ("t=0 lo=3 hi=1\n1 2\n", 2),
 ], ids=["missing-hi", "non-integer-hi", "non-integer-value", "negative-t",
-        "repeated-value"])
+        "repeated-value", "repeated-key", "unknown-key", "hi-below-lo"])
 def test_header_errors_carry_line_numbers(header, lineno, tmp_path, capsys):
     text = "ALLOWSEQ v1\n" + header
     with pytest.raises(TraceParseError) as exc:
@@ -431,7 +434,7 @@ def test_construct_self_check_compares_with_the_recorder(tmp_path,
                    "--out", str(out)) == 1
     assert "self-check failed" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
-    # With no flips, the recorder's None matches the file's inf.
+    # With no flips, the recorder's INF matches the file's inf.
     monkeypatch.setattr(allowseq.cli, "FileSink", FileSink)
     monkeypatch.setattr(allowseq.cli, "shift", lambda rec, a, b, c: None)
     assert run_cli("construct", "--stage", "shift", "--t", "1",

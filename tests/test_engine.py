@@ -256,7 +256,7 @@ def test_loose_step_is_refused_before_any_change(base, flips):
     with pytest.raises(ConstructionBug, match="overlaps or precedes"):
         tr.emit_step(LooseStep(flips))
     assert tr.values(1, 6) == (1, 2, 3, 4, 5, 6)
-    assert (tr.flip_count, tr.step_count, tr.min_deviation) == (0, 0, None)
+    assert (tr.flip_count, tr.step_count, tr.min_deviation) == (0, 0, INF)
     assert received == []
 
 
@@ -381,9 +381,9 @@ def test_min_deviation_values():
     assert min_deviation(tr.to_trace()) == Fraction(3, 2)
     tr.emit_step(FlipStep([Flip(2, 4)]))
     assert min_deviation(tr.to_trace()) == 0
-    with pytest.raises(ContractError):
-        min_deviation(
-            TraceRecorder(identity_sequence(1, 3), Window(0)).to_trace())
+    # No flips yet: INF, as a VerificationReport has it.
+    fresh = TraceRecorder(identity_sequence(1, 3), Window(0))
+    assert fresh.min_deviation == min_deviation(fresh.to_trace()) == INF
 
 
 def test_flip_imbalance():
@@ -521,6 +521,24 @@ def one_flip_outcome(state, lo, hi, t2, c, d):
     return "adjacent" if d == c + 1 else "longer run"
 
 
+def loop_flip_outcome(state, lo, hi, t2, prev_d, c, d):
+    """How the flip [c, d] of a multi-flip step fares on state, after
+    in-bounds flips of its step that end at prev_d: the first check of
+    the per-flip loop it fails, or the kind of valid flip it is."""
+    if not (lo <= c <= d <= hi):
+        return "out of bounds"
+    if c <= prev_d:
+        return "overlap"
+    run = state[c - lo:d - lo + 1]
+    if run != sorted(run):
+        return "run not increasing"
+    if abs(c + d) <= t2:
+        return "midpoint inside window"
+    if c == d:
+        return "one value"
+    return "adjacent" if d == c + 1 else "longer run"
+
+
 def _extent(step):
     pairs = (list(step) if isinstance(step, BlockSwap)
              else [(f.c, f.d) for f in step.flips])
@@ -585,6 +603,7 @@ def test_verifier_matches_per_flip_reference():
     shape_rng = random.Random(21)
     seen = set()
     one_flip = {}
+    in_loop = {}  # flips of multi-flip steps and LooseSteps
     for _ in range(3000):
         initial, steps = random_trace_material(rng, max_n=9, mixed=True)
         window = Window(rng.choice((0, 1, 2)))
@@ -597,18 +616,26 @@ def test_verifier_matches_per_flip_reference():
         assert verify_stream(initial, window, marked) == \
             reference_verify(initial, window, expanded)
         seen.update(kinds)
-        # Tally the one-flip steps by the state each one meets.
+        # Tally the one-flip steps, and each flip of the other FlipSteps
+        # and LooseSteps, by the state each one meets.
         lo, hi = initial.lo, initial.hi
         state = list(initial.values)
         for step in steps:
             pairs = (list(step) if isinstance(step, BlockSwap)
                      else [(f.c, f.d) for f in step.flips])
+            loop = len(pairs) > 1 and not isinstance(step, BlockSwap)
             if len(pairs) == 1 and not isinstance(step, BlockSwap):
                 outcome = one_flip_outcome(state, lo, hi, 2 * window.t,
                                            *pairs[0])
                 one_flip[outcome] = one_flip.get(outcome, 0) + 1
+            prev_d = lo - 1
             for c, d in pairs:
+                if loop:
+                    outcome = loop_flip_outcome(state, lo, hi, 2 * window.t,
+                                                prev_d, c, d)
+                    in_loop[outcome] = in_loop.get(outcome, 0) + 1
                 if lo <= c <= d <= hi:
+                    prev_d = d
                     state[c - lo:d - lo + 1] = state[c - lo:d - lo + 1][::-1]
     assert seen == {None, "out of bounds", "overlapping flips in one step",
                     "run not strictly increasing", "midpoint inside window",
@@ -618,6 +645,10 @@ def test_verifier_matches_per_flip_reference():
                              "below lo", "above hi", "midpoint inside window",
                              "run not increasing"}
     assert min(one_flip.values()) >= 10, one_flip
+    assert set(in_loop) == {"adjacent", "longer run", "one value",
+                            "out of bounds", "overlap", "run not increasing",
+                            "midpoint inside window"}
+    assert min(in_loop.values()) >= 10, in_loop
 
 
 def test_verifier_reports_with_no_deviation_to_take():
