@@ -21,16 +21,13 @@ move is re-validated on concrete values by the recorder.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .engine import TraceRecorder
 from .errors import ContractError
-from .planner import (MAX_CELLS, RecurrenceTable, SizePlan, alpha_closed,
-                      beta_closed, plan_sizes, require_cells,
-                      shift_thresholds)
-from .seqcore import (Block, CentredSequence, Value, Window, _piles,
-                      _strictly_increasing, identity_sequence, init_field,
-                      is_r_balanced, width_greedy)
+from .planner import (MAX_CELLS, SizePlan, alpha_closed, beta_closed,
+                      plan_sizes, require_cells, shift_thresholds)
+from .seqcore import (Block, CentredSequence, Value, Window, _chains, _piles,
+                      _strictly_increasing, identity_sequence, is_r_balanced)
 
 
 def _ivlen(iv) -> int:
@@ -232,10 +229,6 @@ class Decomposition(Value):
 
     __slots__ = ("blocks", "result")
 
-    def __init__(self, blocks: tuple, result: Block):
-        init_field(self, "blocks", blocks)
-        init_field(self, "result", result)
-
     @property
     def k(self) -> int:
         return len(self.blocks)
@@ -249,19 +242,22 @@ def decompose_balanced(b: Block, r) -> Decomposition:
     The target is reached by TraceRecorder.rearrange_region, which
     realizes it by ascending transpositions (size-2 block flips) and
     rejects any reordering that would need a descending one.  A block with
-    no positive values is returned whole (k = 1)."""
+    no positive values is returned whole (k = 1).  One pile cover of the
+    positive values serves the balance check and the chains."""
     r = Fraction(r)
-    report = is_r_balanced(b, r)
+    pos_vals = [v for v in b if v > 0]
+    piles = _piles(pos_vals)
+    report = is_r_balanced(b, r, piles)
     if not report.balanced:
         raise ContractError(
             f"block is not {r}-balanced at prefix {report.witness}: "
             f"{report.detail}")
-    pos_vals = [v for v in b if v > 0]
     neg_vals = [v for v in b if v < 0]
     if not pos_vals:
         return Decomposition((b,), b)
     r_int = int(r)
-    k, chains = width_greedy(Block(pos_vals))
+    chains = _chains(piles)
+    k = len(chains)
     chain_vals = [[pos_vals[i] for i in chain] for chain in chains]
     parts = []
     for j in range(k):
@@ -397,13 +393,6 @@ class StepLayout(Value):
 
     __slots__ = ("L", "W", "A", "B", "R")
 
-    def __init__(self, L: tuple, W: tuple, A: tuple, B: tuple, R: tuple):
-        init_field(self, "L", L)
-        init_field(self, "W", W)
-        init_field(self, "A", A)
-        init_field(self, "B", B)
-        init_field(self, "R", R)
-
     def region_sizes(self):
         return {name: max(0, iv[1] - iv[0] + 1)
                 for name, iv in (("L", self.L), ("W", self.W), ("A", self.A),
@@ -411,15 +400,11 @@ class StepLayout(Value):
 
 
 class Certificate(Value):
-    """One of the step's eight result conditions, checked."""
+    """One of the step's eight result conditions, checked: its index
+    1..8, its name, whether it passed, and what was compared."""
 
     __slots__ = ("index", "name", "passed", "detail")
-
-    def __init__(self, index: int, name: str, passed: bool, detail: str = ""):
-        init_field(self, "index", index)
-        init_field(self, "name", name)
-        init_field(self, "passed", passed)
-        init_field(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 class StepOutcome(Value):
@@ -427,14 +412,6 @@ class StepOutcome(Value):
     order, the sizes of X and Y, and the flips it made."""
 
     __slots__ = ("layout", "certificates", "x_size", "y_size", "flip_count")
-
-    def __init__(self, layout: StepLayout, certificates: tuple, x_size: int,
-                 y_size: int, flip_count: int):
-        init_field(self, "layout", layout)
-        init_field(self, "certificates", certificates)
-        init_field(self, "x_size", x_size)
-        init_field(self, "y_size", y_size)
-        init_field(self, "flip_count", flip_count)
 
     @property
     def all_passed(self) -> bool:
@@ -848,18 +825,13 @@ def reflect_instance(t: int, n: int, xsize: int, sink=None,
 
 
 class ConstructionFailure(Value):
-    """Structured failure value: the pipeline refused to proceed.
-    `achieved` is a Fraction or (lower, upper) bounds."""
+    """Structured failure value: the pipeline refused to proceed at
+    `stage`.  `achieved` is a Fraction or (lower, upper) bounds, against
+    the `required` Fraction; `table` is the RecurrenceTable behind the
+    refusal, or None."""
 
     __slots__ = ("stage", "achieved", "required", "message", "table")
-
-    def __init__(self, stage: str, achieved, required: Fraction,
-                 message: str, table: Optional[RecurrenceTable] = None):
-        init_field(self, "stage", stage)
-        init_field(self, "achieved", achieved)
-        init_field(self, "required", required)
-        init_field(self, "message", message)
-        init_field(self, "table", table)
+    _defaults = {"table": None}
 
     def __bool__(self):
         return False

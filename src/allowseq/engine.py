@@ -210,28 +210,17 @@ class Define(Value):
 
     __slots__ = ("id", "lo", "hi")
 
-    def __init__(self, id: int, lo: int, hi: int):
-        init_field(self, "id", id)
-        init_field(self, "lo", lo)
-        init_field(self, "hi", hi)
-
 
 class End(Value):
     """`E <id>`: the end of shape id's first run."""
 
     __slots__ = ("id",)
 
-    def __init__(self, id: int):
-        init_field(self, "id", id)
-
 
 class Replay(Value):
     """`R <id>`: shape id's body again, at the same positions."""
 
     __slots__ = ("id",)
-
-    def __init__(self, id: int):
-        init_field(self, "id", id)
 
 
 def _unfold(steps: Iterable, bodies=None) -> Iterator:
@@ -317,7 +306,8 @@ def single_step(c: int, d: int) -> FlipStep:
 
 
 class Trace(Value):
-    """A finished, immutable flip trace.
+    """A finished, immutable flip trace: the flips of `steps` applied to
+    the `initial` CentredSequence under the `window`.
 
     `steps` holds FlipSteps, BlockSwaps and the shape markers Define,
     End and Replay in application order, one entry per trace file line.
@@ -327,13 +317,7 @@ class Trace(Value):
     """
 
     __slots__ = ("window", "initial", "steps", "annotations")
-
-    def __init__(self, window: Window, initial: CentredSequence,
-                 steps: tuple, annotations: tuple = ()):
-        init_field(self, "window", window)
-        init_field(self, "initial", initial)
-        init_field(self, "steps", steps)
-        init_field(self, "annotations", annotations)
+    _defaults = {"annotations": ()}
 
 
 class ListSink:
@@ -950,17 +934,7 @@ class VerificationReport(Value):
     __slots__ = ("allowable", "all_valid", "reaches_reversal",
                  "min_deviation", "step_count", "flip_count",
                  "first_violation")
-
-    def __init__(self, allowable: bool, all_valid: bool,
-                 reaches_reversal: bool, min_deviation, step_count: int,
-                 flip_count: int, first_violation: Optional[tuple] = None):
-        init_field(self, "allowable", allowable)
-        init_field(self, "all_valid", all_valid)
-        init_field(self, "reaches_reversal", reaches_reversal)
-        init_field(self, "min_deviation", min_deviation)
-        init_field(self, "step_count", step_count)
-        init_field(self, "flip_count", flip_count)
-        init_field(self, "first_violation", first_violation)
+    _defaults = {"first_violation": None}
 
 
 def _kept(steps, kept):
@@ -1247,9 +1221,13 @@ def verify_trace(tr: Trace) -> VerificationReport:
 
 def min_deviation(tr: Trace):
     """Minimum |flip midpoint - domain centre| over all flips of a Trace,
-    replays unfolded: a Fraction, or INF when it has no flips."""
+    replays included: a Fraction, or INF when it has no flips.  A Replay
+    repeats its shape's body at the positions where the body stands in
+    the trace, and a deviation depends only on positions, so no replay is
+    unfolded: the least over the trace's own steps is the expansion's."""
     centre2 = tr.initial.lo + tr.initial.hi
-    dev2 = min((s.min_dev2(centre2) for s in _unfold(tr.steps)), default=None)
+    dev2 = min((s.min_dev2(centre2) for s in tr.steps
+                if not isinstance(s, (Define, End, Replay))), default=None)
     return INF if dev2 is None else Fraction(dev2, 2)
 
 

@@ -72,26 +72,15 @@ def orientation(a, b, c) -> int:
 
 class LineRecord(Value):
     """A line through two or more points, `labels` the 1-based labels of
-    its points.  The left side is where orientation(p_i, p_j, .) > 0, for
-    p_i and p_j the line's first two points in storage order."""
+    its points, with the counts of the points strictly left and right of
+    it.  The left side is where orientation(p_i, p_j, .) > 0, for p_i and
+    p_j the line's first two points in storage order."""
 
     __slots__ = ("labels", "left_count", "right_count")
-
-    def __init__(self, labels: tuple, left_count: int, right_count: int):
-        _set_labels(self, labels)
-        _set_left_count(self, left_count)
-        _set_right_count(self, right_count)
 
     @property
     def imbalance(self) -> int:
         return abs(self.left_count - self.right_count)
-
-
-# Built once per pair of points, LineRecord and SwapEvent set their fields
-# with their slots' setters (see Value).
-_set_labels, _set_left_count, _set_right_count = (
-    LineRecord.labels.__set__, LineRecord.left_count.__set__,
-    LineRecord.right_count.__set__)
 
 
 class SwapEvent(Value):
@@ -100,24 +89,12 @@ class SwapEvent(Value):
 
     __slots__ = ("step", "groups")
 
-    def __init__(self, step: FlipStep, groups: tuple):
-        _set_step(self, step)
-        _set_groups(self, groups)
-
-
-_set_step, _set_groups = SwapEvent.step.__set__, SwapEvent.groups.__set__
-
 
 class HalfPeriod(Value):
-    """The circular sequence's half period: from the identity labelling
-    1..n, the SwapEvents in rotation order."""
+    """The circular sequence's half period of n points: from the identity
+    labelling `initial`, 1..n, the SwapEvents in rotation order."""
 
     __slots__ = ("n", "initial", "events")
-
-    def __init__(self, n: int, initial: tuple, events: tuple):
-        init_field(self, "n", n)
-        init_field(self, "initial", initial)
-        init_field(self, "events", events)
 
     def steps(self):
         return tuple(ev.step for ev in self.events)

@@ -57,7 +57,7 @@ from itertools import count, islice
 from typing import Optional
 
 from .errors import ContractError, RefusalError
-from .seqcore import Value, init_field
+from .seqcore import Value
 
 # Exact ratios and sizes are kept only while the powers of d behind them
 # stay within this many decimal digits, so no astronomic integer is built;
@@ -134,15 +134,17 @@ def ratio_at_least(t: int, d: int, k: int, bound) -> bool:
 
 
 class RecurrenceTable(Value):
-    """Exact evaluations of the construction's recurrences for (t, d, k, n).
+    """Exact evaluations of the construction's recurrences for (t, d, k, n)
+    and T = 3^(2t).
 
     `alpha`, `beta`, `alpha_p`, `beta_p` hold entries for i = 0..min(k, cap);
     `shift_min` holds N at levels t, t-1, ..., -t.  `ratio` is
     beta_k/alpha_k when exactly representable, else None with
     `ratio_bounds` carrying rigorous (lower, upper) enclosures.
-    `x_exact`/`y_exact` are the materialization sizes and `cells` the size
-    of the step instance's domain that holds them, each None when not
-    computable; `p_values` holds p_1..p_k when the sizes are exact.
+    `x_exact`/`y_exact` are the materialization sizes, `x_bound`/`y_bound`
+    their bound 10*d^(2k+1)*n, and `cells` the size of the step instance's
+    domain that holds them, each None when not computable; `p_values`
+    holds p_1..p_k when the sizes are exact.
     """
 
     # "__dict__" holds the cached gate_ok.
@@ -150,31 +152,6 @@ class RecurrenceTable(Value):
                  "beta_p", "shift_min", "ratio", "ratio_bounds", "x_exact",
                  "y_exact", "x_bound", "y_bound", "cells", "p_values",
                  "__dict__")
-
-    def __init__(self, t: int, T: int, d: int, k: int, n: int, alpha: tuple,
-                 beta: tuple, alpha_p: tuple, beta_p: tuple, shift_min: tuple,
-                 ratio: Optional[Fraction], ratio_bounds: tuple,
-                 x_exact: Optional[int], y_exact: Optional[int],
-                 x_bound: Optional[int], y_bound: Optional[int],
-                 cells: Optional[int], p_values: tuple):
-        init_field(self, "t", t)
-        init_field(self, "T", T)
-        init_field(self, "d", d)
-        init_field(self, "k", k)
-        init_field(self, "n", n)
-        init_field(self, "alpha", alpha)
-        init_field(self, "beta", beta)
-        init_field(self, "alpha_p", alpha_p)
-        init_field(self, "beta_p", beta_p)
-        init_field(self, "shift_min", shift_min)
-        init_field(self, "ratio", ratio)
-        init_field(self, "ratio_bounds", ratio_bounds)
-        init_field(self, "x_exact", x_exact)
-        init_field(self, "y_exact", y_exact)
-        init_field(self, "x_bound", x_bound)
-        init_field(self, "y_bound", y_bound)
-        init_field(self, "cells", cells)
-        init_field(self, "p_values", p_values)
 
     @property
     def gate_threshold(self) -> int:

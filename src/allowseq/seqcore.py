@@ -13,11 +13,11 @@ serves as the reference for `decompose_balanced`'s size-2 moves.
 Every value type of the package (flips, windows, sequences and blocks
 here; steps, traces and reports in `engine`, `geom`, `construction` and
 `planner`) is a `Value`: a slotted, immutable class whose fields are its
-`__slots__`.  `Value` derives equality, hashing and the repr from the
-fields once, so a value type writes only its constructor and, unlike a
-dataclass, generates and compiles no code when its module is imported:
-a class's equality and hash are compiled at the first comparison or
-hash of one of its values.
+`__slots__`.  `Value` derives the constructor, equality, hashing and the
+repr from the fields, so a plain record writes only its slots and, unlike
+a dataclass, generates and compiles no code when its module is imported:
+a class's constructor is compiled at the first construction of one of
+its values, and its equality and hash at the first comparison or hash.
 """
 
 from __future__ import annotations
@@ -29,36 +29,51 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, RangeError
 
-# Sets a field of a Value from its __init__, past Value.__setattr__.
+# Sets a field of a Value from its own __init__, past Value.__setattr__.
 init_field = object.__setattr__
 
 
 class Value:
     """Base of the immutable value types.
 
-    A subclass names its fields in `__slots__`, in the order of its
-    constructor's parameters, and its `__init__` sets each one with
-    `init_field`, or, in a class built once per pair of points, with its
-    slots' setters `Cls.field.__set__` bound once after the class, which
-    build one about a quarter faster.  From the fields the base derives
-    equality (same class, equal fields), a hash over the fields, the repr
-    `Name(field=value, ...)` and a copy or pickle by the constructor.
-    Assigning or deleting an attribute raises AttributeError, so a value
-    can be shared freely.  A subclass that caches a
-    `functools.cached_property` adds "__dict__" to its slots; the cache is
-    not a field.
+    A subclass names its fields in `__slots__`.  From the fields the base
+    derives the constructor, equality (same class, equal fields), a hash
+    over the fields, the repr `Name(field=value, ...)` and a copy or
+    pickle by the constructor.  The constructor takes one parameter per
+    field, in slot order; `_defaults` maps trailing fields to the values
+    they take when left out.  Only a subclass whose constructor refuses
+    some input writes its own `__init__`, setting each field with
+    `init_field`.  Assigning or deleting an attribute raises
+    AttributeError, so a value can be shared freely.  A subclass that
+    caches a `functools.cached_property` adds "__dict__" to its slots;
+    the cache is not a field.
 
     Equality and hash compare the key of a value: its one field, or the
-    tuple of its fields when there are several.  The first call of
-    either on a class compiles both for it from its field names, as a
-    dataclass's are, so that later calls read the fields inline.
+    tuple of its fields when there are several.  Nothing is compiled at
+    import: a class's `__init__`, which sets each slot through its
+    descriptor's `__set__`, is compiled at its first construction, and its
+    `__eq__` and `__hash__` at its first comparison or hash; each is then
+    set on the class.
     """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        """Give the class the constructor of its fields, then run it."""
+        cls = self.__class__
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults
+                           else f for f in cls._fields)
+        ns = {f"_set_{f}": getattr(cls, f).__set__ for f in cls._fields}
+        ns["_defaults"] = cls._defaults
+        exec(f"def __init__(self, {params}):\n"
+             + "".join(f"    _set_{f}(self, {f})\n" for f in cls._fields), ns)
+        cls.__init__ = ns["__init__"]
+        cls.__init__(self, *args, **kwargs)
 
     @classmethod
     def _compile(cls):
@@ -218,13 +233,19 @@ def _piles(vals: Sequence[int]) -> list:
     return piles
 
 
-def width_greedy(b: Block):
-    """Greedy peeling into increasing subsequences, the piles of `_piles`:
-    (number of chains, chains as index tuples), the count being the width."""
-    piles = _piles(b.values)
+def _chains(piles: list) -> list:
+    """The indices on each pile of `_piles`, pile by pile: the greedy
+    chains, each increasing in index and in value."""
     chains = [[] for _ in range(max(piles, default=-1) + 1)]
     for idx, pile in enumerate(piles):
         chains[pile].append(idx)
+    return chains
+
+
+def width_greedy(b: Block):
+    """Greedy peeling into increasing subsequences, the piles of `_piles`:
+    (number of chains, chains as index tuples), the count being the width."""
+    chains = _chains(_piles(b.values))
     return len(chains), [tuple(chain) for chain in chains]
 
 
@@ -234,22 +255,15 @@ def width(b: Block) -> int:
 
 
 class BalanceReport(Value):
-    """The verdict of `is_r_balanced`.  `witness` is the 1-based length of
-    the first violated prefix.  `least_ratio` is the least
-    |B'-| / width(B'+) over the prefixes B' scanned, all of B when it is
-    balanced and those up to the witness when not, as an exact Fraction;
-    None when none of them holds a positive value."""
+    """The verdict of `is_r_balanced` for the ratio `r`, a Fraction.
+    `witness` is the 1-based length of the first violated prefix and
+    `detail` says how it fails; None and "" when balanced.  `least_ratio`
+    is the least |B'-| / width(B'+) over the prefixes B' scanned, all of
+    B when it is balanced and those up to the witness when not, as an
+    exact Fraction; None when none of them holds a positive value."""
 
     __slots__ = ("balanced", "r", "witness", "detail", "least_ratio")
-
-    def __init__(self, balanced: bool, r: Fraction,
-                 witness: Optional[int] = None, detail: str = "",
-                 least_ratio: Optional[Fraction] = None):
-        init_field(self, "balanced", balanced)
-        init_field(self, "r", r)
-        init_field(self, "witness", witness)
-        init_field(self, "detail", detail)
-        init_field(self, "least_ratio", least_ratio)
+    _defaults = {"witness": None, "detail": "", "least_ratio": None}
 
 
 def is_r_balanced(b: Block, r, piles: Optional[list] = None) -> BalanceReport:

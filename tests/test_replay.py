@@ -12,6 +12,7 @@ inside its span, and that a replay changes nothing but the trace's form.
 """
 
 import io
+import time
 
 import pytest
 
@@ -280,6 +281,16 @@ def nested_shapes(levels, repeats):
     for i in range(1, levels + 1):
         lines += [f"D {i} 1 2\n", *[f"R {i - 1}\n"] * repeats, f"E {i}\n"]
     return "".join(lines)
+
+
+def test_min_deviation_unfolds_no_replay():
+    # The expansion holds over 10**12 steps; the least deviation is read
+    # off the trace's own 147 entries.  test_v3_round_trip_and_the_v2_reading
+    # checks it against the expansion's.
+    tr = parse_trace(nested_shapes(12, 10))
+    start = time.perf_counter()
+    assert engine.min_deviation(tr) == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_render_refuses_a_large_expansion(monkeypatch, tmp_path, capsys):

@@ -6,8 +6,11 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -142,7 +145,7 @@ def test_repr_is_the_dataclass_format(cls, args, text):
     assert repr(cls(*args)) == text
 
 
-@pytest.mark.parametrize("make, message", [
+REFUSALS = [
     (lambda: Flip(3, 2), r"flip interval \[3, 2\] is empty"),
     (lambda: Window(-1), "window parameter t must be >= 0"),
     (lambda: BlockSwap(1, 0, 1), "block swap sizes 0, 1 must both be >= 1"),
@@ -155,7 +158,10 @@ def test_repr_is_the_dataclass_format(cls, args, text):
     (lambda: FlipStep([]), "a step needs at least one flip"),
     (lambda: FlipStep([Flip(3, 4), Flip(1, 3)]),
      r"flips \[1,3\] and \[3,4\] overlap"),
-])
+]
+
+
+@pytest.mark.parametrize("make, message", REFUSALS)
 def test_constructor_refusals(make, message):
     with pytest.raises(ContractError, match=message):
         make()
@@ -196,3 +202,73 @@ def test_no_dataclass_but_search_result():
              if dataclasses.is_dataclass(cls)}
     assert found == {"SearchResult"}
     assert len(_value_types()) == 22
+
+
+def _writes_init(cls):
+    """Whether the class's own source defines its __init__, as against
+    one derived from its fields."""
+    init = vars(cls).get("__init__")
+    source = sys.modules[cls.__module__].__file__
+    return init is not None and init.__code__.co_filename == source
+
+
+def _refusing_type(make):
+    """The type whose own __init__ raises when make runs."""
+    with pytest.raises(ContractError) as info:
+        make()
+    return next(type(entry.locals["self"]) for entry in info.traceback
+                if entry.name == "__init__")
+
+
+def test_only_refusing_constructors_are_written():
+    # A hand-written __init__ is kept only where it refuses some input,
+    # and each one that does is covered by test_constructor_refusals.
+    written = {cls for cls in _value_types() if _writes_init(cls)}
+    assert written == {_refusing_type(make) for make, _ in REFUSALS}
+    assert len(written) == 7
+
+
+def test_derived_constructor_takes_one_parameter_per_field():
+    # missing, extra, unknown and repeated arguments
+    for make in (lambda: Define(0, 1), lambda: Define(0, 1, 2, 3),
+                 lambda: Define(0, 1, top=2), lambda: Define(0, 1, 2, id=0)):
+        with pytest.raises(TypeError):
+            make()
+    assert Define(hi=2, lo=1, id=0) == Define(0, 1, 2)
+    # a declared default is taken when its argument is left out
+    assert Trace(Window(0), CentredSequence(1, (1,)), ()).annotations == ()
+    assert VerificationReport(True, True, True, 0, 0, 0).first_violation \
+        is None
+    assert Certificate(1, "w", True).detail == ""
+    assert ConstructionFailure("s", 0, 1, "m").table is None
+    assert BalanceReport(True, 1) == BalanceReport(True, 1, None, "", None)
+
+
+def test_constructor_is_compiled_once():
+    for cls, args, _ in SAMPLES:
+        cls(*args)
+        init = vars(cls)["__init__"]
+        cls(*args)
+        assert vars(cls)["__init__"] is init
+
+
+def test_import_compiles_nothing():
+    # In a fresh interpreter no plain record has a constructor, equality
+    # or hash of its own until one of its values is built or compared.
+    plain = [(cls.__module__, cls.__qualname__) for cls in _value_types()
+             if not _writes_init(cls)]
+    assert len(plain) == 15
+    code = (
+        "import importlib, sys\n"
+        "import allowseq.cli\n"
+        f"for module, name in {plain!r}:\n"
+        "    cls = getattr(importlib.import_module(module), name)\n"
+        "    found = {'__init__', '__eq__', '__hash__'} & set(vars(cls))\n"
+        "    if found:\n"
+        "        sys.exit(f'{name}: {sorted(found)}')\n")
+    package_root = os.path.dirname(os.path.dirname(allowseq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
