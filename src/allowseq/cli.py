@@ -33,7 +33,7 @@ from .errors import ConstructionBug, ContractError, RefusalError
 from .geom import (circular_sequence, line_imbalances, link_and_minimum,
                    parse_points, render_points_svg, render_trace_svg)
 from .oracle import SEARCH_GUARD, search_best_deviation
-from .planner import MAX_CELLS, plan_sizes, require_cells
+from .planner import MAX_CELLS, plan_sizes
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -163,9 +163,8 @@ def _construct(args, n, out) -> int:
             return EXIT_VIOLATION
         rec = result
     elif args.stage == "step":
-        require_cells(plan_sizes(t, args.d, args.k, n).cells,
-                      _max_cells(args))
-        rec = step_instance(t, args.d, args.k, n, sink=sink)
+        rec = step_instance(t, args.d, args.k, n, sink=sink,
+                            max_cells=_max_cells(args))
         outcome = recursive_step(rec, args.d, args.k, n,
                                  strict_certificates=not args.lenient)
         failed = [c for c in outcome.certificates if not c.passed]

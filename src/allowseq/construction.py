@@ -24,8 +24,9 @@ from fractions import Fraction
 
 from .engine import TraceRecorder
 from .errors import ContractError
-from .planner import (MAX_CELLS, SizePlan, alpha_closed, beta_closed,
-                      plan_sizes, require_cells, shift_thresholds)
+from .planner import (MAX_CELLS, SizePlan, _fits, alpha_closed,
+                      beta_closed, plan_sizes, require_cells,
+                      shift_thresholds)
 from .seqcore import (Block, CentredSequence, Value, Window, _chains, _piles,
                       _strictly_increasing, identity_sequence, is_r_balanced)
 
@@ -779,11 +780,19 @@ def recursive_step(tr: TraceRecorder, d: int, k: int, n: int,
 # Ready-made instances (symmetric domains so deviation is measured from 0).
 
 
-def step_instance(t: int, d: int, k: int, n: int, sink=None) -> TraceRecorder:
+def step_instance(t: int, d: int, k: int, n: int, sink=None, *,
+                  max_cells: int = MAX_CELLS) -> TraceRecorder:
     """A trace holding X ^ centre ^ Y for the growth step, embedded in a
-    symmetric domain.  The centre carries values t+1 .. 3t+1 (zero stays
-    out of every sign-split zone), X and Y are identity-like runs."""
-    M = SizePlan(t, d).half_width(n, k)
+    symmetric domain, refused above max_cells cells, or where plan_sizes
+    evaluates no sizes, before any is built.  The centre carries values
+    t+1 .. 3t+1 (zero stays out of every sign-split zone), X and Y are
+    identity-like runs."""
+    if t < 0 or d < 2 or k < 0 or n < 1:
+        raise ContractError("need t >= 0, d >= 2, k >= 0, n >= 1")
+    plan = SizePlan(t, d)
+    fits = _fits(d, 2 * k + 1, 10 * n)
+    require_cells(plan.cells(n, k) if fits else None, max_cells)
+    M = plan.half_width(n, k)
     vals = []
     for pos in range(-M, M + 1):
         vals.append(pos if pos < -t else pos + 2 * t + 1)

@@ -27,7 +27,7 @@ objects, each after the recorder has applied it and counted its flips
 and steps: on_step(step) takes a FlipStep, on_transpositions(swap) a
 BlockSwap or a marker, and begin(initial, window) and
 on_annotation(depth, label) are optional.  ListSink retains every step
-and annotation for replay and serialization, FileSink streams them to a
+and annotation as one list of entries, FileSink streams them to a
 text file, StatsSink keeps only aggregates.  The recorder always tracks
 flip count and minimum deviation itself, so even a stats-only run
 reports both.  Deviations are tracked doubled, as the integer
@@ -46,15 +46,10 @@ first occurrence parsed to, from a per-file dict under the same cap.
 verify_trace is deliberately independent of the recorder: it re-applies
 steps with its own reversal code and re-derives validity, deviation and
 the reversal check from scratch, holding only the current sequence.
-The per-flip loop checks each flip once, reporting every violation it
-finds as it goes; a transposition's run costs two reads and one
-compare.  Three kinds of step meet a fast test first, which decides
-them on every valid trace: a one-flip step, the common case, on a
-direct path outside the loop, a block swap by a few integer compares
-and its two block scans, each block sliced once, and a replay by one
-read of its span in the order its shape stored.  A step that fails its
-fast test goes to the per-flip loop, one flip at a time, so the report
-is the same as if every flip had been checked there.
+Each flip is checked once.  A one-flip step, a block swap and a replay
+meet a fast test first, which decides them on every valid trace, and
+one that fails it goes to the per-flip checks, one flip at a time, so
+the report is the same as if every flip had been checked there.
 
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
@@ -71,7 +66,8 @@ iter_trace_file its only reader:
     R <id>                         (shape id again: its body, replayed)
     # <depth> end <label>
 
-Steps appear in application order.  A `B` line swaps the adjacent
+Each line after the header is one entry of Trace.steps, in file order,
+which is the order of application.  A `B` line swaps the adjacent
 blocks [lo, lo+a-1] and [lo+a, lo+a+b-1], a, b >= 1, and inside the
 domain.  It stands for a*b one-flip steps in canonical order: each
 element of the right block in turn, leftmost first, bubbles leftward
@@ -112,13 +108,13 @@ The one reader accepts the magics `ALLOWSEQ v1` (no `B`, `D`, `E` or
 FileSink writes v3.
 
 Every annotation scope, empty or not, is written where it opens and
-where it closes; depth counts the scopes open around it, the outermost
-being 1.  An annotation's index in Trace.annotations counts trace
-entries, a BlockSwap or a marker being one entry.  Files that FileSink
-writes parse and serialize back byte for byte.  Other valid files parse
-to the same steps, but need not come back byte for byte: v1 and v2
-files come back as v3, `S 1 2` comes back as `F 1 2`, and the flips of
-an `S` line come back sorted.
+where it closes: its `begin` one deeper than the scopes open around
+it, the outermost at depth 1, and its `end`, with the same depth and
+label, closing the innermost open scope by the end of the file.  Files
+that FileSink writes parse and serialize back byte for byte.  Other
+valid files parse to the same steps, but need not come back byte for
+byte: v1 and v2 files come back as v3, `S 1 2` comes back as `F 1 2`,
+and the flips of an `S` line come back sorted.
 """
 
 from __future__ import annotations
@@ -223,11 +219,18 @@ class Replay(Value):
     __slots__ = ("id",)
 
 
+class Annotation(Value):
+    """`# <depth> <label>`: an annotation scope opens or closes here, its
+    label "begin <name>" or "end <name>"."""
+
+    __slots__ = ("depth", "label")
+
+
 def _unfold(steps: Iterable, bodies=None) -> Iterator:
     """The entries with every Replay replaced by its shape's body, in
-    turn unfolded, and Define and End dropped; BlockSwaps stay.  Raises
-    ContractError on a Replay of a shape not closed before it, or an End
-    that does not close the innermost open shape."""
+    turn unfolded, and Define, End and Annotation dropped; BlockSwaps
+    stay.  Raises ContractError on a Replay of a shape not closed before
+    it, or an End that does not close the innermost open shape."""
     bodies = {} if bodies is None else bodies  # id -> its body's entries
     kept = []  # the entries inside shapes
     opened = []  # (id, index in kept where its body starts)
@@ -246,15 +249,15 @@ def _unfold(steps: Iterable, bodies=None) -> Iterator:
             if step.id not in bodies:
                 raise ContractError(f"replay of unknown shape {step.id}")
             yield from _unfold(bodies[step.id], bodies)
-        else:
+        elif cls is not Annotation:
             yield step
 
 
 def expand_steps(steps: Iterable) -> Iterator[FlipStep]:
     """The steps as trace format v1 holds them: every Replay replaced by
-    its shape's body, Define and End dropped, and every BlockSwap
-    replaced by its transpositions, each a one-flip step, in canonical
-    order."""
+    its shape's body, Define, End and Annotation dropped, and every
+    BlockSwap replaced by its transpositions, each a one-flip step, in
+    canonical order."""
     for step in _unfold(steps):
         if step.__class__ is BlockSwap:
             for c, d in step:
@@ -265,7 +268,8 @@ def expand_steps(steps: Iterable) -> Iterator[FlipStep]:
 
 def expanded_length(steps: Iterable) -> int:
     """How many steps expand_steps yields, counted without expanding: a
-    BlockSwap counts a*b, a Replay what its shape's body counts."""
+    BlockSwap counts a*b, a Replay what its shape's body counts, and an
+    Annotation nothing."""
     total = 0
     counts = {}  # id of each closed shape -> the steps of its body
     opened = []  # (id, total at its Define)
@@ -284,7 +288,7 @@ def expanded_length(steps: Iterable) -> int:
             if step.id not in counts:
                 raise ContractError(f"replay of unknown shape {step.id}")
             total += counts[step.id]
-        else:
+        elif cls is not Annotation:
             total += 1
     return total
 
@@ -309,26 +313,22 @@ class Trace(Value):
     """A finished, immutable flip trace: the flips of `steps` applied to
     the `initial` CentredSequence under the `window`.
 
-    `steps` holds FlipSteps, BlockSwaps and the shape markers Define,
-    End and Replay in application order, one entry per trace file line.
-    `annotations` holds the annotation events in the order they were
-    emitted, each as (index, depth, "begin <label>" or "end <label>"):
-    the event came after the first `index` entries of `steps`.
+    `steps` holds FlipSteps, BlockSwaps, the shape markers Define, End
+    and Replay, and Annotations, in the order they happened: one entry
+    per line of the trace file after its header.
     """
 
-    __slots__ = ("window", "initial", "steps", "annotations")
-    _defaults = {"annotations": ()}
+    __slots__ = ("window", "initial", "steps")
 
 
 class ListSink:
-    """Retains every step and annotation event; supports conversion to a
+    """Retains every entry in one list, `steps`; supports conversion to a
     Trace.  It keeps each step object it is handed, a BlockSwap or a
     marker as one entry, so a shared one-flip step costs one list
-    reference."""
+    reference, and each annotation as an Annotation."""
 
     def __init__(self):
         self.steps = []
-        self.annotations = []
 
     def on_step(self, step):
         self.steps.append(step)
@@ -336,7 +336,7 @@ class ListSink:
     on_transpositions = on_step
 
     def on_annotation(self, depth, label):
-        self.annotations.append((len(self.steps), depth, label))
+        self.steps.append(Annotation(depth, label))
 
 
 class StatsSink:
@@ -405,31 +405,23 @@ _LINE_KINDS = {MAGIC: set(_LINE_SHAPES), MAGIC_V2: {"F", "S", "B", "#"},
                MAGIC_V1: {"F", "S", "#"}}
 
 
-def iter_trace_file(fh, on_annotation=None):
+def iter_trace_file(fh):
     """The trace file reader: ((window, initial), steps) from an open text
     handle of format v1, v2 or v3.
 
-    The header is parsed at once; `steps` yields a FlipStep for each `F`
-    or `S` line, a BlockSwap for each `B` line and a Define, End or
-    Replay for each `D`, `E` or `R` line, in file order.  A `B` line must
-    lie inside the domain [lo, hi]; only v2 and v3 files hold them, and
-    only v3 files the shape lines.  Shapes must nest as the format
-    section says: a `D` span inside the domain and inside the shape open
-    around it, each body entry inside its shape's span, no id defined
-    twice, an `E` closing the innermost open shape, an `R` naming a
-    closed one, every shape closed by the end of the file and no
-    annotation scope crossing a `D` or an `E`.  Annotations must nest: a
-    `begin` sits one deeper than the scopes open around it, an `end`
-    closes the innermost open scope, and every scope is closed by the end
-    of the file.  Each one is checked and, if `on_annotation` is given,
-    passed to it as (depth, "begin <label>" or "end <label>") before the
-    next step is yielded.  Anything else raises TraceParseError naming
-    the offending line.  A step or `R` line whose text parsed before in
-    this file yields the entry parsed then, found by one lookup; only
-    lines that passed every check are kept, so a refused line is refused
-    where it stands.  Annotation, `D` and `E` lines are checked at each
-    occurrence, and inside a shape every entry is checked against its
-    span.
+    The header is parsed at once; `steps` yields one entry per line, in
+    file order: a FlipStep for each `F` or `S` line, a BlockSwap for each
+    `B` line, a Define, End or Replay for each `D`, `E` or `R` line and an
+    Annotation for each `#` line.  Each line must be one the file's magic
+    allows and hold what the format section says of it, so shapes and
+    annotation scopes nest and every entry lies inside the domain and the
+    span of any shape open around it.  Anything else raises
+    TraceParseError naming the offending line.  A step or `R` line
+    whose text parsed before in this file yields the entry parsed then,
+    found by one lookup; only lines that passed every check are kept, so
+    a refused line is refused where it stands.  Annotation, `D` and `E`
+    lines are checked at each occurrence, and inside a shape every entry
+    is checked against its span.
     """
     lineno = 0
 
@@ -567,8 +559,7 @@ def iter_trace_file(fh, on_annotation=None):
                                     f"of shape {opened[-1][0]}")
                     else:
                         scopes.pop()
-                    if on_annotation is not None:
-                        on_annotation(depth, label)
+                    yield Annotation(depth, label)
                     continue
             except ContractError as exc:
                 raise TraceParseError(lineno, str(exc))
@@ -594,12 +585,8 @@ def iter_trace_file(fh, on_annotation=None):
 
 def parse_trace(text: str) -> Trace:
     """The Trace a trace file's text holds, annotations included."""
-    sink = ListSink()
-    (window, initial), steps = iter_trace_file(io.StringIO(text),
-                                               sink.on_annotation)
-    for step in steps:
-        sink.steps.append(step)
-    return Trace(window, initial, tuple(sink.steps), tuple(sink.annotations))
+    (window, initial), steps = iter_trace_file(io.StringIO(text))
+    return Trace(window, initial, tuple(steps))
 
 
 def serialize_trace(tr: Trace) -> str:
@@ -608,16 +595,13 @@ def serialize_trace(tr: Trace) -> str:
     out = io.StringIO()
     sink = FileSink(out)
     sink.begin(tr.initial, tr.window)
-    done = 0
-    for at, depth, label in tr.annotations + ((len(tr.steps), 0, None),):
-        for step in tr.steps[done:at]:
-            if step.__class__ is FlipStep:
-                sink.on_step(step)
-            else:
-                sink.on_transpositions(step)
-        done = at
-        if label is not None:
-            sink.on_annotation(depth, label)
+    for step in tr.steps:
+        if step.__class__ is FlipStep:
+            sink.on_step(step)
+        elif step.__class__ is Annotation:
+            sink.on_annotation(step.depth, step.label)
+        else:
+            sink.on_transpositions(step)
     return out.getvalue()
 
 
@@ -701,8 +685,7 @@ class TraceRecorder:
     def to_trace(self) -> Trace:
         if not isinstance(self.sink, ListSink):
             raise ContractError("only ListSink recorders can produce a Trace")
-        return Trace(self.window, self.initial, tuple(self.sink.steps),
-                     tuple(self.sink.annotations))
+        return Trace(self.window, self.initial, tuple(self.sink.steps))
 
     # -- annotation stack ----------------------------------------------
 
@@ -947,77 +930,59 @@ def _kept(steps, kept):
 
 def verify_stream(initial: CentredSequence, window: Window,
                   steps: Iterable) -> VerificationReport:
-    """Replay FlipSteps, BlockSwaps and shape markers from scratch and
-    report what actually holds.
+    """Replay the entries from scratch and report what actually holds.
+    Violations are reported, never raised; Annotations are passed over
+    and count as no step.
 
-    A step's flips are checked in the order it holds them, which FlipStep
-    keeps sorted by c; flips that overlap or come out of that order are
-    reported as a violation.  Violations are reported, never raised.
+    Each flip [c, d] is checked once, in the order its step holds it,
+    sorted by c, and every violation it has is reported, in this order:
+    c and d inside the bounds, c after the previous flip of its step, an
+    increasing run, and a midpoint outside the window, whose failure
+    clears all_valid but not allowable.  The bounds are the domain, or
+    inside a shape its span.  A flip inside them is applied and its
+    deviation taken, whatever else it violates; a flip out of them
+    counts as a flip but is neither applied nor taken toward the least
+    deviation.  A run is strictly increasing exactly when it equals its
+    sorted copy, and for d = c + 1 when its first value is below its
+    second: CentredSequence is injective and a flip only reverses a
+    slice, so the working copy never holds two equal values.
 
-    Each flip [c, d] is checked once, in one pass that reports every
-    violation it has, in this order: c and d inside the bounds, c after
-    the previous flip of its step, an increasing run, and a midpoint
-    outside the window, whose failure clears all_valid but not
-    allowable.  The bounds are the domain, or inside a shape its span.
-    For d = c + 1 the run test is one compare of the two values, which
-    are then swapped in place.  A flip inside the bounds is applied and
-    its deviation taken, whatever else it violates; a flip out of them
-    counts as a flip but is not applied and not taken toward the minimum
-    deviation.
-
-    A step of one flip takes the same test on a direct path, with no
-    per-flip loop: lo <= c (no previous flip), d <= hi, c + d outside
-    [-2t, 2t], and the run.  A step it passes is applied and counted
-    there.  A step it fails changes nothing on that path and goes on, as
-    if it had never been tried, to the per-flip loop, which fails the
-    same test and reports the step, so every report, first violation
-    included, is the one the per-flip loop alone gives.  The least
-    doubled deviation starts at hi - lo + 2, above any deviation a flip
-    inside the domain can have, and reads INF if it is still there at
-    the end.
-
-    Memory stays O(sequence length) on a trace without shapes: one pass,
-    one working copy of the state.  Nothing is cached per step object, so
-    a shared step is checked afresh against the state at each place it
-    occurs.
-
-    A BlockSwap counts as the a*b one-flip steps it stands for.  Its
-    transpositions (p, p+1) have p in [at, last], at = step.lo and
-    last = at + a + b - 2, and bounds and window are decided on these
-    integers first: the swap lies inside the bounds, and it clears the
-    window when t = 0, at >= t or last < -t.  Then each block is sliced
-    once, max(left) < min(right) tests that every left value lies below
-    every right value, and right + left is spliced back.  The midpoint
-    nearest the centre is that of the transposition at the centre, its p
-    clamped to [at, last].  A swap that fails any of these checks is
-    replayed one transposition at a time by the per-flip code, so the
-    report, first violation included, is the one its one-flip steps give.
+    Three kinds of entry meet a fast test first.  An entry that fails it
+    changes nothing there and goes on to the per-flip checks, one flip at
+    a time, so every report, first violation included, is the one those
+    checks alone give.  A one-flip step needs lo <= c, d <= hi, c + d
+    outside [-2t, 2t] and the run.  A BlockSwap counts as the a*b
+    one-flip steps it stands for; its transpositions (p, p+1) have p in
+    [at, last], at = step.lo and last = at + a + b - 2, which must lie
+    inside the bounds and clear the window (t = 0, at >= t or
+    last < -t), and then max(left) < min(right), each block sliced once,
+    before right + left is spliced back.  Its least deviation is that of
+    the transposition at the centre, p clamped to [at, last].  A Replay
+    needs the span's values, read in its shape's stored argsort order,
+    to be strictly increasing: the span is then order-isomorphic to the
+    shape's start, every move of the body gets the verdict it got there
+    (see the module docstring), and the shape's net permutation and
+    counts are applied in O(span).  Otherwise the body, Define and End
+    dropped, is verified in its place.
 
     Shapes trust nothing of the recorder's: each is derived from the body
     this pass has just verified.  A Define keeps the span's values and
-    narrows the bounds to its span, so a body entry outside it is
-    reported.  Its End stores the argsort of those starting values, the
-    net permutation of the span, the steps, flips and least doubled
-    deviation of the body, and the body's entries.  A Replay reads the
-    span's values in the stored argsort order; when they are strictly
-    increasing, the span is order-isomorphic to the shape's start, so
-    every move of the body gets the verdict it got there (see the module
-    docstring), and the shape is applied in O(span): the permutation and
-    the counts.  Otherwise the body's entries, Define and End dropped,
-    are verified in its place one at a time, so every report, first
-    violation included, is the one the expansion gives.  A Define that
+    narrows the bounds to its span; its End stores the argsort of those
+    values, the net permutation of the span, the steps, flips and least
+    doubled deviation of the body, and the body's entries.  A Define that
     reuses an id or leaves the bounds, an End that does not close the
     innermost open shape, a Replay of a shape not closed before it, and
-    a shape never closed are reported with flip None.  No shape table
-    exists until the first Define, and a body's entries are kept only
-    while a shape is open, by a wrapper of the step iterator that is
-    dropped when the outermost shape closes.  The FlipStep path meets
-    one class test per step, as before shapes.
+    a shape never closed are reported with flip None.
 
-    A run is strictly increasing exactly when it equals its sorted copy,
-    and two values are when the first is below the second:
-    CentredSequence is injective and each flip only reverses a slice, so
-    the working copy never holds two equal values.
+    The least doubled deviation starts at hi - lo + 2, above any that a
+    flip inside the domain can have, and reads INF if it is still there
+    at the end.  Memory stays O(sequence length) on a trace without
+    shapes, and nothing is cached per step object, so a shared step is
+    checked afresh at each place it occurs.  No shape table exists until
+    the first Define, and a body's entries are kept only while a shape
+    is open, by a wrapper of the entry iterator that is dropped when the
+    outermost shape closes.  The FlipStep path meets one class test per
+    entry; an Annotation is tested for after a BlockSwap.
     """
     base, top = initial.lo, initial.hi  # the domain
     lo, hi = base, top  # the bounds: the domain or the innermost shape's span
@@ -1079,6 +1044,8 @@ def verify_stream(initial: CentredSequence, window: Window,
                             continue
                     pending = chain(expand_steps((step,)), steps)
                     break
+                if cls is Annotation:
+                    continue
                 if cls is Replay:
                     shape = shapes.get(step.id) if shapes else None
                     if shape is None:
@@ -1227,7 +1194,7 @@ def min_deviation(tr: Trace):
     unfolded: the least over the trace's own steps is the expansion's."""
     centre2 = tr.initial.lo + tr.initial.hi
     dev2 = min((s.min_dev2(centre2) for s in tr.steps
-                if not isinstance(s, (Define, End, Replay))), default=None)
+                if isinstance(s, (FlipStep, BlockSwap))), default=None)
     return INF if dev2 is None else Fraction(dev2, 2)
 
 

@@ -490,6 +490,20 @@ def render_points_svg(ps: PointSet, with_lines: bool = False) -> str:
 # Point-set file format: one "x y" pair per line, rational or integer
 # coordinates, '#' comments.
 
+# The most digits, and the largest exponent, a coordinate may have, so
+# that no short file names a number of millions of digits.
+MAX_COORDINATE_DIGITS = 1000
+
+
+def _coordinate(text: str) -> Fraction:
+    """The Fraction a coordinate names, its size checked on the text."""
+    mantissa, _, exp = text.lower().partition("e")
+    exp, top = exp.lstrip("+-").replace("_", ""), MAX_COORDINATE_DIGITS
+    if sum(map(str.isdigit, mantissa)) > top or exp.isdecimal() and (
+            len(exp) > 9 or int(exp) > top):
+        raise ValueError(f"{text[:20]!r} has over {top} digits or exponent")
+    return Fraction(text)
+
 
 def parse_points(text: str) -> PointSet:
     pts = []
@@ -501,16 +515,12 @@ def parse_points(text: str) -> PointSet:
         if len(parts) != 2:
             raise ContractError(f"line {ln}: expected 'x y', got {raw!r}")
         try:
-            pts.append((Fraction(parts[0]), Fraction(parts[1])))
+            pts.append((_coordinate(parts[0]), _coordinate(parts[1])))
         except (ValueError, ZeroDivisionError) as exc:
             raise ContractError(f"line {ln}: bad coordinate ({exc})")
     return PointSet(pts)
 
 
 def format_points(ps: PointSet) -> str:
-    lines = []
-    for x, y in ps.points:
-        fx = str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-        fy = str(y.numerator) if y.denominator == 1 else f"{y.numerator}/{y.denominator}"
-        lines.append(f"{fx} {fy}")
-    return "\n".join(lines) + "\n"
+    # A Fraction prints as "n" or "n/d", which parse_points reads back.
+    return "\n".join(f"{x} {y}" for x, y in ps.points) + "\n"

@@ -163,15 +163,26 @@ class RecurrenceTable(Value):
         return self.balance_ratio_at_least(self.gate_threshold)
 
     def balance_ratio_at_least(self, bound) -> bool:
-        """Decide beta_k/alpha_k >= bound, by enclosure when decisive and
-        by cross-multiplied exact comparison otherwise."""
+        """Decide beta_k/alpha_k >= bound = p/q by `ratio` when held, else
+        by the enclosure, else by its lower bound where that is exact.
+
+        Over d^(k-1), ratio = N/(A - e) and lower = N/A, for N = kd/(3T),
+        A = a0*d + 2Tk + d^2/(d-1) and e = d^(2-k)/(d-1).  With p, q > 0,
+        I = q*k*d*(d-1) - 3T*p*A*(d-1) is an integer, ratio >= p/q iff
+        I >= -3T*p*d^(2-k), and lower >= p/q iff I >= 0: the two agree
+        when 3T*p < d^(k-2), shown on bit lengths as d >= 2^(bits(d)-1).
+        Only elsewhere does `ratio_at_least` build the powers of d."""
         bound = Fraction(bound)
+        if self.ratio is not None:
+            return self.ratio >= bound
         lower, upper = self.ratio_bounds
         if lower >= bound:
             return True
-        if upper < bound:
+        k, d = self.k, self.d
+        if upper < bound or (3 * self.T * bound.numerator).bit_length() \
+                <= (k - 2) * (d.bit_length() - 1):
             return False
-        return ratio_at_least(self.t, self.d, self.k, bound)
+        return ratio_at_least(self.t, d, k, bound)
 
     def to_text(self) -> str:
         lines = [f"plan t={self.t} T={self.T} d={self.d} k={self.k} n={self.n}"]

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allowseq.construction import shift, shift_instance
-from allowseq.engine import (BlockSwap, FileSink, FlipStep, StatsSink,
+from allowseq.engine import (Annotation, BlockSwap, Define, End, FileSink,
+                             FlipStep, Replay, StatsSink, Trace,
                              TraceParseError, TraceRecorder, expand_steps,
                              min_deviation, parse_trace, serialize_trace,
                              single_step, verify_stream, verify_trace)
@@ -177,13 +178,29 @@ def test_b_lines_round_trip():
     v3 = HEADER.replace("v2", "v3")
     text = v3 + "# 1 begin swap\nB 1 1 2\n# 1 end swap\nF 2 3\n"
     tr = parse_trace(text)
-    assert tr.steps == (BlockSwap(1, 1, 2), single_step(2, 3))
-    assert tr.annotations == ((0, 1, "begin swap"), (1, 1, "end swap"))
+    assert tr.steps == (Annotation(1, "begin swap"), BlockSwap(1, 1, 2),
+                        Annotation(1, "end swap"), single_step(2, 3))
     assert serialize_trace(tr) == text
     v1 = parse_trace(as_v1(text))
     assert serialize_trace(v1) == v3 + ("# 1 begin swap\nF 1 2\nF 2 3\n"
                                         "# 1 end swap\nF 2 3\n")
     assert verify_trace(tr) == verify_trace(v1)
+    # Annotations inside a shape and outside it are entries in file order,
+    # and the verifier passes over them.
+    shaped = ("ALLOWSEQ v3\nt=0 lo=1 hi=4\n1 2 3 4\n"
+              "# 1 begin all\nD 0 1 2\n# 2 begin one\nF 1 2\n# 2 end one\n"
+              "E 0\nB 1 2 2\nR 0\n# 1 end all\n")
+    tr = parse_trace(shaped)
+    assert tr.steps == (Annotation(1, "begin all"), Define(0, 1, 2),
+                        Annotation(2, "begin one"), single_step(1, 2),
+                        Annotation(2, "end one"), End(0), BlockSwap(1, 2, 2),
+                        Replay(0), Annotation(1, "end all"))
+    assert serialize_trace(tr) == shaped
+    bare = Trace(tr.window, tr.initial,
+                 tuple(s for s in tr.steps if not isinstance(s, Annotation)))
+    rep = verify_trace(tr)
+    assert rep == verify_trace(bare)
+    assert rep.allowable and rep.reaches_reversal and rep.step_count == 6
 
 
 def test_sink_seam():

@@ -10,7 +10,7 @@ import allowseq
 from allowseq.cli import (MAGIC, TraceParseError, iter_trace_file, main,
                           parse_trace, serialize_trace)
 from allowseq.construction import shift, shift_instance
-from allowseq.engine import (FileSink, FlipStep, TraceRecorder,
+from allowseq.engine import (Annotation, FileSink, FlipStep, TraceRecorder,
                              verify_stream, verify_trace)
 from allowseq.geom import PointSet, format_points
 from allowseq.planner import SizePlan, plan_sizes
@@ -92,6 +92,20 @@ def play(rec, plan):
     return rec
 
 
+def entries(plan):
+    """The trace entries a recorder makes of the plan, in order."""
+    out, scopes = [], []
+    for item in plan:
+        if item is None:
+            out.append(Annotation(len(scopes), "end " + scopes.pop()))
+        elif isinstance(item, str):
+            scopes.append(item)
+            out.append(Annotation(len(scopes), "begin " + item))
+        else:
+            out.append(item)
+    return tuple(out)
+
+
 def test_round_trip_fuzzed(rng):
     for _ in range(60):
         initial, steps = random_trace_material(rng)
@@ -112,7 +126,8 @@ def test_round_trip_fuzzed(rng):
         back = parse_trace(text)
         assert back == listed
         assert serialize_trace(back) == text
-        assert back.steps == tuple(ok_steps)
+        assert back.steps == entries(plan)
+        assert len(back.steps) == text.count("\n") - 3
 
 
 def test_streaming_parse_matches_full_parse(tmp_path):
@@ -594,7 +609,10 @@ def test_empty_point_file_exits_malformed(tmp_path, capsys):
     ("0 0\n# three fields\n1 2 3\n", "line 3: expected 'x y'"),
     ("1/0 0\n", "line 1: bad coordinate"),
     ("0 0\n1 1\n0/2 0\n", "points must be pairwise distinct"),
-], ids=["bad-coordinate", "three-fields", "zero-denominator", "duplicate"])
+    ("1e1000000 0\n0 1\n1 1\n", "line 1: bad coordinate"),
+    ("0 0\n1 1\n0 " + "1" * 1001 + "\n", "line 3: bad coordinate"),
+], ids=["bad-coordinate", "three-fields", "zero-denominator", "duplicate",
+        "huge-exponent", "many-digits"])
 @pytest.mark.parametrize("command, prefix", [
     (["points", "--action", "sequence"], "parse error: "),
     (["render", "--points"], "cannot read points: "),

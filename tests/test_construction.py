@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from allowseq.construction import (ConstructionFailure, Decomposition,
                                    reflect_instance, reflect_mirrored, shift,
                                    shift_instance, shift_mirrored,
                                    step_instance)
-from allowseq.engine import StatsSink, TraceRecorder, verify_trace
+from allowseq.engine import (Annotation, StatsSink, TraceRecorder,
+                             verify_trace)
 from allowseq.errors import ConstructionBug, ContractError, RefusalError
 from allowseq.oracle import sample_balanced_block
 from allowseq.planner import (SizePlan, beta_closed, plan_sizes,
@@ -564,6 +566,22 @@ def test_full_construction_refuses_oversize():
         full_construction(0, 100, 100)
 
 
+def test_step_instance_refuses_before_building():
+    # 2,237,560,591 cells at (1, 81, 4, 1); at k = 10**6 the sizes are
+    # never evaluated and the domain is refused as astronomical.
+    for args, cells in (((1, 81, 4, 1), "2237560591"),
+                        ((0, 9, 10**6, 1), "astronomical")):
+        started = time.perf_counter()
+        with pytest.raises(RefusalError, match=f"needs {cells} cells"):
+            step_instance(*args)
+        assert time.perf_counter() - started < 1
+    cells = plan_sizes(1, 81, 1, 1).cells
+    with pytest.raises(RefusalError, match=f"needs {cells} cells"):
+        step_instance(1, 81, 1, 1, max_cells=cells - 1)
+    rec = step_instance(1, 81, 1, 1, max_cells=cells)
+    assert rec.hi - rec.lo + 1 == cells
+
+
 def _finish_synthetic(middle):
     seq, layout, t = synthetic_finishing_state(middle)
     assert is_r_balanced(Block(seq.values[78:140]), 28).balanced
@@ -589,8 +607,11 @@ def test_finishing_pipeline_applies_decomposition():
     assert len(block_moves(middle, dec.result)) == 29
     rec = _finish_synthetic(middle)
     assert rec.flip_count == 3698
-    assert rec.to_trace().annotations[:2] == (
-        (0, 1, "begin apply decomposition"), (29, 1, "end apply decomposition"))
+    # the scope opens first and closes after the 29 moves
+    steps = rec.to_trace().steps
+    assert (steps[0], steps[30]) == (Annotation(1, "begin apply decomposition"),
+                                     Annotation(1, "end apply decomposition"))
+    assert not any(isinstance(s, Annotation) for s in steps[1:30])
 
 
 def _finish_generated(middle, t, r, **sizes):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from allowseq import engine
 from allowseq.construction import recursive_step, step_instance
-from allowseq.engine import (INF, BlockSwap, FileSink, FlipStep, ListSink,
-                             StatsSink, TraceRecorder, expand_steps,
+from allowseq.engine import (INF, Annotation, BlockSwap, FileSink, FlipStep,
+                             ListSink, StatsSink, TraceRecorder, expand_steps,
                              flip_imbalance, iter_trace_file, min_deviation,
                              parse_trace, single_step, verify_stream,
                              verify_trace)
@@ -23,7 +23,7 @@ from conftest import (LooseStep, as_v1, bubble_pairs, five_element_steps,
 def test_fresh_recorder_is_empty_and_replays_to_itself():
     s = identity_sequence(-3, 3)
     tr = TraceRecorder(s, Window(1))
-    assert tr.step_count == 0 and tr.to_trace().annotations == ()
+    assert tr.step_count == 0 and tr.to_trace().steps == ()
     rep = verify_trace(tr.to_trace())
     assert rep.allowable and rep.min_deviation == INF
     assert not rep.reaches_reversal
@@ -52,8 +52,9 @@ def test_scopes_close_when_their_body_raises(fail, exc, to_file):
                 fail(rec)
     assert rec._ann_stack == []
     tr = parse_trace(fh.getvalue()) if to_file else rec.to_trace()
-    assert tr.annotations == ((0, 1, "begin outer"), (1, 2, "begin inner"),
-                              (1, 2, "end inner"), (1, 1, "end outer"))
+    assert tr.steps == (Annotation(1, "begin outer"), single_step(1, 2),
+                        Annotation(2, "begin inner"), Annotation(2, "end inner"),
+                        Annotation(1, "end outer"))
 
 
 def test_emit_step_window_rules():
@@ -714,24 +715,28 @@ def test_one_flip_steps_are_shared():
         nums = [int(x) for x in line.split()[1:]]
         fresh.append(FlipStep([Flip(c, d)
                                for c, d in zip(nums[::2], nums[1::2])]))
-    parsed = parse_trace(text)
+    parsed = [s for s in parse_trace(text).steps
+              if not isinstance(s, Annotation)]
     listed = step_trace().to_trace()
     expanded = list(expand_steps(listed.steps))
-    assert list(parsed.steps) == fresh == expanded
+    assert parsed == fresh == expanded
     assert parse_trace(fh.getvalue()) == listed
     by_line, by_flips = {}, {}
-    for line, step, kept in zip(lines, parsed.steps, expanded):
+    for line, step, kept in zip(lines, parsed, expanded):
         assert by_line.setdefault(line, step) is step
         if len(kept.flips) == 1:
             assert by_flips.setdefault(kept.flips, kept) is kept
     assert len(by_line) < len(lines) // 10  # the trace repeats its lines
-    # In the written file a repeated step line, `B` lines included, yields
-    # the object its first occurrence parsed to.
+    # In the written file each line yields one entry, and a repeated step
+    # line, `B` lines included, the object its first occurrence parsed to.
     text = fh.getvalue()
-    lines = [line for line in text.splitlines()[3:] if line[0] != "#"]
+    lines = text.splitlines()[3:]
     _, steps = iter_trace_file(io.StringIO(text))
     by_line = {}
     for line, step in zip(lines, steps, strict=True):
+        assert isinstance(step, Annotation) == (line[0] == "#")
+        if line[0] == "#":
+            continue
         assert by_line.setdefault(line, step) is step
         assert isinstance(step, BlockSwap) == (line[0] == "B")
     swaps = [line for line in lines if line[0] == "B"]

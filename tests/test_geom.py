@@ -1,6 +1,7 @@
 import hashlib
 import pathlib
 import random
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -240,6 +241,19 @@ def test_point_file_round_trip():
         parse_points("1 2 3\n")
     with pytest.raises(ContractError):
         parse_points("a b\n")
+    # Coordinates are refused from their text, before any number is built,
+    # past MAX_COORDINATE_DIGITS digits or exponent; up to it they parse.
+    top = geom.MAX_COORDINATE_DIGITS
+    for text, fault in (("1e1000000 0\n0 1\n1 1\n", "exponent"),
+                        ("1e3000000 0\n0 1\n1 1\n", "exponent"),
+                        ("0 1E-1_000_000\n", "exponent"),
+                        (f"0 {'7' * (top + 1)}/3\n", "digits")):
+        started = time.perf_counter()
+        with pytest.raises(ContractError, match=f"line 1: bad .*{fault}"):
+            parse_points(text)
+        assert time.perf_counter() - started < 0.1
+    ps = parse_points(f"1e{top} 0\n1e-{top} 1\n0 {'7' * top}\n")
+    assert ps.points[0][0] == 10**top and ps.points[1][0] * 10**top == 1
 
 
 def test_render_trace_svg_structure():

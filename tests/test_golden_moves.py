@@ -22,7 +22,8 @@ import pytest
 from allowseq.construction import (finish_pipeline, recursive_step, reflect,
                                    reflect_instance, reflect_mirrored, shift,
                                    shift_instance, step_instance)
-from allowseq.engine import FileSink, TraceRecorder, serialize_trace
+from allowseq.engine import (Annotation, FileSink, TraceRecorder,
+                             parse_trace, serialize_trace)
 from allowseq.seqcore import Window
 from conftest import (SYNTHETIC_MIDDLES, as_v1, as_v2,
                       synthetic_finishing_state)
@@ -64,7 +65,7 @@ STEP_PINS_V3 = {
 @pytest.mark.parametrize("t, d, k", list(STEP_PINS_V2),
                          ids=[f"{t}-{d}-{k}" for t, d, k in STEP_PINS_V2])
 def test_recursive_step_move_order(t, d, k):
-    # Every point of the acceptance suite's STEP_POINTS; the v1
+    # The acceptance suite's STEP_POINTS at t <= 1 and d = 9T; the v1
     # expansion of (0, 9, 3) is too large to build here.
     out = io.StringIO()
     rec = step_instance(t, d, k, 1, sink=FileSink(out))
@@ -78,13 +79,18 @@ def test_recursive_step_move_order(t, d, k):
 
 def test_both_sinks_see_the_same_scopes():
     # STEP_PINS pins the FileSink side; the same step recorded into a
-    # ListSink must serialize to that text, every scope at its place.
+    # ListSink must serialize to that text, every scope at its place, and
+    # the text parses to one entry per line after the header.
     out = io.StringIO()
     for sink in (FileSink(out), None):
         rec = step_instance(0, 9, 2, 1, sink=sink)
         recursive_step(rec, 9, 2, 1, strict_certificates=False)
-    assert rec.to_trace().annotations
-    assert serialize_trace(rec.to_trace()) == out.getvalue()
+    tr = rec.to_trace()
+    assert any(isinstance(s, Annotation) for s in tr.steps)
+    text = out.getvalue()
+    assert serialize_trace(tr) == text
+    assert parse_trace(text) == tr
+    assert len(tr.steps) == text.count("\n") - 3
 
 
 def test_wide_map_step_move_order():

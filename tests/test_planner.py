@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -137,6 +138,23 @@ def test_gate_comparison_past_the_enclosure():
         assert lower < bound < upper
         assert (exact >= bound) is expected
         assert tb.balance_ratio_at_least(bound) is expected
+
+
+def test_gate_past_the_enclosure_builds_no_power():
+    # At k = 164,614,464 the enclosure is indecisive and d^k would have
+    # about 680M digits; the lower bound decides, exactly.
+    started = time.perf_counter()
+    assert plan_sizes(1, 13609, 164614464, 1).gate_ok is False
+    assert time.perf_counter() - started < 1
+    # Where the cross-multiplied comparison is affordable it agrees: once
+    # with no ratio held, then at points whose ratio the table holds.
+    points = [(1, 29988, 22145)] + [(0, 25, k) for k in range(1200, 1213)]
+    for t, d, k in points:
+        tb = plan_sizes(t, d, k, 1)
+        lower, upper = tb.ratio_bounds
+        assert lower < tb.gate_threshold <= upper
+        assert (tb.ratio is None) == (d == 29988)
+        assert tb.gate_ok == ratio_at_least(t, d, k, tb.gate_threshold)
 
 
 def test_claim_monotonicity():

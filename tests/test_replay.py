@@ -19,11 +19,11 @@ import pytest
 from allowseq import engine
 from allowseq.cli import main
 from allowseq.construction import recursive_step, step_instance
-from allowseq.engine import (Define, End, FileSink, ListSink, Replay, Trace,
-                             TraceParseError, TraceRecorder, expand_steps,
-                             expanded_length, iter_trace_file, parse_trace,
-                             serialize_trace, single_step, verify_stream,
-                             verify_trace)
+from allowseq.engine import (Annotation, Define, End, FileSink, ListSink,
+                             Replay, Trace, TraceParseError, TraceRecorder,
+                             expand_steps, expanded_length, iter_trace_file,
+                             parse_trace, serialize_trace, single_step,
+                             verify_stream, verify_trace)
 from allowseq.errors import ConstructionBug, ContractError, RangeError
 from allowseq.seqcore import CentredSequence, Window, identity_sequence
 from conftest import as_v2
@@ -42,6 +42,11 @@ def file_report(text):
     return verify_stream(initial, window, steps)
 
 
+def without_annotations(tr):
+    return Trace(tr.window, tr.initial,
+                 tuple(s for s in tr.steps if not isinstance(s, Annotation)))
+
+
 @pytest.mark.parametrize("t, d, k", STEP_POINTS + [(0, 27, 2)],
                          ids=lambda v: str(v))
 def test_report_equals_the_expansions(t, d, k):
@@ -54,6 +59,14 @@ def test_report_equals_the_expansions(t, d, k):
     assert rep.min_deviation == rec.min_deviation
     # the file holds one `R` line per replayed sub-step from k = 1 on
     assert ("\nR " in text) == (k > 0)
+    # Annotations, inside shape bodies too, change no report.
+    tr = parse_trace(text)
+    assert verify_trace(tr) == verify_trace(without_annotations(tr)) == rep
+    shapes, in_body = 0, False
+    for s in tr.steps:
+        shapes += (s.__class__ is Define) - (s.__class__ is End)
+        in_body |= shapes > 0 and s.__class__ is Annotation
+    assert in_body == (k > 0)
 
 
 @pytest.mark.parametrize("t, d, k", [(0, 9, 1), (0, 9, 2), (1, 81, 1)])
@@ -71,6 +84,12 @@ def test_v3_round_trip_and_the_v2_reading(t, d, k):
     assert expanded_length(tr.steps) == expanded_length(v2.steps) \
         == rec.step_count
     assert engine.min_deviation(tr) == engine.min_deviation(v2)
+    # Annotation entries expand, count and deviate as nothing.
+    bare = without_annotations(tr)
+    assert len(bare.steps) < len(tr.steps)
+    assert list(expand_steps(bare.steps)) == list(expand_steps(tr.steps))
+    assert expanded_length(bare.steps) == expanded_length(tr.steps)
+    assert engine.min_deviation(bare) == engine.min_deviation(tr)
 
 
 def test_replays_change_nothing_but_the_form(monkeypatch):
@@ -136,6 +155,8 @@ def test_broken_replay_verifies_its_body(t, d, k, which):
     broken = "".join(lines[:at] + [breaking_flip(text, at)] + lines[at:])
     rep = file_report(broken)
     assert rep == file_report(as_v2(broken))
+    tr = parse_trace(broken)
+    assert verify_trace(tr) == verify_trace(without_annotations(tr)) == rep
     assert not rep.allowable and rep.first_violation is not None
 
 

@@ -19,8 +19,8 @@ import pytest
 import allowseq
 from allowseq.construction import (Certificate, ConstructionFailure,
                                    Decomposition, StepLayout, StepOutcome)
-from allowseq.engine import (BlockSwap, Define, End, FlipStep, Replay, Trace,
-                             VerificationReport)
+from allowseq.engine import (Annotation, BlockSwap, Define, End, FlipStep,
+                             Replay, Trace, VerificationReport)
 from allowseq.errors import ContractError
 from allowseq.geom import HalfPeriod, LineRecord, PointSet, SwapEvent
 from allowseq.planner import RecurrenceTable, plan_sizes
@@ -50,11 +50,12 @@ SAMPLES = [
     (Define, (0, -2, 5), "Define(id=0, lo=-2, hi=5)"),
     (End, (0,), "End(id=0)"),
     (Replay, (0,), "Replay(id=0)"),
+    (Annotation, (2, "end shift"), "Annotation(depth=2, label='end shift')"),
     (Trace, (Window(0), CentredSequence(1, (1, 2)),
-             (_step, BlockSwap(1, 1, 1)), ((1, 1, "begin a"),)),
+             (_step, Annotation(1, "begin a"), BlockSwap(1, 1, 1))),
      "Trace(window=Window(t=0), initial=CentredSequence(lo=1, "
      "values=(1, 2)), steps=(FlipStep(flips=(Flip(c=1, d=2),)), "
-     "BlockSwap(lo=1, a=1, b=1)), annotations=((1, 1, 'begin a'),))"),
+     "Annotation(depth=1, label='begin a'), BlockSwap(lo=1, a=1, b=1)))"),
     (VerificationReport, (True, True, False, Fraction(1, 2), 3, 4),
      "VerificationReport(allowable=True, all_valid=True, "
      "reaches_reversal=False, min_deviation=Fraction(1, 2), step_count=3, "
@@ -201,7 +202,7 @@ def test_no_dataclass_but_search_result():
     found = {cls.__qualname__ for cls in _classes()
              if dataclasses.is_dataclass(cls)}
     assert found == {"SearchResult"}
-    assert len(_value_types()) == 22
+    assert len(_value_types()) == 23
 
 
 def _writes_init(cls):
@@ -236,7 +237,6 @@ def test_derived_constructor_takes_one_parameter_per_field():
             make()
     assert Define(hi=2, lo=1, id=0) == Define(0, 1, 2)
     # a declared default is taken when its argument is left out
-    assert Trace(Window(0), CentredSequence(1, (1,)), ()).annotations == ()
     assert VerificationReport(True, True, True, 0, 0, 0).first_violation \
         is None
     assert Certificate(1, "w", True).detail == ""
@@ -257,7 +257,7 @@ def test_import_compiles_nothing():
     # or hash of its own until one of its values is built or compared.
     plain = [(cls.__module__, cls.__qualname__) for cls in _value_types()
              if not _writes_init(cls)]
-    assert len(plain) == 15
+    assert len(plain) == 16
     code = (
         "import importlib, sys\n"
         "import allowseq.cli\n"
