@@ -2,11 +2,13 @@
 
 The trace file format is documented, written and read in `engine`; its
 reader and writer are re-exported here.  `construct --out` writes format
-v3, in which a repeated sub-step is one `R` line, and opens the file
-only once every cell guard has passed.  `verify` and `render` read
-formats v1, v2 and v3: `verify` checks each replay against the shape it
-derives from the file itself, and `render` draws a replay as its body,
-refusing a trace whose expansion needs too many points.
+v4, in which a repeated sub-step is one `R` line and the initial values
+are written as ranges, and opens the file only once every cell guard has
+passed.  `verify` and `render` read formats v1 to v4, refusing a trace
+of more cells than the budget construct builds under, ALLOWSEQ_MAX_CELLS
+or its default: `verify` checks each replay against the shape it derives
+from the file itself, and `render` draws a replay as its body, refusing
+a trace whose expansion needs too many points.
 
 Exit codes: 0 success, 1 property violated or structured failure, 2
 malformed input, 3 refusal by a resource guard, 141 (128 + SIGPIPE, as
@@ -75,7 +77,7 @@ def _report_lines(rep, machine):
 def cmd_verify(args) -> int:
     try:
         with open(args.trace) as fh:
-            (window, initial), steps = iter_trace_file(fh)
+            (window, initial), steps = iter_trace_file(fh, _max_cells(args))
             rep = verify_stream(initial, window, steps)
     except TraceParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -184,7 +186,7 @@ def _construct(args, n, out) -> int:
         out.close()
         # The file must be valid and hold exactly what was recorded.
         with open(args.out) as fh:
-            (window, initial), steps = iter_trace_file(fh)
+            (window, initial), steps = iter_trace_file(fh, _max_cells(args))
             rep = verify_stream(initial, window, steps)
         recorded = (rec.flip_count, rec.step_count, rec.min_deviation)
         if not (rep.allowable and rep.all_valid) or recorded != (
@@ -261,7 +263,7 @@ def cmd_render(args) -> int:
     else:
         try:
             with open(args.input) as fh:
-                tr = parse_trace(fh.read())
+                tr = parse_trace(fh.read(), _max_cells(args))
         except TraceParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_MALFORMED
@@ -307,7 +309,8 @@ def build_parser():
     v.add_argument("--strict", action="store_true",
                    help="additionally require min deviation > t")
     v.add_argument("--machine", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    # The reader's cell budget comes from ALLOWSEQ_MAX_CELLS alone.
+    v.set_defaults(func=cmd_verify, max_cells=None)
 
     s = sub.add_parser("search", help="exhaustive best-deviation search")
     s.add_argument("--n", type=int, required=True)
@@ -329,7 +332,7 @@ def build_parser():
     r.add_argument("--lines", action="store_true",
                    help="draw all determined lines (with --points)")
     r.add_argument("--out", default=None)
-    r.set_defaults(func=cmd_render)
+    r.set_defaults(func=cmd_render, max_cells=None)
     return ap
 
 

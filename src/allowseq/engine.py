@@ -54,9 +54,9 @@ the report is the same as if every flip had been checked there.
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
 
-    ALLOWSEQ v3
+    ALLOWSEQ v4
     t=<int> lo=<int> hi=<int>
-    <initial values, space separated>
+    <initial values: <v> or <v>..<w>, space separated>
     # <depth> begin <label>        (annotation lines, optional)
     F <c> <d>                      (single flip)
     S <c1> <d1> <c2> <d2> ...      (disjoint multi-flip step)
@@ -88,8 +88,9 @@ earlier and stands for its body at this place, markers dropped and
 every `R` inside expanded in turn, annotation depths shifted by the
 scopes open at the `R` less those open at the `D`.  That expansion of
 a v3 file, with `D` and `E` dropped and the magic set to v2, is the v2
-file of the same steps.  A shape's span holds the same cells at every
-replay.
+file of the same steps, as a v4 file with its ranges written out value
+by value and the magic set to v3 is the v3 file.  A shape's span holds
+the same cells at every replay.
 
 Replaying a shape is sound after one check of its span's order.  A
 move's validity depends only on its positions, the window, and the
@@ -103,9 +104,20 @@ ascending order of value as an argsort, and at `R` it reads the span's
 current values in that order: they are strictly increasing exactly
 when the span is order-isomorphic to the shape's start.
 
+Header line 3 lists the initial values from position lo to hi.  A
+token `<v>..<w>`, v < w, stands for the w - v + 1 values v, v+1, ..., w;
+any other token is one value.  FileSink writes each maximal run of three
+or more consecutive increasing values as one range and shorter runs
+value by value, so a step's header, two runs around the window, is two
+ranges, and no header is longer than its values written one by one.
+The reader refuses a header of more than its cell budget, MAX_CELLS
+unless the caller names another, as construct refuses to build one, so
+a few bytes cannot ask it for unbounded memory.  It adds up the tokens'
+counts and compares the total with hi - lo + 1 before it builds a value.
+
 The one reader accepts the magics `ALLOWSEQ v1` (no `B`, `D`, `E` or
-`R` lines), `ALLOWSEQ v2` (no `D`, `E` or `R` lines) and `ALLOWSEQ v3`;
-FileSink writes v3.
+`R` lines), `ALLOWSEQ v2` (no `D`, `E` or `R` lines), `ALLOWSEQ v3`
+(no ranges on line 3) and `ALLOWSEQ v4`; FileSink writes v4.
 
 Every annotation scope, empty or not, is written where it opens and
 where it closes: its `begin` one deeper than the scopes open around
@@ -113,8 +125,9 @@ it, the outermost at depth 1, and its `end`, with the same depth and
 label, closing the innermost open scope by the end of the file.  Files
 that FileSink writes parse and serialize back byte for byte.  Other
 valid files parse to the same steps, but need not come back byte for
-byte: v1 and v2 files come back as v3, `S 1 2` comes back as `F 1 2`,
-and the flips of an `S` line come back sorted.
+byte: v1, v2 and v3 files come back as v4, `S 1 2` comes back as
+`F 1 2`, runs on line 3 come back as ranges and ranges of two values
+as the two values, and the flips of an `S` line come back sorted.
 """
 
 from __future__ import annotations
@@ -126,11 +139,13 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConstructionBug, ContractError, RangeError
+from .planner import MAX_CELLS, require_cells
 from .seqcore import CentredSequence, Flip, Value, Window, init_field
 
 INF = float("inf")
 
-MAGIC = "ALLOWSEQ v3"
+MAGIC = "ALLOWSEQ v4"
+MAGIC_V3 = "ALLOWSEQ v3"  # read, never written: the format before ranges
 MAGIC_V2 = "ALLOWSEQ v2"  # read, never written: the format before shapes
 MAGIC_V1 = "ALLOWSEQ v1"  # read, never written: the format before `B` lines
 
@@ -361,7 +376,7 @@ class FileSink:
     def begin(self, initial, window):
         self.fh.write(MAGIC + "\n")
         self.fh.write(f"t={window.t} lo={initial.lo} hi={initial.hi}\n")
-        self.fh.write(" ".join(str(v) for v in initial.values) + "\n")
+        self.fh.write(_ranges_text(initial.values) + "\n")
 
     def on_step(self, step):
         flips = step.flips
@@ -397,17 +412,75 @@ class FileSink:
         self.fh.write(f"# {depth} {label}\n")
 
 
+def _ranges_text(vals: Sequence[int]) -> str:
+    """Header line 3: each maximal run v, v+1, ..., w of three or more
+    values as `v..w`, which is never longer than the run written out, and
+    every other value by itself."""
+    ends = [i for i in range(1, len(vals)) if vals[i] != vals[i - 1] + 1]
+    parts = []
+    for a, b in zip([0] + ends, ends + [len(vals)]):
+        if b - a >= 3:
+            parts.append(f"{vals[a]}..{vals[b - 1]}")
+        else:
+            parts.extend(map(str, vals[a:b]))
+    return " ".join(parts)
+
+
+def _initial_values(line: str, count: int, magic: str, lineno: int):
+    """The `count` values of header line 3.  In v4 a token `v..w`, v < w,
+    is the range v..w, and any other token is one value.  The tokens'
+    counts are added up and checked before any value is built, so a range
+    that does not fit is refused without being expanded.  A header of one
+    range comes back as that `range`, any other as one list."""
+    tokens = line.split()
+    total = len(tokens)
+    ranges = []  # (index, range) of each range token, in line order
+    # A line without ".." holds no range, and is read without a Python loop
+    # over its tokens: for an old file's header that loop would cost more
+    # than building the values.
+    for i, tok in enumerate(tokens if ".." in line else ()):
+        if ".." not in tok:
+            continue
+        if magic != MAGIC:
+            raise TraceParseError(lineno, f"range {tok!r} in {magic}")
+        v, _, w = tok.partition("..")
+        try:
+            v, w = int(v), int(w)
+        except ValueError:
+            raise TraceParseError(lineno, f"expected '<v>..<w>', got {tok!r}")
+        if w <= v:
+            raise TraceParseError(lineno, f"range {tok!r} does not increase")
+        ranges.append((i, range(v, w + 1)))
+        total += w - v
+    if total != count:
+        raise TraceParseError(lineno, f"expected {count} values, got {total}")
+    if ranges and len(tokens) == 1:
+        return ranges[0][1]
+    vals, at = [], 0
+    try:
+        for i, r in ranges:
+            vals += map(int, tokens[at:i])
+            vals += r
+            at = i + 1
+        vals += map(int, tokens[at:])
+    except ValueError:
+        raise TraceParseError(lineno, "initial values must be integers")
+    return vals
+
+
 _LINE_SHAPES = {"F": "F <c> <d>", "S": "S <c1> <d1> <c2> <d2> ...",
                 "B": "B <lo> <a> <b>", "D": "D <id> <lo> <hi>",
                 "E": "E <id>", "R": "R <id>",
                 "#": "# <depth> begin|end <label>"}
-_LINE_KINDS = {MAGIC: set(_LINE_SHAPES), MAGIC_V2: {"F", "S", "B", "#"},
-               MAGIC_V1: {"F", "S", "#"}}
+_LINE_KINDS = {MAGIC: set(_LINE_SHAPES), MAGIC_V3: set(_LINE_SHAPES),
+               MAGIC_V2: {"F", "S", "B", "#"}, MAGIC_V1: {"F", "S", "#"}}
 
 
-def iter_trace_file(fh):
+def iter_trace_file(fh, max_cells: int = MAX_CELLS):
     """The trace file reader: ((window, initial), steps) from an open text
-    handle of format v1, v2 or v3.
+    handle of format v1, v2, v3 or v4.  A header of more than `max_cells`
+    positions is refused by `planner.require_cells` before line 3 is read,
+    as construct refuses to build that many.
 
     The header is parsed at once; `steps` yields one entry per line, in
     file order: a FlipStep for each `F` or `S` line, a BlockSwap for each
@@ -444,13 +517,8 @@ def iter_trace_file(fh):
         raise TraceParseError(lineno, "expected 't=<int> lo=<int> hi=<int>'")
     if hi < lo:
         raise TraceParseError(lineno, f"hi={hi} below lo={lo}")
-    try:
-        vals = list(map(int, readline().split()))
-    except ValueError:
-        raise TraceParseError(lineno, "initial values must be integers")
-    if len(vals) != hi - lo + 1:
-        raise TraceParseError(lineno, f"expected {hi - lo + 1} values, "
-                                      f"got {len(vals)}")
+    require_cells(hi - lo + 1, max_cells)
+    vals = _initial_values(readline(), hi - lo + 1, magic, lineno)
     try:
         header = (Window(t), CentredSequence(lo, vals))
     except ContractError as exc:
@@ -583,9 +651,9 @@ def iter_trace_file(fh):
     return header, steps()
 
 
-def parse_trace(text: str) -> Trace:
+def parse_trace(text: str, max_cells: int = MAX_CELLS) -> Trace:
     """The Trace a trace file's text holds, annotations included."""
-    (window, initial), steps = iter_trace_file(io.StringIO(text))
+    (window, initial), steps = iter_trace_file(io.StringIO(text), max_cells)
     return Trace(window, initial, tuple(steps))
 
 

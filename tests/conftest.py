@@ -133,14 +133,31 @@ def bubble_pairs(lo, a, b):
             for p in range(lo + a + j - 1, lo + j - 1, -1)]
 
 
-def as_v2(text):
-    """A trace file's text as format v2 holds it: the magic line says v2,
-    each `R` line becomes the body of its shape, every `R` in it expanded
-    in turn and its annotation depths shifted by the scopes open at the
-    `R` less those open at the `D`, and `D` and `E` lines are dropped.
-    Written apart from the engine's reader, from the format section."""
+def as_v3(text):
+    """A trace file's text as format v3 holds it: the magic line says v3
+    and each range `v..w` on header line 3 becomes the values v, v+1,
+    ..., w.  Written apart from the engine's reader, from the format
+    section."""
     lines = text.splitlines(keepends=True)
-    assert lines[0] in ("ALLOWSEQ v2\n", "ALLOWSEQ v3\n")
+    assert lines[0] in ("ALLOWSEQ v3\n", "ALLOWSEQ v4\n")
+    values = []
+    for token in lines[2].split():
+        v, dots, w = token.partition("..")
+        values += range(int(v), int(w) + 1) if dots else [int(v)]
+    header = " ".join(map(str, values)) + "\n"
+    return "".join(["ALLOWSEQ v3\n", lines[1], header, *lines[3:]])
+
+
+def as_v2(text):
+    """A trace file's text as format v2 holds it: as_v3, then the magic
+    line says v2, each `R` line becomes the body of its shape, every `R`
+    in it expanded in turn and its annotation depths shifted by the
+    scopes open at the `R` less those open at the `D`, and `D` and `E`
+    lines are dropped.  Written apart from the engine's reader, from the
+    format section."""
+    lines = text.splitlines(keepends=True)
+    if lines[0] != "ALLOWSEQ v2\n":
+        lines = as_v3(text).splitlines(keepends=True)
     bodies = {}  # id -> (its body lines, scopes open at its D)
     opened = []  # (id, index of its D line, scopes open there)
     depth = 0

@@ -130,7 +130,7 @@ def test_c03_reflect_minimal():
 # -- C4: recursive-step certificates -------------------------------------------
 
 STEP_POINTS = [(0, 9, 0), (0, 9, 1), (0, 9, 2), (0, 9, 3), (1, 81, 0),
-               (1, 81, 1), (1, 243, 1), (2, 729, 0)]
+               (1, 81, 1), (1, 243, 1), (2, 729, 0), (2, 729, 1)]
 
 
 @pytest.mark.parametrize("t,d,k", STEP_POINTS)

@@ -174,20 +174,20 @@ def test_b_line_needs_format_v2():
 
 
 def test_b_lines_round_trip():
-    # The writer writes format v3, which holds `B` lines as v2 does.
-    v3 = HEADER.replace("v2", "v3")
-    text = v3 + "# 1 begin swap\nB 1 1 2\n# 1 end swap\nF 2 3\n"
+    # The writer writes format v4, which holds `B` lines as v2 does.
+    v4 = "ALLOWSEQ v4\nt=0 lo=1 hi=3\n1..3\n"
+    text = v4 + "# 1 begin swap\nB 1 1 2\n# 1 end swap\nF 2 3\n"
     tr = parse_trace(text)
     assert tr.steps == (Annotation(1, "begin swap"), BlockSwap(1, 1, 2),
                         Annotation(1, "end swap"), single_step(2, 3))
     assert serialize_trace(tr) == text
     v1 = parse_trace(as_v1(text))
-    assert serialize_trace(v1) == v3 + ("# 1 begin swap\nF 1 2\nF 2 3\n"
+    assert serialize_trace(v1) == v4 + ("# 1 begin swap\nF 1 2\nF 2 3\n"
                                         "# 1 end swap\nF 2 3\n")
     assert verify_trace(tr) == verify_trace(v1)
     # Annotations inside a shape and outside it are entries in file order,
     # and the verifier passes over them.
-    shaped = ("ALLOWSEQ v3\nt=0 lo=1 hi=4\n1 2 3 4\n"
+    shaped = ("ALLOWSEQ v4\nt=0 lo=1 hi=4\n1..4\n"
               "# 1 begin all\nD 0 1 2\n# 2 begin one\nF 1 2\n# 2 end one\n"
               "E 0\nB 1 2 2\nR 0\n# 1 end all\n")
     tr = parse_trace(shaped)

@@ -3,19 +3,23 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import allowseq
 from allowseq.cli import (MAGIC, TraceParseError, iter_trace_file, main,
                           parse_trace, serialize_trace)
 from allowseq.construction import shift, shift_instance
-from allowseq.engine import (Annotation, FileSink, FlipStep, TraceRecorder,
-                             verify_stream, verify_trace)
+from allowseq.errors import RefusalError
+from allowseq.engine import (Annotation, FileSink, FlipStep, Trace,
+                             TraceRecorder, verify_stream, verify_trace)
 from allowseq.geom import PointSet, format_points
 from allowseq.planner import SizePlan, plan_sizes
 from allowseq.seqcore import CentredSequence, Flip, Window, identity_sequence
-from conftest import five_element_steps, random_trace_material
+from conftest import as_v3, five_element_steps, random_trace_material
 
 
 def run_cli(*argv):
@@ -176,6 +180,135 @@ def test_header_errors_carry_line_numbers(header, lineno, tmp_path, capsys):
     path.write_text(text)
     assert run_cli("verify", str(path)) == 2
     assert capsys.readouterr().err.startswith(f"parse error: line {lineno}:")
+
+
+@pytest.mark.parametrize("magic, values, message", [
+    ("v4", "3..", "expected '<v>..<w>', got '3..'"),
+    ("v4", "..3", "expected '<v>..<w>', got '..3'"),
+    ("v4", "1..2..3", "expected '<v>..<w>', got '1..2..3'"),
+    ("v4", "a..b", "expected '<v>..<w>', got 'a..b'"),
+    ("v4", "4..4 5 6", "range '4..4' does not increase"),
+    ("v4", "5..3 6", "range '5..3' does not increase"),
+    ("v4", "1..4", "expected 3 values, got 4"),
+    ("v4", "1 2", "expected 3 values, got 2"),
+    ("v4", "1..2 2", "centred sequence must be injective"),
+    ("v3", "1..3", "range '1..3' in ALLOWSEQ v3"),
+], ids=["no-end", "no-start", "two-dots", "non-integer-range",
+        "one-value-range", "decreasing-range", "range-too-long",
+        "too-few-tokens", "ranges-overlap", "range-in-v3"])
+def test_header_ranges_are_refused_on_line_3(magic, values, message):
+    with pytest.raises(TraceParseError) as exc:
+        parse_trace(f"ALLOWSEQ {magic}\nt=0 lo=1 hi=3\n{values}\n")
+    assert exc.value.lineno == 3
+    assert str(exc.value) == f"line 3: {message}"
+
+
+def test_oversized_range_is_refused_before_it_is_built():
+    # A range of 10^12 values where the header names 3: the counts are
+    # compared first, so refusing it allocates next to nothing.
+    text = "ALLOWSEQ v4\nt=0 lo=1 hi=3\n1..1000000000000\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 3: expected 3 values, got 1000000000000"
+    assert peak < 100_000
+
+
+def test_oversized_header_is_refused_before_it_is_built(tmp_path, capsys):
+    # 49 bytes that name 10^9 positions and hold them: the reader refuses
+    # the header against the cell budget construct builds under, before it
+    # reads line 3, so nothing of that size is allocated.
+    text = "ALLOWSEQ v4\nt=0 lo=1 hi=1000000000\n1..1000000000\n"
+    assert len(text) == 49
+    tracemalloc.start()
+    try:
+        with pytest.raises(RefusalError) as exc:
+            parse_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("materialization needs 1000000000 cells "
+                              "(limit 100000000)")
+    assert peak < 100_000
+    path = tmp_path / "huge.trace"
+    path.write_text(text)
+    refusal = ("refused: materialization needs 1000000000 cells "
+               "(limit 100000000)\n")
+    assert run_cli("verify", str(path)) == 3
+    assert capsys.readouterr().err == refusal
+    assert run_cli("render", str(path)) == 3
+    assert capsys.readouterr().err == refusal
+
+
+def test_reader_takes_the_construct_cell_budget(tmp_path, monkeypatch,
+                                                capsys):
+    # The file of a 13-cell step is written and read back under a budget
+    # of 13 cells, and refused under 12, the budget construct takes from
+    # ALLOWSEQ_MAX_CELLS.
+    path = tmp_path / "step.trace"
+    monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "13")
+    assert run_cli("construct", "--stage", "step", "--t", "0", "--d", "9",
+                   "--k", "0", "--out", str(path)) == 0
+    for command in ("verify", "render"):
+        monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "12")
+        assert run_cli(command, str(path)) == 3
+        assert capsys.readouterr().err == (
+            "refused: materialization needs 13 cells (limit 12)\n")
+        monkeypatch.setenv("ALLOWSEQ_MAX_CELLS", "13")
+        assert run_cli(command, str(path)) == 0
+    monkeypatch.delenv("ALLOWSEQ_MAX_CELLS")
+    with pytest.raises(RefusalError):
+        parse_trace(path.read_text(), 12)
+    assert len(parse_trace(path.read_text(), 13).initial) == 13
+
+
+@st.composite
+def run_orders(draw):
+    """A centred sequence made of blocks of consecutive values, of lengths
+    1, 2 and more, some reversed, in random order, over values that may
+    be negative and may cross 0."""
+    v = draw(st.integers(-40, 10))
+    blocks = []
+    for size in draw(st.lists(st.sampled_from([1, 2, 3, 4, 9]), min_size=1,
+                              max_size=8)):
+        v += draw(st.integers(0, 2))
+        block = list(range(v, v + size))
+        blocks.append(block[::-1] if draw(st.booleans()) else block)
+        v += size
+    values = [x for block in draw(st.permutations(blocks)) for x in block]
+    return CentredSequence(draw(st.integers(-5, 5)), values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_orders())
+def test_header_ranges_round_trip(initial):
+    tr = Trace(Window(0), initial,
+               (Annotation(1, "begin a"), FlipStep([Flip(initial.lo,
+                                                         initial.lo)]),
+                Annotation(1, "end a")))
+    text = serialize_trace(tr)
+    assert parse_trace(text) == tr
+    assert serialize_trace(parse_trace(text)) == text
+    assert parse_trace(as_v3(text)) == tr
+    # Each maximal run of three or more consecutive values is one range,
+    # so the v4 header is never longer than the values one by one.
+    tokens = text.splitlines()[2].split()
+    values = initial.values
+    assert len(" ".join(tokens)) <= len(" ".join(map(str, values)))
+    firsts = [int(tok.partition("..")[0]) for tok in tokens]
+    lasts = [int(tok.rpartition("..")[2]) for tok in tokens]
+    for i, tok in enumerate(tokens):
+        if ".." in tok:
+            assert lasts[i] - firsts[i] >= 2
+            assert i == 0 or lasts[i - 1] + 1 != firsts[i]
+            assert i + 1 == len(tokens) or lasts[i] + 1 != firsts[i + 1]
+    singles = [None if ".." in tok else int(tok) for tok in tokens]
+    for a, b, c in zip(singles, singles[1:], singles[2:]):
+        assert None in (a, b, c) or not a + 1 == b == c - 1
 
 
 def test_annotation_begin_at_wrong_depth():

@@ -1,16 +1,17 @@
 """Golden move order: the exact trace text of the construction's moves.
 
 Each case runs one procedure into a FileSink and pins the first 16 hex
-digits of sha256 digests: of the text written (format v3), of that text
-expanded back to format v2 (`conftest.as_v2`), in which every replayed
-sub-step is written out, and of it expanded on to format v1
-(`conftest.as_v1`), in which every block swap is its one-flip steps.  A
-refactor of the moves must keep every flip, its order and every
-annotation, so the v1 and v2 pins hold across format changes; a
-deliberate change of the trace format updates only the v3 pins, in the
-same change.  The v2 pins were taken from the writer of format v2, so
-they also check that expanding a v3 file gives that writer's file byte
-for byte.
+digits of sha256 digests: of the text written (format v4), of that text
+expanded back to format v3 (`conftest.as_v3`), in which the header's
+ranges are written out value by value, of it expanded on to format v2
+(`conftest.as_v2`), in which every replayed sub-step is written out, and
+of it expanded on to format v1 (`conftest.as_v1`), in which every block
+swap is its one-flip steps.  A refactor of the moves must keep every
+flip, its order and every annotation, so the v1, v2 and v3 pins hold
+across format changes; a deliberate change of the trace format updates
+only the v4 pins, in the same change.  The v2 and v3 pins were taken
+from the writers of those formats, so they also check that expanding a
+v4 file gives those writers' files byte for byte.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from allowseq.construction import (finish_pipeline, recursive_step, reflect,
 from allowseq.engine import (Annotation, FileSink, TraceRecorder,
                              parse_trace, serialize_trace)
 from allowseq.seqcore import Window
-from conftest import (SYNTHETIC_MIDDLES, as_v1, as_v2,
+from conftest import (SYNTHETIC_MIDDLES, as_v1, as_v2, as_v3,
                       synthetic_finishing_state)
 
 
@@ -34,8 +35,17 @@ def _digest(text):
 
 
 def _digests(text):
-    """The digests of the v1 expansion, the v2 expansion and the text."""
-    return _digest(as_v1(text)), _digest(as_v2(text)), _digest(text)
+    """The digests of the v1, v2 and v3 expansions and of the text."""
+    return (_digest(as_v1(text)), _digest(as_v2(text)),
+            _digest(as_v3(text)), _digest(text))
+
+
+def _step_text(t, d, k):
+    """The text FileSink writes for the growth step at (t, d, k), n = 1."""
+    out = io.StringIO()
+    rec = step_instance(t, d, k, 1, sink=FileSink(out))
+    recursive_step(rec, d, k, 1, strict_certificates=False)
+    return out.getvalue(), rec
 
 
 STEP_PINS = {
@@ -60,6 +70,14 @@ STEP_PINS_V3 = {
     (1, 81, 0): "9e06a4c6309da204",
     (1, 81, 1): "9f508cc67ba0ed0a",
 }
+STEP_PINS_V4 = {
+    (0, 9, 0): "bc4b500d480f2b28",
+    (0, 9, 1): "6cb92cc84ef6cd97",
+    (0, 9, 2): "6a22f0cbb0482422",
+    (0, 9, 3): "fa9b7d7338047961",
+    (1, 81, 0): "5c1ea5035887e460",
+    (1, 81, 1): "dcfc3b1af9320578",
+}
 
 
 @pytest.mark.parametrize("t, d, k", list(STEP_PINS_V2),
@@ -67,12 +85,9 @@ STEP_PINS_V3 = {
 def test_recursive_step_move_order(t, d, k):
     # The acceptance suite's STEP_POINTS at t <= 1 and d = 9T; the v1
     # expansion of (0, 9, 3) is too large to build here.
-    out = io.StringIO()
-    rec = step_instance(t, d, k, 1, sink=FileSink(out))
-    recursive_step(rec, d, k, 1, strict_certificates=False)
-    text = out.getvalue()
-    assert (_digest(as_v2(text)), _digest(text)) == (STEP_PINS_V2[t, d, k],
-                                                     STEP_PINS_V3[t, d, k])
+    text, _ = _step_text(t, d, k)
+    assert (_digest(as_v2(text)), _digest(as_v3(text)), _digest(text)) == (
+        STEP_PINS_V2[t, d, k], STEP_PINS_V3[t, d, k], STEP_PINS_V4[t, d, k])
     if (t, d, k) in STEP_PINS:
         assert _digest(as_v1(text)) == STEP_PINS[t, d, k]
 
@@ -95,16 +110,25 @@ def test_both_sinks_see_the_same_scopes():
 
 def test_wide_map_step_move_order():
     # At (0, 27, 2) the top-level segment map reaches 1,162 segments, so
-    # this pins moves that cross many segments.  Only the v2 expansion
-    # and the v3 text are pinned: the v1 expansion is 40,166,813 one-flip
-    # lines, too large to build in a unit test.
-    out = io.StringIO()
-    rec = step_instance(0, 27, 2, 1, sink=FileSink(out))
-    recursive_step(rec, 27, 2, 1, strict_certificates=False)
+    # this pins moves that cross many segments.  The v1 expansion is not
+    # pinned: it is 40,166,813 one-flip lines, too large to build in a
+    # unit test.
+    text, rec = _step_text(0, 27, 2)
     assert rec.flip_count == 40_166_813
-    text = out.getvalue()
     assert _digest(as_v2(text)) == "c460f73f39dbc28d"
-    assert _digest(text) == "5cc0f8623853be73"
+    assert _digest(as_v3(text)) == "5cc0f8623853be73"
+    assert _digest(text) == "67e0e1562d8e7525"
+
+
+def test_largest_header_step_move_order():
+    # At (2, 729, 1) header line 3 held 879,436 of the 946,399 bytes of
+    # the v3 file, the largest share of any step point.  Written as two
+    # ranges it takes 20 bytes.  Only the v3 expansion and the v4 text
+    # are pinned: the v2 expansion writes out every replay.
+    text, _ = _step_text(2, 729, 1)
+    assert text.splitlines()[2] == "-69356..-3 3..69361"
+    assert _digest(as_v3(text)) == "f51091fdc4256a73"
+    assert _digest(text) == "04cbbf925d62ba76"
 
 
 PRIMITIVE_PINS = {  # t: (shift, reflect, reflect_mirrored)
@@ -121,6 +145,11 @@ PRIMITIVE_PINS_V3 = {
     0: ("12b427850b358890", "0f654e94f14c3903", "a9585db830346391"),
     1: ("d0f57e6ac1dcb6f4", "247c81bb746ad20f", "f1739935384e4716"),
     2: ("22d06a2fc040b5a7", "45b7f904ca41533b", "ce7e1b7db853471d"),
+}
+PRIMITIVE_PINS_V4 = {
+    0: ("9b514046e660a178", "b979c713d0421a51", "e80b525d6c1671a4"),
+    1: ("dd78e9f96d529801", "877860f1a763dc30", "54123cc1a0f6fc0b"),
+    2: ("149827aa1eefe6bf", "bdfd748dd4e3011d", "94f94a1a5b3e9f3e"),
 }
 
 
@@ -140,7 +169,7 @@ def test_shift_and_reflect_move_order(t):
         move(rec, x, a, b, c)
         digests.append(_digests(out.getvalue()))
     assert tuple(zip(*digests)) == (PRIMITIVE_PINS[t], PRIMITIVE_PINS_V2[t],
-                                    PRIMITIVE_PINS_V3[t])
+                                    PRIMITIVE_PINS_V3[t], PRIMITIVE_PINS_V4[t])
 
 
 FINISH_PINS = {"decomposed": "bbebfde3add890a6",
@@ -149,6 +178,8 @@ FINISH_PINS_V2 = {"decomposed": "805563ac7c74fb84",
                   "scheduled": "b4d0d0a33acb69e4"}
 FINISH_PINS_V3 = {"decomposed": "84a3cb938b102f67",
                   "scheduled": "dc6863e60ed2a5cf"}
+FINISH_PINS_V4 = {"decomposed": "d2b90acfa011a98c",
+                  "scheduled": "d9a334e037caae56"}
 
 
 @pytest.mark.parametrize("name", list(FINISH_PINS))
@@ -159,4 +190,5 @@ def test_finishing_pipeline_move_order(name):
     finish_pipeline(rec, layout, Fraction(28))
     assert _digests(out.getvalue()) == (FINISH_PINS[name],
                                         FINISH_PINS_V2[name],
-                                        FINISH_PINS_V3[name])
+                                        FINISH_PINS_V3[name],
+                                        FINISH_PINS_V4[name])

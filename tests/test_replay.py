@@ -100,7 +100,7 @@ def test_replays_change_nothing_but_the_form(monkeypatch):
                         lambda self, key, lo, hi, run: run())
     full, rec_full, outcome_full = step_text(0, 9, 2)
     assert "\nD " not in full
-    assert as_v2(text) == full.replace("ALLOWSEQ v3", "ALLOWSEQ v2", 1)
+    assert as_v2(text) == as_v2(full)
     assert rec.values(rec.lo, rec.hi) == rec_full.values(rec.lo, rec.hi)
     assert (rec.flip_count, rec.step_count, rec.min_deviation) == \
         (rec_full.flip_count, rec_full.step_count, rec_full.min_deviation)
