@@ -49,7 +49,21 @@ the reversal check from scratch, holding only the current sequence.
 Each flip is checked once.  A one-flip step, a block swap and a replay
 meet a fast test first, which decides them on every valid trace, and
 one that fails it goes to the per-flip checks, one flip at a time, so
-the report is the same as if every flip had been checked there.
+the report is the same as if every flip had been checked there.  It
+reads entries from one explicit stack of frames: the trace, each open
+shape over the same entries in its span, and the transpositions of a
+failed block swap or the body of a failed replay, each popped when it
+runs out, so no nesting of shapes or failures recurses or leaves a
+wrapper behind.  Two rules skip a fast test that cannot change the
+report: a replay of a shape whose first run counted no flip is passed
+over, and once the trace is known not to be allowable, a replay or
+block swap inside the bounds is applied by its positions alone, since
+every field left to report then depends on positions only.
+
+The v1 view, expand_steps and expanded_length, is one walk over the
+entries that records each closed shape's body and expanded length; a
+replay expands from an explicit stack of bodies, and one that stands
+for no step is passed over.
 
 Trace file format (authoritative).  FileSink is its only writer and
 iter_trace_file its only reader:
@@ -135,7 +149,6 @@ from __future__ import annotations
 import io
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConstructionBug, ContractError, RangeError
@@ -241,71 +254,78 @@ class Annotation(Value):
     __slots__ = ("depth", "label")
 
 
-def _unfold(steps: Iterable, bodies=None) -> Iterator:
-    """The entries with every Replay replaced by its shape's body, in
-    turn unfolded, and Define, End and Annotation dropped; BlockSwaps
-    stay.  Raises ContractError on a Replay of a shape not closed before
-    it, or an End that does not close the innermost open shape."""
-    bodies = {} if bodies is None else bodies  # id -> its body's entries
-    kept = []  # the entries inside shapes
+def _walk(steps: Iterable, shapes: dict) -> Iterator[tuple]:
+    """The trace format v1 view of the entries, one level deep: (entry,
+    how many steps it stands for) for each entry that stands for one or
+    more, a BlockSwap for a*b and a Replay for what its shape's body
+    stands for.  Define, End, Annotation and a Replay that stands for no
+    step are passed over.  On the way, shapes[id] is set to (body, steps)
+    when shape id closes, its body the pairs walked between its Define
+    and End.  Raises ContractError on a Replay of a shape not closed
+    before it, or an End that does not close the innermost open shape."""
+    kept = []  # the pairs walked inside shapes
     opened = []  # (id, index in kept where its body starts)
     for step in steps:
         cls = step.__class__
-        if opened:
-            kept.append(step)
         if cls is Define:
             opened.append((step.id, len(kept)))
-        elif cls is End:
+            continue
+        if cls is End:
             if not opened or opened[-1][0] != step.id:
                 raise ContractError(f"shape {step.id} ends but is not the "
                                     f"innermost open one")
-            bodies[step.id] = kept[opened.pop()[1]:-1]
-        elif cls is Replay:
-            if step.id not in bodies:
+            body = kept[opened.pop()[1]:]
+            shapes[step.id] = (body, sum(n for _, n in body))
+            continue
+        if cls is Replay:
+            if step.id not in shapes:
                 raise ContractError(f"replay of unknown shape {step.id}")
-            yield from _unfold(bodies[step.id], bodies)
-        elif cls is not Annotation:
-            yield step
+            n = shapes[step.id][1]
+            if not n:
+                continue
+        elif cls is BlockSwap:
+            n = step.a * step.b
+        elif cls is Annotation:
+            continue
+        else:
+            n = 1
+        if opened:
+            kept.append((step, n))
+        yield step, n
 
 
 def expand_steps(steps: Iterable) -> Iterator[FlipStep]:
     """The steps as trace format v1 holds them: every Replay replaced by
     its shape's body, Define, End and Annotation dropped, and every
     BlockSwap replaced by its transpositions, each a one-flip step, in
-    canonical order."""
-    for step in _unfold(steps):
-        if step.__class__ is BlockSwap:
-            for c, d in step:
-                yield single_step(c, d)
+    canonical order.
+
+    One pass of _walk, with no recursion: a Replay pushes its shape's
+    body onto an explicit stack, whose top is expanded until it runs out,
+    so shapes nested to any depth expand in constant Python stack.  A
+    Replay that stands for no step is passed over, not expanded."""
+    shapes = {}
+    stack = [_walk(steps, shapes)]  # the walk, then the bodies being replayed
+    while stack:
+        for step, _ in stack[-1]:
+            cls = step.__class__
+            if cls is Replay:
+                stack.append(iter(shapes[step.id][0]))
+                break
+            if cls is BlockSwap:
+                for c, d in step:
+                    yield single_step(c, d)
+            else:
+                yield step
         else:
-            yield step
+            stack.pop()
 
 
 def expanded_length(steps: Iterable) -> int:
-    """How many steps expand_steps yields, counted without expanding: a
-    BlockSwap counts a*b, a Replay what its shape's body counts, and an
-    Annotation nothing."""
-    total = 0
-    counts = {}  # id of each closed shape -> the steps of its body
-    opened = []  # (id, total at its Define)
-    for step in steps:
-        cls = step.__class__
-        if cls is BlockSwap:
-            total += step.a * step.b
-        elif cls is Define:
-            opened.append((step.id, total))
-        elif cls is End:
-            if not opened or opened[-1][0] != step.id:
-                raise ContractError(f"shape {step.id} ends but is not the "
-                                    f"innermost open one")
-            counts[step.id] = total - opened.pop()[1]
-        elif cls is Replay:
-            if step.id not in counts:
-                raise ContractError(f"replay of unknown shape {step.id}")
-            total += counts[step.id]
-        elif cls is not Annotation:
-            total += 1
-    return total
+    """How many steps expand_steps yields, counted without expanding: the
+    sum over one pass of _walk, where a BlockSwap counts a*b, a Replay
+    what its shape's body counts, and an Annotation nothing."""
+    return sum(n for _, n in _walk(steps, {}))
 
 
 _SINGLE_STEP_CAP = 1 << 14
@@ -1015,6 +1035,18 @@ def verify_stream(initial: CentredSequence, window: Window,
     second: CentredSequence is injective and a flip only reverses a
     slice, so the working copy never holds two equal values.
 
+    Entries are read from a stack of frames, innermost last.  A frame is
+    a source of entries, the bounds they are checked in and, for a
+    shape's frame, what its End needs.  The first frame reads the trace
+    in the domain.  A Define pushes a frame over the same source with
+    its span as bounds, and its End pops it.  A block swap or replay
+    that fails its fast test pushes a frame of its transpositions or of
+    its body, in the current bounds.  A frame that runs out is popped.
+    So nothing recurses and no wrapper outlives its frame: the stack
+    holds one frame per open shape, per replay being verified through
+    its body and per block swap being verified through its
+    transpositions.
+
     Three kinds of entry meet a fast test first.  An entry that fails it
     changes nothing there and goes on to the per-flip checks, one flip at
     a time, so every report, first violation included, is the one those
@@ -1026,21 +1058,63 @@ def verify_stream(initial: CentredSequence, window: Window,
     last < -t), and then max(left) < min(right), each block sliced once,
     before right + left is spliced back.  Its least deviation is that of
     the transposition at the centre, p clamped to [at, last].  A Replay
-    needs the span's values, read in its shape's stored argsort order,
-    to be strictly increasing: the span is then order-isomorphic to the
-    shape's start, every move of the body gets the verdict it got there
-    (see the module docstring), and the shape's net permutation and
-    counts are applied in O(span).  Otherwise the body, Define and End
-    dropped, is verified in its place.
+    needs its shape's span inside the bounds and the span's values, read
+    in the shape's stored argsort order, to be strictly increasing: the
+    span is then order-isomorphic to the shape's start, every move of the
+    body gets the verdict it got there (see the module docstring), and
+    the shape's net permutation and counts are applied in O(span).
+    Otherwise the body is verified in its place.
 
     Shapes trust nothing of the recorder's: each is derived from the body
-    this pass has just verified.  A Define keeps the span's values and
-    narrows the bounds to its span; its End stores the argsort of those
-    values, the net permutation of the span, the steps, flips and least
-    doubled deviation of the body, and the body's entries.  A Define that
-    reuses an id or leaves the bounds, an End that does not close the
-    innermost open shape, a Replay of a shape not closed before it, and
-    a shape never closed are reported with flip None.
+    this pass has just verified.  A Define keeps the span's values in its
+    frame; its End stores the argsort of those values, the net
+    permutation of the span, the steps, flips and least doubled deviation
+    of the body, and the body's entries, Define and End dropped.  A
+    Define that reuses an id or leaves the bounds, an End that does not
+    close the innermost open shape, a Replay of a shape not closed before
+    it, and a shape never closed are reported with flip None; the frame
+    of a shape never closed runs out and pops, its least deviation
+    merged as at an End.
+
+    Two rules skip a fast test whose outcome no field of the report can
+    depend on.  (a) A Replay of a shape whose first run counted no flip
+    is passed over.  (b) Once allowable is False, a Replay whose span is
+    inside the bounds applies its shape's permutation, counts and least
+    deviation with no order test, and a BlockSwap inside the bounds is
+    spliced and counted as a*b steps with no window or order test.  The
+    premise: every entry of a body lies inside its shape's span (a
+    Replay by the span of the shape it names), and every Replay in a
+    body names a shape closed before it.  Every file the reader accepts
+    and every trace the recorder writes meets it.
+
+    Proof.  Only which checks fail depends on values.  A flip inside the
+    bounds is applied as a reversal of its positions and its deviation
+    taken, valid or not; a flip out of them is counted and nothing else;
+    a BlockSwap's transpositions, inside the bounds, compose to its
+    splice and their least deviation is the one the fast path takes.  So,
+    by induction over the shapes in the order they close, a body verified
+    in any bounds that hold its span changes the state by its shape's
+    stored permutation and adds its stored counts and least deviation,
+    whichever path each Replay in it takes.  (a) A first run that
+    counted no flip held no FlipStep and no BlockSwap, only Replays of
+    shapes that counted none: the identity, counting nothing.  (b)
+    allowable turns False only in a violation, which also clears
+    all_valid and sets first_violation if it is unset.  From then on no
+    check can change these three fields, and the rest of the report, the
+    counts, least deviation and final state, is what the stored
+    permutations and counts give.
+
+    A hand-built trace may break the premise.  There a Replay that takes
+    rule (a) or (b) applies its body as this pass verified it between
+    its Define and End, where verifying the body in its place might not
+    repeat it: an entry outside the span but inside the current bounds
+    would now be applied, and a Replay of a shape closed since would now
+    be expanded.  Where the two differ, a violation was reported before
+    the Replay: under (b) by its condition, and under (a) because a first
+    run that counted no flip can only have missed a Replay of a shape not
+    yet closed, which it reported.  So allowable, all_valid and
+    first_violation are still those of the per-flip checks; only the
+    counts, least deviation and final state can differ.
 
     The least doubled deviation starts at hi - lo + 2, above any that a
     flip inside the domain can have, and reads INF if it is still there
@@ -1048,12 +1122,14 @@ def verify_stream(initial: CentredSequence, window: Window,
     shapes, and nothing is cached per step object, so a shared step is
     checked afresh at each place it occurs.  No shape table exists until
     the first Define, and a body's entries are kept only while a shape
-    is open, by a wrapper of the entry iterator that is dropped when the
-    outermost shape closes.  The FlipStep path meets one class test per
-    entry; an Annotation is tested for after a BlockSwap.
+    is open, by a wrapper of the entry iterator that is the source of
+    the outermost shape's frame and is dropped when that frame pops.
+    A trace without a failed fast test costs one list and one tuple of
+    frames, and a shape one push and one pop.  The FlipStep path meets
+    one class test per entry; an Annotation is tested for after a
+    BlockSwap.
     """
     base, top = initial.lo, initial.hi  # the domain
-    lo, hi = base, top  # the bounds: the domain or the innermost shape's span
     vals = list(initial.values)
     centre2 = base + top
     near = (centre2 - 1) // 2  # the p whose 2p + 1 lies nearest centre2
@@ -1069,7 +1145,8 @@ def verify_stream(initial: CentredSequence, window: Window,
     flips_n = 0
     shapes = None  # id -> (lo, hi, argsort, permutation, steps, flips,
     #                       least dev2, body) of each closed shape
-    opened = None  # what each open shape's End needs, innermost last
+    # (source, lo, hi, what a shape's End needs or None), innermost last
+    frames = [(iter(steps), base, top, None)]
 
     def violate(idx, flip, reason):
         nonlocal allowable, all_valid, first_violation
@@ -1078,25 +1155,26 @@ def verify_stream(initial: CentredSequence, window: Window,
         if first_violation is None:
             first_violation = (idx, flip, reason)
 
-    pending = iter(steps)
-    while pending is not None:
-        steps, pending = pending, None
-        for step in steps:
+    while frames:
+        source, lo, hi, open_shape = frames[-1]
+        for step in source:
             if step.__class__ is not FlipStep:
                 cls = step.__class__
                 if cls is BlockSwap:
                     at, a, b = step.lo, step.a, step.b
                     last = at + a + b - 2  # the last transposition's c
-                    # A transposition (p, p+1) has its midpoint in [-t, t]
-                    # exactly when -t <= p <= t-1, so [at, last] clears the
-                    # window when t = 0 or it lies wholly on one side.
-                    if (lo <= at and last < hi
-                            and (t == 0 or at >= t or last < -t)):
+                    if lo <= at and last < hi:
                         i = at - base
                         j = i + a
                         k = j + b
                         left, right = vals[i:j], vals[j:k]
-                        if max(left) < min(right):
+                        # A transposition (p, p+1) has its midpoint in
+                        # [-t, t] exactly when -t <= p <= t-1, so [at, last]
+                        # clears the window when t = 0 or it lies wholly on
+                        # one side.
+                        if not allowable or (
+                                (t == 0 or at >= t or last < -t)
+                                and max(left) < min(right)):
                             vals[i:k] = right + left
                             # the doubled midpoint 2p+1 nearest the centre
                             p = near
@@ -1110,7 +1188,8 @@ def verify_stream(initial: CentredSequence, window: Window,
                             steps_n += a * b
                             flips_n += a * b
                             continue
-                    pending = chain(expand_steps((step,)), steps)
+                    frames.append(((single_step(c, d) for c, d in step),
+                                   lo, hi, None))
                     break
                 if cls is Annotation:
                     continue
@@ -1121,61 +1200,59 @@ def verify_stream(initial: CentredSequence, window: Window,
                                 f"replay of unknown shape {step.id}")
                         continue
                     slo, shi, order, perm, s_n, f_n, dev2, body = shape
-                    i, j = slo - base, shi - base + 1
-                    cur = vals[i:j]
-                    seq = list(map(cur.__getitem__, order))
-                    if lo <= slo and shi <= hi and seq == sorted(seq):
-                        vals[i:j] = map(cur.__getitem__, perm)
-                        steps_n += s_n
-                        flips_n += f_n
-                        if dev2 < min_dev2:
-                            min_dev2 = dev2
+                    if not f_n:
                         continue
-                    pending = chain((s for s in body if s.__class__ is not
-                                     Define and s.__class__ is not End),
-                                    steps)
+                    if lo <= slo and shi <= hi:
+                        i, j = slo - base, shi - base + 1
+                        cur = vals[i:j]
+                        if allowable:
+                            seq = list(map(cur.__getitem__, order))
+                        if not allowable or seq == sorted(seq):
+                            vals[i:j] = map(cur.__getitem__, perm)
+                            steps_n += s_n
+                            flips_n += f_n
+                            if dev2 < min_dev2:
+                                min_dev2 = dev2
+                            continue
+                    frames.append((iter(body), lo, hi, None))
                     break
                 if cls is Define:
                     if shapes is None:
-                        shapes, opened = {}, []
+                        shapes = {}
                     sid, slo, shi = step.id, step.lo, step.hi
-                    if sid in shapes or any(o[0] == sid for o in opened):
+                    if sid in shapes or any(f[3] and f[3][0] == sid
+                                            for f in frames):
                         violate(steps_n, None, f"shape {sid} is defined twice")
                     if not lo <= slo <= shi <= hi:
                         violate(steps_n, None, f"shape span [{slo}, {shi}] "
                                                f"outside [{lo}, {hi}]")
                         slo, shi = max(slo, lo), min(shi, hi)
-                    if not opened:
+                    if open_shape is None:  # the outermost shape
                         kept = []
-                    opened.append((sid, vals[slo - base:shi - base + 1],
-                                   steps_n, flips_n, min_dev2, lo, hi,
-                                   len(kept)))
-                    lo, hi, min_dev2 = slo, shi, none_dev2
-                    if len(opened) == 1:
-                        outside = steps  # resumed when the shape closes
-                        pending = _kept(steps, kept)
-                        break
-                    continue
+                        source = _kept(source, kept)
+                    frames.append((source, slo, shi, (
+                        sid, vals[slo - base:shi - base + 1], steps_n,
+                        flips_n, min_dev2, len(kept))))
+                    min_dev2 = none_dev2
+                    break
                 if cls is End:
-                    if not opened or opened[-1][0] != step.id:
+                    if open_shape is None or open_shape[0] != step.id:
                         violate(steps_n, None, f"shape {step.id} ends but is "
                                                f"not the innermost open one")
-                        if not opened:
+                        if open_shape is None:
                             continue
-                    sid, start, s0, f0, m0, olo, ohi, at = opened.pop()
+                    sid, start, s0, f0, m0, at = open_shape
                     index = {v: p for p, v in enumerate(start)}
                     order = sorted(range(len(start)), key=start.__getitem__)
                     shapes[sid] = (
                         lo, hi, order,
                         [index[v] for v in vals[lo - base:hi - base + 1]],
-                        steps_n - s0, flips_n - f0, min_dev2, kept[at:-1])
-                    lo, hi = olo, ohi
-                    if m0 < min_dev2:
-                        min_dev2 = m0
-                    if not opened:
-                        pending = outside
-                        break
-                    continue
+                        steps_n - s0, flips_n - f0, min_dev2,
+                        [s for s in kept[at:-1] if s.__class__ is not Define
+                         and s.__class__ is not End])
+                    min_dev2 = min(min_dev2, m0)
+                    frames.pop()
+                    break
             flips = step.flips
             if len(flips) == 1:
                 f = flips[0]
@@ -1239,9 +1316,13 @@ def verify_stream(initial: CentredSequence, window: Window,
                 dev2 = abs(s - centre2)
                 if dev2 < min_dev2:
                     min_dev2 = dev2
+        else:
+            frames.pop()
+            if open_shape is not None:
+                violate(steps_n, None,
+                        f"shape {open_shape[0]} is never closed")
+                min_dev2 = min(min_dev2, open_shape[4])
 
-    if opened:
-        violate(steps_n, None, f"shape {opened[-1][0]} is never closed")
     vals.reverse()
     return VerificationReport(
         allowable, all_valid, tuple(vals) == initial.values,

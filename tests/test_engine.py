@@ -1,5 +1,7 @@
 import io
 import random
+from collections import Counter
+from itertools import count
 from fractions import Fraction
 
 import pytest
@@ -558,43 +560,83 @@ def _argsort(vals):
     return sorted(range(len(vals)), key=vals.__getitem__)
 
 
+def _span(run):
+    return min(_extent(step)[0] for step in run), \
+        max(_extent(step)[1] for step in run)
+
+
 def with_shapes(rng, initial, steps):
     """The steps with some short runs of them written as shapes: a run
     whose moves lie in one span inside the domain becomes Define, the
-    run and End, and Replays of its shape follow at random places.
-    Returns the marked entries, their expansion, and for each replay
-    whether its span held the order of the shape's start ("valid
-    replay") or not ("broken replay")."""
+    run and End, and Replays of its shape follow at random places.  A
+    shape's run may also hold Replays of earlier shapes whose spans lie
+    inside its span, and part of a run of two or more steps may be a
+    shape of its own, opened inside the run's.  Returns the marked
+    entries, their expansion, and the kinds seen: for each replay whether
+    its span held the order of the shape's start ("valid replay",
+    "nested replay" inside a shape's run) or not ("broken replay",
+    "nested broken replay"), and "nested shape" for each shape opened
+    inside another."""
     lo, hi = initial.lo, initial.hi
     state = list(initial.values)
     marked, expanded, kinds = [], [], []
-    shapes = []  # (id, lo, hi, body, argsort of the starting values)
+    shapes = []  # (lo, hi, id, expansion of the body, argsort of the start)
+    ids = count()
+
+    def apply(step):
+        expanded.append(step)
+        _apply(state, lo, step)
+
+    def replay(shape, nested):
+        a, b, sid, body, order = shape
+        valid = _argsort(state[a - lo:b - lo + 1]) == order
+        if nested:
+            kinds.append("nested replay" if valid else "nested broken replay")
+        else:
+            kinds.append("valid replay" if valid else "broken replay")
+        marked.append(engine.Replay(sid))
+        for step in body:
+            apply(step)
+
+    def shape(run):
+        a, b = _span(run)
+        sid = next(ids)
+        order = _argsort(state[a - lo:b - lo + 1])
+        marked.append(engine.Define(sid, a, b))
+        start = len(expanded)
+        inner = [s for s in shapes if a <= s[0] and s[1] <= b]
+        i = 0
+        while i < len(run):
+            r = rng.random()
+            if inner and r < 0.25:
+                replay(rng.choice(inner), nested=True)
+                continue
+            if len(run) > 1 and r < 0.5:
+                kinds.append("nested shape")
+                part = run[i:i + rng.randint(1, len(run) - 1)]
+                shape(part)
+                i += len(part)
+                continue
+            marked.append(run[i])
+            apply(run[i])
+            i += 1
+        marked.append(engine.End(sid))
+        shapes.append((a, b, sid, expanded[start:], order))
+
     i = 0
     while i < len(steps):
         r = rng.random()
         if shapes and r < 0.3 and len(kinds) < 8:
-            sid, a, b, body, order = rng.choice(shapes)
-            kinds.append("valid replay"
-                         if _argsort(state[a - lo:b - lo + 1]) == order
-                         else "broken replay")
-            marked.append(engine.Replay(sid))
-            for step in body:
-                expanded.append(step)
-                _apply(state, lo, step)
+            replay(rng.choice(shapes), nested=False)
             continue
         run = steps[i:i + rng.randint(1, 3)]
-        a = min(_extent(step)[0] for step in run)
-        b = max(_extent(step)[1] for step in run)
+        a, b = _span(run)
         if r < 0.6 and lo <= a and b <= hi:
-            sid = len(shapes)
-            shapes.append((sid, a, b, run, _argsort(state[a - lo:b - lo + 1])))
-            marked += [engine.Define(sid, a, b), *run, engine.End(sid)]
+            shape(run)
         else:
             run = run[:1]
-            marked += run
-        for step in run:
-            expanded.append(step)
-            _apply(state, lo, step)
+            marked.append(run[0])
+            apply(run[0])
         i += len(run)
     return marked, expanded, kinds
 
@@ -603,6 +645,7 @@ def test_verifier_matches_per_flip_reference():
     rng = random.Random(20)
     shape_rng = random.Random(21)
     seen = set()
+    shape_kinds = Counter()
     one_flip = {}
     in_loop = {}  # flips of multi-flip steps and LooseSteps
     for _ in range(3000):
@@ -617,6 +660,7 @@ def test_verifier_matches_per_flip_reference():
         assert verify_stream(initial, window, marked) == \
             reference_verify(initial, window, expanded)
         seen.update(kinds)
+        shape_kinds.update(kinds)
         # Tally the one-flip steps, and each flip of the other FlipSteps
         # and LooseSteps, by the state each one meets.
         lo, hi = initial.lo, initial.hi
@@ -641,7 +685,11 @@ def test_verifier_matches_per_flip_reference():
     assert seen == {None, "out of bounds", "overlapping flips in one step",
                     "run not strictly increasing", "midpoint inside window",
                     "FlipStep", "BlockSwap", "LooseStep", "valid replay",
-                    "broken replay"}
+                    "broken replay", "nested replay", "nested broken replay",
+                    "nested shape"}
+    assert min(shape_kinds[kind] for kind in (
+        "nested replay", "nested broken replay", "nested shape")) >= 10, \
+        shape_kinds
     assert set(one_flip) == {"adjacent", "longer run", "one value",
                              "below lo", "above hi", "midpoint inside window",
                              "run not increasing"}

@@ -12,15 +12,20 @@ inside its span, and that a replay changes nothing but the trace's form.
 """
 
 import io
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import allowseq
 from allowseq import engine
 from allowseq.cli import main
 from allowseq.construction import recursive_step, step_instance
-from allowseq.engine import (Annotation, Define, End, FileSink, ListSink,
-                             Replay, Trace, TraceParseError, TraceRecorder,
+from allowseq.engine import (Annotation, BlockSwap, Define, End, FileSink,
+                             ListSink, Replay, Trace, TraceParseError,
+                             TraceRecorder,
                              expand_steps, expanded_length, iter_trace_file,
                              parse_trace, serialize_trace, single_step,
                              verify_stream, verify_trace)
@@ -28,6 +33,7 @@ from allowseq.errors import ConstructionBug, ContractError, RangeError
 from allowseq.seqcore import CentredSequence, Window, identity_sequence
 from conftest import as_v2
 from test_acceptance import STEP_POINTS
+from test_engine import reference_verify
 
 
 def step_text(t, d, k):
@@ -239,6 +245,14 @@ def test_verifier_reports_malformed_shapes(steps, reason):
         assert rep.first_violation[1:] == (None, reason)
 
 
+def test_unclosed_shape_keeps_the_deviation_before_it():
+    # The flip [2, 3] sits at the centre, before the shape that never closes.
+    steps = [single_step(2, 3), Define(0, 3, 4), single_step(3, 4)]
+    rep = verify_stream(identity_sequence(1, 4), Window(0), steps)
+    assert rep.first_violation == (2, None, "shape 0 is never closed")
+    assert rep.min_deviation == 0
+
+
 def test_recorder_confines_a_recorded_substep():
     rec = TraceRecorder(identity_sequence(-4, 4), Window(0))
     for body in (lambda: rec.values(0, 3), lambda: rec.emit_flip(2, 3),
@@ -339,3 +353,102 @@ def test_render_refuses_a_large_expansion(monkeypatch, tmp_path, capsys):
     expanded = Trace(small.window, small.initial,
                      tuple(expand_steps(small.steps)))
     assert geom.render_trace_svg(small) == geom.render_trace_svg(expanded)
+
+
+def shape_tower(values, span, body, depth, fan, tail):
+    """A v4 file on the initial values `values` from position 1: shape 0
+    over `span` holds the lines `body`, each shape k = 1..depth over the
+    same span replays shape k-1 `fan` times, and the lines `tail`
+    follow."""
+    lo, hi = span
+    lines = ["ALLOWSEQ v4\n", f"t=0 lo=1 hi={len(values)}\n",
+             " ".join(map(str, values)) + "\n", f"D 0 {lo} {hi}\n", *body,
+             "E 0\n"]
+    for k in range(1, depth + 1):
+        lines += [f"D {k} {lo} {hi}\n", *[f"R {k - 1}\n"] * fan, f"E {k}\n"]
+    return "".join(lines + tail)
+
+
+def fail_nest(depth, fan):
+    # Shape 0 leaves [1, 2] reversed, so shape 1's first replay of it
+    # fails its order test and then its run: the first violation, after
+    # which every replay applies its shape unchecked.
+    return shape_tower((1, 2), (1, 2), ["F 1 2\n"], depth, fan,
+                       ["F 1 2\n", f"R {depth}\n"])
+
+
+def empty_valid(depth, fan):
+    # Every shape is empty and the trace valid; the last replay, whose
+    # order test would fail, counted no flip and is passed over.
+    return shape_tower((1, 2), (1, 2), [], depth, fan,
+                       ["F 1 2\n", f"R {depth}\n"])
+
+
+def empty_nest():
+    return shape_tower((1, 2, 3), (1, 2), [], 12, 10, ["R 12\n"])
+
+
+def deep(depth):
+    # One valid flip, replayed through `depth` shapes, each failing its
+    # order test at the last line.
+    return shape_tower((1, 2, 3), (1, 3), ["F 3 3\n"], depth, 1,
+                       ["F 1 2\n", f"R {depth}\n"])
+
+
+def run_cli(*argv):
+    """`python -m allowseq` in a subprocess, given 10 s."""
+    package_root = os.path.dirname(os.path.dirname(allowseq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "allowseq", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
+def test_failing_block_swaps_verify_in_linear_time():
+    # Every other swap fails its order test until the first violation; no
+    # failure leaves anything behind for the entries after it.
+    initial = identity_sequence(1, 3)
+    steps = [single_step(1, 3)] + [BlockSwap(1, 1, 1)] * 50_000
+    start = time.perf_counter()
+    rep = verify_stream(initial, Window(0), steps)
+    assert time.perf_counter() - start < 5
+    assert rep.step_count == 50_001
+    assert rep.first_violation == (1, (1, 2), "run not strictly increasing")
+    assert rep == verify_stream(initial, Window(0), list(expand_steps(steps)))
+
+
+@pytest.mark.parametrize("text, code, steps", [
+    (fail_nest(12, 10), 1, 2_111_111_111_112), (empty_valid(12, 10), 0, 1)],
+    ids=["fail_nest", "empty_valid"])
+def test_nested_replays_verify_in_a_subprocess(tmp_path, text, code, steps):
+    # Over 10**12 replays from a file under 1 kB: decided without
+    # walking them, and without crashing the interpreter (return code
+    # -11, SIGSEGV).
+    path = tmp_path / "tower.trace"
+    path.write_text(text)
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == code, proc.stderr
+    assert f"steps / flips:    {steps} / {steps}\n" in proc.stdout
+
+
+@pytest.mark.parametrize("text", [fail_nest(3, 10), empty_valid(3, 10)],
+                         ids=["fail_nest", "empty_valid"])
+def test_small_towers_report_their_expansion(text):
+    tr = parse_trace(text)
+    assert verify_trace(tr) == reference_verify(
+        tr.initial, tr.window, list(expand_steps(tr.steps)))
+
+
+@pytest.mark.parametrize("text, count",
+                         [(empty_nest(), 0), (deep(1200), 1203)],
+                         ids=["empty_nest", "deep"])
+def test_render_walks_nested_replays_without_recursion(tmp_path, text, count):
+    # 10**12 replays that stand for no step, and 1200 nested ones.
+    path = tmp_path / "tower.trace"
+    path.write_text(text)
+    proc = run_cli("render", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("<svg")
+    tr = parse_trace(text)
+    assert expanded_length(tr.steps) == len(list(expand_steps(tr.steps))) \
+        == count
